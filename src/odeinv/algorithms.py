@@ -1,8 +1,10 @@
 """The postcondition and precondition chain algorithms.
 
 `post` runs the double chain: a descending sequence of parameter-valuation
-subspaces refined by remainder templates, paired with an ascending sequence
-of instance ideals; it stops at the least step where both stabilize.  `pre`
+subspaces V_m refined by remainder templates, paired with an ascending
+sequence of ideals J_m, each generated by the instances of the Lie iterates
+L^0..L^m of the template restricted to V_m; it stops at the least step
+where both stabilize.  `pre`
 iterates Lie derivatives of the postcondition generators until the generated
 ideal stops growing.  Safety checking and invariant-ideal checking are thin
 layers over these.
@@ -171,14 +173,9 @@ class Precondition:
                 mode = MODE_GRAPH
             else:
                 mode = MODE_GENERATORS
-        if mode == MODE_GENERATORS:
-            # <0> = Id(R^N) and a unit ideal matches the empty variety, so
-            # these two degenerate shapes are exact even in the sound mode.
-            exact = not gens
-        elif mode == MODE_TRUSTED:
-            exact = True
-        else:
-            exact = True
+        # <0> = Id(R^N) and a unit ideal matches the empty variety, so
+        # these two degenerate shapes are exact even in the sound mode.
+        exact = mode != MODE_GENERATORS or not gens
         basis = buchberger(gens, **caps) if gens else []
         if not exact and basis and basis[0].degree() == 0:
             exact = True  # unit ideal: empty variety, Id(∅) is everything
@@ -264,6 +261,11 @@ def post(
 
     In an exact mode both directions of the characterization hold; in the
     sound generator mode only the inclusions are guaranteed.
+
+    Only one template is kept: L^j of the template restricted to the current
+    V.  Lie derivation commutes with restriction, so a refinement restricts
+    that one template further, and the generators of J_j are rebuilt, when
+    V has moved, by Lie-iterating the restricted template j times.
     """
     universe = field.universe
     if template.universe is not universe:
@@ -287,11 +289,12 @@ def post(
     basis_rows = [list(r) for r in coords]
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
-    def recompose(tmpls, rows_):
-        params = fresh_parameters(len(rows_), "y")
-        return [t.compose(rows_, params) for t in tmpls]
+    def restricted():
+        """T∘B: the template restricted to the current valuation space."""
+        return template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
 
-    chain = recompose([template], basis_rows) if len(basis_rows) < n else [template]
+    # Invariant: current = L^j(T∘B) for the current basis B = basis_rows.
+    current = restricted() if len(basis_rows) < n else template
     j = 0
     j_gb = None
     j_generators: list = []
@@ -300,7 +303,7 @@ def post(
             raise ResourceLimitError(
                 f"postcondition chain exceeded {max_iterations} iterations"
             )
-        nxt = chain[-1].lie(field)
+        nxt = current.lie(field)
         r = nxt.reduce_by(reducer)
         rows = [row for row in r.coefficient_vectors() if any(row)]
         entry = {"j": j + 1, "constraints": len(rows)}
@@ -318,7 +321,7 @@ def post(
                                 acc[i] += y * b
                 new_rows.append(acc)
             basis_rows = new_rows
-            chain = recompose(chain + [nxt], coords)
+            current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
             j_gb = None
             entry.update({"dim": len(basis_rows), "v_stable": False})
             trace.append(entry)
@@ -327,14 +330,14 @@ def post(
         # V stabilized at this step; check the ideal chain.
         entry.update({"dim": len(basis_rows), "v_stable": True})
         if j_gb is None:
-            j_generators = [
-                inst
-                for t in chain
-                for inst in t.unit_instances()
-                if not inst.is_zero()
-            ]
+            # J_j is generated by the instances of L^0..L^j of T∘B.
+            t = restricted()
+            j_generators = _nonzero_instances(t)
+            for _ in range(j):
+                t = t.lie(field)
+                j_generators += _nonzero_instances(t)
             j_gb = buchberger(j_generators, **caps)
-        new_gens = [g for g in nxt.unit_instances() if not g.is_zero()]
+        new_gens = _nonzero_instances(nxt)
         stable = all(
             groebner.normal_form(g, j_gb).is_zero() if j_gb else g.is_zero()
             for g in new_gens
@@ -345,7 +348,7 @@ def post(
             break
         j_generators = j_generators + new_gens
         j_gb = buchberger_extend(j_gb, new_gens, **caps) if j_gb else buchberger(new_gens, **caps)
-        chain.append(nxt)
+        current = nxt
         j += 1
 
     space = Subspace.from_rows(basis_rows, n)
@@ -359,6 +362,10 @@ def post(
     if verify_result:
         _verify_post(result, field)
     return result
+
+
+def _nonzero_instances(t: Template):
+    return [inst for inst in t.unit_instances() if not inst.is_zero()]
 
 
 def _verify_post(res: PostResult, field: VectorField):

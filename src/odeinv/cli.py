@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from fractions import Fraction
-
 from .algorithms import _MODES, ModeError
 from .groebner import ResourceLimitError
 from .parser import ParseError
@@ -72,13 +70,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _exact(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{what}: {exc}") from exc
-
-
 def _overrides(args) -> dict:
     out = {}
     if args.mode is not None:
@@ -104,14 +95,8 @@ def main(argv=None) -> int:
                     print(f"  L^{j}: {line}")
             return 0
         if args.command == "verify-numeric":
-            if args.samples is not None:
-                spec.numeric.samples = args.samples
-            if args.horizon is not None:
-                spec.numeric.horizon = _exact(args.horizon, "horizon")
-            if args.step is not None:
-                spec.numeric.step = _exact(args.step, "step")
-            if args.tolerance is not None:
-                spec.numeric.tolerance = args.tolerance
+            given = {k: getattr(args, k) for k in ("samples", "horizon", "step", "tolerance")}
+            spec.numeric.override(**{k: v for k, v in given.items() if v is not None})
             report = run(built, numeric=True, **_overrides(args))
         else:
             if args.command != spec.query_kind:

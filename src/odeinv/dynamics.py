@@ -15,7 +15,6 @@ from . import groebner
 from .linalg import LinearForm, Subspace
 from .poly import (
     BlockElim,
-    Monomial,
     Polynomial,
     Symbol,
     SymbolUniverse,
@@ -159,17 +158,6 @@ class Template:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self):
-        """(Monomial, LinearForm) pairs, leading monomial first."""
-        key = self.universe.key
-        out = []
-        for exps in sorted(self._terms, key=key, reverse=True):
-            form = LinearForm(
-                {self.params[k]: v for k, v in self._terms[exps].items()}
-            )
-            out.append((Monomial(self.universe, exps), form))
-        return out
-
     def coefficient_vectors(self):
         """Rows (one per monomial, descending) of parameter coefficients."""
         key = self.universe.key
@@ -181,11 +169,6 @@ class Template:
                 tuple(form.get(k, Fraction(0)) for k in range(n))
             )
         return rows
-
-    def max_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     # -- operations ---------------------------------------------------------
 
@@ -217,13 +200,12 @@ class Template:
                 cols[k][exps] = c
         return [Polynomial(self.universe, col) for col in cols]
 
-    def lie(self, field: VectorField) -> "Template":
-        """Lie derivative with linear expressions treated as constants."""
-        if field.universe is not self.universe:
-            raise ValueError("template and field use different universes")
+    def _map_monomials(self, image) -> "Template":
+        """Apply the linear map sending each state monomial `exps` to the
+        term map `image(exps)`, with parameter forms carried along."""
         terms: dict = {}
         for exps, form in self._terms.items():
-            for ne, dc in field.lie_monomial(exps).items():
+            for ne, dc in image(exps).items():
                 dst = terms.get(ne)
                 if dst is None:
                     dst = {}
@@ -240,6 +222,12 @@ class Template:
                         else:
                             del dst[k]
         return Template(self.universe, self.params, terms)
+
+    def lie(self, field: VectorField) -> "Template":
+        """Lie derivative with linear expressions treated as constants."""
+        if field.universe is not self.universe:
+            raise ValueError("template and field use different universes")
+        return self._map_monomials(field.lie_monomial)
 
     def compose(self, rows, new_params) -> "Template":
         """Reparametrize by valuations v = y . rows.
@@ -265,25 +253,7 @@ class Template:
 
     def reduce_by(self, reducer: "GroebnerReducer") -> "Template":
         """Remainder template modulo the reducer's Groebner basis."""
-        terms: dict = {}
-        for exps, form in self._terms.items():
-            for ne, dc in reducer.monomial_terms(exps).items():
-                dst = terms.get(ne)
-                if dst is None:
-                    dst = {}
-                    terms[ne] = dst
-                for k, v in form.items():
-                    acc = dst.get(k)
-                    t = v * dc
-                    if acc is None:
-                        dst[k] = t
-                    else:
-                        acc = acc + t
-                        if acc:
-                            dst[k] = acc
-                        else:
-                            del dst[k]
-        return Template(self.universe, self.params, terms)
+        return self._map_monomials(reducer.monomial_terms)
 
     def as_polynomial(self, joint: SymbolUniverse) -> Polynomial:
         """Embed into a universe listing the parameters before the states."""
@@ -352,20 +322,26 @@ def complete_template(
     degree: int,
     prefix: str = "a",
     exclude=(),
+    auxiliary=(),
 ) -> Template:
     """One fresh parameter per monomial of total degree <= `degree`.
 
-    Parameters are assigned in ascending (degree, order) sequence, so the
-    first parameter always multiplies the constant monomial.  `exclude`
-    drops specific monomials from the ansatz.
+    Each auxiliary monomial m adds m and m*v for every template variable v;
+    `exclude` then drops specific monomials from the ansatz.  Parameters are
+    assigned in ascending (degree, order) sequence, so the first parameter
+    always multiplies the constant monomial.
     """
-    monos = monomials_up_to_degree(universe, variables, degree)
-    monos.sort(key=lambda m: (m.degree(), universe.key(m.exps)))
-    excluded = {m.exps for m in exclude}
-    monos = [m for m in monos if m.exps not in excluded]
-    params = fresh_parameters(len(monos), prefix)
-    terms = {m.exps: {k: Fraction(1)} for k, m in enumerate(monos)}
-    return Template(universe, params, terms)
+    variables = list(variables)
+    exps = {m.exps for m in monomials_up_to_degree(universe, variables, degree)}
+    for m in auxiliary:
+        exps.add(m.exps)
+        for v in variables:
+            i = universe.index_of(v)
+            exps.add(m.exps[:i] + (m.exps[i] + 1,) + m.exps[i + 1:])
+    exps -= {m.exps for m in exclude}
+    ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
+    params = fresh_parameters(len(ordered), prefix)
+    return Template(universe, params, {e: {k: Fraction(1)} for k, e in enumerate(ordered)})
 
 
 def linear_combination_template(polys, prefix: str = "a") -> Template:
@@ -403,22 +379,6 @@ class GroebnerReducer:
                 cached = dict(groebner.normal_form(p, self.basis)._terms)
             self._cache[exps] = cached
         return cached
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        acc: dict = {}
-        for exps, c in p._terms.items():
-            for ne, dc in self.monomial_terms(exps).items():
-                v = acc.get(ne)
-                t = c * dc
-                if v is None:
-                    acc[ne] = t
-                else:
-                    v = v + t
-                    if v:
-                        acc[ne] = v
-                    else:
-                        del acc[ne]
-        return Polynomial(p.universe, acc)
 
 
 def template_remainder(template: Template, basis) -> Template:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import yaml
 
 from .algorithms import MODE_AUTO, Precondition, _MODES
-from .dynamics import Template, VectorField, fresh_parameters
+from .dynamics import Template, VectorField, complete_template
 from .parser import ParseError, parse_polynomial
 from .poly import (
     BlockElim,
@@ -22,7 +22,6 @@ from .poly import (
     Monomial,
     Symbol,
     SymbolUniverse,
-    monomials_up_to_degree,
 )
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
@@ -49,6 +48,40 @@ def _as_fraction_option(value, name):
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**9)
     raise SpecError(f"{name} must be a number or exact string")
+
+
+# Numeric settings: type, least value, and whether that value is excluded.
+_NUMBERS = {
+    "max_iterations": (int, 0, False),
+    "pair_budget": (int, 0, False),
+    "max_degree": (int, 0, False),
+    "samples": (int, 1, False),
+    "horizon": (Fraction, 0, True),
+    "step": (Fraction, 0, True),
+    "tolerance": (float, 0, True),
+}
+
+
+def _number(name, value):
+    """Validate one numeric setting against its entry in `_NUMBERS`."""
+    kind, least, strict = _NUMBERS[name]
+    if kind is Fraction:
+        x = _as_fraction_option(value, name)
+    else:
+        allowed = (int, float, str) if kind is float else (int, str)
+        _require(
+            isinstance(value, allowed) and not isinstance(value, bool),
+            f"{name} must be {'a number' if kind is float else 'an integer'}",
+        )
+        try:
+            x = kind(value)
+        except ValueError as exc:
+            raise SpecError(f"{name}: {exc}") from exc
+    _require(
+        x > least if strict else x >= least,
+        f"{name} must be {'>' if strict else '>='} {least}, not {value}",
+    )
+    return x
 
 
 class NumericSpec:
@@ -88,14 +121,14 @@ class NumericSpec:
                 {str(k): _as_fraction_option(v, f"point value for {k}") for k, v in p.items()}
                 for p in points
             ]
-        return cls(
-            enabled=bool(d.get("enabled", True)),
-            samples=int(d.get("samples", 3)),
-            horizon=_as_fraction_option(d.get("horizon", 1), "horizon"),
-            step=_as_fraction_option(d.get("step", "1/256"), "step"),
-            tolerance=float(d.get("tolerance", 1e-6)),
-            points=points,
-        )
+        spec = cls(enabled=bool(d.get("enabled", True)), points=points)
+        spec.override(**{k: v for k, v in d.items() if k in _NUMBERS})
+        return spec
+
+    def override(self, **settings):
+        """Replace samples, horizon, step or tolerance, validated."""
+        for name, value in settings.items():
+            setattr(self, name, _number(name, value))
 
 
 class SystemSpec:
@@ -158,10 +191,10 @@ class SystemSpec:
         _require(isinstance(options, dict), "options must be a mapping")
         unknown = set(options) - {"max_iterations", "pair_budget", "max_degree"}
         _require(not unknown, f"unknown option keys: {sorted(unknown)}")
-        self.max_iterations = int(options.get("max_iterations", 64))
-        self.pair_budget = int(options.get("pair_budget", 200_000))
+        self.max_iterations = _number("max_iterations", options.get("max_iterations", 64))
+        self.pair_budget = _number("pair_budget", options.get("pair_budget", 200_000))
         md = options.get("max_degree")
-        self.max_degree = None if md is None else int(md)
+        self.max_degree = None if md is None else _number("max_degree", md)
 
         self.numeric = NumericSpec.from_dict(data.get("numeric_check"))
 
@@ -216,6 +249,14 @@ class BuiltSystem:
             for g in spec.precondition_generators
         ]
         self.precondition = Precondition(gens, spec.precondition_mode)
+        for point in spec.numeric.points or ():
+            _require(
+                set(point) == set(spec.variables),
+                f"numeric_check point binds {sorted(point)}, not {spec.variables}",
+            )
+            values = {s: point[s.name] for s in symbols}
+            for g in gens:
+                _require(g.evaluate(values) == 0, f"numeric_check point violates {g} = 0")
         self.template = None
         self.postcondition = None
         self.ideal_generators = None
@@ -267,31 +308,16 @@ class BuiltSystem:
             unknown_vars = [v for v in var_names if v not in self.spec.variables]
             _require(not unknown_vars, f"template over undeclared variables {unknown_vars}")
             tvars = [self.universe.by_name(str(v)) for v in var_names]
-            monos = monomials_up_to_degree(self.universe, tvars, degree)
-            seen = {m.exps for m in monos}
-            for aux_text in tspec.get("auxiliary_monomials", []) or []:
-                aux = _parse_monomial(aux_text, self.universe, "auxiliary monomial")
-                products = [aux] + [
-                    aux * Monomial(self.universe, tuple(
-                        1 if i == self.universe.index_of(v) else 0
-                        for i in range(len(self.universe))
-                    ))
-                    for v in tvars
-                ]
-                for m in products:
-                    if m.exps not in seen:
-                        seen.add(m.exps)
-                        monos.append(m)
-            for text in tspec.get("exclude", []) or []:
-                m = _parse_monomial(text, self.universe, "excluded monomial")
-                seen.discard(m.exps)
-            monos = [m for m in monos if m.exps in seen]
-            monos.sort(key=lambda m: (m.degree(), self.universe.key(m.exps)))
-            params = fresh_parameters(len(monos))
-            return Template(
-                self.universe,
-                params,
-                {m.exps: {k: Fraction(1)} for k, m in enumerate(monos)},
+            auxiliary = [
+                _parse_monomial(text, self.universe, "auxiliary monomial")
+                for text in tspec.get("auxiliary_monomials", []) or []
+            ]
+            exclude = [
+                _parse_monomial(text, self.universe, "excluded monomial")
+                for text in tspec.get("exclude", []) or []
+            ]
+            return complete_template(
+                self.universe, tvars, degree, exclude=exclude, auxiliary=auxiliary
             )
         if kind == "explicit":
             unknown = set(tspec) - {"kind", "parameters", "expression"}

@@ -17,6 +17,7 @@ from odeinv import (
     check_invariant_ideal,
     check_safety,
     complete_template,
+    corpus,
     ideal_equal,
     lie_derivative,
     lie_iterate,
@@ -266,3 +267,34 @@ def test_sample_points_satisfy_generators(ghost):
     # no points for an empty variety
     bad = Precondition([Polynomial.constant(U, 1), X - X0]).analyze(U)
     assert sample_points(bad, U, 3) == []
+
+
+def test_post_rebuilds_ideal_after_refinement():
+    # Kepler as bundled: j=1 is V-stable but J-unstable, j=2 refines V 71 -> 32,
+    # and j=3 rebuilds the J basis from the restricted template's Lie iterates.
+    built = corpus.load("kepler").build()
+    spec = built.spec
+    res = post(
+        built.precondition,
+        built.template,
+        built.field,
+        max_iterations=spec.max_iterations,
+        pair_budget=spec.pair_budget,
+        max_degree=spec.max_degree,
+    )
+    assert list(res.trace) == [
+        {"j": 0, "dim": 71, "constraints": 139},
+        {"j": 1, "constraints": 0, "dim": 71, "v_stable": True,
+         "j_checked": True, "j_stable": False, "j_generators": 71},
+        {"j": 2, "constraints": 54, "dim": 32, "v_stable": False},
+        {"j": 3, "constraints": 0, "dim": 32, "v_stable": True,
+         "j_checked": True, "j_stable": False, "j_generators": 96},
+        {"j": 4, "constraints": 3, "dim": 29, "v_stable": False},
+        {"j": 5, "constraints": 0, "dim": 29, "v_stable": True,
+         "j_checked": True, "j_stable": True, "j_generators": 145},
+    ]
+    assert len(res.ideal.generators) == 145
+    assert [str(g) for g in res.ideal.reduced_groebner_basis()] == [
+        "r*u - 1",
+        "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
+    ]

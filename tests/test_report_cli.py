@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from odeinv import SystemSpec, corpus
 from odeinv.cli import main
@@ -120,10 +121,42 @@ def test_resource_cap_exit_code():
     )
 
 
-def test_cli_bad_numeric_literal_is_input_error():
-    assert (
-        main(["verify-numeric", _corpus_path("ghost-post"), "--horizon", "wat"]) == 3
-    )
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("numeric_check", "samples", "abc"),
+        ("numeric_check", "samples", -3),
+        ("numeric_check", "horizon", -1),
+        ("numeric_check", "step", 0),
+        ("numeric_check", "tolerance", "x"),
+        ("options", "max_iterations", "x"),
+        ("options", "pair_budget", "x"),
+        ("options", "max_degree", "x"),
+        pytest.param("numeric_check", "points", [{"x": 1}], id="point-unbound"),
+        pytest.param("numeric_check", "points", [{"x": 1, "y": 2}], id="point-off-pre"),
+    ],
+)
+def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
+    with open(_corpus_path("running-post"), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data.setdefault(section, {})[key] = value
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(data))
+    assert main(["post", str(spec)]) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param("--horizon", "wat", id="horizon-wat"),
+        pytest.param("--horizon", "-1", id="horizon-negative"),
+        pytest.param("--step", "0", id="step-zero"),
+        pytest.param("--samples", "0", id="samples-zero"),
+        pytest.param("--tolerance", "-1", id="tolerance-negative"),
+    ],
+)
+def test_cli_bad_numeric_literal_is_input_error(flag, value):
+    assert main(["verify-numeric", _corpus_path("ghost-post"), flag, value]) == 3
 
 
 def test_cli_accepts_json_spec(tmp_path):
