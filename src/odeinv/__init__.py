@@ -22,28 +22,18 @@ from .groebner import (  # noqa: F401
     eliminate_parameters,
     ideal_contains,
     ideal_equal,
-    member,
     normal_form,
     reduce_basis,
 )
-from .linalg import (  # noqa: F401
-    LinearForm,
-    Subspace,
-    refine,
-    solve_homogeneous,
-    subspace_equal,
-)
+from .linalg import Subspace  # noqa: F401
 from .dynamics import (  # noqa: F401
     Template,
     VectorField,
     complete_template,
     lie_derivative,
     lie_iterate,
-    lie_template,
     linear_combination_template,
     result_template,
-    template_remainder,
-    zero_constraints,
 )
 from .algorithms import (  # noqa: F401
     FAILS,

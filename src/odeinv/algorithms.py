@@ -278,15 +278,8 @@ def post(
     reducer = GroebnerReducer(analysis.basis, universe)
     n = len(template.params)
 
-    r0 = template.reduce_by(reducer)
-    rows = [row for row in r0.coefficient_vectors() if any(row)]
-    if rows:
-        coords = nullspace(rows, n)
-    else:
-        coords = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-    basis_rows = [list(r) for r in coords]
+    rows = template.reduce_by(reducer).coefficient_vectors()
+    basis_rows = [list(r) for r in nullspace(rows, n)]
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
     def restricted():
@@ -304,8 +297,7 @@ def post(
                 f"postcondition chain exceeded {max_iterations} iterations"
             )
         nxt = current.lie(field)
-        r = nxt.reduce_by(reducer)
-        rows = [row for row in r.coefficient_vectors() if any(row)]
+        rows = nxt.reduce_by(reducer).coefficient_vectors()
         entry = {"j": j + 1, "constraints": len(rows)}
         if rows:
             d = len(basis_rows)
@@ -338,23 +330,20 @@ def post(
                 j_generators += _nonzero_instances(t)
             j_gb = buchberger(j_generators, **caps)
         new_gens = _nonzero_instances(nxt)
-        stable = all(
-            groebner.normal_form(g, j_gb).is_zero() if j_gb else g.is_zero()
-            for g in new_gens
-        )
+        stable = all(groebner.normal_form(g, j_gb).is_zero() for g in new_gens)
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": len(j_generators)})
         trace.append(entry)
         if stable:
             break
         j_generators = j_generators + new_gens
-        j_gb = buchberger_extend(j_gb, new_gens, **caps) if j_gb else buchberger(new_gens, **caps)
+        j_gb = buchberger_extend(j_gb, new_gens, **caps)
         current = nxt
         j += 1
 
     space = Subspace.from_rows(basis_rows, n)
     out_template = result_template(template, space)
     ideal = Ideal.from_groebner_basis(
-        universe, j_gb or [], generators=j_generators, **caps
+        universe, j_gb, generators=j_generators, **caps
     )
     result = PostResult(
         template, space, out_template, ideal, j, analysis.exact, analysis, trace
@@ -372,7 +361,7 @@ def _verify_post(res: PostResult, field: VectorField):
     """Post-run soundness assertions: instances lie in J and J is Lie-closed."""
     gb = res.ideal.reduced_groebner_basis()
     for inst in res.result.unit_instances():
-        if not inst.is_zero() and not (gb and groebner.normal_form(inst, gb).is_zero()):
+        if not inst.is_zero() and not groebner.normal_form(inst, gb).is_zero():
             raise AssertionError("result-template instance escapes the invariant ideal")
     for g in gb:
         if not groebner.normal_form(lie_derivative(g, field), gb).is_zero():
@@ -421,11 +410,11 @@ def pre(
     for m in range(max_iterations):
         nxt = [lie_derivative(p, field) for p in current]
         fresh = [p for p in nxt if not p.is_zero()]
-        if all(groebner.normal_form(p, gb).is_zero() if gb else p.is_zero() for p in fresh):
+        if all(groebner.normal_form(p, gb).is_zero() for p in fresh):
             ideal = Ideal.from_groebner_basis(universe, gb, generators=closure, **caps)
             return PreResult(ideal, m, closure)
         closure.extend(fresh)
-        gb = buchberger_extend(gb, fresh, **caps) if gb else buchberger(fresh, **caps)
+        gb = buchberger_extend(gb, fresh, **caps)
         current = nxt
     raise ResourceLimitError(
         f"precondition chain exceeded {max_iterations} iterations"
@@ -504,13 +493,9 @@ def check_invariant_ideal(ideal: Ideal, field: VectorField) -> bool:
     h*L(g) + L(h)*g, both sides staying in the ideal when L(g) does.
     """
     gb = ideal.reduced_groebner_basis()
-    for g in gb:
-        d = lie_derivative(g, field)
-        if d.is_zero():
-            continue
-        if not gb or not groebner.normal_form(d, gb).is_zero():
-            return False
-    return True
+    return all(
+        groebner.normal_form(lie_derivative(g, field), gb).is_zero() for g in gb
+    )
 
 
 class WeakestPreconditionResult:

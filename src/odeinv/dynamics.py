@@ -12,9 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import groebner
-from .linalg import LinearForm, Subspace
+from .linalg import Subspace
 from .poly import (
-    BlockElim,
     Polynomial,
     Symbol,
     SymbolUniverse,
@@ -187,10 +186,6 @@ class Template:
                 terms[exps] = c
         return Polynomial(self.universe, terms)
 
-    def instances(self, rows):
-        """Instantiations at each of the given valuation rows."""
-        return [self.instantiate(r) for r in rows]
-
     def unit_instances(self):
         """Instantiations at the standard basis of the parameter space."""
         n = len(self.params)
@@ -255,20 +250,6 @@ class Template:
         """Remainder template modulo the reducer's Groebner basis."""
         return self._map_monomials(reducer.monomial_terms)
 
-    def as_polynomial(self, joint: SymbolUniverse) -> Polynomial:
-        """Embed into a universe listing the parameters before the states."""
-        np = len(self.params)
-        for k, p in enumerate(self.params):
-            if joint.symbols[k] is not p:
-                raise ValueError("joint universe must list the parameters first")
-        terms = {}
-        for exps, form in self._terms.items():
-            for k, c in form.items():
-                unit = [0] * np
-                unit[k] = 1
-                terms[tuple(unit) + exps] = c
-        return Polynomial(joint, terms)
-
     @classmethod
     def from_joint_polynomial(
         cls, p: Polynomial, nparams: int, state_universe: SymbolUniverse
@@ -306,10 +287,6 @@ class Template:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def lie_template(template: Template, field: VectorField) -> Template:
-    return template.lie(field)
 
 
 def fresh_parameters(n: int, prefix: str = "a"):
@@ -372,59 +349,10 @@ class GroebnerReducer:
     def monomial_terms(self, exps) -> dict:
         cached = self._cache.get(exps)
         if cached is None:
-            if not self.basis:
-                cached = {exps: Fraction(1)}
-            else:
-                p = Polynomial(self.universe, {exps: Fraction(1)})
-                cached = dict(groebner.normal_form(p, self.basis)._terms)
+            p = Polynomial(self.universe, {exps: Fraction(1)})
+            cached = dict(groebner.normal_form(p, self.basis)._terms)
             self._cache[exps] = cached
         return cached
-
-
-def template_remainder(template: Template, basis) -> Template:
-    """Remainder template r = template mod basis; r[v] = template[v] mod basis."""
-    reducer = GroebnerReducer(basis, template.universe)
-    return template.reduce_by(reducer)
-
-
-def template_remainder_via_division(
-    template: Template, basis, state_order=None
-) -> Template:
-    """Oracle path: divide in Q[params, states] under an elimination order.
-
-    Raises TemplateLinearityError when the remainder is not parameter-linear,
-    which indicates the order does not dominate the states by the parameters.
-    """
-    state_universe = template.universe
-    order = BlockElim(
-        state_order if state_order is not None else state_universe.order
-    )
-    joint = SymbolUniverse(
-        tuple(template.params) + state_universe.symbols, order
-    )
-    p = template.as_polynomial(joint)
-    lifted = []
-    for g in basis:
-        terms = {
-            (0,) * len(template.params) + exps: c
-            for exps, c in g._terms.items()
-        }
-        lifted.append(Polynomial(joint, terms))
-    rem = groebner.divide(p, lifted).remainder
-    return Template.from_joint_polynomial(rem, len(template.params), state_universe)
-
-
-def zero_constraints(template: Template):
-    """Linear forms whose common vanishing makes the template instance zero."""
-    key = template.universe.key
-    out = []
-    for exps in sorted(template._terms, key=key, reverse=True):
-        out.append(
-            LinearForm(
-                {template.params[k]: v for k, v in template._terms[exps].items()}
-            )
-        )
-    return out
 
 
 def result_template(

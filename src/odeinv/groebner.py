@@ -13,7 +13,7 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-from .poly import BlockElim, Lex, Polynomial, Symbol, SymbolUniverse
+from .poly import BlockElim, Lex, Polynomial, Symbol, SymbolUniverse, primitive_integers
 
 
 class ResourceLimitError(RuntimeError):
@@ -27,32 +27,12 @@ class ResourceLimitError(RuntimeError):
 # integer term-list representation
 
 
-def _intify(poly: Polynomial):
-    """Sorted (exps, int) terms, content-free, positive leading coefficient."""
-    items = poly.sorted_terms()
-    if not items:
-        return []
-    denom = 1
-    for _, c in items:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    nums = [(e, int(c * denom)) for e, c in items]
-    g = 0
-    for _, c in nums:
-        g = gcd(g, abs(c))
-    if nums[0][1] < 0:
-        g = -g
-    return [(e, c // g) for e, c in nums]
-
-
-def _strip_content(items):
-    g = 0
-    for _, c in items:
-        g = gcd(g, abs(c))
-    if not g:
-        return []
-    if items[0][1] < 0:
-        g = -g
-    return [(e, c // g) for e, c in items]
+def _primitive(items):
+    """Content-free integer (exps, coeff) terms, first coefficient positive."""
+    ints, _ = primitive_integers([c for _, c in items])
+    if ints and ints[0] < 0:
+        ints = [-c for c in ints]
+    return [(e, c) for (e, _), c in zip(items, ints)]
 
 
 class _GPoly:
@@ -67,6 +47,10 @@ class _GPoly:
 
     def terms(self):
         return [(self.lead_exps, self.lead_coeff)] + list(self.tail)
+
+
+def _gpoly(p: Polynomial) -> _GPoly:
+    return _GPoly(_primitive(p.sorted_terms()))
 
 
 def _neg(key):
@@ -241,19 +225,16 @@ def divide(p: Polynomial, divisors) -> DivisionResult:
 
 def normal_form(p: Polynomial, divisors) -> Polynomial:
     """Exact remainder of p under division by the divisor list."""
-    universe = p.universe
-    gdivs = [_GPoly(_intify(d)) for d in divisors if not d.is_zero()]
     items = p.sorted_terms()
     if not items:
         return p
-    denom = 1
-    for _, c in items:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    rem, scale = _nf_int(
-        [(e, int(c * denom)) for e, c in items], gdivs, universe.key
+    gdivs = [_gpoly(d) for d in divisors if not d.is_zero()]
+    ints, scale = primitive_integers([c for _, c in items])
+    rem, nf_scale = _nf_int(
+        [(e, c) for (e, _), c in zip(items, ints)], gdivs, p.universe.key
     )
-    total = denom * scale
-    return Polynomial(universe, {e: Fraction(c, total) for e, c in rem})
+    num, den = scale.numerator * nf_scale, scale.denominator
+    return Polynomial(p.universe, {e: Fraction(c * den, num) for e, c in rem})
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +289,7 @@ def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
         G.append(f)
     for f in sorted(gens, key=lambda t: key(t.lead_exps)):
         rem, _ = _nf_int(f.terms(), G, key)
-        rem = _strip_content(rem)
+        rem = _primitive(rem)
         if rem:
             P = _update_pairs(G, P, _GPoly(_sorted_terms(rem, key)), key)
     processed = 0
@@ -331,7 +312,7 @@ def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
             )
         s = _spoly_int(G[pair[0]], G[pair[1]])
         rem, _ = _nf_int(s, G, key)
-        rem = _strip_content(rem)
+        rem = _primitive(rem)
         if rem:
             g = _GPoly(_sorted_terms(rem, key))
             if max_degree is not None and g.degree > max_degree:
@@ -353,7 +334,7 @@ def _reduce_int_basis(G, key):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         rem, _ = _nf_int(g.terms(), others, key)
-        rem = _strip_content(rem)
+        rem = _primitive(rem)
         if rem:
             reduced.append(_GPoly(_sorted_terms(rem, key)))
     reduced.sort(key=lambda g: key(g.lead_exps), reverse=True)
@@ -385,7 +366,7 @@ def buchberger(
             raise ValueError("generators from different symbol universes")
     key = universe.key
     G = _buchberger_core(
-        [], [_GPoly(_intify(g)) for g in gens], key, pair_budget, max_degree, shuffle
+        [], [_gpoly(g) for g in gens], key, pair_budget, max_degree, shuffle
     )
     reduced = _reduce_int_basis(G, key)
     return [_to_poly(universe, g.terms(), monic=True) for g in reduced]
@@ -410,10 +391,10 @@ def buchberger_extend(
         return list(gb)
     universe = gb[0].universe
     key = universe.key
-    seed = [_GPoly(_intify(g)) for g in gb]
+    seed = [_gpoly(g) for g in gb]
     G = _buchberger_core(
         seed,
-        [_GPoly(_intify(g)) for g in new_gens],
+        [_gpoly(g) for g in new_gens],
         key,
         pair_budget,
         max_degree,
@@ -430,23 +411,8 @@ def reduce_basis(G):
         return []
     universe = G[0].universe
     key = universe.key
-    reduced = _reduce_int_basis([_GPoly(_intify(g)) for g in G], key)
+    reduced = _reduce_int_basis([_gpoly(g) for g in G], key)
     return [_to_poly(universe, g.terms(), monic=True) for g in reduced]
-
-
-def is_groebner_basis(G) -> bool:
-    """Check that every S-polynomial reduces to zero (test helper)."""
-    G = [g for g in G if not g.is_zero()]
-    if len(G) < 2:
-        return True
-    key = G[0].universe.key
-    gp = [_GPoly(_intify(g)) for g in G]
-    for i in range(len(gp)):
-        for j in range(i + 1, len(gp)):
-            rem, _ = _nf_int(_spoly_int(gp[i], gp[j]), gp, key)
-            if _strip_content(rem):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +480,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators)"
-
-
-def member(p: Polynomial, ideal: Ideal) -> bool:
-    return ideal.member(p)
 
 
 def ideal_contains(outer: Ideal, inner: Ideal) -> bool:

@@ -11,76 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .poly import as_fraction
-
-
-class LinearForm:
-    """A linear expression over parameters, with no constant term."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {s: as_fraction(c) for s, c in coeffs.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, valuation: dict) -> Fraction:
-        return sum(
-            (c * as_fraction(valuation[s]) for s, c in self.coeffs.items()),
-            Fraction(0),
-        )
-
-    def vector(self, params) -> tuple:
-        return tuple(self.coeffs.get(p, Fraction(0)) for p in params)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for s, c in sorted(self.coeffs.items(), key=lambda t: t[0].name):
-            if c == 1:
-                parts.append(f"+ {s.name}")
-            elif c == -1:
-                parts.append(f"- {s.name}")
-            elif c > 0:
-                parts.append(f"+ {c}*{s.name}")
-            else:
-                parts.append(f"- {-c}*{s.name}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    __repr__ = __str__
-
-
-def _int_row(row):
-    """Scale a rational row to a content-free integer row."""
-    denom = 1
-    for v in row:
-        f = as_fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(as_fraction(v) * denom) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _strip(row):
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return [v // g for v in row]
-    return row
+from .poly import as_fraction, primitive_integers
 
 
 def rref(rows, width: int):
@@ -92,7 +23,7 @@ def rref(rows, width: int):
     mat = []
     seen = set()
     for row in rows:
-        r = _int_row(row)
+        r, _ = primitive_integers([as_fraction(v) for v in row])
         if len(r) != width:
             raise ValueError("row width mismatch")
         if not any(r):
@@ -119,7 +50,7 @@ def rref(rows, width: int):
                 row = [a * x - b * y for x, y in zip(row, prow)]
         if not any(row):
             continue
-        row = _strip(row)
+        row, _ = primitive_integers(row)
         col = next(i for i, v in enumerate(row) if v)
         if row[col] < 0:
             row = [-x for x in row]
@@ -138,7 +69,7 @@ def rref(rows, width: int):
             if v:
                 g = gcd(abs(v), p)
                 a, b = p // g, v // g
-                pivot_rows[j] = _strip(
+                pivot_rows[j], _ = primitive_integers(
                     [a * x - b * y for x, y in zip(pivot_rows[j], prow)]
                 )
     basis = tuple(
@@ -217,31 +148,6 @@ class Subspace:
                     v[i] -= c * row[i]
         return not any(v)
 
-    def refine(self, constraint_rows) -> "Subspace":
-        """Intersect with the nullspace of the given constraint rows."""
-        if self.dim == 0:
-            return self
-        rows = [[as_fraction(x) for x in r] for r in constraint_rows]
-        for r in rows:
-            if len(r) != self.ambient_dim:
-                raise ValueError("constraint dimension mismatch")
-        reduced = [
-            [
-                sum((c * b for c, b in zip(r, brow)), Fraction(0))
-                for brow in self.basis
-            ]
-            for r in rows
-        ]
-        coords = nullspace(reduced, self.dim)
-        new_rows = [
-            [
-                sum((y * brow[j] for y, brow in zip(yrow, self.basis)), Fraction(0))
-                for j in range(self.ambient_dim)
-            ]
-            for yrow in coords
-        ]
-        return Subspace.from_rows(new_rows, self.ambient_dim)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -254,27 +160,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-
-def solve_homogeneous(constraints, params) -> Subspace:
-    """Common nullspace of linear forms over an ordered parameter list."""
-    params = list(params)
-    rows = [f.vector(params) for f in constraints if not f.is_zero()]
-    if not rows:
-        return Subspace.full(len(params))
-    return Subspace(len(params), nullspace(rows, len(params)))
-
-
-def refine(space: Subspace, constraints, params) -> Subspace:
-    """space ∩ nullspace(constraints); the result is contained in space."""
-    params = list(params)
-    if len(params) != space.ambient_dim:
-        raise ValueError("parameter count does not match ambient dimension")
-    rows = [f.vector(params) for f in constraints if not f.is_zero()]
-    if not rows:
-        return space
-    return space.refine(rows)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    return a == b

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .algorithms import PreconditionAnalysis, sample_points
 from .dynamics import VectorField
 from .poly import Polynomial
+from .sysspec import SpecError
 
 
 def compile_float(p: Polynomial):
@@ -116,27 +117,6 @@ def trajectory(field: VectorField, start, horizon: float, step: float):
         yield t, state
 
 
-def lie_rate_estimate(field: VectorField, p: Polynomial, point, h: float = 1.0 / 1024):
-    """Estimate of d/dt p(x(t)) at t=0 from RK4 steps around the point.
-
-    Richardson-extrapolated central differences at steps h and h/2, so the
-    estimate carries an O(h^4) error and comfortably meets a 1e-6 relative
-    comparison against the symbolic rate.
-    """
-    rhs = _field_evaluator(field)
-    state = [float(v) for v in point]
-    ev = compile_float(p)
-
-    def central(step):
-        fwd = rk4_step(rhs, state, step)
-        bwd = rk4_step(rhs, state, -step)
-        return (ev(fwd) - ev(bwd)) / (2.0 * step)
-
-    coarse = central(h)
-    fine = central(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def check_invariants(
     polys,
     field: VectorField,
@@ -202,23 +182,26 @@ def verify_from_analysis(
 
     Returns (records, note); when no sample point is available the check is
     skipped with an explanatory note rather than failing.  User-supplied
-    points must bind every variable and satisfy the precondition exactly.
+    points must bind every variable and satisfy the precondition exactly;
+    a point that does not raises SpecError.  For a `pre` or `invariant`
+    query the precondition is the computed ideal, so the spec's own
+    build-time check cannot catch this.
     """
     universe = field.universe
     if points is not None:
+        names = {s.name for s in universe.symbols}
         resolved = []
         for raw in points:
-            point = {}
             for sym in universe.symbols:
                 if sym.name not in raw:
-                    raise ValueError(f"sample point does not bind {sym.name!r}")
-            extra = set(raw) - {s.name for s in universe.symbols}
+                    raise SpecError(f"sample point does not bind {sym.name!r}")
+            extra = set(raw) - names
             if extra:
-                raise ValueError(f"sample point binds unknown names {sorted(extra)}")
+                raise SpecError(f"sample point binds unknown names {sorted(extra)}")
             point = {universe.by_name(n): Fraction(v) for n, v in raw.items()}
             for g in analysis.generators:
                 if g.evaluate(point) != 0:
-                    raise ValueError(
+                    raise SpecError(
                         f"sample point violates the precondition generator {g}"
                     )
             resolved.append(point)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 
 def as_fraction(value) -> Fraction:
@@ -27,6 +27,21 @@ def as_fraction(value) -> Fraction:
             "exact literal string instead"
         )
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def primitive_integers(values):
+    """Content-free integers proportional to the rationals `values`.
+
+    Clears the common denominator, then divides out the content, reading
+    each value once; ints also pass (denominator 1).  Returns (ints, scale)
+    with ints[i] = values[i] * scale; all zeros give zeros and scale 1.
+    """
+    denom = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (denom // v.denominator) for v in values]
+    g = gcd(*ints) or 1
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(denom, g)
 
 
 class Symbol:

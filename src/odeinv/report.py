@@ -150,7 +150,6 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     run_numeric = spec.numeric.enabled if numeric is None else numeric
     if run_numeric:
         t0 = time.perf_counter()
-        points = spec.numeric.points
         records, note = verify_from_analysis(
             numeric_polys,
             built.field,
@@ -159,9 +158,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             horizon=spec.numeric.horizon,
             step=spec.numeric.step,
             tolerance=spec.numeric.tolerance,
-            points=[{k: str(v) for k, v in p.items()} for p in points]
-            if points is not None
-            else None,
+            points=spec.numeric.points,
         )
         ok = all(r["passed"] for r in records)
         report["numeric_check"] = {

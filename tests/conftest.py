@@ -1,10 +1,6 @@
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, VectorField
 from odeinv.poly import Lex

@@ -1,0 +1,190 @@
+"""Cross-check oracles: slow, literal routes that the tests compare the
+production path against.
+
+Nothing in `odeinv` calls these.  Each recomputes an answer the package
+gets another way: linear forms and ambient-space refinement instead of
+restricted reparametrization, division in the joint parameter-state ring
+instead of cached monomial normal forms, Buchberger's S-polynomial
+criterion on plain `Polynomial` arithmetic instead of the integer engine,
+and a finite-difference Lie rate instead of the symbolic derivative.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
+from odeinv.dynamics import Template
+from odeinv.linalg import nullspace
+from odeinv.numcheck import _field_evaluator, compile_float, rk4_step
+from odeinv.poly import as_fraction
+
+
+class LinearForm:
+    """A linear expression over parameters, with no constant term."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = {s: as_fraction(c) for s, c in coeffs.items() if c != 0}
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __call__(self, valuation: dict) -> Fraction:
+        return sum(
+            (c * as_fraction(valuation[s]) for s, c in self.coeffs.items()),
+            Fraction(0),
+        )
+
+    def vector(self, params) -> tuple:
+        return tuple(self.coeffs.get(p, Fraction(0)) for p in params)
+
+    def __eq__(self, other):
+        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for s, c in sorted(self.coeffs.items(), key=lambda t: t[0].name):
+            if c == 1:
+                parts.append(f"+ {s.name}")
+            elif c == -1:
+                parts.append(f"- {s.name}")
+            elif c > 0:
+                parts.append(f"+ {c}*{s.name}")
+            else:
+                parts.append(f"- {-c}*{s.name}")
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+    __repr__ = __str__
+
+
+def solve_homogeneous(constraints, params) -> Subspace:
+    """Common nullspace of linear forms over an ordered parameter list."""
+    params = list(params)
+    rows = [f.vector(params) for f in constraints]
+    return Subspace(len(params), nullspace(rows, len(params)))
+
+
+def refine(space: Subspace, constraints, params) -> Subspace:
+    """space ∩ nullspace(constraints); the result is contained in space.
+
+    Solves for the coordinates y of the kept vectors in the basis of
+    `space`, then maps them back to the ambient space.
+    """
+    params = list(params)
+    if len(params) != space.ambient_dim:
+        raise ValueError("parameter count does not match ambient dimension")
+    rows = [f.vector(params) for f in constraints if not f.is_zero()]
+    if not rows or space.dim == 0:
+        return space
+    reduced = [
+        [sum((c * b for c, b in zip(r, brow)), Fraction(0)) for brow in space.basis]
+        for r in rows
+    ]
+    new_rows = [
+        [
+            sum((y * brow[j] for y, brow in zip(yrow, space.basis)), Fraction(0))
+            for j in range(space.ambient_dim)
+        ]
+        for yrow in nullspace(reduced, space.dim)
+    ]
+    return Subspace.from_rows(new_rows, space.ambient_dim)
+
+
+def zero_constraints(template: Template):
+    """Linear forms whose common vanishing makes the template instance zero."""
+    key = template.universe.key
+    return [
+        LinearForm({template.params[k]: v for k, v in template._terms[exps].items()})
+        for exps in sorted(template._terms, key=key, reverse=True)
+    ]
+
+
+def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
+    """Embed a template into a universe listing the parameters before the states."""
+    np = len(template.params)
+    for k, p in enumerate(template.params):
+        if joint.symbols[k] is not p:
+            raise ValueError("joint universe must list the parameters first")
+    terms = {}
+    for exps, form in template._terms.items():
+        for k, c in form.items():
+            unit = [0] * np
+            unit[k] = 1
+            terms[tuple(unit) + exps] = c
+    return Polynomial(joint, terms)
+
+
+def template_remainder_via_division(
+    template: Template, basis, state_order=None
+) -> Template:
+    """Divide in Q[params, states] under an elimination order.
+
+    Raises TemplateLinearityError when the remainder is not parameter-linear,
+    which indicates the order does not dominate the states by the parameters.
+    """
+    state_universe = template.universe
+    order = BlockElim(
+        state_order if state_order is not None else state_universe.order
+    )
+    joint = SymbolUniverse(tuple(template.params) + state_universe.symbols, order)
+    pad = (0,) * len(template.params)
+    lifted = [
+        Polynomial(joint, {pad + exps: c for exps, c in g._terms.items()})
+        for g in basis
+    ]
+    rem = divide(joint_polynomial(template, joint), lifted).remainder
+    return Template.from_joint_polynomial(rem, len(template.params), state_universe)
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """lcm/LT(f) * f - lcm/LT(g) * g, on plain polynomial arithmetic."""
+    (ef, cf), (eg, cg) = f.leading(), g.leading()
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+
+    def cofactor(exps, c):
+        return Polynomial(f.universe, {tuple(a - b for a, b in zip(lcm, exps)): 1 / c})
+
+    return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
+def is_groebner_basis(G) -> bool:
+    """Buchberger's criterion: every S-polynomial divides to zero by G.
+
+    Uses textbook `divide`, not the engine's integer reduction, so the
+    check does not reuse the code it is meant to check.
+    """
+    G = [g for g in G if not g.is_zero()]
+    return all(
+        divide(s_polynomial(f, g), G).remainder.is_zero()
+        for i, f in enumerate(G)
+        for g in G[i + 1 :]
+    )
+
+
+def lie_rate_estimate(field, p: Polynomial, point, h: float = 1.0 / 1024):
+    """Estimate of d/dt p(x(t)) at t=0 from RK4 steps around the point.
+
+    Richardson-extrapolated central differences at steps h and h/2, so the
+    estimate carries an O(h^4) error and comfortably meets a 1e-6 relative
+    comparison against the symbolic rate.
+    """
+    rhs = _field_evaluator(field)
+    state = [float(v) for v in point]
+    ev = compile_float(p)
+
+    def central(step):
+        fwd = rk4_step(rhs, state, step)
+        bwd = rk4_step(rhs, state, -step)
+        return (ev(fwd) - ev(bwd)) / (2.0 * step)
+
+    coarse = central(h)
+    fine = central(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0

@@ -23,14 +23,10 @@ from odeinv import (
     buchberger,
     complete_template,
     ideal_equal,
-    lie_template,
     post,
-    refine,
-    solve_homogeneous,
-    subspace_equal,
-    template_remainder,
-    zero_constraints,
 )
+from odeinv.dynamics import GroebnerReducer
+from oracles import solve_homogeneous, zero_constraints
 from props import rand_poly
 
 
@@ -40,25 +36,25 @@ def naive_post(gens, template, field, max_iter=12):
     basis = buchberger(gens)
     derivs = [template]
     for _ in range(max_iter + 2):
-        derivs.append(lie_template(derivs[-1], field))
+        derivs.append(derivs[-1].lie(field))
 
     def space(i):
         forms = []
         for j in range(i + 1):
-            forms.extend(zero_constraints(template_remainder(derivs[j], basis)))
+            forms.extend(zero_constraints(derivs[j].reduce_by(GroebnerReducer(basis, U))))
         return solve_homogeneous(forms, template.params)
 
     def ideal(i, v):
         collected = []
         for j in range(i + 1):
             collected.extend(
-                inst for inst in derivs[j].instances(v.basis) if not inst.is_zero()
+                inst for inst in [derivs[j].instantiate(r) for r in v.basis] if not inst.is_zero()
             )
         return Ideal(U, collected)
 
     for m in range(max_iter):
         v_m, v_next = space(m), space(m + 1)
-        if not subspace_equal(v_m, v_next):
+        if v_m != v_next:
             continue
         if ideal_equal(ideal(m, v_m), ideal(m + 1, v_next)):
             return m, v_m, ideal(m, v_m)

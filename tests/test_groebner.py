@@ -16,11 +16,11 @@ from odeinv import (
     ideal_equal,
     lie_derivative,
     lie_iterate,
-    member,
     normal_form,
     reduce_basis,
 )
 from odeinv.poly import GrevLex, Lex
+from oracles import is_groebner_basis
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -84,9 +84,17 @@ def test_member_examples(running):
     q1 = lie_derivative(q, F)
     q2 = lie_iterate(q, F, 2)
     I1 = Ideal(U, [q, q1])
-    assert member(q2, I1)
-    assert member(Polynomial.zero(U), I1)
-    assert not member(Polynomial.constant(U, 1), Ideal(U, [X - Y]))
+    assert I1.member(q2)
+    assert I1.member(Polynomial.zero(U))
+    assert not Ideal(U, [X - Y]).member(Polynomial.constant(U, 1))
+
+
+def test_groebner_basis_oracle_rejects_non_basis(running):
+    # under lex the S-polynomial of x^2 - y and x*y - 1 reduces to x - y^2
+    U, _, (X, Y), _ = running
+    gens = [X * X - Y, X * Y - 1]
+    assert not is_groebner_basis(gens)
+    assert is_groebner_basis(buchberger(gens))
 
 
 def test_membership_oracle_agreement_small():

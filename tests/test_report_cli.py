@@ -146,6 +146,22 @@ def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
 
 
 @pytest.mark.parametrize(
+    "name, generator",
+    [("running-invariant", "x - y"), ("running-pre", "x^2 - x*y")],
+)
+def test_cli_point_off_computed_ideal_is_input_error(tmp_path, capsys, name, generator):
+    # pre and invariant queries check user points against the ideal they
+    # compute, after the spec is built
+    with open(_corpus_path(name), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["numeric_check"] = {"points": [{"x": 1, "y": 2}]}
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(data))
+    assert main(["verify-numeric", str(spec)]) == 3
+    assert f"precondition generator {generator}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         pytest.param("--horizon", "wat", id="horizon-wat"),
