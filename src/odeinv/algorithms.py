@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import groebner
 from .dynamics import (
-    GroebnerReducer,
     Template,
     VectorField,
     fresh_parameters,
@@ -24,7 +23,7 @@ from .dynamics import (
     linear_combination_template,
     result_template,
 )
-from .groebner import Ideal, ResourceLimitError, buchberger, buchberger_extend
+from .groebner import GroebnerReducer, Ideal, ResourceLimitError, buchberger, buchberger_extend
 from .linalg import Subspace, nullspace
 from .poly import Polynomial, SymbolUniverse
 

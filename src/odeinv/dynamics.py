@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import groebner
+from .groebner import GroebnerReducer
 from .linalg import Subspace
 from .poly import (
     Polynomial,
@@ -246,7 +246,7 @@ class Template:
                 terms[exps] = dst
         return Template(self.universe, new_params, terms)
 
-    def reduce_by(self, reducer: "GroebnerReducer") -> "Template":
+    def reduce_by(self, reducer: GroebnerReducer) -> "Template":
         """Remainder template modulo the reducer's Groebner basis."""
         return self._map_monomials(reducer.monomial_terms)
 
@@ -329,30 +329,6 @@ def linear_combination_template(polys, prefix: str = "a") -> Template:
     universe = polys[0].universe
     params = fresh_parameters(len(polys), prefix)
     return Template.from_instances(universe, params, polys)
-
-
-class GroebnerReducer:
-    """Cached normal forms of state monomials against a reduced GB.
-
-    Normal forms with respect to a Groebner basis are linear in the
-    dividend, so reducing a template monomial-by-monomial equals dividing
-    the whole template.
-    """
-
-    __slots__ = ("basis", "universe", "_cache")
-
-    def __init__(self, basis, universe: SymbolUniverse):
-        self.basis = tuple(basis)
-        self.universe = universe
-        self._cache: dict = {}
-
-    def monomial_terms(self, exps) -> dict:
-        cached = self._cache.get(exps)
-        if cached is None:
-            p = Polynomial(self.universe, {exps: Fraction(1)})
-            cached = dict(groebner.normal_form(p, self.basis)._terms)
-            self._cache[exps] = cached
-        return cached
 
 
 def result_template(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import add, le, neg, sub
 
 from .poly import BlockElim, Lex, Polynomial, Symbol, SymbolUniverse, primitive_integers
 
@@ -54,7 +55,7 @@ def _gpoly(p: Polynomial) -> _GPoly:
 
 
 def _neg(key):
-    return tuple(-v for v in key)
+    return tuple(map(neg, key))
 
 
 def _nf_int(terms, divisors, key):
@@ -86,11 +87,7 @@ def _nf_int(terms, divisors, key):
             continue
         red = None
         for d in divisors:
-            le = d.lead_exps
-            for a, b in zip(le, e):
-                if a > b:
-                    break
-            else:
+            if all(map(le, d.lead_exps, e)):
                 red = d
                 break
         if red is None:
@@ -105,9 +102,9 @@ def _nf_int(terms, divisors, key):
             for k2 in work:
                 work[k2] *= mult_work
             scale *= mult_work
-        shift = tuple(x - y for x, y in zip(e, red.lead_exps))
+        shift = tuple(map(sub, e, red.lead_exps))
         for de, dc in red.tail:
-            ne = tuple(x + y for x, y in zip(de, shift))
+            ne = tuple(map(add, de, shift))
             acc = work.get(ne)
             if acc is None:
                 work[ne] = -mult_div * dc
@@ -124,20 +121,20 @@ def _nf_int(terms, divisors, key):
 
 def _spoly_int(f: _GPoly, g: _GPoly):
     """Integer S-polynomial of two engine polynomials, content-free."""
-    lcm = tuple(max(a, b) for a, b in zip(f.lead_exps, g.lead_exps))
+    lcm = _lcm_exps(f.lead_exps, g.lead_exps)
     cf = g.lead_coeff
     cg = f.lead_coeff
     d = gcd(cf, cg)
     cf //= d
     cg //= d
-    sf = tuple(a - b for a, b in zip(lcm, f.lead_exps))
-    sg = tuple(a - b for a, b in zip(lcm, g.lead_exps))
+    sf = tuple(map(sub, lcm, f.lead_exps))
+    sg = tuple(map(sub, lcm, g.lead_exps))
     acc: dict = {}
     for e, c in f.terms():
-        ne = tuple(a + b for a, b in zip(e, sf))
+        ne = tuple(map(add, e, sf))
         acc[ne] = acc.get(ne, 0) + cf * c
     for e, c in g.terms():
-        ne = tuple(a + b for a, b in zip(e, sg))
+        ne = tuple(map(add, e, sg))
         v = acc.get(ne, 0) - cg * c
         if v:
             acc[ne] = v
@@ -237,16 +234,41 @@ def normal_form(p: Polynomial, divisors) -> Polynomial:
     return Polynomial(p.universe, {e: Fraction(c * den, num) for e, c in rem})
 
 
+class GroebnerReducer:
+    """Cached normal forms of state monomials against a reduced GB.
+
+    Normal forms with respect to a Groebner basis are linear in the
+    dividend, so reducing a template monomial-by-monomial equals dividing
+    the whole template.  The basis is converted to engine form once, and a
+    monomial, being content-free already, goes to the kernel as it is.
+    """
+
+    __slots__ = ("_key", "_divisors", "_cache")
+
+    def __init__(self, basis, universe: SymbolUniverse):
+        self._key = universe.key
+        self._divisors = [_gpoly(d) for d in basis if not d.is_zero()]
+        self._cache: dict = {}
+
+    def monomial_terms(self, exps) -> dict:
+        cached = self._cache.get(exps)
+        if cached is None:
+            rem, scale = _nf_int([(exps, 1)], self._divisors, self._key)
+            cached = {e: Fraction(c, scale) for e, c in rem}
+            self._cache[exps] = cached
+        return cached
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 
 
 def _lcm_exps(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _divides_exps(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _update_pairs(G, P, f, key):
@@ -272,7 +294,7 @@ def _update_pairs(G, P, f, key):
             minimal.append(lcm)
     for lcm in minimal:
         coprime = any(
-            lcm == tuple(a + b for a, b in zip(G[i].lead_exps, lmf))
+            lcm == tuple(map(add, G[i].lead_exps, lmf))
             for i in classes[lcm]
         )
         if not coprime:

@@ -125,7 +125,8 @@ def check_invariants(
     step=Fraction(1, 256),
     tolerance: float = 1e-6,
 ):
-    """Integrate from each point and check each polynomial stays near zero.
+    """Integrate once from each point and check each polynomial stays near
+    zero along that trajectory.
 
     The acceptance band is tolerance * (1 + s) where s is the running
     maximum of the sum of absolute term magnitudes, i.e. a relative
@@ -135,17 +136,19 @@ def check_invariants(
     records = []
     horizon_f = float(horizon)
     step_f = float(step)
+    compiled = [
+        (p, compile_float(p), compile_abs_float(p)) for p in polys if not p.is_zero()
+    ]
+    if not compiled:
+        return records
     for point in points:
         start = [point[s] for s in universe.symbols]
-        for p in polys:
-            if p.is_zero():
-                continue
-            ev = compile_float(p)
-            scale_ev = compile_abs_float(p)
+        states = list(trajectory(field, start, horizon_f, step_f))
+        for p, ev, scale_ev in compiled:
             max_residual = 0.0
             scale = 0.0
             fail_time = None
-            for t, state in trajectory(field, start, horizon_f, step_f):
+            for t, state in states:
                 try:
                     r = abs(ev(state))
                     scale = max(scale, scale_ev(state))

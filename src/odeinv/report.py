@@ -24,7 +24,7 @@ from .algorithms import (
 )
 from .groebner import Ideal
 from .numcheck import verify_from_analysis
-from .sysspec import BuiltSystem
+from .sysspec import BuiltSystem, _number
 
 
 def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "RunReport":
@@ -32,14 +32,14 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
 
     `numeric` forces the trajectory cross-check on or off; other keyword
     overrides replace the spec's options (max_iterations, pair_budget,
-    max_degree, precondition mode).
+    max_degree, precondition mode).  The three caps are validated like the
+    spec's own options, so a malformed one raises SpecError.
     """
     spec = built.spec
     t_start = time.perf_counter()
     caps = {
-        "max_iterations": overrides.get("max_iterations", spec.max_iterations),
-        "pair_budget": overrides.get("pair_budget", spec.pair_budget),
-        "max_degree": overrides.get("max_degree", spec.max_degree),
+        name: _number(name, overrides[name]) if name in overrides else getattr(spec, name)
+        for name in ("max_iterations", "pair_budget", "max_degree")
     }
     mode = overrides.get("mode")
     precondition = built.precondition
@@ -235,7 +235,7 @@ class RunReport:
             status = "passed" if nc["passed"] else "FAILED"
             extra = f" ({nc['note']})" if nc.get("note") else ""
             lines.append(
-                f"  numeric cross-check: {status}, {nc['checked']} trajectories{extra}"
+                f"  numeric cross-check: {status}, {nc['checked']} checks{extra}"
             )
         return "\n".join(lines) + "\n"
 

@@ -210,7 +210,7 @@ def test_criterion_8_numeric_harness_on_corpus():
         checked += nc["checked"]
     assert checked > 0
     _report(
-        f"criterion 8b: RK4 harness on corpus invariants ({checked} trajectories)",
+        f"criterion 8b: RK4 harness on corpus invariants ({checked} checks)",
         started,
         300.0,
     )

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,15 +11,19 @@ from odeinv import (
     Symbol,
     SymbolUniverse,
     buchberger,
+    complete_template,
     divide,
     eliminate_parameters,
     ideal_contains,
     ideal_equal,
     lie_derivative,
     lie_iterate,
+    monomials_up_to_degree,
     normal_form,
     reduce_basis,
 )
+from odeinv import corpus, groebner
+from odeinv.groebner import GroebnerReducer
 from odeinv.poly import GrevLex, Lex
 from oracles import is_groebner_basis
 from props import (
@@ -216,3 +221,59 @@ def test_normal_form_matches_divide():
         if not divisors:
             continue
         assert normal_form(p, divisors) == divide(p, divisors).remainder
+
+
+def _assert_reducer_matches_normal_form(basis, universe, variables):
+    """Every monomial of a degree-4 template reduces as `normal_form` does."""
+    reducer = GroebnerReducer(basis, universe)
+    for m in monomials_up_to_degree(universe, variables, 4):
+        nf = normal_form(Polynomial(universe, {m.exps: Fraction(1)}), basis)
+        assert reducer.monomial_terms(m.exps) == nf._terms
+
+
+def test_reducer_monomial_terms_match_normal_form():
+    rng = random.Random(89)
+    from props import rand_poly
+
+    syms = [Symbol(n) for n in ("x", "y", "z")]
+    leads = set()
+    for trial in range(12):
+        U = SymbolUniverse(syms, Lex() if trial % 2 else GrevLex())
+        gens = []
+        while len(gens) < 2 + trial % 2:
+            p = rand_poly(rng, U, 3, 2)
+            if p.is_zero():
+                continue
+            # integer leading coefficient other than 1
+            lead = p.sorted_terms()[0][1]
+            gens.append(p * (rng.choice((2, -3, 6)) / lead))
+        basis = buchberger(gens, max_degree=8)
+        leads.update(groebner._gpoly(g).lead_coeff for g in basis)
+        _assert_reducer_matches_normal_form(basis, U, syms)
+    # the engine form of the monic basis has non-unit leading coefficients
+    assert leads - {1}
+
+
+def test_reducer_matches_normal_form_on_kepler_precondition():
+    built = corpus.load("kepler").build()
+    basis = built.precondition.analyze(built.universe).basis
+    template_vars = [built.universe.by_name(n) for n in ("GM", "a", "ecc", "r", "u", "dA")]
+    _assert_reducer_matches_normal_form(basis, built.universe, template_vars)
+
+
+def test_reducer_converts_its_basis_once(running, monkeypatch):
+    U, _, (X, Y), F = running
+    basis = buchberger([X * X - 2 * Y, X * Y - 3])
+    converted = []
+    real = groebner._gpoly
+
+    def counted(p):
+        converted.append(p)
+        return real(p)
+
+    monkeypatch.setattr(groebner, "_gpoly", counted)
+    reducer = GroebnerReducer(basis, U)
+    template = complete_template(U, U.symbols, 3).lie(F)
+    template.reduce_by(reducer)
+    assert len(reducer._cache) > len(basis)
+    assert converted == list(basis)

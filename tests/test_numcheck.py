@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from odeinv import Polynomial, Precondition
+from odeinv import Polynomial, Precondition, numcheck
 from odeinv.numcheck import check_invariants, trajectory, verify_from_analysis
 
 
@@ -22,6 +22,30 @@ def test_zero_polynomial_trivially_passes(ghost):
     point = {s: Fraction(1) for s in syms}
     records = check_invariants([Polynomial.zero(U)], F, [point])
     assert records == []
+
+
+def test_one_integration_per_start_point(running, monkeypatch):
+    U, (x, y), (X, Y), F = running
+    polys = [X * X - X * Y, X - 2 * Y, X - Y]
+    points = [{x: Fraction(1), y: Fraction(1)}, {x: Fraction(1, 2), y: Fraction(1, 2)}]
+    alone = [r for p in polys for r in check_invariants([p], F, points)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trajectory(*args)
+
+    monkeypatch.setattr(numcheck, "trajectory", counted)
+    records = check_invariants(polys, F, points)
+    assert len(calls) == len(points)
+    assert [r["point"]["x"] for r in records] == ["1"] * 3 + ["1/2"] * 3
+
+    def keyed(recs):
+        return {(r["polynomial"], tuple(r["point"].items())): r for r in recs}
+
+    assert keyed(records) == keyed(alone)
+    assert len(keyed(records)) == len(polys) * len(points)
+    assert not all(r["passed"] for r in records)
 
 
 def test_corrupted_invariant_fails(running):

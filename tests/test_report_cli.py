@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from odeinv import SystemSpec, corpus
+from odeinv import SpecError, SystemSpec, corpus
 from odeinv.cli import main
 from odeinv.report import lie_chain, run
 
@@ -119,6 +119,26 @@ def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4
     )
+
+
+@pytest.mark.parametrize(
+    "command, name, flag, value",
+    [
+        ("post", "running-post", "--max-iterations", "-1"),
+        ("pre", "running-pre", "--pair-budget", "-3"),
+        ("post", "kepler", "--max-degree", "-1"),
+        ("invariant", "running-invariant", "--pair-budget", "-1"),
+    ],
+)
+def test_cli_negative_cap_is_input_error(capsys, command, name, flag, value):
+    # the same check as for a spec's options, made before any work
+    assert main([command, _corpus_path(name), flag, value]) == 3
+    assert f"must be >= 0, not {value}" in capsys.readouterr().err
+
+
+def test_run_rejects_malformed_cap_override():
+    with pytest.raises(SpecError, match="pair_budget must be >= 0"):
+        run(corpus.load("running-post").build(), pair_budget=-1)
 
 
 @pytest.mark.parametrize(
