@@ -175,7 +175,7 @@ class Precondition:
         # <0> = Id(R^N) and a unit ideal matches the empty variety, so
         # these two degenerate shapes are exact even in the sound mode.
         exact = mode != MODE_GENERATORS or not gens
-        basis = buchberger(gens, **caps) if gens else []
+        basis = buchberger(gens, **caps)
         if not exact and basis and basis[0].degree() == 0:
             exact = True  # unit ideal: empty variety, Id(∅) is everything
         return PreconditionAnalysis(
@@ -278,14 +278,15 @@ def post(
     n = len(template.params)
 
     rows = template.reduce_by(reducer).coefficient_vectors()
-    basis_rows = [list(r) for r in nullspace(rows, n)]
+    basis_rows = nullspace(rows, n)
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
     def restricted():
         """T∘B: the template restricted to the current valuation space."""
         return template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
 
-    # Invariant: current = L^j(T∘B) for the current basis B = basis_rows.
+    # Invariant: current = L^j(T∘B) for the current basis B = basis_rows,
+    # integer rows that only the final Subspace.from_rows canonicalizes.
     current = restricted() if len(basis_rows) < n else template
     j = 0
     j_gb = None
@@ -304,7 +305,7 @@ def post(
             assert len(coords) < d, "nonzero constraints must shrink the space"
             new_rows = []
             for yrow in coords:
-                acc = [Fraction(0)] * n
+                acc = [0] * n
                 for y, brow in zip(yrow, basis_rows):
                     if y:
                         for i, b in enumerate(brow):

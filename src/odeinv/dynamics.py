@@ -53,7 +53,11 @@ class VectorField:
         return self.drifts[self.universe.index_of(symbol)]
 
     def lie_monomial(self, exps) -> dict:
-        """Term map of the Lie derivative of a single monomial (cached)."""
+        """Term map of the Lie derivative of a single monomial (cached).
+
+        Cancelled terms stay as zeros; every consumer ends in a constructor,
+        which drops them.
+        """
         cached = self._lie_cache.get(exps)
         if cached is not None:
             return cached
@@ -69,15 +73,7 @@ class VectorField:
             for de, dc in drift._terms.items():
                 ne = tuple(a + b for a, b in zip(base, de))
                 acc = total.get(ne)
-                c = e * dc
-                if acc is None:
-                    total[ne] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        total[ne] = acc
-                    else:
-                        del total[ne]
+                total[ne] = e * dc if acc is None else acc + e * dc
         self._lie_cache[exps] = total
         return total
 
@@ -94,15 +90,7 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
     for exps, c in p._terms.items():
         for ne, dc in field.lie_monomial(exps).items():
             v = acc.get(ne)
-            t = c * dc
-            if v is None:
-                acc[ne] = t
-            else:
-                v = v + t
-                if v:
-                    acc[ne] = v
-                else:
-                    del acc[ne]
+            acc[ne] = c * dc if v is None else v + c * dc
     return Polynomial(p.universe, acc)
 
 
@@ -118,7 +106,8 @@ def lie_iterate(p: Polynomial, field: VectorField, j: int) -> Polynomial:
 class Template:
     """A polynomial with parameter-linear coefficients.
 
-    Stored as {state exponent tuple: {parameter index: Fraction}}.
+    Stored as {state exponent tuple: {parameter index: Fraction}}; the
+    constructor drops zero coefficients and empty forms.
     """
 
     __slots__ = ("universe", "params", "_terms")
@@ -179,11 +168,10 @@ class Template:
             v = [as_fraction(x) for x in valuation]
         if len(v) != len(self.params):
             raise ValueError("valuation length does not match parameter count")
-        terms: dict = {}
-        for exps, form in self._terms.items():
-            c = sum((coeff * v[k] for k, coeff in form.items()), Fraction(0))
-            if c:
-                terms[exps] = c
+        terms = {
+            exps: sum((coeff * v[k] for k, coeff in form.items()), Fraction(0))
+            for exps, form in self._terms.items()
+        }
         return Polynomial(self.universe, terms)
 
     def unit_instances(self):
@@ -207,15 +195,7 @@ class Template:
                     terms[ne] = dst
                 for k, v in form.items():
                     acc = dst.get(k)
-                    t = v * dc
-                    if acc is None:
-                        dst[k] = t
-                    else:
-                        acc = acc + t
-                        if acc:
-                            dst[k] = acc
-                        else:
-                            del dst[k]
+                    dst[k] = v * dc if acc is None else acc + v * dc
         return Template(self.universe, self.params, terms)
 
     def lie(self, field: VectorField) -> "Template":
@@ -230,7 +210,6 @@ class Template:
         Each new parameter y_k stands for the row rows[k] of old-parameter
         coordinates, so new coefficient k = sum_j form[j] * rows[k][j].
         """
-        rows = [list(r) for r in rows]
         terms: dict = {}
         for exps, form in self._terms.items():
             dst = {}

@@ -63,19 +63,10 @@ def _nf_int(terms, divisors, key):
 
     `scale` is the positive integer by which the dividend was cross-
     multiplied overall, so exact_remainder = remainder / scale.  The
-    remainder is NOT content-stripped.
+    remainder is NOT content-stripped.  `terms` holds distinct monomials;
+    a zero coefficient among them is skipped.
     """
-    work = {}
-    for e, c in terms:
-        acc = work.get(e)
-        if acc is None:
-            work[e] = c
-        else:
-            acc += c
-            if acc:
-                work[e] = acc
-            else:
-                del work[e]
+    work = dict(terms)
     heap = [(_neg(key(e)), e) for e in work]
     heapq.heapify(heap)
     emitted = []  # (exps, coeff, scale at emission)
@@ -120,7 +111,10 @@ def _nf_int(terms, divisors, key):
 
 
 def _spoly_int(f: _GPoly, g: _GPoly):
-    """Integer S-polynomial of two engine polynomials, content-free."""
+    """Integer S-polynomial of two engine polynomials.
+
+    Cancelled terms, the lcm's at least, stay as zeros for `_nf_int` to skip.
+    """
     lcm = _lcm_exps(f.lead_exps, g.lead_exps)
     cf = g.lead_coeff
     cg = f.lead_coeff
@@ -135,11 +129,7 @@ def _spoly_int(f: _GPoly, g: _GPoly):
         acc[ne] = acc.get(ne, 0) + cf * c
     for e, c in g.terms():
         ne = tuple(map(add, e, sg))
-        v = acc.get(ne, 0) - cg * c
-        if v:
-            acc[ne] = v
-        else:
-            acc.pop(ne, None)
+        acc[ne] = acc.get(ne, 0) - cg * c
     return list(acc.items())
 
 
@@ -147,16 +137,10 @@ def _sorted_terms(items, key):
     return sorted(items, key=lambda t: key(t[0]), reverse=True)
 
 
-def _to_poly(universe: SymbolUniverse, items, monic: bool) -> Polynomial:
-    if not items:
-        return Polynomial.zero(universe)
-    items = _sorted_terms(items, universe.key)
+def _to_poly(universe: SymbolUniverse, items) -> Polynomial:
+    """The monic polynomial of integer terms sorted lead first."""
     lead = items[0][1]
-    if monic:
-        return Polynomial(
-            universe, {e: Fraction(c, lead) for e, c in items}
-        )
-    return Polynomial(universe, {e: Fraction(c) for e, c in items})
+    return Polynomial(universe, {e: Fraction(c, lead) for e, c in items})
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +375,7 @@ def buchberger(
         [], [_gpoly(g) for g in gens], key, pair_budget, max_degree, shuffle
     )
     reduced = _reduce_int_basis(G, key)
-    return [_to_poly(universe, g.terms(), monic=True) for g in reduced]
+    return [_to_poly(universe, g.terms()) for g in reduced]
 
 
 def buchberger_extend(
@@ -423,7 +407,7 @@ def buchberger_extend(
         None,
     )
     reduced = _reduce_int_basis(G, key)
-    return [_to_poly(universe, g.terms(), monic=True) for g in reduced]
+    return [_to_poly(universe, g.terms()) for g in reduced]
 
 
 def reduce_basis(G):
@@ -434,7 +418,7 @@ def reduce_basis(G):
     universe = G[0].universe
     key = universe.key
     reduced = _reduce_int_basis([_gpoly(g) for g in G], key)
-    return [_to_poly(universe, g.terms(), monic=True) for g in reduced]
+    return [_to_poly(universe, g.terms()) for g in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -2,44 +2,33 @@
 
 Subspaces of Q^n are stored as reduced-row-echelon bases, which makes them
 canonical: two subspaces are equal iff their basis matrices are identical.
-Elimination runs on content-free integer rows (cross-multiplication, no
-intermediate fractions) and normalizes to rational RREF at the end.
+Elimination runs once per call on content-free integer rows (cross-
+multiplication, no intermediate fractions); `nullspace` answers in integer
+rows, and rationals are made only where a `Subspace` basis is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import as_fraction, primitive_integers
 
 
-def rref(rows, width: int):
-    """Canonical reduced row echelon form.
+def _echelon(rows, width: int):
+    """Integer reduced row echelon form.
 
-    Returns (basis, pivots): `basis` is a tuple of tuples of Fractions with
-    unit pivots and zeros above and below them, `pivots` the pivot columns.
+    Returns (pivots, pivot_rows): pivot columns ascending, and one
+    content-free integer row per pivot, with a positive pivot entry and
+    zeros in every other pivot column.  Zero and dependent rows eliminate
+    to nothing.
     """
-    mat = []
-    seen = set()
-    for row in rows:
-        r, _ = primitive_integers([as_fraction(v) for v in row])
-        if len(r) != width:
-            raise ValueError("row width mismatch")
-        if not any(r):
-            continue
-        for i, v in enumerate(r):
-            if v:
-                if v < 0:
-                    r = [-x for x in r]
-                break
-        key = tuple(r)
-        if key not in seen:
-            seen.add(key)
-            mat.append(r)
     pivots = []
     pivot_rows = []
-    for row in mat:
+    for row in rows:
+        row, _ = primitive_integers([as_fraction(v) for v in row])
+        if len(row) != width:
+            raise ValueError("row width mismatch")
         # eliminate against existing pivots, then adopt as a new pivot row
         for col, prow in zip(pivots, pivot_rows):
             v = row[col]
@@ -72,6 +61,16 @@ def rref(rows, width: int):
                 pivot_rows[j], _ = primitive_integers(
                     [a * x - b * y for x, y in zip(pivot_rows[j], prow)]
                 )
+    return pivots, pivot_rows
+
+
+def rref(rows, width: int):
+    """Canonical reduced row echelon form.
+
+    Returns (basis, pivots): `basis` is a tuple of tuples of Fractions with
+    unit pivots and zeros above and below them, `pivots` the pivot columns.
+    """
+    pivots, pivot_rows = _echelon(rows, width)
     basis = tuple(
         tuple(Fraction(v, row[col]) for v in row)
         for col, row in zip(pivots, pivot_rows)
@@ -80,18 +79,27 @@ def rref(rows, width: int):
 
 
 def nullspace(rows, width: int):
-    """Canonical RREF basis of {v in Q^width : row . v = 0 for all rows}."""
-    basis, pivots = rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for row, col in zip(basis, pivots):
-            v[col] = -row[f]
-        vectors.append(v)
-    nb, _ = rref(vectors, width)
-    return nb
+    """Basis of {v in Q^width : row . v = 0 for all rows} as content-free
+    integer rows, each a positive multiple of the kernel's canonical RREF row.
+
+    One elimination, on the reversed columns: the kernel vector of a free
+    column f then has its first nonzero entry at f and zeros in every other
+    free column, which is the kernel's RREF up to the scale of each row.
+    """
+    pivots, pivot_rows = _echelon([r[::-1] for r in rows], width)
+    basis = []
+    for f in reversed(range(width)):
+        if f in pivots:
+            continue
+        deps = [(col, prow) for col, prow in zip(pivots, pivot_rows) if prow[f]]
+        scale = lcm(*(prow[col] for col, prow in deps))
+        v = [0] * width
+        v[f] = scale
+        for col, prow in deps:
+            v[col] = -prow[f] * (scale // prow[col])
+        g = gcd(*v)
+        basis.append([x // g for x in reversed(v)])
+    return basis
 
 
 class Subspace:
@@ -99,13 +107,9 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis, pivots=None):
+    def __init__(self, ambient_dim: int, basis, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
-        if pivots is None:
-            pivots = tuple(
-                next(i for i, v in enumerate(row) if v) for row in self.basis
-            )
         object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, *_):

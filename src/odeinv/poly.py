@@ -261,7 +261,8 @@ class Polynomial:
     """A canonical multivariate polynomial over Q.
 
     Two polynomials are equal iff they share a universe and their term maps
-    are equal.  Terms with coefficient zero are never stored.
+    are equal.  Terms with coefficient zero are never stored: the
+    constructor drops them, so operations may leave cancelled terms behind.
     """
 
     __slots__ = ("universe", "_terms", "_sorted")
@@ -284,8 +285,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, universe: SymbolUniverse, value) -> "Polynomial":
-        c = as_fraction(value)
-        return cls(universe, {universe._one: c} if c else {})
+        return cls(universe, {universe._one: as_fraction(value)})
 
     @classmethod
     def variable(cls, universe: SymbolUniverse, symbol: Symbol) -> "Polynomial":
@@ -357,14 +357,7 @@ class Polynomial:
         terms = dict(self._terms)
         for e, c in other._terms.items():
             acc = terms.get(e)
-            if acc is None:
-                terms[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[e] = acc
-                else:
-                    del terms[e]
+            terms[e] = c if acc is None else acc + c
         return Polynomial(self.universe, terms)
 
     __radd__ = __add__
@@ -381,8 +374,6 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = as_fraction(other)
-            if not c:
-                return Polynomial.zero(self.universe)
             return Polynomial(
                 self.universe, {e: c * v for e, v in self._terms.items()}
             )
@@ -396,14 +387,7 @@ class Polynomial:
             for e2, c2 in big.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc = terms.get(e)
-                if acc is None:
-                    terms[e] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        del terms[e]
+                terms[e] = c1 * c2 if acc is None else acc + c1 * c2
         return Polynomial(self.universe, terms)
 
     __rmul__ = __mul__
@@ -463,18 +447,9 @@ class Polynomial:
                 if e:
                     c *= v**e
                     new[i] = 0
-            if not c:
-                continue
             e = tuple(new)
             acc = terms.get(e)
-            if acc is None:
-                terms[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[e] = acc
-                else:
-                    del terms[e]
+            terms[e] = c if acc is None else acc + c
         return Polynomial(self.universe, terms)
 
     def substitute_params(self, valuation: dict) -> "Polynomial":
@@ -515,24 +490,12 @@ class Polynomial:
     def partial(self, symbol: Symbol) -> "Polynomial":
         """Partial derivative with respect to one symbol."""
         i = self.universe.index_of(symbol)
-        terms: dict = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            if not e:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            new = tuple(new)
-            acc = terms.get(new)
-            c = coeff * e
-            if acc is None:
-                terms[new] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[new] = acc
-                else:
-                    del terms[new]
+        # lowering exponent i is one-to-one on the terms it keeps
+        terms = {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff * exps[i]
+            for exps, coeff in self._terms.items()
+            if exps[i]
+        }
         return Polynomial(self.universe, terms)
 
     def __str__(self):

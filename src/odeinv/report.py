@@ -265,6 +265,8 @@ def lie_chain(built: BuiltSystem, steps: int):
     of the template when the query carries one."""
     from .dynamics import lie_derivative
 
+    steps = _number("steps", steps)
+
     chains = []
     if built.template is not None:
         t = built.template

@@ -37,6 +37,15 @@ def _require(cond, message):
         raise SpecError(message)
 
 
+def _list(mapping, key, what):
+    """mapping[key] as a list; absent or null is empty."""
+    value = mapping.get(key)
+    if value is None:
+        return []
+    _require(isinstance(value, list), f"{what} must be a list, not {value!r}")
+    return value
+
+
 def _as_fraction_option(value, name):
     if isinstance(value, bool) or value is None:
         raise SpecError(f"{name} must be a number or exact string")
@@ -55,6 +64,7 @@ _NUMBERS = {
     "max_iterations": (int, 0, False),
     "pair_budget": (int, 0, False),
     "max_degree": (int, 0, False),
+    "steps": (int, 0, False),
     "samples": (int, 1, False),
     "horizon": (Fraction, 0, True),
     "step": (Fraction, 0, True),
@@ -121,7 +131,9 @@ class NumericSpec:
                 {str(k): _as_fraction_option(v, f"point value for {k}") for k, v in p.items()}
                 for p in points
             ]
-        spec = cls(enabled=bool(d.get("enabled", True)), points=points)
+        enabled = d.get("enabled", True)
+        _require(isinstance(enabled, bool), "numeric_check enabled must be true or false")
+        spec = cls(enabled=enabled, points=points)
         spec.override(**{k: v for k, v in d.items() if k in _NUMBERS})
         return spec
 
@@ -173,7 +185,9 @@ class SystemSpec:
         _require(isinstance(pre, dict), "precondition must be a mapping")
         unknown = set(pre) - {"generators", "mode"}
         _require(not unknown, f"unknown precondition keys: {sorted(unknown)}")
-        self.precondition_generators = [str(g) for g in pre.get("generators", [])]
+        self.precondition_generators = [
+            str(g) for g in _list(pre, "generators", "precondition generators")
+        ]
         self.precondition_mode = str(pre.get("mode", MODE_AUTO))
         _require(
             self.precondition_mode in _MODES,
@@ -310,11 +324,11 @@ class BuiltSystem:
             tvars = [self.universe.by_name(str(v)) for v in var_names]
             auxiliary = [
                 _parse_monomial(text, self.universe, "auxiliary monomial")
-                for text in tspec.get("auxiliary_monomials", []) or []
+                for text in _list(tspec, "auxiliary_monomials", "auxiliary monomials")
             ]
             exclude = [
                 _parse_monomial(text, self.universe, "excluded monomial")
-                for text in tspec.get("exclude", []) or []
+                for text in _list(tspec, "exclude", "excluded monomials")
             ]
             return complete_template(
                 self.universe, tvars, degree, exclude=exclude, auxiliary=auxiliary

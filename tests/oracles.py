@@ -3,10 +3,11 @@ production path against.
 
 Nothing in `odeinv` calls these.  Each recomputes an answer the package
 gets another way: linear forms and ambient-space refinement instead of
-restricted reparametrization, division in the joint parameter-state ring
-instead of cached monomial normal forms, Buchberger's S-polynomial
-criterion on plain `Polynomial` arithmetic instead of the integer engine,
-and a finite-difference Lie rate instead of the symbolic derivative.
+restricted reparametrization, a kernel from two eliminations instead of
+one, division in the joint parameter-state ring instead of cached monomial
+normal forms, Buchberger's S-polynomial criterion on plain `Polynomial`
+arithmetic instead of the integer engine, and a finite-difference Lie rate
+instead of the symbolic derivative.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
 from odeinv.dynamics import Template
-from odeinv.linalg import nullspace
+from odeinv.linalg import nullspace, rref
 from odeinv.numcheck import _field_evaluator, compile_float, rk4_step
 from odeinv.poly import as_fraction
 
@@ -69,7 +70,21 @@ def solve_homogeneous(constraints, params) -> Subspace:
     """Common nullspace of linear forms over an ordered parameter list."""
     params = list(params)
     rows = [f.vector(params) for f in constraints]
-    return Subspace(len(params), nullspace(rows, len(params)))
+    return Subspace.from_rows(nullspace(rows, len(params)), len(params))
+
+
+def nullspace_two_pass(rows, width: int):
+    """Canonical RREF kernel the long way: RREF of the rows, one rational
+    vector per free column, then RREF again of those vectors."""
+    basis, pivots = rref(rows, width)
+    vectors = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[f] = Fraction(1)
+        for row, col in zip(basis, pivots):
+            v[col] = -row[f]
+        vectors.append(v)
+    return rref(vectors, width)[0]
 
 
 def refine(space: Subspace, constraints, params) -> Subspace:

@@ -257,3 +257,24 @@ def test_vector_field_validation(running):
     pu = SymbolUniverse([Symbol("a", Symbol.PARAM), Symbol("x")])
     with pytest.raises(ValueError):
         VectorField(pu, [Polynomial.zero(pu), Polynomial.zero(pu)])
+
+
+def test_cancelling_lie_and_reduction_store_no_zero_terms(running):
+    # lie_monomial may cache a cancelled term; the constructors drop it
+    U, _, (X, Y), _ = running
+    F = VectorField(U, [X, -Y])
+    assert F.lie_monomial((1, 1)) == {(1, 1): 0}
+    assert lie_derivative(X * Y + X, F) == X
+    a = [Symbol(f"a{i}", Symbol.PARAM) for i in (1, 2)]
+    # a1*(x*y + x) + a2*x: x*y cancels in the Lie derivative
+    t = Template.from_instances(U, a, [X * Y + X, X])
+    d = t.lie(F)
+    assert d._terms == {(1, 0): {0: 1, 1: 1}}
+    # a1*(x - y) + a2*(y - x): both forms cancel modulo x - y
+    r = Template.from_instances(U, a, [X - Y, Y - X])
+    assert r.reduce_by(GroebnerReducer([X - Y], U))._terms == {}
+    # a1*x + a2*x: the coefficient of x cancels at a1 = -a2
+    assert Template.from_instances(U, a, [X, X]).instantiate([1, -1])._terms == {}
+    # a1*(x^2 + y^2): 2xy - 2xy leaves an empty form, which is dropped
+    rot = VectorField(U, [Y, -X])
+    assert Template.from_instances(U, a[:1], [X * X + Y * Y]).lie(rot)._terms == {}

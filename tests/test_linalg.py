@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from odeinv import Subspace, Symbol
 from odeinv.linalg import nullspace, rref
-from oracles import LinearForm, refine, solve_homogeneous
+from oracles import LinearForm, nullspace_two_pass, refine, solve_homogeneous
 
 
 def _params(n):
@@ -116,3 +117,30 @@ def test_nullspace_dimension_formula():
         ]
         _, pivots = rref(rows, n)
         assert len(nullspace(rows, n)) == n - len(pivots)
+
+
+def test_nullspace_rows_scale_the_two_pass_kernel():
+    # zero rows, duplicate rows and width 0 included
+    rng = random.Random(73)
+    for _ in range(300):
+        width = rng.randint(0, 7)
+        rows = [
+            [Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2, 3)))
+             for _ in range(width)]
+            for _ in range(rng.randint(0, 5))
+        ]
+        if rows and rng.random() < 0.4:
+            rows.append([2 * v for v in rng.choice(rows)])
+        if rng.random() < 0.4:
+            rows.append([Fraction(0)] * width)
+        rng.shuffle(rows)
+        kernel = nullspace(rows, width)
+        reference = nullspace_two_pass(rows, width)
+        _, pivots = rref(rows, width)
+        assert len(kernel) == width - len(pivots) == len(reference)
+        for got, ref in zip(kernel, reference):
+            assert all(type(v) is int for v in got)
+            lead = next(v for v in got if v)
+            assert lead > 0 and gcd(*got) == 1
+            assert all(sum(r * v for r, v in zip(row, got)) == 0 for row in rows)
+            assert tuple(Fraction(v, lead) for v in got) == ref

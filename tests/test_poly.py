@@ -201,3 +201,22 @@ def test_canonical_printing(running):
     assert str(Polynomial.zero(U)) == "0"
     assert str(Fraction(1, 2) * X) == "1/2*x"
     assert str(-X + Y) == "-x + y"
+
+
+def _stores_no_zero(p):
+    return all(c != 0 for c in p._terms.values())
+
+
+def test_cancelling_operations_store_no_zero_terms(running):
+    # the constructor is the one place zero terms are dropped
+    U, (x, _), (X, Y), _ = running
+    total = (X + Y) + (Y - X)
+    assert total == 2 * Y and _stores_no_zero(total)
+    product = (X + Y) * (X - Y)
+    assert product == X * X - Y * Y and _stores_no_zero(product)
+    assert (X * 0).is_zero() and Polynomial.constant(U, 0).is_zero()
+    assert X.substitute({x: 0}).is_zero()
+    assert (X * Y - Y).substitute({x: 1}).is_zero()
+    partial = (X * X * Y - 2 * X * Y + Y).partial(x)
+    assert partial == 2 * X * Y - 2 * Y and _stores_no_zero(partial)
+    assert (Y * Y).partial(x).is_zero()

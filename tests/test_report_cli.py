@@ -128,6 +128,7 @@ def test_resource_cap_exit_code():
         ("pre", "running-pre", "--pair-budget", "-3"),
         ("post", "kepler", "--max-degree", "-1"),
         ("invariant", "running-invariant", "--pair-budget", "-1"),
+        ("lie", "running-pre", "--steps", "-2"),
     ],
 )
 def test_cli_negative_cap_is_input_error(capsys, command, name, flag, value):
@@ -154,12 +155,20 @@ def test_run_rejects_malformed_cap_override():
         ("options", "max_degree", "x"),
         pytest.param("numeric_check", "points", [{"x": 1}], id="point-unbound"),
         pytest.param("numeric_check", "points", [{"x": 1, "y": 2}], id="point-off-pre"),
+        # a string where a list or a bool is wanted is not read character-wise
+        ("precondition", "generators", "xy"),
+        ("query.template", "exclude", "xy"),
+        ("query.template", "auxiliary_monomials", "xy"),
+        ("numeric_check", "enabled", "no"),
     ],
 )
 def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
     with open(_corpus_path("running-post"), encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
-    data.setdefault(section, {})[key] = value
+    target = data
+    for name in section.split("."):
+        target = target.setdefault(name, {})
+    target[key] = value
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump(data))
     assert main(["post", str(spec)]) == 3
