@@ -277,7 +277,7 @@ def post(
     reducer = GroebnerReducer(analysis.basis, universe)
     n = len(template.params)
 
-    rows = template.reduce_by(reducer).coefficient_vectors()
+    rows = template.reduce_by(reducer).forms()
     basis_rows = nullspace(rows, n)
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
@@ -286,7 +286,8 @@ def post(
         return template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
 
     # Invariant: current = L^j(T∘B) for the current basis B = basis_rows,
-    # integer rows that only the final Subspace.from_rows canonicalizes.
+    # sparse integer rows that only the final Subspace.from_rows
+    # canonicalizes.
     current = restricted() if len(basis_rows) < n else template
     j = 0
     j_gb = None
@@ -297,7 +298,7 @@ def post(
                 f"postcondition chain exceeded {max_iterations} iterations"
             )
         nxt = current.lie(field)
-        rows = nxt.reduce_by(reducer).coefficient_vectors()
+        rows = nxt.reduce_by(reducer).forms()
         entry = {"j": j + 1, "constraints": len(rows)}
         if rows:
             d = len(basis_rows)
@@ -305,13 +306,12 @@ def post(
             assert len(coords) < d, "nonzero constraints must shrink the space"
             new_rows = []
             for yrow in coords:
-                acc = [0] * n
-                for y, brow in zip(yrow, basis_rows):
-                    if y:
-                        for i, b in enumerate(brow):
-                            if b:
-                                acc[i] += y * b
-                new_rows.append(acc)
+                acc: dict = {}
+                for k, y in yrow.items():
+                    for i, b in basis_rows[k].items():
+                        x = acc.get(i)
+                        acc[i] = y * b if x is None else x + y * b
+                new_rows.append({i: x for i, x in acc.items() if x})
             basis_rows = new_rows
             current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
             j_gb = None

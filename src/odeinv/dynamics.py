@@ -49,9 +49,6 @@ class VectorField:
     def __setattr__(self, *_):
         raise AttributeError("VectorField is immutable")
 
-    def drift_of(self, symbol: Symbol) -> Polynomial:
-        return self.drifts[self.universe.index_of(symbol)]
-
     def lie_monomial(self, exps) -> dict:
         """Term map of the Lie derivative of a single monomial (cached).
 
@@ -146,17 +143,11 @@ class Template:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient_vectors(self):
-        """Rows (one per monomial, descending) of parameter coefficients."""
-        key = self.universe.key
-        n = len(self.params)
-        rows = []
-        for exps in sorted(self._terms, key=key, reverse=True):
-            form = self._terms[exps]
-            rows.append(
-                tuple(form.get(k, Fraction(0)) for k in range(n))
-            )
-        return rows
+    def forms(self):
+        """Parameter forms as sparse rows {parameter index: coefficient},
+        one per monomial: the template vanishes exactly where all do.  The
+        rows are the template's own dicts, to be read, not changed."""
+        return list(self._terms.values())
 
     # -- operations ---------------------------------------------------------
 
@@ -207,22 +198,23 @@ class Template:
     def compose(self, rows, new_params) -> "Template":
         """Reparametrize by valuations v = y . rows.
 
-        Each new parameter y_k stands for the row rows[k] of old-parameter
-        coordinates, so new coefficient k = sum_j form[j] * rows[k][j].
+        Each new parameter y_k stands for the sparse row rows[k] =
+        {old parameter j: coordinate}, so new coefficient k = sum_j form[j] *
+        rows[k][j].  The rows are indexed by column once, so the work follows
+        their nonzeros.
         """
+        cols: dict = {}
+        for k, row in enumerate(rows):
+            for j, r in row.items():
+                cols.setdefault(j, []).append((k, r))
         terms: dict = {}
         for exps, form in self._terms.items():
-            dst = {}
-            for k, row in enumerate(rows):
-                c = Fraction(0)
-                for j, v in form.items():
-                    rj = row[j]
-                    if rj:
-                        c += v * rj
-                if c:
-                    dst[k] = c
-            if dst:
-                terms[exps] = dst
+            dst: dict = {}
+            for j, v in form.items():
+                for k, r in cols.get(j, ()):
+                    acc = dst.get(k)
+                    dst[k] = v * r if acc is None else acc + v * r
+            terms[exps] = dst
         return Template(self.universe, new_params, terms)
 
     def reduce_by(self, reducer: GroebnerReducer) -> "Template":
@@ -320,5 +312,5 @@ def result_template(
     if space.ambient_dim != len(template.params):
         raise ValueError("subspace ambient dimension must match parameter count")
     params = fresh_parameters(space.dim, prefix)
-    restricted = template.compose(space.basis, params)
-    return restricted
+    rows = [{j: v for j, v in enumerate(row) if v} for row in space.basis]
+    return template.compose(rows, params)

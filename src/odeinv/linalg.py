@@ -2,9 +2,10 @@
 
 Subspaces of Q^n are stored as reduced-row-echelon bases, which makes them
 canonical: two subspaces are equal iff their basis matrices are identical.
-Elimination runs once per call on content-free integer rows (cross-
-multiplication, no intermediate fractions); `nullspace` answers in integer
-rows, and rationals are made only where a `Subspace` basis is built.
+Rows are sparse, {column: value}.  Elimination runs once per call on
+content-free integer rows (cross-multiplication, no intermediate fractions);
+`nullspace` answers in sparse integer rows, and rationals are made only
+where a `Subspace` basis is built.
 """
 
 from __future__ import annotations
@@ -15,90 +16,112 @@ from math import gcd, lcm
 from .poly import as_fraction, primitive_integers
 
 
+def _primitive(row: dict) -> dict:
+    """Content-free integer row proportional to the sparse rational row
+    `row`, zero entries dropped."""
+    cols = [k for k, v in row.items() if v]
+    ints, _ = primitive_integers([row[k] for k in cols])
+    return dict(zip(cols, ints))
+
+
+def _eliminate(row: dict, col: int, prow: dict) -> dict:
+    """a*row - b*prow with the least a > 0 that clears `col`, zeros dropped;
+    `prow` has a positive entry at `col`."""
+    v, p = row[col], prow[col]
+    g = gcd(v, p)
+    a, b = p // g, v // g
+    out = {k: a * x for k, x in row.items()}
+    for k, y in prow.items():
+        x = out.get(k)
+        out[k] = -b * y if x is None else x - b * y
+    return {k: x for k, x in out.items() if x}
+
+
 def _echelon(rows, width: int):
-    """Integer reduced row echelon form.
+    """Integer reduced row echelon form of sparse rows {column: rational}.
 
     Returns (pivots, pivot_rows): pivot columns ascending, and one
-    content-free integer row per pivot, with a positive pivot entry and
-    zeros in every other pivot column.  Zero and dependent rows eliminate
-    to nothing.
+    content-free integer row {column: int} per pivot, with a positive pivot
+    entry and no entry in any other pivot column.  Zero and dependent rows
+    eliminate to nothing.
     """
-    pivots = []
-    pivot_rows = []
+    echelon = {}  # pivot column -> row, in order of adoption
     for row in rows:
-        row, _ = primitive_integers([as_fraction(v) for v in row])
-        if len(row) != width:
-            raise ValueError("row width mismatch")
-        # eliminate against existing pivots, then adopt as a new pivot row
-        for col, prow in zip(pivots, pivot_rows):
-            v = row[col]
-            if v:
-                p = prow[col]
-                g = gcd(abs(v), p)
-                a, b = p // g, v // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-        if not any(row):
+        row = _primitive(row)
+        if row and not (min(row) >= 0 and max(row) < width):
+            raise ValueError("row has a column outside the width")
+        # an adopted row has no entry in the pivot columns adopted before
+        # it, so one pass in adoption order clears every pivot column
+        for col, prow in echelon.items():
+            if col in row:
+                row = _eliminate(row, col, prow)
+        if not row:
             continue
-        row, _ = primitive_integers(row)
-        col = next(i for i, v in enumerate(row) if v)
+        row = _primitive(row)
+        col = min(row)
         if row[col] < 0:
-            row = [-x for x in row]
-        pivots.append(col)
-        pivot_rows.append(row)
+            row = {k: -x for k, x in row.items()}
+        echelon[col] = row
+    pivots = sorted(echelon)
     # back-substitute above pivots
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    pivots = [pivots[i] for i in order]
-    pivot_rows = [pivot_rows[i] for i in order]
-    for i in range(len(pivot_rows) - 1, -1, -1):
+    for i in range(len(pivots) - 1, -1, -1):
         col = pivots[i]
-        prow = pivot_rows[i]
-        p = prow[col]
-        for j in range(i):
-            v = pivot_rows[j][col]
-            if v:
-                g = gcd(abs(v), p)
-                a, b = p // g, v // g
-                pivot_rows[j], _ = primitive_integers(
-                    [a * x - b * y for x, y in zip(pivot_rows[j], prow)]
-                )
-    return pivots, pivot_rows
+        prow = echelon[col]
+        for above in pivots[:i]:
+            if col in echelon[above]:
+                echelon[above] = _primitive(_eliminate(echelon[above], col, prow))
+    return pivots, [echelon[col] for col in pivots]
 
 
 def rref(rows, width: int):
-    """Canonical reduced row echelon form.
+    """Canonical reduced row echelon form of sparse rows {column: rational}.
 
-    Returns (basis, pivots): `basis` is a tuple of tuples of Fractions with
-    unit pivots and zeros above and below them, `pivots` the pivot columns.
+    Returns (basis, pivots): `basis` is a tuple of dense tuples of Fractions
+    with unit pivots and zeros above and below them, `pivots` the pivot
+    columns.
     """
     pivots, pivot_rows = _echelon(rows, width)
-    basis = tuple(
-        tuple(Fraction(v, row[col]) for v in row)
-        for col, row in zip(pivots, pivot_rows)
-    )
-    return basis, tuple(pivots)
+    basis = []
+    for col, row in zip(pivots, pivot_rows):
+        dense = [Fraction(0)] * width
+        p = row[col]
+        for k, v in row.items():
+            dense[k] = Fraction(v, p)
+        basis.append(tuple(dense))
+    return tuple(basis), tuple(pivots)
 
 
 def nullspace(rows, width: int):
-    """Basis of {v in Q^width : row . v = 0 for all rows} as content-free
-    integer rows, each a positive multiple of the kernel's canonical RREF row.
+    """Basis of {v in Q^width : row . v = 0 for all rows} for sparse rows
+    {column: rational}, as content-free sparse integer rows {column: int},
+    each a positive multiple of the kernel's canonical RREF row.
 
     One elimination, on the reversed columns: the kernel vector of a free
     column f then has its first nonzero entry at f and zeros in every other
     free column, which is the kernel's RREF up to the scale of each row.
     """
-    pivots, pivot_rows = _echelon([r[::-1] for r in rows], width)
+    last = width - 1
+    pivots, pivot_rows = _echelon(
+        ({last - k: v for k, v in r.items()} for r in rows), width
+    )
+    # deps[f]: the pivot rows with an entry in free column f
+    deps = {}
+    for col, prow in zip(pivots, pivot_rows):
+        for f, x in prow.items():
+            if f != col:
+                deps.setdefault(f, []).append((col, x, prow[col]))
+    pivot_set = set(pivots)
     basis = []
-    for f in reversed(range(width)):
-        if f in pivots:
+    for f in range(last, -1, -1):
+        if f in pivot_set:
             continue
-        deps = [(col, prow) for col, prow in zip(pivots, pivot_rows) if prow[f]]
-        scale = lcm(*(prow[col] for col, prow in deps))
-        v = [0] * width
-        v[f] = scale
-        for col, prow in deps:
-            v[col] = -prow[f] * (scale // prow[col])
-        g = gcd(*v)
-        basis.append([x // g for x in reversed(v)])
+        fdeps = deps.get(f, ())
+        scale = lcm(*(p for _, _, p in fdeps))
+        v = {last - f: scale}
+        for col, x, p in fdeps:
+            v[last - col] = -x * (scale // p)
+        g = gcd(*v.values())
+        basis.append({k: x // g for k, x in v.items()})
     return basis
 
 

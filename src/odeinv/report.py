@@ -182,9 +182,6 @@ class RunReport:
         self.data = data
         self.exit_code = exit_code
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=False) + "\n"
-
     def comparable(self) -> dict:
         return strip_timings(self.data)
 

@@ -314,7 +314,7 @@ class BuiltSystem:
             _require(not unknown, f"unknown template keys: {sorted(unknown)}")
             degree = tspec.get("degree")
             _require(
-                isinstance(degree, int) and degree >= 0,
+                isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
                 "template degree must be a non-negative integer",
             )
             var_names = tspec.get("variables", self.spec.variables)

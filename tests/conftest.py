@@ -4,6 +4,7 @@ import pytest
 
 from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, VectorField
 from odeinv.poly import Lex
+from oracles import sparse
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ def coefficient_rows(polys, universe):
 def in_span(p, polys):
     """Exact linear-span membership of a polynomial."""
     rows, monos = coefficient_rows(list(polys) + [p], p.universe)
-    space = Subspace.from_rows(rows[:-1], len(monos))
+    space = Subspace.from_rows([sparse(r) for r in rows[:-1]], len(monos))
     return space.contains(rows[-1])
 
 

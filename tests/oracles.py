@@ -66,17 +66,22 @@ class LinearForm:
     __repr__ = __str__
 
 
+def sparse(row) -> dict:
+    """The sparse row {column: value} of a dense row, zeros dropped."""
+    return {j: v for j, v in enumerate(row) if v}
+
+
 def solve_homogeneous(constraints, params) -> Subspace:
     """Common nullspace of linear forms over an ordered parameter list."""
     params = list(params)
-    rows = [f.vector(params) for f in constraints]
+    rows = [sparse(f.vector(params)) for f in constraints]
     return Subspace.from_rows(nullspace(rows, len(params)), len(params))
 
 
 def nullspace_two_pass(rows, width: int):
-    """Canonical RREF kernel the long way: RREF of the rows, one rational
-    vector per free column, then RREF again of those vectors."""
-    basis, pivots = rref(rows, width)
+    """Canonical RREF kernel of dense rows the long way: RREF of the rows,
+    one rational vector per free column, then RREF again of those vectors."""
+    basis, pivots = rref([sparse(r) for r in rows], width)
     vectors = []
     for f in (c for c in range(width) if c not in pivots):
         v = [Fraction(0)] * width
@@ -84,7 +89,7 @@ def nullspace_two_pass(rows, width: int):
         for row, col in zip(basis, pivots):
             v[col] = -row[f]
         vectors.append(v)
-    return rref(vectors, width)[0]
+    return rref([sparse(v) for v in vectors], width)[0]
 
 
 def refine(space: Subspace, constraints, params) -> Subspace:
@@ -100,14 +105,14 @@ def refine(space: Subspace, constraints, params) -> Subspace:
     if not rows or space.dim == 0:
         return space
     reduced = [
-        [sum((c * b for c, b in zip(r, brow)), Fraction(0)) for brow in space.basis]
+        sparse(sum((c * b for c, b in zip(r, brow)), Fraction(0)) for brow in space.basis)
         for r in rows
     ]
     new_rows = [
-        [
-            sum((y * brow[j] for y, brow in zip(yrow, space.basis)), Fraction(0))
+        sparse(
+            sum((y * space.basis[k][j] for k, y in yrow.items()), Fraction(0))
             for j in range(space.ambient_dim)
-        ]
+        )
         for yrow in nullspace(reduced, space.dim)
     ]
     return Subspace.from_rows(new_rows, space.ambient_dim)

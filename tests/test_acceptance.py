@@ -1,14 +1,19 @@
 """Acceptance suite: every criterion prints one PASS line with its runtime.
 
-Criteria 6 and 7 are the long case studies; they carry the `extended`
-marker so constrained environments can deselect them, but they are fast
-enough to run by default.
+Criteria 6 and 7 and the degree-3 stress tier are the long case studies;
+they carry the `extended` marker so constrained environments can deselect
+them, but they are fast enough to run by default.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
+import yaml
 
 from odeinv import (
     FAILS,
@@ -32,6 +37,7 @@ from odeinv import (
 )
 from odeinv import corpus
 from odeinv.report import run
+from odeinv.sysspec import SystemSpec
 from conftest import in_span, same_span
 from props import (
     run_buchberger_closure,
@@ -184,6 +190,25 @@ def test_criterion_7_airplane_vertical_motion():
     wpc = weakest_precondition_via_post(built.precondition, built.template, built.field)
     assert ideal_equal(wpc.ideal, res.ideal)
     _report("criterion 7: airplane vertical-motion study", started, 600.0)
+
+
+@pytest.mark.extended
+def test_stress_tier_collision_avoidance_degree_3():
+    # the benchmark's stress-deg3 query; its report must keep the digest
+    # recorded in bench/references.json
+    started = time.perf_counter()
+    refs = json.loads(
+        (Path(__file__).parents[1] / "bench" / "references.json").read_text(encoding="utf-8")
+    )
+    spec_file = resources.files("odeinv") / "corpus" / "collision-avoidance.yaml"
+    data = yaml.safe_load(spec_file.read_text(encoding="utf-8"))
+    data["query"]["template"]["degree"] = 3
+    data["numeric_check"]["enabled"] = False
+    report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
+    assert report.exit_code == 0
+    blob = json.dumps(report.comparable(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == refs["digests"]["stress-deg3"]
+    _report("stress tier: collision-avoidance at template degree 3", started, 60.0)
 
 
 def test_criterion_8_property_suites():

@@ -15,12 +15,13 @@ from odeinv import (
     linear_combination_template,
     result_template,
 )
-from odeinv.dynamics import GroebnerReducer, Template, TemplateLinearityError
+from odeinv.dynamics import GroebnerReducer, Template, TemplateLinearityError, fresh_parameters
 from odeinv.poly import GrevLex
 from oracles import (
     joint_polynomial,
     lie_rate_estimate,
     solve_homogeneous,
+    sparse,
     template_remainder_via_division,
     zero_constraints,
 )
@@ -88,6 +89,7 @@ def test_lie_template_restricted_matches_reference(running):
         [0, 0, 0, -1, 1, 0],   # free quadratic direction a5 (x*y)
         [0, 0, 0, -1, 0, 1],   # free quadratic direction a6 (x^2)
     ]
+    rows = [sparse(r) for r in rows]
     restricted = pi1.compose(rows, [Symbol(f"b{i}", Symbol.PARAM) for i in (1, 2, 3)])
     b1, b2, b3 = restricted.unit_instances()
     assert b1 == Y * Y - X * Y
@@ -105,6 +107,29 @@ def test_template_commutation_small():
     run_template_commutation(40, seed=79)
 
 
+def test_compose_matches_instantiating_the_combined_row(running):
+    # t.compose(rows, ys) at y equals t at sum_k y_k * rows_k, on random
+    # sparse rows with empty rows and an empty row list among them
+    rng = random.Random(101)
+    U = running[0]
+    monomials = [(i, j) for i in range(3) for j in range(3)]
+    values = (1, -2, 3, Fraction(1, 2), Fraction(-4, 3))
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        t = Template(U, fresh_parameters(n), {
+            e: {k: rng.choice(values) for k in rng.sample(range(n), rng.randint(1, n))}
+            for e in rng.sample(monomials, rng.randint(0, len(monomials)))
+        })
+        m = rng.randint(0, 4)
+        rows = [
+            {j: rng.choice(values) for j in rng.sample(range(n), rng.randint(0, n))}
+            for _ in range(m)
+        ]
+        y = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        v = [sum((yk * row.get(j, 0) for yk, row in zip(y, rows)), Fraction(0)) for j in range(n)]
+        assert t.compose(rows, fresh_parameters(m, "y")).instantiate(y) == t.instantiate(v)
+
+
 def test_template_remainder_examples(running):
     U, (x, y), (X, Y), F = running
     pi = complete_template(U, [x, y], 2)
@@ -116,7 +141,8 @@ def test_template_remainder_examples(running):
     assert V0.dim == 3
 
     r1 = pi.lie(F).reduce_by(GroebnerReducer([X - Y], U))
-    restricted = r1.compose(V0.basis, [Symbol(f"b{i}", Symbol.PARAM) for i in range(3)])
+    rows = [sparse(r) for r in V0.basis]
+    restricted = r1.compose(rows, [Symbol(f"b{i}", Symbol.PARAM) for i in range(3)])
     assert restricted.is_zero()
 
     assert pi.reduce_by(GroebnerReducer([], U)) == pi

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from odeinv import Subspace, Symbol
 from odeinv.linalg import nullspace, rref
-from oracles import LinearForm, nullspace_two_pass, refine, solve_homogeneous
+from oracles import LinearForm, nullspace_two_pass, refine, solve_homogeneous, sparse
 
 
 def _params(n):
@@ -94,7 +96,7 @@ def test_rref_canonical_under_row_operations():
             [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             for _ in range(rng.randint(1, 4))
         ]
-        ref, _ = rref(rows, n)
+        ref, _ = rref([sparse(r) for r in rows], n)
         mixed = [list(r) for r in rows]
         for _ in range(6):
             i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
@@ -104,7 +106,7 @@ def test_rref_canonical_under_row_operations():
             else:
                 mixed[i] = [scale * x for x in mixed[i]]
         rng.shuffle(mixed)
-        assert rref(mixed, n)[0] == ref
+        assert rref([sparse(r) for r in mixed], n)[0] == ref
 
 
 def test_nullspace_dimension_formula():
@@ -115,6 +117,7 @@ def test_nullspace_dimension_formula():
             [Fraction(rng.randint(-2, 2)) for _ in range(n)]
             for _ in range(rng.randint(0, 4))
         ]
+        rows = [sparse(r) for r in rows]
         _, pivots = rref(rows, n)
         assert len(nullspace(rows, n)) == n - len(pivots)
 
@@ -134,13 +137,52 @@ def test_nullspace_rows_scale_the_two_pass_kernel():
         if rng.random() < 0.4:
             rows.append([Fraction(0)] * width)
         rng.shuffle(rows)
-        kernel = nullspace(rows, width)
+        kernel = nullspace([sparse(r) for r in rows], width)
         reference = nullspace_two_pass(rows, width)
-        _, pivots = rref(rows, width)
+        _, pivots = rref([sparse(r) for r in rows], width)
         assert len(kernel) == width - len(pivots) == len(reference)
         for got, ref in zip(kernel, reference):
+            got = [got.get(j, 0) for j in range(width)]
             assert all(type(v) is int for v in got)
             lead = next(v for v in got if v)
             assert lead > 0 and gcd(*got) == 1
             assert all(sum(r * v for r, v in zip(row, got)) == 0 for row in rows)
             assert tuple(Fraction(v, lead) for v in got) == ref
+
+
+def test_nullspace_sparse_rows_match_the_dense_oracle():
+    # sparse rows drawn directly, with empty rows, duplicate rows, rational
+    # and integer entries and width 0; the same rows dense-derived, zeros
+    # stored, give the same kernel, and each kernel row is a positive
+    # multiple of the dense two-pass oracle's row
+    rng = random.Random(97)
+    values = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 7))
+    for _ in range(300):
+        width = rng.randint(0, 8)
+        rows = [
+            {j: rng.choice(values) for j in rng.sample(range(width), rng.randint(0, width))}
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rows and rng.random() < 0.4:
+            rows.append(dict(rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.append({})
+        rng.shuffle(rows)
+        dense = [[row.get(j, Fraction(0)) for j in range(width)] for row in rows]
+        kernel = nullspace(rows, width)
+        assert nullspace([dict(enumerate(r)) for r in dense], width) == kernel
+        reference = nullspace_two_pass(dense, width)
+        assert len(kernel) == len(reference)
+        for got, ref in zip(kernel, reference):
+            assert got and all(type(v) is int and v for v in got.values())
+            assert all(0 <= j < width for j in got)
+            lead = got[min(got)]
+            assert lead > 0 and gcd(*got.values()) == 1
+            assert tuple(Fraction(got.get(j, 0), lead) for j in range(width)) == ref
+
+
+def test_rows_outside_the_width_are_rejected():
+    with pytest.raises(ValueError):
+        nullspace([{3: 1}], 3)
+    with pytest.raises(ValueError):
+        Subspace.from_rows([{-1: 1}], 2)

@@ -160,6 +160,8 @@ def test_run_rejects_malformed_cap_override():
         ("query.template", "exclude", "xy"),
         ("query.template", "auxiliary_monomials", "xy"),
         ("numeric_check", "enabled", "no"),
+        # a bool is not an integer degree, though isinstance(True, int) holds
+        pytest.param("query.template", "degree", True, id="query.template-degree-true"),
     ],
 )
 def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
