@@ -186,9 +186,11 @@ class Precondition:
 def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, count: int):
     """Rational points on the precondition variety, via the graph structure.
 
-    Free variables draw from a fixed small-rational pool; bound variables
-    are computed exactly.  Returns fewer than `count` points (possibly none)
-    when the pattern is unavailable or the variety is empty.
+    Free variables draw from a fixed small-rational pool, point s taking
+    pool[s + k] for its k-th free variable (cyclically), so at most
+    len(pool) points are made; bound variables are computed exactly.
+    Returns fewer than `count` points (possibly none) when the pattern is
+    unavailable or the variety is empty.
     """
     if analysis.bindings is None:
         return []
@@ -209,7 +211,7 @@ def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, coun
         Fraction(5, 2),
     ]
     points = []
-    for s_idx in range(count):
+    for s_idx in range(min(count, len(pool))):
         point = {}
         for k, sym in enumerate(free):
             point[sym] = pool[(s_idx + k) % len(pool)]
@@ -286,8 +288,8 @@ def post(
         return template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
 
     # Invariant: current = L^j(T∘B) for the current basis B = basis_rows,
-    # sparse integer rows that only the final Subspace.from_rows
-    # canonicalizes.
+    # sparse integer rows that the final Subspace.from_rows brings to
+    # echelon form.
     current = restricted() if len(basis_rows) < n else template
     j = 0
     j_gb = None

@@ -307,10 +307,14 @@ def result_template(
 ) -> Template:
     """Fresh-parameter template whose instances are exactly template[space].
 
-    The k-th fresh parameter corresponds to the k-th row of `space.basis`.
+    The k-th fresh parameter corresponds to the k-th row of `space.rows`,
+    scaled to a unit pivot: the k-th row of the canonical RREF basis.
     """
     if space.ambient_dim != len(template.params):
         raise ValueError("subspace ambient dimension must match parameter count")
     params = fresh_parameters(space.dim, prefix)
-    rows = [{j: v for j, v in enumerate(row) if v} for row in space.basis]
+    rows = [
+        {j: Fraction(v, row[col]) for j, v in row.items()}
+        for col, row in zip(space.pivots, space.rows)
+    ]
     return template.compose(rows, params)

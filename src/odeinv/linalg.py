@@ -1,16 +1,15 @@
 """Exact linear algebra over Q for parameter-valuation subspaces.
 
-Subspaces of Q^n are stored as reduced-row-echelon bases, which makes them
-canonical: two subspaces are equal iff their basis matrices are identical.
 Rows are sparse, {column: value}.  Elimination runs once per call on
-content-free integer rows (cross-multiplication, no intermediate fractions);
-`nullspace` answers in sparse integer rows, and rationals are made only
-where a `Subspace` basis is built.
+content-free integer rows (cross-multiplication, no intermediate
+fractions), and answers in such rows: `nullspace` returns the kernel's,
+and a `Subspace` stores its integer echelon rows, one per pivot, which
+are canonical, so two subspaces are equal iff their rows are.  Rationals
+are made only by callers that print or instantiate a row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .poly import as_fraction, primitive_integers
@@ -73,24 +72,6 @@ def _echelon(rows, width: int):
     return pivots, [echelon[col] for col in pivots]
 
 
-def rref(rows, width: int):
-    """Canonical reduced row echelon form of sparse rows {column: rational}.
-
-    Returns (basis, pivots): `basis` is a tuple of dense tuples of Fractions
-    with unit pivots and zeros above and below them, `pivots` the pivot
-    columns.
-    """
-    pivots, pivot_rows = _echelon(rows, width)
-    basis = []
-    for col, row in zip(pivots, pivot_rows):
-        dense = [Fraction(0)] * width
-        p = row[col]
-        for k, v in row.items():
-            dense[k] = Fraction(v, p)
-        basis.append(tuple(dense))
-    return tuple(basis), tuple(pivots)
-
-
 def nullspace(rows, width: int):
     """Basis of {v in Q^width : row . v = 0 for all rows} for sparse rows
     {column: rational}, as content-free sparse integer rows {column: int},
@@ -126,64 +107,55 @@ def nullspace(rows, width: int):
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical RREF basis form."""
+    """A linear subspace of Q^n, stored as its integer echelon rows.
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    `pivots` are the pivot columns, ascending; `rows[i]` is the sparse
+    content-free integer row {column: int} of pivots[i], positive there and
+    zero in every other pivot column.  Each row is the canonical RREF row
+    times the one positive scale that makes it content-free, so equal
+    subspaces store equal rows.
+    """
 
-    def __init__(self, ambient_dim: int, basis, pivots):
+    __slots__ = ("ambient_dim", "pivots", "rows")
+
+    def __init__(self, ambient_dim: int, pivots, rows):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, rows, ambient_dim: int) -> "Subspace":
-        basis, pivots = rref(rows, ambient_dim)
-        return cls(ambient_dim, basis, pivots)
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        eye = [
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        ]
-        return cls(n, eye, tuple(range(n)))
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, (), ())
+        """The span of sparse rows {column: rational}."""
+        return cls(ambient_dim, *_echelon(rows, ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def contains(self, vector) -> bool:
-        v = [as_fraction(x) for x in vector]
-        if len(v) != self.ambient_dim:
+        """Whether the dense vector lies in the space: appending it to the
+        stored rows leaves the rank unchanged."""
+        if len(vector) != self.ambient_dim:
             raise ValueError("vector dimension mismatch")
-        for row, col in zip(self.basis, self._pivots):
-            c = v[col]
-            if c:
-                for i in range(self.ambient_dim):
-                    v[i] -= c * row[i]
-        return not any(v)
+        v = {j: as_fraction(x) for j, x in enumerate(vector)}
+        pivots, _ = _echelon((*self.rows, v), self.ambient_dim)
+        return len(pivots) == self.dim
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

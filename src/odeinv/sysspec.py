@@ -9,6 +9,7 @@ data are expression strings in the grammar of `parser`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 import yaml
 
@@ -47,16 +48,14 @@ def _list(mapping, key, what):
 
 
 def _as_fraction_option(value, name):
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, bool) or not isinstance(value, (int, str, float)):
         raise SpecError(f"{name} must be a number or exact string")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"{name}: {exc}") from exc
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**9)
-    raise SpecError(f"{name} must be a number or exact string")
+    try:
+        x = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # non-finite floats and malformed or infinite literals
+        raise SpecError(f"{name}: {exc}") from exc
+    return x.limit_denominator(10**9) if isinstance(value, float) else x
 
 
 # Numeric settings: type, least value, and whether that value is excluded.
@@ -87,6 +86,7 @@ def _number(name, value):
             x = kind(value)
         except ValueError as exc:
             raise SpecError(f"{name}: {exc}") from exc
+        _require(kind is int or isfinite(x), f"{name} must be finite, not {value}")
     _require(
         x > least if strict else x >= least,
         f"{name} must be {'>' if strict else '>='} {least}, not {value}",

@@ -3,7 +3,8 @@ production path against.
 
 Nothing in `odeinv` calls these.  Each recomputes an answer the package
 gets another way: linear forms and ambient-space refinement instead of
-restricted reparametrization, a kernel from two eliminations instead of
+restricted reparametrization, a dense `Fraction` Gauss-Jordan RREF instead
+of sparse integer elimination, a kernel from two eliminations instead of
 one, division in the joint parameter-state ring instead of cached monomial
 normal forms, Buchberger's S-polynomial criterion on plain `Polynomial`
 arithmetic instead of the integer engine, and a finite-difference Lie rate
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
 from odeinv.dynamics import Template
-from odeinv.linalg import nullspace, rref
+from odeinv.linalg import nullspace
 from odeinv.numcheck import _field_evaluator, compile_float, rk4_step
 from odeinv.poly import as_fraction
 
@@ -78,10 +79,47 @@ def solve_homogeneous(constraints, params) -> Subspace:
     return Subspace.from_rows(nullspace(rows, len(params)), len(params))
 
 
+def rref(rows, width: int):
+    """Reduced row echelon form of dense rational rows by Gauss-Jordan
+    elimination on `Fraction`s.
+
+    Returns (basis, pivots): `basis` is a tuple of dense tuples of Fractions
+    with unit pivots and zeros above and below them, `pivots` the pivot
+    columns.
+    """
+    m = [[as_fraction(x) for x in r] for r in rows]
+    if any(len(r) != width for r in m):
+        raise ValueError("row length does not match the width")
+    pivots = []
+    for col in range(width):
+        i = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        top = len(pivots)
+        m[top], m[i] = m[i], m[top]
+        p = m[top][col]
+        m[top] = [x / p for x in m[top]]
+        for k in range(len(m)):
+            c = m[k][col]
+            if k != top and c:
+                m[k] = [x - c * y for x, y in zip(m[k], m[top])]
+        pivots.append(col)
+    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots)
+
+
+def dense_basis(space: Subspace):
+    """The canonical RREF basis of `space`: its rows as dense tuples of
+    Fractions, each scaled to a unit pivot."""
+    return tuple(
+        tuple(Fraction(row.get(j, 0), row[col]) for j in range(space.ambient_dim))
+        for col, row in zip(space.pivots, space.rows)
+    )
+
+
 def nullspace_two_pass(rows, width: int):
     """Canonical RREF kernel of dense rows the long way: RREF of the rows,
     one rational vector per free column, then RREF again of those vectors."""
-    basis, pivots = rref([sparse(r) for r in rows], width)
+    basis, pivots = rref(rows, width)
     vectors = []
     for f in (c for c in range(width) if c not in pivots):
         v = [Fraction(0)] * width
@@ -89,7 +127,7 @@ def nullspace_two_pass(rows, width: int):
         for row, col in zip(basis, pivots):
             v[col] = -row[f]
         vectors.append(v)
-    return rref([sparse(v) for v in vectors], width)[0]
+    return rref(vectors, width)[0]
 
 
 def refine(space: Subspace, constraints, params) -> Subspace:
@@ -104,13 +142,14 @@ def refine(space: Subspace, constraints, params) -> Subspace:
     rows = [f.vector(params) for f in constraints if not f.is_zero()]
     if not rows or space.dim == 0:
         return space
+    basis = dense_basis(space)
     reduced = [
-        sparse(sum((c * b for c, b in zip(r, brow)), Fraction(0)) for brow in space.basis)
+        sparse(sum((c * b for c, b in zip(r, brow)), Fraction(0)) for brow in basis)
         for r in rows
     ]
     new_rows = [
         sparse(
-            sum((y * space.basis[k][j] for k, y in yrow.items()), Fraction(0))
+            sum((y * basis[k][j] for k, y in yrow.items()), Fraction(0))
             for j in range(space.ambient_dim)
         )
         for yrow in nullspace(reduced, space.dim)

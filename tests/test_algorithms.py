@@ -78,7 +78,7 @@ def test_post_trivial_precondition(running):
     U, (x, y), _, F = running
     res = post(Precondition([]), complete_template(U, [x, y], 2), F)
     assert res.mode_exact  # the zero ideal is the full vanishing ideal here
-    assert res.space.is_zero()
+    assert res.space.dim == 0
     assert res.result.is_zero()
     assert res.ideal.is_zero_ideal()
 
@@ -267,6 +267,15 @@ def test_sample_points_satisfy_generators(ghost):
     # no points for an empty variety
     bad = Precondition([Polynomial.constant(U, 1), X - X0]).analyze(U)
     assert sample_points(bad, U, 3) == []
+
+
+def test_sample_points_are_distinct():
+    # the pool holds 10 values, so 25 asked give the 10 distinct points
+    built = corpus.load("running-post").build()
+    an = built.precondition.analyze(built.universe)
+    pts = sample_points(an, built.universe, 25)
+    assert len(pts) == 10
+    assert len({tuple(sorted((s.name, v) for s, v in p.items())) for p in pts}) == 10
 
 
 def test_post_rebuilds_ideal_after_refinement():

@@ -26,7 +26,7 @@ from odeinv import (
     post,
 )
 from odeinv.dynamics import GroebnerReducer
-from oracles import solve_homogeneous, zero_constraints
+from oracles import dense_basis, solve_homogeneous, zero_constraints
 from props import rand_poly
 
 
@@ -48,7 +48,7 @@ def naive_post(gens, template, field, max_iter=12):
         collected = []
         for j in range(i + 1):
             collected.extend(
-                inst for inst in [derivs[j].instantiate(r) for r in v.basis] if not inst.is_zero()
+                inst for inst in [derivs[j].instantiate(r) for r in dense_basis(v)] if not inst.is_zero()
             )
         return Ideal(U, collected)
 

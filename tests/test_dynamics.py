@@ -18,6 +18,7 @@ from odeinv import (
 from odeinv.dynamics import GroebnerReducer, Template, TemplateLinearityError, fresh_parameters
 from odeinv.poly import GrevLex
 from oracles import (
+    dense_basis,
     joint_polynomial,
     lie_rate_estimate,
     solve_homogeneous,
@@ -141,7 +142,7 @@ def test_template_remainder_examples(running):
     assert V0.dim == 3
 
     r1 = pi.lie(F).reduce_by(GroebnerReducer([X - Y], U))
-    rows = [sparse(r) for r in V0.basis]
+    rows = [sparse(r) for r in dense_basis(V0)]
     restricted = r1.compose(rows, [Symbol(f"b{i}", Symbol.PARAM) for i in range(3)])
     assert restricted.is_zero()
 
@@ -226,11 +227,21 @@ def test_result_template_span(running):
     targets = [Y * Y - X * X, X * Y - X * X, Y - X]
     assert same_span(out.unit_instances(), targets)
 
-    zero = result_template(pi, Subspace.zero(6))
+    zero = result_template(pi, Subspace.from_rows([], 6))
     assert zero.is_zero() and len(zero.params) == 0
 
-    full = result_template(pi, Subspace.full(6))
+    full = result_template(pi, Subspace.from_rows([{i: 1} for i in range(6)], 6))
     assert same_span(full.unit_instances(), pi.unit_instances())
+
+
+def test_result_template_scales_rows_to_unit_pivots(running):
+    # the stored integer row 2*a1 + a2 stands for the RREF row a1 + a2/2
+    U, _, (X, Y), _ = running
+    t = linear_combination_template([X, Y])
+    space = Subspace.from_rows([{0: 2, 1: 1}], 2)
+    assert space.rows == ({0: 2, 1: 1},)
+    (inst,) = result_template(t, space).unit_instances()
+    assert inst == X + Y * Fraction(1, 2)
 
 
 def test_result_template_members_vanish_on_constraints(running):
@@ -240,14 +251,14 @@ def test_result_template_members_vanish_on_constraints(running):
     r0 = pi.reduce_by(GroebnerReducer([X - Y], U))
     forms = zero_constraints(r0)
     V0 = solve_homogeneous(forms, pi.params)
-    for row in V0.basis:
+    for row in dense_basis(V0):
         assert all(f({s: v for s, v in zip(pi.params, row)}) == 0 for f in forms)
     # random members of the space instantiate into the span of the basis
     basis_instances = result_template(pi, V0).unit_instances()
     for _ in range(20):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(V0.dim)]
         v = [
-            sum((c * row[j] for c, row in zip(coeffs, V0.basis)), Fraction(0))
+            sum((c * row[j] for c, row in zip(coeffs, dense_basis(V0))), Fraction(0))
             for j in range(6)
         ]
         assert in_span(pi.instantiate(v), basis_instances)

@@ -5,8 +5,16 @@ from math import gcd
 import pytest
 
 from odeinv import Subspace, Symbol
-from odeinv.linalg import nullspace, rref
-from oracles import LinearForm, nullspace_two_pass, refine, solve_homogeneous, sparse
+from odeinv.linalg import nullspace
+from oracles import (
+    LinearForm,
+    dense_basis,
+    nullspace_two_pass,
+    refine,
+    rref,
+    solve_homogeneous,
+    sparse,
+)
 
 
 def _params(n):
@@ -39,7 +47,7 @@ def test_footnote_constraints():
     a = _params(3)
     V = solve_homogeneous([LinearForm({a[0]: 1, a[1]: 1}), LinearForm({a[2]: 1})], a)
     assert V.dim == 1
-    assert V.basis == ((Fraction(1), Fraction(-1), Fraction(0)),)
+    assert dense_basis(V) == ((Fraction(1), Fraction(-1), Fraction(0)),)
 
 
 def test_refine_monotone_idempotent():
@@ -56,23 +64,23 @@ def test_refine_monotone_idempotent():
         ]
         V = solve_homogeneous(forms1, a)
         W = refine(V, forms2, a)
-        assert all(V.contains(row) for row in W.basis)
+        assert all(V.contains(row) for row in dense_basis(W))
         assert refine(W, forms2, a) == W
 
 
 def test_refine_examples():
     a = _params(3)
-    full = Subspace.full(3)
+    full = Subspace.from_rows([{i: 1} for i in range(3)], 3)
     assert refine(full, [], a) == full
     hyper = refine(full, [LinearForm({a[0]: 1})], a)
-    assert hyper.dim == 2 and all(row[0] == 0 for row in hyper.basis)
+    assert hyper.dim == 2 and all(row[0] == 0 for row in dense_basis(hyper))
     # annihilating every basis direction collapses to the zero space
     V = solve_homogeneous([LinearForm({a[0]: 1, a[1]: 1})], a)
     annihilators = [
         LinearForm({s: c for s, c in zip(a, row) if c})
-        for row in V.basis
+        for row in dense_basis(V)
     ]
-    assert refine(V, annihilators, a).is_zero()
+    assert refine(V, annihilators, a).dim == 0
 
 
 def test_subspace_equality_and_membership():
@@ -88,25 +96,48 @@ def test_subspace_equality_and_membership():
     assert V1 == V2 and hash(V1) == hash(V2)
 
 
-def test_rref_canonical_under_row_operations():
+def test_subspace_rows_are_canonical_under_row_operations():
+    # random row operations, shuffles, duplicate and zero rows leave the
+    # stored rows, the hash and the dense RREF unchanged
     rng = random.Random(67)
-    for _ in range(50):
-        n = rng.randint(2, 6)
+    for _ in range(200):
+        n = rng.randint(1, 6)
         rows = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            for _ in range(rng.randint(1, 4))
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+            for _ in range(rng.randint(0, 4))
         ]
-        ref, _ = rref([sparse(r) for r in rows], n)
+        V = Subspace.from_rows([sparse(r) for r in rows], n)
         mixed = [list(r) for r in rows]
-        for _ in range(6):
+        for _ in range(6 if mixed else 0):
             i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
-            scale = Fraction(rng.randint(1, 3))
+            scale = Fraction(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2, 5)))
             if i != j:
                 mixed[i] = [x + scale * y for x, y in zip(mixed[i], mixed[j])]
             else:
                 mixed[i] = [scale * x for x in mixed[i]]
+        if mixed and rng.random() < 0.5:
+            mixed.append(list(rng.choice(mixed)))
+        if rng.random() < 0.5:
+            mixed.append([Fraction(0)] * n)
         rng.shuffle(mixed)
-        assert rref([sparse(r) for r in mixed], n)[0] == ref
+        W = Subspace.from_rows([sparse(r) for r in mixed], n)
+        assert W == V and hash(W) == hash(V)
+        reference, pivots = rref(rows, n)
+        assert W.pivots == pivots and dense_basis(W) == reference
+        for col, row in zip(W.pivots, W.rows):
+            assert all(type(v) is int and v for v in row.values())
+            assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
+            assert not any(c in row for c in W.pivots if c != col)
+
+
+def test_subspace_contains():
+    V = Subspace.from_rows([{0: 2, 1: 1}, {2: Fraction(1, 3)}], 4)
+    assert V.contains([2, 1, 0, 0]) and V.contains([4, 2, Fraction(-5, 7), 0])
+    assert V.contains([0, 0, 0, 0])
+    assert not V.contains([1, 1, 0, 0]) and not V.contains([0, 0, 0, 1])
+    assert not Subspace.from_rows([], 2).contains([0, 1])
+    with pytest.raises(ValueError):
+        V.contains([1, 2, 3])
 
 
 def test_nullspace_dimension_formula():
@@ -117,9 +148,8 @@ def test_nullspace_dimension_formula():
             [Fraction(rng.randint(-2, 2)) for _ in range(n)]
             for _ in range(rng.randint(0, 4))
         ]
-        rows = [sparse(r) for r in rows]
         _, pivots = rref(rows, n)
-        assert len(nullspace(rows, n)) == n - len(pivots)
+        assert len(nullspace([sparse(r) for r in rows], n)) == n - len(pivots)
 
 
 def test_nullspace_rows_scale_the_two_pass_kernel():
@@ -139,7 +169,7 @@ def test_nullspace_rows_scale_the_two_pass_kernel():
         rng.shuffle(rows)
         kernel = nullspace([sparse(r) for r in rows], width)
         reference = nullspace_two_pass(rows, width)
-        _, pivots = rref([sparse(r) for r in rows], width)
+        _, pivots = rref(rows, width)
         assert len(kernel) == width - len(pivots) == len(reference)
         for got, ref in zip(kernel, reference):
             got = [got.get(j, 0) for j in range(width)]

@@ -115,6 +115,13 @@ def test_cli_verify_numeric(capsys):
     assert "numeric cross-check: passed" in out
 
 
+def test_cli_verify_numeric_huge_sample_count_finishes(capsys):
+    # at most one point per pool value is drawn, however many are asked
+    spec = _corpus_path("running-post")
+    assert main(["verify-numeric", spec, "--samples", "100000000000"]) == 0
+    assert "numeric cross-check: passed" in capsys.readouterr().out
+
+
 def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4
@@ -150,6 +157,14 @@ def test_run_rejects_malformed_cap_override():
         ("numeric_check", "horizon", -1),
         ("numeric_check", "step", 0),
         ("numeric_check", "tolerance", "x"),
+        # non-finite settings and point values
+        pytest.param("numeric_check", "horizon", float("inf"), id="horizon-inf"),
+        pytest.param("numeric_check", "horizon", float("nan"), id="horizon-nan"),
+        pytest.param("numeric_check", "step", float("inf"), id="step-inf"),
+        pytest.param("numeric_check", "tolerance", float("inf"), id="tolerance-inf"),
+        pytest.param("numeric_check", "tolerance", "inf", id="tolerance-inf-string"),
+        pytest.param("numeric_check", "points", [{"x": float("inf"), "y": 1}], id="point-inf"),
+        pytest.param("numeric_check", "points", [{"x": float("nan"), "y": 1}], id="point-nan"),
         ("options", "max_iterations", "x"),
         ("options", "pair_budget", "x"),
         ("options", "max_degree", "x"),
@@ -200,6 +215,7 @@ def test_cli_point_off_computed_ideal_is_input_error(tmp_path, capsys, name, gen
         pytest.param("--step", "0", id="step-zero"),
         pytest.param("--samples", "0", id="samples-zero"),
         pytest.param("--tolerance", "-1", id="tolerance-negative"),
+        pytest.param("--tolerance", "inf", id="tolerance-inf"),
     ],
 )
 def test_cli_bad_numeric_literal_is_input_error(flag, value):
