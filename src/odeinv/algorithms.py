@@ -23,7 +23,7 @@ from .dynamics import (
     linear_combination_template,
     result_template,
 )
-from .groebner import GroebnerReducer, Ideal, ResourceLimitError, buchberger, buchberger_extend
+from .groebner import GroebnerReducer, Ideal, ResourceLimitError, buchberger, ideal_equal
 from .linalg import Subspace, nullspace
 from .poly import Polynomial, SymbolUniverse
 
@@ -188,7 +188,8 @@ def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, coun
 
     Free variables draw from a fixed small-rational pool, point s taking
     pool[s + k] for its k-th free variable (cyclically), so at most
-    len(pool) points are made; bound variables are computed exactly.
+    len(pool) points are made, and one when no variable is free; bound
+    variables are computed exactly.
     Returns fewer than `count` points (possibly none) when the pattern is
     unavailable or the variety is empty.
     """
@@ -211,7 +212,7 @@ def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, coun
         Fraction(5, 2),
     ]
     points = []
-    for s_idx in range(min(count, len(pool))):
+    for s_idx in range(min(count, len(pool) if free else 1)):
         point = {}
         for k, sym in enumerate(free):
             point[sym] = pool[(s_idx + k) % len(pool)]
@@ -255,7 +256,6 @@ def post(
     max_iterations: int = 64,
     pair_budget: int = groebner.DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
-    verify_result: bool = True,
 ) -> PostResult:
     """Largest valuation space V with template[V] invariant from the
     precondition, plus the smallest invariant ideal containing template[V].
@@ -292,8 +292,7 @@ def post(
     # echelon form.
     current = restricted() if len(basis_rows) < n else template
     j = 0
-    j_gb = None
-    j_generators: list = []
+    ideal = None  # J_j, rebuilt after each refinement of V
     while True:
         if j >= max_iterations:
             raise ResourceLimitError(
@@ -316,58 +315,46 @@ def post(
                 new_rows.append({i: x for i, x in acc.items() if x})
             basis_rows = new_rows
             current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
-            j_gb = None
+            ideal = None
             entry.update({"dim": len(basis_rows), "v_stable": False})
             trace.append(entry)
             j += 1
             continue
         # V stabilized at this step; check the ideal chain.
         entry.update({"dim": len(basis_rows), "v_stable": True})
-        if j_gb is None:
+        if ideal is None:
             # J_j is generated by the instances of L^0..L^j of T∘B.
             t = restricted()
-            j_generators = _nonzero_instances(t)
+            generators = t.unit_instances()
             for _ in range(j):
                 t = t.lie(field)
-                j_generators += _nonzero_instances(t)
-            j_gb = buchberger(j_generators, **caps)
-        new_gens = _nonzero_instances(nxt)
-        stable = all(groebner.normal_form(g, j_gb).is_zero() for g in new_gens)
-        entry.update({"j_checked": True, "j_stable": stable, "j_generators": len(j_generators)})
+                generators += t.unit_instances()
+            ideal = Ideal(universe, generators, **caps)
+        grown = ideal.extend(nxt.unit_instances())
+        stable = ideal_equal(grown, ideal)
+        entry.update({"j_checked": True, "j_stable": stable, "j_generators": len(ideal.generators)})
         trace.append(entry)
         if stable:
             break
-        j_generators = j_generators + new_gens
-        j_gb = buchberger_extend(j_gb, new_gens, **caps)
+        ideal = grown
         current = nxt
         j += 1
 
     space = Subspace.from_rows(basis_rows, n)
     out_template = result_template(template, space)
-    ideal = Ideal.from_groebner_basis(
-        universe, j_gb, generators=j_generators, **caps
-    )
     result = PostResult(
         template, space, out_template, ideal, j, analysis.exact, analysis, trace
     )
-    if verify_result:
-        _verify_post(result, field)
+    _verify_post(result, field)
     return result
-
-
-def _nonzero_instances(t: Template):
-    return [inst for inst in t.unit_instances() if not inst.is_zero()]
 
 
 def _verify_post(res: PostResult, field: VectorField):
     """Post-run soundness assertions: instances lie in J and J is Lie-closed."""
-    gb = res.ideal.reduced_groebner_basis()
-    for inst in res.result.unit_instances():
-        if not inst.is_zero() and not groebner.normal_form(inst, gb).is_zero():
-            raise AssertionError("result-template instance escapes the invariant ideal")
-    for g in gb:
-        if not groebner.normal_form(lie_derivative(g, field), gb).is_zero():
-            raise AssertionError("computed ideal is not Lie-closed")
+    if not all(res.ideal.member(inst) for inst in res.result.unit_instances()):
+        raise AssertionError("result-template instance escapes the invariant ideal")
+    if not check_invariant_ideal(res.ideal, field):
+        raise AssertionError("computed ideal is not Lie-closed")
     dims = [t["dim"] for t in res.trace]
     if any(a < b for a, b in zip(dims, dims[1:])):
         raise AssertionError("valuation-space chain must be descending")
@@ -376,12 +363,11 @@ def _verify_post(res: PostResult, field: VectorField):
 class PreResult:
     """Outcome of the precondition chain."""
 
-    __slots__ = ("ideal", "iterations", "derivative_closure")
+    __slots__ = ("ideal", "iterations")
 
-    def __init__(self, ideal, iterations, derivative_closure):
+    def __init__(self, ideal, iterations):
         self.ideal = ideal
         self.iterations = iterations
-        self.derivative_closure = tuple(derivative_closure)
 
 
 def pre(
@@ -405,19 +391,14 @@ def pre(
     for p in P:
         if p.universe is not universe:
             raise ValueError("postcondition polynomial over a different universe")
-    caps = {"pair_budget": pair_budget, "max_degree": max_degree}
-    closure = [p for p in P if not p.is_zero()]
-    gb = buchberger(closure, **caps)
+    ideal = Ideal(universe, P, pair_budget=pair_budget, max_degree=max_degree)
     current = P
     for m in range(max_iterations):
-        nxt = [lie_derivative(p, field) for p in current]
-        fresh = [p for p in nxt if not p.is_zero()]
-        if all(groebner.normal_form(p, gb).is_zero() for p in fresh):
-            ideal = Ideal.from_groebner_basis(universe, gb, generators=closure, **caps)
-            return PreResult(ideal, m, closure)
-        closure.extend(fresh)
-        gb = buchberger_extend(gb, fresh, **caps)
-        current = nxt
+        current = [lie_derivative(p, field) for p in current]
+        grown = ideal.extend(current)
+        if ideal_equal(grown, ideal):
+            return PreResult(ideal, m)
+        ideal = grown
     raise ResourceLimitError(
         f"precondition chain exceeded {max_iterations} iterations"
     )
@@ -494,9 +475,9 @@ def check_invariant_ideal(ideal: Ideal, field: VectorField) -> bool:
     Checking the reduced basis suffices: the derivative of h*g expands to
     h*L(g) + L(h)*g, both sides staying in the ideal when L(g) does.
     """
-    gb = ideal.reduced_groebner_basis()
     return all(
-        groebner.normal_form(lie_derivative(g, field), gb).is_zero() for g in gb
+        ideal.member(lie_derivative(g, field))
+        for g in ideal.reduced_groebner_basis()
     )
 
 

@@ -350,6 +350,29 @@ def _reduce_int_basis(G, key):
 DEFAULT_PAIR_BUDGET = 200_000
 
 
+def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
+    """Reduced Groebner basis of `seed` (a Groebner basis) together with
+    `gens`; pairs within the seed are skipped, they reduce to zero."""
+    seed = [g for g in seed if not g.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
+    if not seed and not gens:
+        return []
+    universe = (seed or gens)[0].universe
+    for g in seed + gens:
+        if g.universe is not universe:
+            raise ValueError("generators from different symbol universes")
+    key = universe.key
+    G = _buchberger_core(
+        [_gpoly(g) for g in seed],
+        [_gpoly(g) for g in gens],
+        key,
+        pair_budget,
+        max_degree,
+        shuffle,
+    )
+    return [_to_poly(universe, g.terms()) for g in _reduce_int_basis(G, key)]
+
+
 def buchberger(
     gens,
     *,
@@ -363,19 +386,7 @@ def buchberger(
     `random.Random` to randomize pair selection, the reduced result is the
     same either way.  Raises ResourceLimitError when a cap is hit.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    universe = gens[0].universe
-    for g in gens:
-        if g.universe is not universe:
-            raise ValueError("generators from different symbol universes")
-    key = universe.key
-    G = _buchberger_core(
-        [], [_gpoly(g) for g in gens], key, pair_budget, max_degree, shuffle
-    )
-    reduced = _reduce_int_basis(G, key)
-    return [_to_poly(universe, g.terms()) for g in reduced]
+    return _complete([], gens, pair_budget, max_degree, shuffle)
 
 
 def buchberger_extend(
@@ -389,36 +400,12 @@ def buchberger_extend(
 
     Pairs among the seed basis are skipped: they already reduce to zero.
     """
-    new_gens = [g for g in new_gens if not g.is_zero()]
-    gb = list(gb)
-    if not gb:
-        return buchberger(new_gens, pair_budget=pair_budget, max_degree=max_degree)
-    if not new_gens:
-        return list(gb)
-    universe = gb[0].universe
-    key = universe.key
-    seed = [_gpoly(g) for g in gb]
-    G = _buchberger_core(
-        seed,
-        [_gpoly(g) for g in new_gens],
-        key,
-        pair_budget,
-        max_degree,
-        None,
-    )
-    reduced = _reduce_int_basis(G, key)
-    return [_to_poly(universe, g.terms()) for g in reduced]
+    return _complete(gb, new_gens, pair_budget, max_degree)
 
 
 def reduce_basis(G):
     """Monic, auto-reduced form of a Groebner basis (unique per ideal)."""
-    G = [g for g in G if not g.is_zero()]
-    if not G:
-        return []
-    universe = G[0].universe
-    key = universe.key
-    reduced = _reduce_int_basis([_gpoly(g) for g in G], key)
-    return [_to_poly(universe, g.terms()) for g in reduced]
+    return _complete(G, [], DEFAULT_PAIR_BUDGET, None)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +442,18 @@ class Ideal:
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
 
-    @classmethod
-    def from_groebner_basis(cls, universe, gb, generators=None, **caps) -> "Ideal":
-        """Wrap an already reduced Groebner basis, optionally keeping the
-        original generators for display."""
-        ideal = cls(universe, gb if generators is None else generators, **caps)
-        object.__setattr__(ideal, "_gb", tuple(gb))
-        return ideal
+    def extend(self, polys) -> "Ideal":
+        """This ideal with the nonzero `polys` appended to its generators.
+
+        The new basis is completed from this ideal's reduced basis, under
+        the same caps.
+        """
+        polys = [p for p in polys if not p.is_zero()]
+        caps = {"pair_budget": self.pair_budget, "max_degree": self.max_degree}
+        grown = Ideal(self.universe, self.generators + tuple(polys), **caps)
+        gb = buchberger_extend(self.reduced_groebner_basis(), polys, **caps)
+        object.__setattr__(grown, "_gb", tuple(gb))
+        return grown
 
     def reduced_groebner_basis(self):
         gb = self._gb

@@ -103,13 +103,13 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         gb = res.ideal.reduced_groebner_basis()
         report["result"] = {
             "iterations": res.iterations,
-            "derivative_closure": [str(p) for p in res.derivative_closure],
+            "derivative_closure": [str(p) for p in res.ideal.generators],
             "ideal": {
                 "generator_count": len(res.ideal.generators),
                 "reduced_groebner_basis": [str(g) for g in gb],
             },
         }
-        numeric_polys = list(res.derivative_closure)
+        numeric_polys = list(res.ideal.generators)
         numeric_analysis = Precondition(list(gb)).analyze(built.universe, **gb_caps)
     elif spec.query_kind == "check":
         res = check_safety(analysis, built.postcondition, built.field, **caps)

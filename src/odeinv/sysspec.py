@@ -38,6 +38,11 @@ def _require(cond, message):
         raise SpecError(message)
 
 
+def _known_keys(mapping, known, what):
+    unknown = set(mapping) - known
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _list(mapping, key, what):
     """mapping[key] as a list; absent or null is empty."""
     value = mapping.get(key)
@@ -118,8 +123,7 @@ class NumericSpec:
             return cls()
         _require(isinstance(d, dict), "numeric_check must be a mapping")
         known = {"enabled", "samples", "horizon", "step", "tolerance", "points"}
-        unknown = set(d) - known
-        _require(not unknown, f"unknown numeric_check keys: {sorted(unknown)}")
+        _known_keys(d, known, "numeric_check")
         points = d.get("points")
         if points is not None:
             _require(
@@ -153,8 +157,7 @@ class SystemSpec:
             "name", "description", "tier", "variables", "order", "field",
             "precondition", "query", "options", "numeric_check",
         }
-        unknown = set(data) - known
-        _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+        _known_keys(data, known, "top-level")
         self.name = str(data.get("name", "unnamed"))
         self.description = str(data.get("description", ""))
         self.tier = data.get("tier", "quick")
@@ -183,8 +186,7 @@ class SystemSpec:
 
         pre = data.get("precondition") or {}
         _require(isinstance(pre, dict), "precondition must be a mapping")
-        unknown = set(pre) - {"generators", "mode"}
-        _require(not unknown, f"unknown precondition keys: {sorted(unknown)}")
+        _known_keys(pre, {"generators", "mode"}, "precondition")
         self.precondition_generators = [
             str(g) for g in _list(pre, "generators", "precondition generators")
         ]
@@ -203,8 +205,7 @@ class SystemSpec:
 
         options = data.get("options") or {}
         _require(isinstance(options, dict), "options must be a mapping")
-        unknown = set(options) - {"max_iterations", "pair_budget", "max_degree"}
-        _require(not unknown, f"unknown option keys: {sorted(unknown)}")
+        _known_keys(options, {"max_iterations", "pair_budget", "max_degree"}, "option")
         self.max_iterations = _number("max_iterations", options.get("max_iterations", 64))
         self.pair_budget = _number("pair_budget", options.get("pair_budget", 200_000))
         md = options.get("max_degree")
@@ -278,12 +279,10 @@ class BuiltSystem:
         q = spec.query
         if kind == "post":
             _require("template" in q, "post query needs a template")
-            unknown = set(q) - {"kind", "template"}
-            _require(not unknown, f"unknown post query keys: {sorted(unknown)}")
+            _known_keys(q, {"kind", "template"}, "post query")
             self.template = self._build_template(q["template"])
         elif kind in ("pre", "check"):
-            unknown = set(q) - {"kind", "postcondition"}
-            _require(not unknown, f"unknown {kind} query keys: {sorted(unknown)}")
+            _known_keys(q, {"kind", "postcondition"}, f"{kind} query")
             polys = q.get("postcondition")
             _require(
                 isinstance(polys, list) and polys,
@@ -293,8 +292,7 @@ class BuiltSystem:
                 _parse(p, self.universe, "postcondition polynomial") for p in polys
             ]
         elif kind == "invariant":
-            unknown = set(q) - {"kind", "generators"}
-            _require(not unknown, f"unknown invariant query keys: {sorted(unknown)}")
+            _known_keys(q, {"kind", "generators"}, "invariant query")
             gens_q = q.get("generators")
             _require(
                 isinstance(gens_q, list) and gens_q,
@@ -308,10 +306,8 @@ class BuiltSystem:
         _require(isinstance(tspec, dict), "template must be a mapping")
         kind = tspec.get("kind")
         if kind == "complete":
-            unknown = set(tspec) - {
-                "kind", "degree", "variables", "exclude", "auxiliary_monomials",
-            }
-            _require(not unknown, f"unknown template keys: {sorted(unknown)}")
+            known = {"kind", "degree", "variables", "exclude", "auxiliary_monomials"}
+            _known_keys(tspec, known, "template")
             degree = tspec.get("degree")
             _require(
                 isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
@@ -334,8 +330,7 @@ class BuiltSystem:
                 self.universe, tvars, degree, exclude=exclude, auxiliary=auxiliary
             )
         if kind == "explicit":
-            unknown = set(tspec) - {"kind", "parameters", "expression"}
-            _require(not unknown, f"unknown template keys: {sorted(unknown)}")
+            _known_keys(tspec, {"kind", "parameters", "expression"}, "template")
             pnames = tspec.get("parameters")
             _require(
                 isinstance(pnames, list) and pnames,

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -27,6 +29,7 @@ from odeinv import (
     weakest_precondition_via_post,
 )
 from odeinv.algorithms import sample_points, triangular_bindings
+from odeinv.numcheck import verify_from_analysis
 from conftest import same_span
 
 
@@ -135,7 +138,7 @@ def test_pre_example(running):
     q2 = lie_iterate(q, F, 2)
     assert ideal_equal(res.ideal, Ideal(U, [q, q1]))
     assert res.ideal.member(q2)
-    assert list(res.derivative_closure) == [q, q1]
+    assert list(res.ideal.generators) == [q, q1]
 
 
 def test_pre_trivial_cases(running):
@@ -276,6 +279,27 @@ def test_sample_points_are_distinct():
     pts = sample_points(an, built.universe, 25)
     assert len(pts) == 10
     assert len({tuple(sorted((s.name, v) for s, v in p.items())) for p in pts}) == 10
+
+
+def test_sample_points_bind_every_variable_once(running):
+    # no variable is free, so the precondition has exactly one point
+    U, (x, y), (X, Y), F = running
+    an = Precondition([X - 1, Y - 2]).analyze(U)
+    assert sample_points(an, U, 5) == [{x: Fraction(1), y: Fraction(2)}]
+    records, _ = verify_from_analysis(
+        [X * Y - 2], F, an, samples=5, horizon=Fraction(1, 16), step=Fraction(1, 64)
+    )
+    assert len(records) == 1
+
+
+def test_pre_stable_step_adds_no_generator():
+    built = corpus.load("running-pre").build()
+    res = pre(built.postcondition, built.field)
+    pinned = json.loads(
+        (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
+    )["result"]
+    assert [str(g) for g in res.ideal.generators] == pinned["derivative_closure"]
+    assert len(res.ideal.generators) == pinned["ideal"]["generator_count"] == 2
 
 
 def test_post_rebuilds_ideal_after_refinement():

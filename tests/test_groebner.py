@@ -206,6 +206,38 @@ def test_resource_caps_propagate_through_membership(running):
         ideal.member(X)
 
 
+def test_ideal_extend_appends_nonzero_generators(running):
+    U, _, (X, Y), _ = running
+    zero = Polynomial.zero(U)
+    ideal = Ideal(U, [X**2 - Y], pair_budget=50, max_degree=6)
+    grown = ideal.extend([zero, X * Y - 1, zero, Y**2 - X])
+    assert grown.generators == (X**2 - Y, X * Y - 1, Y**2 - X)
+    assert (grown.pair_budget, grown.max_degree) == (50, 6)
+    assert ideal.generators == (X**2 - Y,)
+    assert list(grown.reduced_groebner_basis()) == buchberger(grown.generators)
+    # an extend by nothing new keeps the ideal
+    assert ideal_equal(grown.extend([zero, X * (X * Y - 1)]), grown)
+
+
+def test_ideal_extend_carries_the_pair_budget(running):
+    U, _, (X, Y), _ = running
+    ideal = Ideal(U, [X**2 - Y], pair_budget=0)
+    assert list(ideal.reduced_groebner_basis()) == [X**2 - Y]
+    with pytest.raises(ResourceLimitError):
+        ideal.extend([X * Y - 1])  # the pair (x^2 - y, x*y - 1) must be reduced
+
+
+def test_extend_and_reduce_return_the_reduced_basis(running):
+    U, _, (X, Y), _ = running
+    gb = buchberger([X**2 - Y, X**3 - X])
+    # scaled and with a redundant multiple: a Groebner basis, not reduced
+    loose = [3 * g for g in gb] + [X * gb[0]]
+    assert groebner.buchberger_extend(gb, []) == gb
+    assert groebner.buchberger_extend(loose, []) == gb
+    assert reduce_basis(loose) == gb
+    assert reduce_basis([]) == [] == groebner.buchberger_extend([], [])
+
+
 def test_normal_form_matches_divide():
     rng = random.Random(53)
     from props import rand_poly, small_universe

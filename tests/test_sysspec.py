@@ -123,6 +123,46 @@ def test_validation_errors():
         assert needle.split()[0] in str(err.value)
 
 
+_BASE = {"variables": ["x"], "field": {"x": "x"}}
+_PRE = {"kind": "pre", "postcondition": ["x"]}
+_COMPLETE = {"kind": "complete", "degree": 1}
+_EXPLICIT = {"kind": "explicit", "parameters": ["a"], "expression": "a*x"}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({**_BASE, "query": _PRE, "bogus": 1}, "unknown top-level keys: ['bogus']"),
+        ({**_BASE, "query": _PRE, "numeric_check": {"bogus": 1}},
+         "unknown numeric_check keys: ['bogus']"),
+        ({**_BASE, "query": _PRE, "precondition": {"generators": [], "bogus": 1}},
+         "unknown precondition keys: ['bogus']"),
+        ({**_BASE, "query": _PRE, "options": {"max_degree": 4, "bogus": 1, "also": 2}},
+         "unknown option keys: ['also', 'bogus']"),
+        ({**_BASE, "query": {"kind": "post", "template": _COMPLETE, "bogus": 1}},
+         "unknown post query keys: ['bogus']"),
+        ({**_BASE, "query": {**_PRE, "bogus": 1}}, "unknown pre query keys: ['bogus']"),
+        ({**_BASE, "query": {"kind": "check", "postcondition": ["x"], "bogus": 1}},
+         "unknown check query keys: ['bogus']"),
+        ({**_BASE, "query": {"kind": "invariant", "generators": ["x"], "bogus": 1}},
+         "unknown invariant query keys: ['bogus']"),
+        ({**_BASE, "query": {"kind": "post", "template": {**_COMPLETE, "bogus": 1}}},
+         "unknown template keys: ['bogus']"),
+        ({**_BASE, "query": {"kind": "post", "template": {**_EXPLICIT, "bogus": 1}}},
+         "unknown template keys: ['bogus']"),
+    ],
+    ids=[
+        "top-level", "numeric_check", "precondition", "options", "post-query",
+        "pre-query", "check-query", "invariant-query", "complete-template",
+        "explicit-template",
+    ],
+)
+def test_unknown_keys_are_rejected(spec, message):
+    with pytest.raises(SpecError) as err:
+        SystemSpec.from_text(json.dumps(spec)).build()
+    assert str(err.value) == message
+
+
 def test_grevlex_order_option():
     text = """
 variables: [x, y]
