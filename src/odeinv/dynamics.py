@@ -29,7 +29,7 @@ class TemplateLinearityError(ValueError):
 class VectorField:
     """Drifts f_1..f_N aligned with the state variables of one universe."""
 
-    __slots__ = ("universe", "state_vars", "drifts", "_lie_cache")
+    __slots__ = ("universe", "state_vars", "drifts", "_lie_cache", "_advance")
 
     def __init__(self, universe: SymbolUniverse, drifts):
         drifts = tuple(drifts)
@@ -45,6 +45,8 @@ class VectorField:
         object.__setattr__(self, "state_vars", universe.symbols)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "_lie_cache", {})
+        # the float step numcheck.compile_rk4 builds on first use
+        object.__setattr__(self, "_advance", None)
 
     def __setattr__(self, *_):
         raise AttributeError("VectorField is immutable")

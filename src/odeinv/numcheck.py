@@ -4,6 +4,13 @@ This is a desk-scale cross-check, not a validated integrator: it samples
 rational points on the precondition variety, integrates the field in double
 precision, and flags any reported invariant whose residual leaves a small
 relative band along the trajectory.
+
+The float code is generated: each polynomial, and each field's checked RK4
+step, becomes straight-line Python source, compiled once.  The source
+names state variables `s0, s1, ...` and coefficients `C0, C1, ...` and
+binds the values in its namespace, so no text from a spec reaches
+`compile`.  The interpreted loops it replaces are the reference in
+`tests/oracles.py`, and it matches them float for float.
 """
 
 from __future__ import annotations
@@ -16,69 +23,141 @@ from .poly import Polynomial
 from .sysspec import SpecError
 
 
+ESCAPE_BOUND = 1e60
+STEP_RTOL = 1e-10
+
+
+def _power_sum(p: Polynomial, names, consts: dict) -> str:
+    """Source of a float expression for `p` over the variable expressions
+    `names`, one per exponent position.
+
+    Terms are summed onto a `0.0` seed in the polynomial's term order, and
+    each term multiplies its coefficient by `name**e` left to right, so the
+    result equals a loop of `v = c; v *= x**e; total += v` float for float,
+    `OverflowError` included.  Coefficients become names: `consts` maps
+    each exact coefficient to its name and is shared by every expression of
+    one compile.
+    """
+    parts = ["0.0"]
+    for exps, c in p._terms.items():
+        const = consts.setdefault(c, f"C{len(consts)}")
+        parts.append(
+            "*".join([const] + [f"{names[i]}**{e}" for i, e in enumerate(exps) if e])
+        )
+    return " + ".join(parts)
+
+
+def _compile(name: str, lines, consts: dict, **bound):
+    """Define the function `name` from its source lines.  Every name the
+    source uses is internal; the namespace binds the coefficients, as
+    floats, and `bound`."""
+    namespace = {const: float(c) for c, const in consts.items()}
+    namespace.update(bound)
+    exec(compile("\n".join(lines), f"<odeinv.numcheck {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _evaluator(p: Polynomial, form: str = "{}"):
+    consts: dict = {}
+    states = [f"s{i}" for i in range(len(p.universe))]
+    body = _power_sum(p, [form.format(s) for s in states], consts)
+    return _compile(
+        "evaluate",
+        ["def evaluate(state):", f"    {', '.join(states)}, = state", f"    return {body}"],
+        consts,
+    )
+
+
 def compile_float(p: Polynomial):
     """Compile a polynomial to a float evaluator over a state vector."""
-    terms = [
-        ([(i, e) for i, e in enumerate(exps) if e], float(c))
-        for exps, c in p._terms.items()
-    ]
-
-    def evaluate(state):
-        total = 0.0
-        for powers, c in terms:
-            v = c
-            for i, e in powers:
-                v *= state[i] ** e
-            total += v
-        return total
-
-    return evaluate
+    return _evaluator(p)
 
 
 def compile_abs_float(p: Polynomial):
     """Evaluator of the sum of absolute term magnitudes (scale reference)."""
-    terms = [
-        ([(i, e) for i, e in enumerate(exps) if e], abs(float(c)))
-        for exps, c in p._terms.items()
+    magnitudes = Polynomial(p.universe, {e: abs(c) for e, c in p._terms.items()})
+    return _evaluator(magnitudes, "abs({})")
+
+
+def _rk4_lines(drifts, xs, h: str, tag: str, consts: dict, k0=None):
+    """Source lines of one classical RK4 step of size `h` from the state
+    names `xs`, the names of the new state, and the names of the drifts at
+    `xs`, which `k0` supplies when earlier lines computed them.  The
+    arithmetic is written as `x + 0.5 * h * k` and
+    `x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)`, with each stage's drifts
+    inlined."""
+    n = len(xs)
+    lines, ks, point = [], [], xs
+    for j, shift in enumerate((f"0.5 * {h}", f"0.5 * {h}", h, None)):
+        if j == 0 and k0 is not None:
+            k = k0
+        else:
+            # a zero drift stays the literal 0.0, which compile() folds
+            k = ["0.0" if d.is_zero() else f"{tag}k{j}_{i}" for i, d in enumerate(drifts)]
+            lines += [
+                f"{k[i]} = {_power_sum(d, point, consts)}"
+                for i, d in enumerate(drifts)
+                if not d.is_zero()
+            ]
+        ks.append(k)
+        if shift is not None:
+            point = [f"{tag}y{j}_{i}" for i in range(n)]
+            lines += [f"{point[i]} = {xs[i]} + {shift} * {k[i]}" for i in range(n)]
+    out = [f"{tag}_{i}" for i in range(n)]
+    lines += [
+        f"{out[i]} = {xs[i]} + ({h} / 6.0) * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        for i, (a, b, c, d) in enumerate(zip(*ks))
     ]
-
-    def evaluate(state):
-        total = 0.0
-        for powers, c in terms:
-            v = c
-            for i, e in powers:
-                v *= abs(state[i]) ** e
-            total += v
-        return total
-
-    return evaluate
+    return lines, out, ks[0]
 
 
-def _field_evaluator(field: VectorField):
-    fs = [compile_float(d) for d in field.drifts]
+def compile_rk4(field: VectorField):
+    """The field's checked step `advance(state, h, half)`, compiled once.
 
-    def rhs(state):
-        return [f(state) for f in fs]
-
-    return rhs
-
-
-def rk4_step(rhs, state, h: float):
-    k1 = rhs(state)
-    s2 = [x + 0.5 * h * k for x, k in zip(state, k1)]
-    k2 = rhs(s2)
-    s3 = [x + 0.5 * h * k for x, k in zip(state, k2)]
-    k3 = rhs(s3)
-    s4 = [x + h * k for x, k in zip(state, k3)]
-    k4 = rhs(s4)
-    return [
-        x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    `advance` takes one RK4 step of size `h` and two of size `half` from
+    `state`.  It returns the two-half-step state, or None when a power
+    overflows, when the two results differ by more than
+    STEP_RTOL * (1 + max |fine|) or either is NaN, or when the new state
+    leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  The function is cached on the
+    field, so every start point of a query shares one compile.
+    """
+    if field._advance is not None:
+        return field._advance
+    consts: dict = {}
+    xs = [f"s{i}" for i in range(len(field.drifts))]
+    # the full step and the first half step share the drifts at the start
+    full, full_out, k0 = _rk4_lines(field.drifts, xs, "h", "F", consts)
+    mid, mid_out, _ = _rk4_lines(field.drifts, xs, "half", "M", consts, k0)
+    fine, fine_out, _ = _rk4_lines(field.drifts, mid_out, "half", "N", consts)
+    magnitudes = ", ".join(f"abs({f})" for f in fine_out)
+    if len(fine_out) > 1:
+        magnitudes = f"max({magnitudes})"
+    # a NaN in the fine state fails the doubling test, so the escape test
+    # needs only the bound
+    lines = [
+        "def advance(state, h, half):",
+        f"    {', '.join(xs)}, = state",
+        "    try:",
+        *(f"        {line}" for line in full + mid + fine),
+        "    except OverflowError:",
+        "        return None",
+        f"    tol = STEP_RTOL * (1.0 + {magnitudes})",
+        "    if "
+        + " or ".join(
+            f"{a} != {a} or {b} != {b} or abs({a} - {b}) > tol"
+            for a, b in zip(full_out, fine_out)
+        )
+        + ":",
+        "        return None",
+        "    if " + " or ".join(f"abs({b}) > ESCAPE_BOUND" for b in fine_out) + ":",
+        "        return None",
+        f"    return [{', '.join(fine_out)}]",
     ]
-
-
-ESCAPE_BOUND = 1e60
-STEP_RTOL = 1e-10
+    advance = _compile(
+        "advance", lines, consts, STEP_RTOL=STEP_RTOL, ESCAPE_BOUND=ESCAPE_BOUND
+    )
+    object.__setattr__(field, "_advance", advance)
+    return advance
 
 
 def trajectory(field: VectorField, start, horizon: float, step: float):
@@ -90,30 +169,18 @@ def trajectory(field: VectorField, start, horizon: float, step: float):
     polynomial fields).  Residual checks are meaningful only on the
     portion actually yielded.
     """
-    rhs = _field_evaluator(field)
+    advance = compile_rk4(field)
     state = [float(v) for v in start]
     t = 0.0
     yield t, state
-    n = max(1, round(horizon / step))
+    if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
+        return
     half = step / 2.0
-    for _ in range(n):
-        if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
+    for _ in range(max(1, round(horizon / step))):
+        state = advance(state, step, half)
+        if state is None:
             return
-        try:
-            full = rk4_step(rhs, state, step)
-            fine = rk4_step(rhs, rk4_step(rhs, state, half), half)
-        except OverflowError:
-            return
-        scale = 1.0 + max(abs(v) for v in fine)
-        if any(
-            a != a or b != b or abs(a - b) > STEP_RTOL * scale
-            for a, b in zip(full, fine)
-        ):
-            return
-        state = fine
         t += step
-        if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
-            return
         yield t, state
 
 
@@ -141,31 +208,36 @@ def check_invariants(
     ]
     if not compiled:
         return records
+    m = len(compiled)
     for point in points:
         start = [point[s] for s in universe.symbols]
-        states = list(trajectory(field, start, horizon_f, step_f))
-        for p, ev, scale_ev in compiled:
-            max_residual = 0.0
-            scale = 0.0
-            fail_time = None
-            for t, state in states:
+        # each state is checked as it arrives; an overflow stops only the
+        # polynomial it happened in
+        residual, scale = [0.0] * m, [0.0] * m
+        fail_time, stopped = [None] * m, [False] * m
+        for t, state in trajectory(field, start, horizon_f, step_f):
+            for k, (_, ev, scale_ev) in enumerate(compiled):
+                if stopped[k]:
+                    continue
                 try:
                     r = abs(ev(state))
-                    scale = max(scale, scale_ev(state))
+                    scale[k] = max(scale[k], scale_ev(state))
                 except OverflowError:
-                    break
-                if r > max_residual:
-                    max_residual = r
-                if fail_time is None and r > tolerance * (1.0 + scale):
-                    fail_time = t
+                    stopped[k] = True
+                    continue
+                if r > residual[k]:
+                    residual[k] = r
+                if fail_time[k] is None and r > tolerance * (1.0 + scale[k]):
+                    fail_time[k] = t
+        for k, (p, _, _) in enumerate(compiled):
             records.append(
                 {
                     "polynomial": str(p),
                     "point": {s.name: str(point[s]) for s in universe.symbols},
-                    "passed": fail_time is None,
-                    "max_residual": max_residual,
-                    "scale": scale,
-                    "fail_time": fail_time,
+                    "passed": fail_time[k] is None,
+                    "max_residual": residual[k],
+                    "scale": scale[k],
+                    "fail_time": fail_time[k],
                 }
             )
     return records

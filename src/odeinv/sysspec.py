@@ -142,9 +142,14 @@ class NumericSpec:
         return spec
 
     def override(self, **settings):
-        """Replace samples, horizon, step or tolerance, validated."""
+        """Replace samples, horizon, step or tolerance, validated.  The
+        horizon must be a whole number of steps."""
         for name, value in settings.items():
             setattr(self, name, _number(name, value))
+        _require(
+            (self.horizon / self.step).denominator == 1,
+            f"horizon {self.horizon} is not a whole number of steps of {self.step}",
+        )
 
 
 class SystemSpec:

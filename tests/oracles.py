@@ -7,8 +7,10 @@ restricted reparametrization, a dense `Fraction` Gauss-Jordan RREF instead
 of sparse integer elimination, a kernel from two eliminations instead of
 one, division in the joint parameter-state ring instead of cached monomial
 normal forms, Buchberger's S-polynomial criterion on plain `Polynomial`
-arithmetic instead of the integer engine, and a finite-difference Lie rate
-instead of the symbolic derivative.
+arithmetic instead of the integer engine, a finite-difference Lie rate
+instead of the symbolic derivative, and float evaluators and an RK4
+trajectory that walk the terms on every call instead of the compiled
+straight-line code of `numcheck`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
 from odeinv.dynamics import Template
 from odeinv.linalg import nullspace
-from odeinv.numcheck import _field_evaluator, compile_float, rk4_step
+from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
 from odeinv.poly import as_fraction
 
 
@@ -235,9 +237,9 @@ def lie_rate_estimate(field, p: Polynomial, point, h: float = 1.0 / 1024):
     estimate carries an O(h^4) error and comfortably meets a 1e-6 relative
     comparison against the symbolic rate.
     """
-    rhs = _field_evaluator(field)
+    rhs = field_evaluator(field)
     state = [float(v) for v in point]
-    ev = compile_float(p)
+    ev = float_evaluator(p)
 
     def central(step):
         fwd = rk4_step(rhs, state, step)
@@ -247,3 +249,94 @@ def lie_rate_estimate(field, p: Polynomial, point, h: float = 1.0 / 1024):
     coarse = central(h)
     fine = central(h / 2.0)
     return (4.0 * fine - coarse) / 3.0
+
+
+def float_evaluator(p: Polynomial):
+    """Float evaluator of `p` that walks its terms on every call."""
+    terms = [
+        ([(i, e) for i, e in enumerate(exps) if e], float(c))
+        for exps, c in p._terms.items()
+    ]
+
+    def evaluate(state):
+        total = 0.0
+        for powers, c in terms:
+            v = c
+            for i, e in powers:
+                v *= state[i] ** e
+            total += v
+        return total
+
+    return evaluate
+
+
+def abs_float_evaluator(p: Polynomial):
+    """Float evaluator of the sum of absolute term magnitudes of `p`."""
+    terms = [
+        ([(i, e) for i, e in enumerate(exps) if e], abs(float(c)))
+        for exps, c in p._terms.items()
+    ]
+
+    def evaluate(state):
+        total = 0.0
+        for powers, c in terms:
+            v = c
+            for i, e in powers:
+                v *= abs(state[i]) ** e
+            total += v
+        return total
+
+    return evaluate
+
+
+def field_evaluator(field):
+    fs = [float_evaluator(d) for d in field.drifts]
+
+    def rhs(state):
+        return [f(state) for f in fs]
+
+    return rhs
+
+
+def rk4_step(rhs, state, h: float):
+    k1 = rhs(state)
+    s2 = [x + 0.5 * h * k for x, k in zip(state, k1)]
+    k2 = rhs(s2)
+    s3 = [x + 0.5 * h * k for x, k in zip(state, k2)]
+    k3 = rhs(s3)
+    s4 = [x + h * k for x, k in zip(state, k3)]
+    k4 = rhs(s4)
+    return [
+        x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
+
+
+def oracle_trajectory(field, start, horizon: float, step: float):
+    """`numcheck.trajectory` as a loop over interpreted RK4 steps: the same
+    step doubling, overflow and escape stops, checked in the same order."""
+    rhs = field_evaluator(field)
+    state = [float(v) for v in start]
+    t = 0.0
+    yield t, state
+    n = max(1, round(horizon / step))
+    half = step / 2.0
+    for _ in range(n):
+        if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
+            return
+        try:
+            full = rk4_step(rhs, state, step)
+            fine = rk4_step(rhs, rk4_step(rhs, state, half), half)
+        except OverflowError:
+            return
+        scale = 1.0 + max(abs(v) for v in fine)
+        if any(
+            a != a or b != b or abs(a - b) > STEP_RTOL * scale
+            for a, b in zip(full, fine)
+        ):
+            return
+        state = fine
+        t += step
+        if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
+            return
+        yield t, state

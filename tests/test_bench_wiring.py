@@ -2,7 +2,8 @@
 
 `bench/tracing.py` patches odeinv functions and methods by name; a rename
 or a call path that no longer passes through a traced function would make
-a per-layer metric read 0.  This runs one traced kepler query in process.
+a per-layer metric read 0.  This runs traced kepler and quick-mix queries in
+process.
 """
 
 import importlib.util
@@ -21,17 +22,31 @@ def _load_tracing():
     return module
 
 
-def test_traced_kepler_run_reaches_every_mapped_layer():
+def _unwired(workload, names, **run_options):
+    """Layers mapped to `workload` that a traced run of the corpus entries
+    `names` leaves without a call, apart from algorithms.chain_trace, which
+    run.py counts from the reports, not from a span."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     patches = tracing.Patches(tracer)
-    built = corpus.load("kepler").build()
     patches.on()
     try:
-        report.run(built, numeric=False)
+        for name in names:
+            report.run(corpus.load(name).build(), **run_options)
     finally:
         patches.off()
     _, calls = tracing.layer_metrics(tracer, 1, Counter(), 1.0)
-    # run.py counts algorithms.chain_trace from the reports, not from a span
-    unwired = tracing.unwired(calls, "kepler")
-    assert [u for u in unwired if "(source algorithms.chain_trace)" not in u] == []
+    unwired = tracing.unwired(calls, workload)
+    return [u for u in unwired if "(source algorithms.chain_trace)" not in u]
+
+
+def test_traced_kepler_run_reaches_every_mapped_layer():
+    assert _unwired("kepler", ["kepler"], numeric=False) == []
+
+
+def test_traced_quick_mix_run_reaches_every_mapped_layer():
+    # the numeric check runs as bundled, so every numcheck.* metric needs
+    # check_invariants to call the module-level trajectory
+    quick = corpus.entry_names("quick")
+    assert len(quick) == 7
+    assert _unwired("quick-mix", quick) == []

@@ -1,7 +1,139 @@
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
-from odeinv import Polynomial, Precondition, numcheck
-from odeinv.numcheck import check_invariants, trajectory, verify_from_analysis
+import pytest
+
+from odeinv import Polynomial, Precondition, Symbol, SymbolUniverse, VectorField
+from odeinv import corpus, lie_derivative, numcheck
+from odeinv.numcheck import (
+    check_invariants,
+    compile_abs_float,
+    compile_float,
+    trajectory,
+    verify_from_analysis,
+)
+from odeinv.sysspec import SystemSpec
+from oracles import abs_float_evaluator, float_evaluator, oracle_trajectory
+
+
+def _same(a: float, b: float) -> bool:
+    """Float for float: NaN equals NaN, and -0.0 differs from 0.0."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _outcome(evaluate, state):
+    try:
+        return evaluate(state)
+    except OverflowError:
+        return OverflowError
+
+
+def _same_outcome(a, b) -> bool:
+    if a is OverflowError or b is OverflowError:
+        return a is b
+    return _same(a, b)
+
+
+def _assert_matches_oracle(field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5)):
+    """Trajectories equal the oracle's state for state, and the compiled
+    evaluators of `polys` equal the interpreted ones on every state."""
+    evaluators = [
+        (compile_float(p), float_evaluator(p), compile_abs_float(p), abs_float_evaluator(p))
+        for p in polys
+    ]
+    overflows = 0
+    for step in steps:
+        for start in starts:
+            got = list(trajectory(field, start, 1.0, step))
+            want = list(oracle_trajectory(field, start, 1.0, step))
+            assert len(got) == len(want), (start, step)
+            for (t, state), (t0, state0) in zip(got, want):
+                assert _same(t, t0)
+                assert len(state) == len(state0)
+                assert all(map(_same, state, state0)), (start, step, t)
+                for compiled in evaluators:
+                    a, b, c, d = (_outcome(ev, state) for ev in compiled)
+                    assert _same_outcome(a, b) and _same_outcome(c, d), (start, step, t)
+                    overflows += a is OverflowError
+    return overflows
+
+
+def _corpus_fields():
+    seen = {}
+    for name in corpus.entry_names():
+        spec = corpus.load(name)
+        key = (tuple(spec.variables), tuple(sorted(spec.field.items())))
+        seen.setdefault(key, spec.build().field)
+    return list(seen.values())
+
+
+# start values from -3 to 1e3; the larger ones blow up within the horizon
+START_POOL = tuple(
+    Fraction(v) for v in ("-3", "-1", "-1/2", "0", "1/3", "1/2", "1", "2", "3", "10", "1000")
+)
+
+
+def test_compiled_trajectory_matches_the_oracle():
+    rng = random.Random(9)
+    overflows = 0
+    for field in _corpus_fields():
+        n = len(field.drifts)
+        starts = [[rng.choice(START_POOL) for _ in range(n)] for _ in range(4)]
+        starts.append([Fraction(0)] * n)
+        polys = list(field.drifts)
+        polys += [lie_derivative(d, field) for d in field.drifts if not d.is_zero()]
+        # x^200 overflows once |x| > 35 and not below
+        x = Polynomial.variable(field.universe, field.state_vars[0])
+        polys.append(x**200 * Fraction(1, 3))
+        overflows += _assert_matches_oracle(field, starts, polys)
+    # the compiled evaluators met an overflow, and agreed with the oracle on it
+    assert overflows > 0
+
+
+def test_spec_names_never_reach_the_compiled_source():
+    # each of these names would shadow or break code generated from them
+    names = ["abs", "state", "h", "s0", "C0"]
+    spec = SystemSpec(
+        {
+            "variables": names,
+            "field": {
+                "abs": "-state", "state": "abs", "h": "3/7*s0*C0 - h",
+                "s0": "-C0 + abs*h", "C0": "s0 - 2/3*state^2",
+            },
+            "query": {"kind": "invariant", "generators": ["abs^2 + state^2 - 1"]},
+        }
+    )
+    built = spec.build()
+    field = built.field
+    X = {s.name: Polynomial.variable(field.universe, s) for s in field.universe.symbols}
+    residual = X["abs"] * X["abs"] + X["state"] * X["state"] - 1
+    starts = [[Fraction(1), Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2)]]
+    _assert_matches_oracle(field, starts, [residual, *field.drifts])
+    records = check_invariants([residual], field, [dict(zip(field.universe.symbols, starts[0]))])
+    assert records[0]["passed"] and records[0]["max_residual"] < 1e-9
+
+
+def test_residual_check_keeps_no_trajectory():
+    # x' = -y, y' = x stays on the unit circle: 16,384 steps, none truncated
+    x, y = Symbol("x"), Symbol("y")
+    U = SymbolUniverse([x, y])
+    X, Y = Polynomial.variable(U, x), Polynomial.variable(U, y)
+    F = VectorField(U, [-Y, X])
+    point = {x: Fraction(1), y: Fraction(0)}
+    horizon, step = Fraction(64), Fraction(1, 256)
+    assert len(list(trajectory(F, [1, 0], float(horizon), float(step)))) == 16385
+    tracemalloc.start()
+    try:
+        records = check_invariants([X * X + Y * Y - 1], F, [point], horizon, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records[0]["passed"]
+    assert peak < 1_000_000
 
 
 def test_ghost_invariant_within_band(ghost):
@@ -98,8 +230,6 @@ def test_verify_with_user_supplied_points(ghost):
     )
     assert note is None
     assert len(records) == 1 and records[0]["passed"]
-    import pytest
-
     with pytest.raises(ValueError):
         verify_from_analysis(
             [invariant], F, analysis,

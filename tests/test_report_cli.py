@@ -165,6 +165,9 @@ def test_run_rejects_malformed_cap_override():
         pytest.param("numeric_check", "tolerance", "inf", id="tolerance-inf-string"),
         pytest.param("numeric_check", "points", [{"x": float("inf"), "y": 1}], id="point-inf"),
         pytest.param("numeric_check", "points", [{"x": float("nan"), "y": 1}], id="point-nan"),
+        # the horizon must be a whole number of steps (1/256 by default)
+        pytest.param("numeric_check", "step", "2/5", id="step-not-dividing-horizon"),
+        pytest.param("numeric_check", "horizon", "1/1000000", id="horizon-below-one-step"),
         ("options", "max_iterations", "x"),
         ("options", "pair_budget", "x"),
         ("options", "max_degree", "x"),
@@ -216,6 +219,8 @@ def test_cli_point_off_computed_ideal_is_input_error(tmp_path, capsys, name, gen
         pytest.param("--samples", "0", id="samples-zero"),
         pytest.param("--tolerance", "-1", id="tolerance-negative"),
         pytest.param("--tolerance", "inf", id="tolerance-inf"),
+        pytest.param("--step", "2/5", id="step-not-dividing-horizon"),
+        pytest.param("--horizon", "1/1000000", id="horizon-below-one-step"),
     ],
 )
 def test_cli_bad_numeric_literal_is_input_error(flag, value):
