@@ -276,7 +276,7 @@ def post(
         analysis = precondition
     else:
         analysis = precondition.analyze(universe, **caps)
-    reducer = GroebnerReducer(analysis.basis, universe)
+    reducer = GroebnerReducer(analysis.basis)
     n = len(template.params)
 
     rows = template.reduce_by(reducer).forms()

@@ -218,29 +218,114 @@ def normal_form(p: Polynomial, divisors) -> Polynomial:
     return Polynomial(p.universe, {e: Fraction(c * den, num) for e, c in rem})
 
 
-class GroebnerReducer:
-    """Cached normal forms of state monomials against a reduced GB.
+_ONE = Fraction(1)
+# The normal form of every monomial in the ideal: most of a chain's
+# normal forms vanish, and they share this one map.
+_ZERO: dict = {}
 
-    Normal forms with respect to a Groebner basis are linear in the
-    dividend, so reducing a template monomial-by-monomial equals dividing
-    the whole template.  The basis is converted to engine form once, and a
-    monomial, being content-free already, goes to the kernel as it is.
+
+class GroebnerReducer:
+    """Cached normal forms of state monomials against a Groebner basis.
+
+    `basis` must be a Groebner basis (every caller passes a reduced one):
+    only then is the normal form unique and linear in the dividend, which
+    both the monomial-by-monomial reduction of a template and the recurrence
+    below rely on.  The basis is converted to engine form once.
+
+    A monomial m that no leading monomial divides is its own normal form.
+    Otherwise NF(m) = NF(x_i * NF(m / x_i)) for a variable x_i of m, the
+    multiplication step of FGLM (Faugere, Gianni, Lazard, Mora 1993), so a
+    normal form is built from smaller ones already in the cache.  When
+    m / x_i is standard, one division step by the first divisor whose lead
+    divides m takes its place.  Every monomial this reaches is smaller than
+    m, and every normal form computed on the way is cached.
     """
 
-    __slots__ = ("_key", "_divisors", "_cache")
+    __slots__ = ("_divisors", "_cache")
 
-    def __init__(self, basis, universe: SymbolUniverse):
-        self._key = universe.key
+    def __init__(self, basis):
         self._divisors = [_gpoly(d) for d in basis if not d.is_zero()]
         self._cache: dict = {}
 
     def monomial_terms(self, exps) -> dict:
+        """NF(x^exps) as {exps: Fraction}, to be read, not changed."""
         cached = self._cache.get(exps)
         if cached is None:
-            rem, scale = _nf_int([(exps, 1)], self._divisors, self._key)
-            cached = {e: Fraction(c, scale) for e, c in rem}
-            self._cache[exps] = cached
+            cached = self._reduce(exps)
         return cached
+
+    def _divisor_of(self, exps):
+        for d in self._divisors:
+            if all(map(le, d.lead_exps, exps)):
+                return d
+        return None
+
+    def _reduce(self, target) -> dict:
+        """Fill the cache up to `target` with an explicit stack: a monomial
+        is popped once the normal forms it is built from are cached."""
+        cache = self._cache
+        quotients: dict = {}  # monomial -> (variable index, m / x_i) or None
+        stack = [target]
+        while stack:
+            m = stack[-1]
+            if m in cache:
+                stack.pop()
+                continue
+            d = self._divisor_of(m)
+            if d is None:
+                cache[m] = {m: _ONE}
+                stack.pop()
+                continue
+            if m not in quotients:
+                quotients[m] = self._quotient(m)
+            split = quotients[m]
+            if split is not None:
+                i, q = split
+                nq = cache.get(q)
+                if nq is None:
+                    stack.append(q)
+                    continue
+            if split is None or q in nq:
+                # m / x_i is standard (or m is 1): m = shift * lead(d), so
+                # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
+                shift = tuple(map(sub, m, d.lead_exps))
+                lc = d.lead_coeff
+                parts = [
+                    (tuple(map(add, te, shift)), Fraction(-tc, lc)) for te, tc in d.tail
+                ]
+            else:
+                parts = []
+                for t, c in nq.items():
+                    t = list(t)
+                    t[i] += 1
+                    parts.append((tuple(t), c))
+            missing = [p for p, _ in parts if p not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc: dict = {}
+            for p, c in parts:
+                for e, v in cache[p].items():
+                    prev = acc.get(e)
+                    acc[e] = c * v if prev is None else prev + c * v
+            cache[m] = {e: v for e, v in acc.items() if v} or _ZERO
+            stack.pop()
+        return cache[target]
+
+    def _quotient(self, m):
+        """(i, m / x_i) for the variable to strip from m, or None when m is
+        1.  An i whose quotient is cached already wins, scanning from the
+        last variable; else the last variable of m."""
+        cache = self._cache
+        last = None
+        for i in range(len(m) - 1, -1, -1):
+            if m[i]:
+                q = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                if q in cache:
+                    return i, q
+                if last is None:
+                    last = i, q
+        return last
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .algorithms import PreconditionAnalysis, sample_points
 from .dynamics import VectorField
+from .groebner import ResourceLimitError
 from .poly import Polynomial
-from .sysspec import SpecError
+from .sysspec import MAX_RK4_STEPS, SpecError
 
 
 ESCAPE_BOUND = 1e60
@@ -57,26 +58,25 @@ def _compile(name: str, lines, consts: dict, **bound):
     return namespace[name]
 
 
-def _evaluator(p: Polynomial, form: str = "{}"):
+def compile_check(p: Polynomial):
+    """Compile `p` to `evaluate(state) -> (value, magnitude)`: its float
+    value and the sum of its absolute term magnitudes, the scale its
+    residual is judged against.  The value is summed first, and an
+    `OverflowError` in either sum propagates."""
     consts: dict = {}
     states = [f"s{i}" for i in range(len(p.universe))]
-    body = _power_sum(p, [form.format(s) for s in states], consts)
+    magnitudes = Polynomial(p.universe, {e: abs(c) for e, c in p._terms.items()})
+    value = _power_sum(p, states, consts)
+    magnitude = _power_sum(magnitudes, [f"abs({s})" for s in states], consts)
     return _compile(
         "evaluate",
-        ["def evaluate(state):", f"    {', '.join(states)}, = state", f"    return {body}"],
+        [
+            "def evaluate(state):",
+            f"    {', '.join(states)}, = state",
+            f"    return {value}, {magnitude}",
+        ],
         consts,
     )
-
-
-def compile_float(p: Polynomial):
-    """Compile a polynomial to a float evaluator over a state vector."""
-    return _evaluator(p)
-
-
-def compile_abs_float(p: Polynomial):
-    """Evaluator of the sum of absolute term magnitudes (scale reference)."""
-    magnitudes = Polynomial(p.universe, {e: abs(c) for e, c in p._terms.items()})
-    return _evaluator(magnitudes, "abs({})")
 
 
 def _rk4_lines(drifts, xs, h: str, tag: str, consts: dict, k0=None):
@@ -198,14 +198,17 @@ def check_invariants(
     The acceptance band is tolerance * (1 + s) where s is the running
     maximum of the sum of absolute term magnitudes, i.e. a relative
     tolerance against the polynomial's own scale along the trajectory.
+    More than MAX_RK4_STEPS steps raise ResourceLimitError up front.
     """
+    if horizon / step > MAX_RK4_STEPS:
+        raise ResourceLimitError(
+            f"horizon {horizon} takes more than {MAX_RK4_STEPS} RK4 steps of {step}"
+        )
     universe = field.universe
     records = []
     horizon_f = float(horizon)
     step_f = float(step)
-    compiled = [
-        (p, compile_float(p), compile_abs_float(p)) for p in polys if not p.is_zero()
-    ]
+    compiled = [(p, compile_check(p)) for p in polys if not p.is_zero()]
     if not compiled:
         return records
     m = len(compiled)
@@ -216,20 +219,21 @@ def check_invariants(
         residual, scale = [0.0] * m, [0.0] * m
         fail_time, stopped = [None] * m, [False] * m
         for t, state in trajectory(field, start, horizon_f, step_f):
-            for k, (_, ev, scale_ev) in enumerate(compiled):
+            for k, (_, evaluate) in enumerate(compiled):
                 if stopped[k]:
                     continue
                 try:
-                    r = abs(ev(state))
-                    scale[k] = max(scale[k], scale_ev(state))
+                    value, magnitude = evaluate(state)
                 except OverflowError:
                     stopped[k] = True
                     continue
+                r = abs(value)
+                scale[k] = max(scale[k], magnitude)
                 if r > residual[k]:
                     residual[k] = r
                 if fail_time[k] is None and r > tolerance * (1.0 + scale[k]):
                     fail_time[k] = t
-        for k, (p, _, _) in enumerate(compiled):
+        for k, (p, _) in enumerate(compiled):
             records.append(
                 {
                     "polynomial": str(p),

@@ -15,6 +15,7 @@ import yaml
 
 from .algorithms import MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
+from .groebner import ResourceLimitError
 from .parser import ParseError, parse_polynomial
 from .poly import (
     BlockElim,
@@ -74,6 +75,13 @@ _NUMBERS = {
     "step": (Fraction, 0, True),
     "tolerance": (float, 0, True),
 }
+
+
+# Most RK4 steps the numeric harness takes per trajectory; a horizon of
+# more steps is a resource blow-up, refused when the spec is read.  Not a
+# setting.  `numcheck` imports it from here, so that reading a spec does
+# not import the harness.
+MAX_RK4_STEPS = 1 << 20
 
 
 def _number(name, value):
@@ -143,13 +151,20 @@ class NumericSpec:
 
     def override(self, **settings):
         """Replace samples, horizon, step or tolerance, validated.  The
-        horizon must be a whole number of steps."""
+        horizon must be a whole number of steps, and at most MAX_RK4_STEPS
+        of them (else ResourceLimitError)."""
         for name, value in settings.items():
             setattr(self, name, _number(name, value))
+        steps = self.horizon / self.step
         _require(
-            (self.horizon / self.step).denominator == 1,
+            steps.denominator == 1,
             f"horizon {self.horizon} is not a whole number of steps of {self.step}",
         )
+        if steps > MAX_RK4_STEPS:
+            raise ResourceLimitError(
+                f"horizon {self.horizon} takes {steps} RK4 steps of {self.step}, "
+                f"over the cap of {MAX_RK4_STEPS}"
+            )
 
 
 class SystemSpec:

@@ -6,10 +6,11 @@ gets another way: linear forms and ambient-space refinement instead of
 restricted reparametrization, a dense `Fraction` Gauss-Jordan RREF instead
 of sparse integer elimination, a kernel from two eliminations instead of
 one, division in the joint parameter-state ring instead of cached monomial
-normal forms, Buchberger's S-polynomial criterion on plain `Polynomial`
-arithmetic instead of the integer engine, a finite-difference Lie rate
-instead of the symbolic derivative, and float evaluators and an RK4
-trajectory that walk the terms on every call instead of the compiled
+normal forms, each monomial divided from scratch instead of multiplied up
+from smaller normal forms, Buchberger's S-polynomial criterion on plain
+`Polynomial` arithmetic instead of the integer engine, a finite-difference
+Lie rate instead of the symbolic derivative, and float evaluators and an
+RK4 trajectory that walk the terms on every call instead of the compiled
 straight-line code of `numcheck`.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
+from odeinv import groebner
 from odeinv.dynamics import Template
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
@@ -203,6 +205,18 @@ def template_remainder_via_division(
     ]
     rem = divide(joint_polynomial(template, joint), lifted).remainder
     return Template.from_joint_polynomial(rem, len(template.params), state_universe)
+
+
+def monomial_normal_form(basis, universe: SymbolUniverse):
+    """NF(x^exps) as {exps: Fraction}, each monomial divided from scratch
+    by one integer engine reduction, with no memo between monomials."""
+    divisors = [groebner._gpoly(d) for d in basis if not d.is_zero()]
+
+    def nf(exps) -> dict:
+        rem, scale = groebner._nf_int([(exps, 1)], divisors, universe.key)
+        return {e: Fraction(c, scale) for e, c in rem}
+
+    return nf
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

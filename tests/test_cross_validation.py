@@ -41,7 +41,7 @@ def naive_post(gens, template, field, max_iter=12):
     def space(i):
         forms = []
         for j in range(i + 1):
-            forms.extend(zero_constraints(derivs[j].reduce_by(GroebnerReducer(basis, U))))
+            forms.extend(zero_constraints(derivs[j].reduce_by(GroebnerReducer(basis))))
         return solve_homogeneous(forms, template.params)
 
     def ideal(i, v):

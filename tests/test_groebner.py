@@ -22,10 +22,11 @@ from odeinv import (
     normal_form,
     reduce_basis,
 )
-from odeinv import corpus, groebner
+from odeinv import algorithms, corpus, groebner
 from odeinv.groebner import GroebnerReducer
 from odeinv.poly import GrevLex, Lex
-from oracles import is_groebner_basis
+from odeinv.report import run
+from oracles import is_groebner_basis, monomial_normal_form
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -257,7 +258,7 @@ def test_normal_form_matches_divide():
 
 def _assert_reducer_matches_normal_form(basis, universe, variables):
     """Every monomial of a degree-4 template reduces as `normal_form` does."""
-    reducer = GroebnerReducer(basis, universe)
+    reducer = GroebnerReducer(basis)
     for m in monomials_up_to_degree(universe, variables, 4):
         nf = normal_form(Polynomial(universe, {m.exps: Fraction(1)}), basis)
         assert reducer.monomial_terms(m.exps) == nf._terms
@@ -304,8 +305,85 @@ def test_reducer_converts_its_basis_once(running, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(groebner, "_gpoly", counted)
-    reducer = GroebnerReducer(basis, U)
+    reducer = GroebnerReducer(basis)
     template = complete_template(U, U.symbols, 3).lie(F)
     template.reduce_by(reducer)
     assert len(reducer._cache) > len(basis)
     assert converted == list(basis)
+
+
+def _kepler_and_airplane_bases():
+    out = []
+    for name, names in (
+        ("kepler", ("GM", "a", "ecc", "r", "u", "dA")),
+        ("airplane-vertical", ("u", "w", "x", "q", "th", "c", "s")),
+    ):
+        built = corpus.load(name).build()
+        U = built.universe
+        basis = built.precondition.analyze(U).basis
+        out.append((basis, U, [U.by_name(n) for n in names]))
+    return out
+
+
+def _small_bases():
+    """A grevlex basis, one under a block elimination order, the empty
+    basis and the unit ideal <1>, each with the variables to enumerate."""
+    x, y, z = (Symbol(n) for n in ("x", "y", "z"))
+    U = SymbolUniverse([x, y, z], GrevLex())
+    X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
+    grevlex = buchberger([X * X - 2 * Y * Z + 1, 3 * X * Y - Z * Z, Y**3 - X])
+    a = Symbol("a", Symbol.PARAM)
+    E = SymbolUniverse([a, x, y], BlockElim(Lex()))
+    A, EX, EY = (Polynomial.variable(E, s) for s in (a, x, y))
+    block = buchberger([A * EX - EY, EX * EX - 2 * A, EY * EY * EX - A - 3])
+    unit = [Polynomial.constant(U, 1)]
+    return [
+        (grevlex, U, U.symbols),
+        (block, E, E.symbols),
+        ([], U, U.symbols),
+        (unit, U, U.symbols),
+    ]
+
+
+def test_reducer_equals_the_from_scratch_oracle_up_to_degree_8():
+    cases = _kepler_and_airplane_bases() + _small_bases()
+    assert [len(basis) for basis, _, _ in cases][-2:] == [0, 1]
+    for basis, U, variables in cases:
+        monomials = [m.exps for m in monomials_up_to_degree(U, variables, 8)]
+        assert (0,) * len(U) in monomials
+        oracle = monomial_normal_form(basis, U)
+        want = [oracle(m) for m in monomials]
+        cold = GroebnerReducer(basis)
+        assert [cold.monomial_terms(m) for m in monomials] == want
+        if not basis:
+            # every monomial is standard: no intermediate entries
+            assert len(cold._cache) == len(monomials)
+        # warmed from the other end, the memo holds other intermediates
+        warm = GroebnerReducer(basis)
+        for m in reversed(monomials):
+            warm.monomial_terms(m)
+        assert [warm.monomial_terms(m) for m in monomials] == want
+
+
+def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
+    """The memo of a kepler query holds at most 1.5 times the distinct
+    monomials asked for: the choice of variable to strip decides how many
+    intermediates it keeps."""
+    reducers, requested = [], set()
+
+    class Recording(GroebnerReducer):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            reducers.append(self)
+
+        def monomial_terms(self, exps):
+            requested.add(exps)
+            return super().monomial_terms(exps)
+
+    monkeypatch.setattr(algorithms, "GroebnerReducer", Recording)
+    run(corpus.load("kepler").build(), numeric=False)
+    assert len(reducers) == 1
+    assert len(requested) > 2000
+    assert len(reducers[0]._cache) <= 1.5 * len(requested)

@@ -5,12 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from odeinv import Polynomial, Precondition, Symbol, SymbolUniverse, VectorField
+from odeinv import (
+    Polynomial,
+    Precondition,
+    ResourceLimitError,
+    Symbol,
+    SymbolUniverse,
+    VectorField,
+)
 from odeinv import corpus, lie_derivative, numcheck
 from odeinv.numcheck import (
+    MAX_RK4_STEPS,
     check_invariants,
-    compile_abs_float,
-    compile_float,
+    compile_check,
     trajectory,
     verify_from_analysis,
 )
@@ -25,26 +32,31 @@ def _same(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def _outcome(evaluate, state):
-    try:
-        return evaluate(state)
-    except OverflowError:
-        return OverflowError
-
-
 def _same_outcome(a, b) -> bool:
     if a is OverflowError or b is OverflowError:
         return a is b
     return _same(a, b)
 
 
+def _oracle_check(p: Polynomial):
+    """(value, magnitude) of `p` from the interpreted evaluators, value
+    first, so an overflow in either sum raises."""
+    value, magnitude = float_evaluator(p), abs_float_evaluator(p)
+    return lambda state: (value(state), magnitude(state))
+
+
+def _check_outcome(evaluate, state):
+    try:
+        return evaluate(state)
+    except OverflowError:
+        return OverflowError, OverflowError
+
+
 def _assert_matches_oracle(field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5)):
     """Trajectories equal the oracle's state for state, and the compiled
-    evaluators of `polys` equal the interpreted ones on every state."""
-    evaluators = [
-        (compile_float(p), float_evaluator(p), compile_abs_float(p), abs_float_evaluator(p))
-        for p in polys
-    ]
+    (value, magnitude) evaluator of each of `polys` equals the interpreted
+    pair on every state."""
+    evaluators = [(compile_check(p), _oracle_check(p)) for p in polys]
     overflows = 0
     for step in steps:
         for start in starts:
@@ -55,8 +67,9 @@ def _assert_matches_oracle(field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5
                 assert _same(t, t0)
                 assert len(state) == len(state0)
                 assert all(map(_same, state, state0)), (start, step, t)
-                for compiled in evaluators:
-                    a, b, c, d = (_outcome(ev, state) for ev in compiled)
+                for compiled, oracle in evaluators:
+                    a, c = _check_outcome(compiled, state)
+                    b, d = _check_outcome(oracle, state)
                     assert _same_outcome(a, b) and _same_outcome(c, d), (start, step, t)
                     overflows += a is OverflowError
     return overflows
@@ -178,6 +191,34 @@ def test_one_integration_per_start_point(running, monkeypatch):
     assert keyed(records) == keyed(alone)
     assert len(keyed(records)) == len(polys) * len(points)
     assert not all(r["passed"] for r in records)
+
+
+def test_one_compile_per_checked_polynomial(running, monkeypatch):
+    U, (x, y), (X, Y), _ = running
+    # a fresh field, so its RK4 step is compiled here too, once
+    F = VectorField(U, [Y * Y, X * Y])
+    polys = [X * X - X * Y, X - 2 * Y, Polynomial.zero(U)]
+    points = [{x: Fraction(1), y: Fraction(1)}, {x: Fraction(1, 2), y: Fraction(1, 2)}]
+    compiled = []
+    real = numcheck._compile
+
+    def counted(name, *args, **kwargs):
+        compiled.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "_compile", counted)
+    check_invariants(polys, F, points)
+    assert sorted(compiled) == ["advance", "evaluate", "evaluate"]
+
+
+def test_check_invariants_refuses_more_than_the_step_cap(running):
+    U, (x, y), (X, Y), F = running
+    point = {x: Fraction(1), y: Fraction(1)}
+    with pytest.raises(ResourceLimitError, match="RK4 steps"):
+        check_invariants([X - Y], F, [point], horizon=Fraction(10**8), step=Fraction(1, 256))
+    horizon = Fraction(MAX_RK4_STEPS + 1, 256)
+    with pytest.raises(ResourceLimitError):
+        check_invariants([X - Y], F, [point], horizon=float(horizon), step=1.0 / 256)
 
 
 def test_corrupted_invariant_fails(running):

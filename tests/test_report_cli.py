@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import yaml
@@ -120,6 +121,16 @@ def test_cli_verify_numeric_huge_sample_count_finishes(capsys):
     spec = _corpus_path("running-post")
     assert main(["verify-numeric", spec, "--samples", "100000000000"]) == 0
     assert "numeric cross-check: passed" in capsys.readouterr().out
+
+
+def test_cli_rk4_step_cap_exits_4_before_integrating(capsys):
+    # 1e8 checked steps would run for minutes; the cap refuses them at once
+    started = time.perf_counter()
+    code = main(["verify-numeric", _corpus_path("running-post"), "--step", "1/100000000"])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "RK4 steps" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_resource_cap_exit_code():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from odeinv import SpecError, SystemSpec
+from odeinv import ResourceLimitError, SpecError, SystemSpec
+from odeinv.numcheck import MAX_RK4_STEPS
 from odeinv.report import run
+from odeinv.sysspec import NumericSpec
 
 
 RUNNING_YAML = """
@@ -209,3 +211,19 @@ def test_numeric_block_defaults():
     assert not spec.numeric.enabled
     spec2 = SystemSpec.from_text(RUNNING_YAML + "\nnumeric_check:\n  samples: 2\n")
     assert spec2.numeric.enabled and spec2.numeric.samples == 2
+
+
+def test_rk4_step_count_is_capped_on_load_and_in_override():
+    # exactly the cap is accepted; one step more is a resource blow-up
+    at_cap = NumericSpec.from_dict({"horizon": 4, "step": f"4/{MAX_RK4_STEPS}"})
+    assert at_cap.horizon / at_cap.step == MAX_RK4_STEPS
+    with pytest.raises(ResourceLimitError, match="RK4 steps"):
+        NumericSpec.from_dict({"horizon": 4, "step": f"4/{MAX_RK4_STEPS + 1}"})
+    with pytest.raises(ResourceLimitError, match="RK4 steps"):
+        SystemSpec.from_text(RUNNING_YAML + "\nnumeric_check:\n  step: 1/100000000\n")
+    spec = NumericSpec()
+    with pytest.raises(ResourceLimitError, match="RK4 steps"):
+        spec.override(horizon=MAX_RK4_STEPS, step="1/2")
+    # a horizon that is no whole number of steps stays an input error
+    with pytest.raises(SpecError, match="whole number"):
+        NumericSpec().override(horizon=f"{2 * MAX_RK4_STEPS + 1}/2", step=1)
