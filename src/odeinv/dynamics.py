@@ -5,11 +5,17 @@ linear forms in a disjoint parameter tuple.  Monomial keys live in the state
 universe only; parameters never enter monomials, which keeps templates linear
 by construction and lets the precondition basis reduce templates one state
 monomial at a time.
+
+The chains use only spans, so a template holds integer forms over one
+denominator: `lie`, `reduce_by` and `compose` run on integers, carry their
+scale in the denominator, and every instance divides by it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .groebner import GroebnerReducer
 from .linalg import Subspace
@@ -29,7 +35,8 @@ class TemplateLinearityError(ValueError):
 class VectorField:
     """Drifts f_1..f_N aligned with the state variables of one universe."""
 
-    __slots__ = ("universe", "state_vars", "drifts", "_lie_cache", "_advance")
+    __slots__ = ("universe", "state_vars", "drifts", "denominator", "_scaled", "_lie_cache",
+                 "_advance")
 
     def __init__(self, universe: SymbolUniverse, drifts):
         drifts = tuple(drifts)
@@ -41,9 +48,15 @@ class VectorField:
         for d in drifts:
             if d.universe is not universe:
                 raise ValueError("drift from a different symbol universe")
+        den = lcm(*(c.denominator for d in drifts for c in d._terms.values()))
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "state_vars", universe.symbols)
         object.__setattr__(self, "drifts", drifts)
+        object.__setattr__(self, "denominator", den)
+        # D = the lcm of the coefficients' denominators; the integer terms of D * f_i
+        object.__setattr__(self, "_scaled", tuple(
+            [(e, c.numerator * (den // c.denominator)) for e, c in d._terms.items()] for d in drifts
+        ))
         object.__setattr__(self, "_lie_cache", {})
         # the float step numcheck.compile_rk4 builds on first use
         object.__setattr__(self, "_advance", None)
@@ -52,7 +65,7 @@ class VectorField:
         raise AttributeError("VectorField is immutable")
 
     def lie_monomial(self, exps) -> dict:
-        """Term map of the Lie derivative of a single monomial (cached).
+        """Integer term map of D * L(x^exps), D = `denominator` (cached).
 
         Cancelled terms stay as zeros; every consumer ends in a constructor,
         which drops them.
@@ -64,13 +77,10 @@ class VectorField:
         for i, e in enumerate(exps):
             if not e:
                 continue
-            drift = self.drifts[i]
-            if drift.is_zero():
-                continue
             base = list(exps)
             base[i] = e - 1
-            for de, dc in drift._terms.items():
-                ne = tuple(a + b for a, b in zip(base, de))
+            for de, dc in self._scaled[i]:
+                ne = tuple(map(add, base, de))
                 acc = total.get(ne)
                 total[ne] = e * dc if acc is None else acc + e * dc
         self._lie_cache[exps] = total
@@ -87,6 +97,7 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
         raise ValueError("polynomial and field use different universes")
     acc: dict = {}
     for exps, c in p._terms.items():
+        c /= field.denominator
         for ne, dc in field.lie_monomial(exps).items():
             v = acc.get(ne)
             acc[ne] = c * dc if v is None else v + c * dc
@@ -105,21 +116,28 @@ def lie_iterate(p: Polynomial, field: VectorField, j: int) -> Polynomial:
 class Template:
     """A polynomial with parameter-linear coefficients.
 
-    Stored as {state exponent tuple: {parameter index: Fraction}}; the
-    constructor drops zero coefficients and empty forms.
+    Stored as integer forms {state exponent tuple: {parameter index: int}}
+    over one positive `denominator`, in lowest terms: equal values, equal forms.
     """
 
-    __slots__ = ("universe", "params", "_terms")
+    __slots__ = ("universe", "params", "_terms", "denominator")
 
-    def __init__(self, universe: SymbolUniverse, params, terms: dict):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "params", tuple(params))
+    def __init__(self, universe: SymbolUniverse, params, terms: dict, denominator: int = 1):
+        """Integer forms `terms` over a positive `denominator`, in lowest terms."""
+        g = denominator
         clean = {}
         for exps, form in terms.items():
-            form = {k: v for k, v in form.items() if v != 0}
+            form = {k: v for k, v in form.items() if v}
             if form:
                 clean[exps] = form
+                if g != 1:
+                    g = gcd(g, *form.values())
+        if g != 1:
+            clean = {e: {k: v // g for k, v in form.items()} for e, form in clean.items()}
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "denominator", denominator // g)
 
     def __setattr__(self, *_):
         raise AttributeError("Template is immutable")
@@ -128,17 +146,18 @@ class Template:
 
     @classmethod
     def from_instances(cls, universe, params, polys) -> "Template":
-        """Sum of param_k * poly_k."""
+        """Sum of param_k * poly_k, over the lcm of all their denominators."""
         polys = list(polys)
         if len(polys) != len(params):
             raise ValueError("one polynomial per parameter required")
+        den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
         terms: dict = {}
         for k, p in enumerate(polys):
             if p.universe is not universe:
                 raise ValueError("instance from a different universe")
             for exps, c in p._terms.items():
-                terms.setdefault(exps, {})[k] = c
-        return cls(universe, params, terms)
+                terms.setdefault(exps, {})[k] = c.numerator * (den // c.denominator)
+        return cls(universe, params, terms, den)
 
     # -- views ------------------------------------------------------------
 
@@ -146,9 +165,9 @@ class Template:
         return not self._terms
 
     def forms(self):
-        """Parameter forms as sparse rows {parameter index: coefficient},
-        one per monomial: the template vanishes exactly where all do.  The
-        rows are the template's own dicts, to be read, not changed."""
+        """Parameter forms as sparse integer rows {parameter index: int}, one
+        per monomial: the template vanishes exactly where all do.  The rows
+        are the template's own dicts, to be read, not changed."""
         return list(self._terms.values())
 
     # -- operations ---------------------------------------------------------
@@ -162,7 +181,7 @@ class Template:
         if len(v) != len(self.params):
             raise ValueError("valuation length does not match parameter count")
         terms = {
-            exps: sum((coeff * v[k] for k, coeff in form.items()), Fraction(0))
+            exps: sum((coeff * v[k] for k, coeff in form.items()), Fraction(0)) / self.denominator
             for exps, form in self._terms.items()
         }
         return Polynomial(self.universe, terms)
@@ -173,15 +192,15 @@ class Template:
         cols: list = [dict() for _ in range(n)]
         for exps, form in self._terms.items():
             for k, c in form.items():
-                cols[k][exps] = c
+                cols[k][exps] = Fraction(c, self.denominator)
         return [Polynomial(self.universe, col) for col in cols]
 
-    def _map_monomials(self, image) -> "Template":
-        """Apply the linear map sending each state monomial `exps` to the
-        term map `image(exps)`, with parameter forms carried along."""
+    def _map_monomials(self, images, denominator: int) -> "Template":
+        """Apply the linear map sending the i-th state monomial to the i-th
+        integer term map of `images`, over `denominator` more."""
         terms: dict = {}
-        for exps, form in self._terms.items():
-            for ne, dc in image(exps).items():
+        for form, image in zip(self._terms.values(), images):
+            for ne, dc in image.items():
                 dst = terms.get(ne)
                 if dst is None:
                     dst = {}
@@ -189,26 +208,26 @@ class Template:
                 for k, v in form.items():
                     acc = dst.get(k)
                     dst[k] = v * dc if acc is None else acc + v * dc
-        return Template(self.universe, self.params, terms)
+        return Template(self.universe, self.params, terms, self.denominator * denominator)
 
     def lie(self, field: VectorField) -> "Template":
         """Lie derivative with linear expressions treated as constants."""
         if field.universe is not self.universe:
             raise ValueError("template and field use different universes")
-        return self._map_monomials(field.lie_monomial)
+        return self._map_monomials(map(field.lie_monomial, self._terms), field.denominator)
 
-    def compose(self, rows, new_params) -> "Template":
-        """Reparametrize by valuations v = y . rows.
+    def compose(self, rows, new_params, denominator: int = 1) -> "Template":
+        """Reparametrize by valuations v = y . rows / denominator.
 
-        Each new parameter y_k stands for the sparse row rows[k] =
-        {old parameter j: coordinate}, so new coefficient k = sum_j form[j] *
-        rows[k][j].  The rows are indexed by column once, so the work follows
-        their nonzeros.
+        Each new parameter y_k stands for the sparse row rows[k] / denominator,
+        rows[k] = {old parameter j: rational}.  The rows are cleared by one lcm
+        and indexed by column once, so the work follows their nonzeros.
         """
+        den = lcm(*(r.denominator for row in rows for r in row.values()))
         cols: dict = {}
         for k, row in enumerate(rows):
             for j, r in row.items():
-                cols.setdefault(j, []).append((k, r))
+                cols.setdefault(j, []).append((k, r.numerator * (den // r.denominator)))
         terms: dict = {}
         for exps, form in self._terms.items():
             dst: dict = {}
@@ -217,11 +236,15 @@ class Template:
                     acc = dst.get(k)
                     dst[k] = v * r if acc is None else acc + v * r
             terms[exps] = dst
-        return Template(self.universe, new_params, terms)
+        return Template(self.universe, new_params, terms, self.denominator * den * denominator)
 
     def reduce_by(self, reducer: GroebnerReducer) -> "Template":
         """Remainder template modulo the reducer's Groebner basis."""
-        return self._map_monomials(reducer.monomial_terms)
+        parts = [reducer.monomial_terms(e) for e in self._terms]
+        scale = lcm(*(s for _, s in parts))
+        images = (nf if s == scale else {e: v * (scale // s) for e, v in nf.items()}
+                  for nf, s in parts)
+        return self._map_monomials(images, scale)
 
     @classmethod
     def from_joint_polynomial(
@@ -229,6 +252,7 @@ class Template:
     ) -> "Template":
         """Split a parameter-linear polynomial back into a template."""
         params = p.universe.symbols[:nparams]
+        den = lcm(*(c.denominator for c in p._terms.values()))
         terms: dict = {}
         for exps, c in p._terms.items():
             ppart, spart = exps[:nparams], exps[nparams:]
@@ -238,14 +262,15 @@ class Template:
                     f"{sum(ppart)}; templates must be parameter-linear"
                 )
             k = ppart.index(1)
-            terms.setdefault(spart, {})[k] = c
-        return cls(state_universe, params, terms)
+            terms.setdefault(spart, {})[k] = c.numerator * (den // c.denominator)
+        return cls(state_universe, params, terms, den)
 
     def __eq__(self, other):
         return (
             isinstance(other, Template)
             and self.universe is other.universe
             and self.params == other.params
+            and self.denominator == other.denominator
             and self._terms == other._terms
         )
 
@@ -291,7 +316,7 @@ def complete_template(
     exps -= {m.exps for m in exclude}
     ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
     params = fresh_parameters(len(ordered), prefix)
-    return Template(universe, params, {e: {k: Fraction(1)} for k, e in enumerate(ordered)})
+    return Template(universe, params, {e: {k: 1} for k, e in enumerate(ordered)})
 
 
 def linear_combination_template(polys, prefix: str = "a") -> Template:
@@ -315,8 +340,7 @@ def result_template(
     if space.ambient_dim != len(template.params):
         raise ValueError("subspace ambient dimension must match parameter count")
     params = fresh_parameters(space.dim, prefix)
-    rows = [
-        {j: Fraction(v, row[col]) for j, v in row.items()}
-        for col, row in zip(space.pivots, space.rows)
-    ]
-    return template.compose(rows, params)
+    pivots = [row[col] for col, row in zip(space.pivots, space.rows)]
+    scale = lcm(*pivots)  # the rows over one denominator
+    rows = [{j: v * (scale // p) for j, v in row.items()} for p, row in zip(pivots, space.rows)]
+    return template.compose(rows, params, scale)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 from .poly import BlockElim, Lex, Polynomial, Symbol, SymbolUniverse, primitive_integers
@@ -218,10 +218,8 @@ def normal_form(p: Polynomial, divisors) -> Polynomial:
     return Polynomial(p.universe, {e: Fraction(c * den, num) for e, c in rem})
 
 
-_ONE = Fraction(1)
-# The normal form of every monomial in the ideal: most of a chain's
-# normal forms vanish, and they share this one map.
-_ZERO: dict = {}
+# NF of every monomial in the ideal, shared: most of a chain's vanish.
+_ZERO = ({}, 1)
 
 
 class GroebnerReducer:
@@ -239,6 +237,9 @@ class GroebnerReducer:
     m / x_i is standard, one division step by the first divisor whose lead
     divides m takes its place.  Every monomial this reaches is smaller than
     m, and every normal form computed on the way is cached.
+
+    A normal form is integer numerators over a positive scale, in lowest
+    terms; the recurrence takes the lcm of its parts' scales.
     """
 
     __slots__ = ("_divisors", "_cache")
@@ -247,8 +248,8 @@ class GroebnerReducer:
         self._divisors = [_gpoly(d) for d in basis if not d.is_zero()]
         self._cache: dict = {}
 
-    def monomial_terms(self, exps) -> dict:
-        """NF(x^exps) as {exps: Fraction}, to be read, not changed."""
+    def monomial_terms(self, exps):
+        """NF(x^exps) as ({exps: int numerator}, scale), to be read only."""
         cached = self._cache.get(exps)
         if cached is None:
             cached = self._reduce(exps)
@@ -273,7 +274,7 @@ class GroebnerReducer:
                 continue
             d = self._divisor_of(m)
             if d is None:
-                cache[m] = {m: _ONE}
+                cache[m] = ({m: 1}, 1)
                 stack.pop()
                 continue
             if m not in quotients:
@@ -285,17 +286,17 @@ class GroebnerReducer:
                 if nq is None:
                     stack.append(q)
                     continue
-            if split is None or q in nq:
+            # NF(m) = (1/base) sum c * NF(p) over the parts (p, c)
+            if split is None or q in nq[0]:
                 # m / x_i is standard (or m is 1): m = shift * lead(d), so
                 # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
                 shift = tuple(map(sub, m, d.lead_exps))
-                lc = d.lead_coeff
-                parts = [
-                    (tuple(map(add, te, shift)), Fraction(-tc, lc)) for te, tc in d.tail
-                ]
+                base = d.lead_coeff
+                parts = [(tuple(map(add, te, shift)), -tc) for te, tc in d.tail]
             else:
+                nums, base = nq
                 parts = []
-                for t, c in nq.items():
+                for t, c in nums.items():
                     t = list(t)
                     t[i] += 1
                     parts.append((tuple(t), c))
@@ -303,12 +304,17 @@ class GroebnerReducer:
             if missing:
                 stack.extend(missing)
                 continue
+            scale = lcm(*(cache[p][1] for p, _ in parts))
             acc: dict = {}
             for p, c in parts:
-                for e, v in cache[p].items():
+                nums, s = cache[p]
+                c *= scale // s
+                for e, v in nums.items():
                     prev = acc.get(e)
                     acc[e] = c * v if prev is None else prev + c * v
-            cache[m] = {e: v for e, v in acc.items() if v} or _ZERO
+            acc = {e: v for e, v in acc.items() if v}
+            g = gcd(scale * base, *acc.values())
+            cache[m] = ({e: v // g for e, v in acc.items()}, scale * base // g) if acc else _ZERO
             stack.pop()
         return cache[target]
 

@@ -2,8 +2,8 @@
 
 Polynomials are immutable values: a symbol universe fixes the variables and
 the active monomial order once, and every arithmetic operation returns a new
-canonical polynomial.  Coefficients are `fractions.Fraction` throughout, so
-all identities used by the ideal-theoretic layers hold exactly.
+canonical polynomial with exact `fractions.Fraction` coefficients.  The Groebner
+engine, linear algebra and templates run on integers over one scale instead.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ data are expression strings in the grammar of `parser`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
+from math import comb, isfinite
 
 import yaml
 
@@ -82,6 +82,9 @@ _NUMBERS = {
 # setting.  `numcheck` imports it from here, so that reading a spec does
 # not import the harness.
 MAX_RK4_STEPS = 1 << 20
+
+# Most parameters a complete template may ask for.  Not a setting.
+MAX_TEMPLATE_PARAMETERS = 1 << 16
 
 
 def _number(name, value):
@@ -346,6 +349,13 @@ class BuiltSystem:
                 _parse_monomial(text, self.universe, "excluded monomial")
                 for text in _list(tspec, "exclude", "excluded monomials")
             ]
+            # the monomials up to `degree`, and m and m*v per auxiliary m
+            wanted = comb(len(tvars) + degree, degree) + len(auxiliary) * (1 + len(tvars))
+            if wanted > MAX_TEMPLATE_PARAMETERS:
+                raise ResourceLimitError(
+                    f"template asks for {wanted} parameters, "
+                    f"over the cap of {MAX_TEMPLATE_PARAMETERS}"
+                )
             return complete_template(
                 self.universe, tvars, degree, exclude=exclude, auxiliary=auxiliary
             )

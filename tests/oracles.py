@@ -7,7 +7,9 @@ restricted reparametrization, a dense `Fraction` Gauss-Jordan RREF instead
 of sparse integer elimination, a kernel from two eliminations instead of
 one, division in the joint parameter-state ring instead of cached monomial
 normal forms, each monomial divided from scratch instead of multiplied up
-from smaller normal forms, Buchberger's S-polynomial criterion on plain
+from smaller normal forms, template Lie derivatives, remainders and
+reparametrizations on `Fraction` forms instead of integer forms over one
+denominator, Buchberger's S-polynomial criterion on plain
 `Polynomial` arithmetic instead of the integer engine, a finite-difference
 Lie rate instead of the symbolic derivative, and float evaluators and an
 RK4 trajectory that walk the terms on every call instead of the compiled
@@ -17,8 +19,9 @@ straight-line code of `numcheck`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from odeinv import BlockElim, Polynomial, Subspace, SymbolUniverse, divide
+from odeinv import BlockElim, Polynomial, Subspace, Symbol, SymbolUniverse, divide
 from odeinv import groebner
 from odeinv.dynamics import Template
 from odeinv.linalg import nullspace
@@ -181,7 +184,7 @@ def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
         for k, c in form.items():
             unit = [0] * np
             unit[k] = 1
-            terms[tuple(unit) + exps] = c
+            terms[tuple(unit) + exps] = Fraction(c, template.denominator)
     return Polynomial(joint, terms)
 
 
@@ -217,6 +220,81 @@ def monomial_normal_form(basis, universe: SymbolUniverse):
         return {e: Fraction(c, scale) for e, c in rem}
 
     return nf
+
+
+def rational_template(universe, params, terms: dict) -> Template:
+    """The template of rational forms {exps: {parameter index: rational}},
+    over the lcm of their denominators."""
+    den = lcm(*(v.denominator for form in terms.values() for v in form.values()))
+    return Template(universe, params, {
+        e: {k: v.numerator * (den // v.denominator) for k, v in form.items()}
+        for e, form in terms.items()
+    }, den)
+
+
+def rational_forms(template: Template) -> dict:
+    """The template's forms as {exps: {parameter index: Fraction}}."""
+    den = template.denominator
+    return {
+        e: {k: Fraction(v, den) for k, v in form.items()}
+        for e, form in template._terms.items()
+    }
+
+
+def _map_monomials(template: Template, image) -> Template:
+    """Apply the linear map sending each state monomial `exps` to the
+    rational term map `image(exps)`, with the forms carried along on
+    Fractions."""
+    terms: dict = {}
+    for exps, form in rational_forms(template).items():
+        for ne, dc in image(exps).items():
+            dst = terms.setdefault(ne, {})
+            for k, v in form.items():
+                dst[k] = dst.get(k, Fraction(0)) + v * dc
+    return rational_template(template.universe, template.params, terms)
+
+
+def lie_monomial(field, exps) -> dict:
+    """The Lie derivative of one monomial as {exps: Fraction}, read off
+    the rational drifts."""
+    total: dict = {}
+    for i, e in enumerate(exps):
+        if e:
+            base = list(exps)
+            base[i] = e - 1
+            for de, dc in field.drifts[i]._terms.items():
+                ne = tuple(a + b for a, b in zip(base, de))
+                total[ne] = total.get(ne, Fraction(0)) + e * dc
+    return total
+
+
+def template_lie(template: Template, field) -> Template:
+    return _map_monomials(template, lambda exps: lie_monomial(field, exps))
+
+
+def template_reduce_by(template: Template, basis) -> Template:
+    return _map_monomials(template, monomial_normal_form(basis, template.universe))
+
+
+def template_compose(template: Template, rows, new_params) -> Template:
+    """New coefficient k = sum_j form[j] * rows[k][j], on Fractions."""
+    terms = {}
+    for exps, form in rational_forms(template).items():
+        terms[exps] = {
+            k: sum((v * row.get(j, 0) for j, v in form.items()), Fraction(0))
+            for k, row in enumerate(rows)
+        }
+    return rational_template(template.universe, new_params, terms)
+
+
+def template_result(template: Template, space: Subspace, prefix: str = "b") -> Template:
+    """The result template from the canonical RREF rows as `Fraction` rows."""
+    rows = [
+        {j: Fraction(v, row[col]) for j, v in row.items()}
+        for col, row in zip(space.pivots, space.rows)
+    ]
+    params = tuple(Symbol(f"{prefix}{i + 1}", Symbol.PARAM) for i in range(space.dim))
+    return template_compose(template, rows, params)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

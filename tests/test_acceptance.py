@@ -211,6 +211,24 @@ def test_stress_tier_collision_avoidance_degree_3():
     _report("stress tier: collision-avoidance at template degree 3", started, 60.0)
 
 
+@pytest.mark.extended
+def test_stress_tier_airplane_vertical_degree_3():
+    # airplane-vertical at template degree 3 must keep the report digest
+    # taken before templates moved to integer forms over one denominator
+    started = time.perf_counter()
+    spec_file = resources.files("odeinv") / "corpus" / "airplane-vertical.yaml"
+    data = yaml.safe_load(spec_file.read_text(encoding="utf-8"))
+    data["query"]["template"]["degree"] = 3
+    data["numeric_check"]["enabled"] = False
+    report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
+    assert report.exit_code == 0
+    blob = json.dumps(report.comparable(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        "6afbb393b0cb8cfa1540cb711e3aceb50728c5bb74594b3db5b6b0fcc12cb2fd"
+    )
+    _report("stress tier: airplane-vertical at template degree 3", started, 120.0)
+
+
 def test_criterion_8_property_suites():
     started = time.perf_counter()
     run_division_contract(500)

@@ -29,6 +29,7 @@ from odeinv import (
     weakest_precondition_via_post,
 )
 from odeinv.algorithms import sample_points, triangular_bindings
+from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
 from conftest import same_span
 
@@ -331,3 +332,24 @@ def test_post_rebuilds_ideal_after_refinement():
         "r*u - 1",
         "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
     ]
+
+
+@pytest.mark.parametrize("name", ["running-post", "ghost-post", "kepler"])
+def test_time_and_template_scaling_keep_both_chains(name):
+    """F -> (3/7)F scales L^j by (3/7)^j, and T -> (-5/2)T scales every
+    instance: neither moves a span, so neither moves V or J."""
+    built = corpus.load(name).build()
+    U, F, T = built.universe, built.field, built.template
+    slow = VectorField(U, [d * Fraction(3, 7) for d in F.drifts])
+    assert slow.denominator == 7 * F.denominator
+    scaled = Template.from_instances(
+        U, T.params, [p * Fraction(-5, 2) for p in T.unit_instances()]
+    )
+    assert scaled.denominator == 2 * T.denominator
+    want = post(built.precondition, T, F)
+    for template, field in ((T, slow), (scaled, F)):
+        got = post(built.precondition, template, field)
+        assert got.iterations == want.iterations
+        assert [e["dim"] for e in got.trace] == [e["dim"] for e in want.trace]
+        assert got.space.rows == want.space.rows
+        assert got.ideal.reduced_groebner_basis() == want.ideal.reduced_groebner_basis()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from odeinv import (
     Symbol,
     SymbolUniverse,
     VectorField,
+    buchberger,
     complete_template,
     lie_derivative,
     lie_iterate,
@@ -16,14 +18,20 @@ from odeinv import (
     result_template,
 )
 from odeinv.dynamics import GroebnerReducer, Template, TemplateLinearityError, fresh_parameters
-from odeinv.poly import GrevLex
+from odeinv.linalg import nullspace
+from odeinv.poly import GrevLex, monomials_up_to_degree
 from oracles import (
     dense_basis,
     joint_polynomial,
     lie_rate_estimate,
+    rational_template,
     solve_homogeneous,
     sparse,
+    template_compose,
+    template_lie,
+    template_reduce_by,
     template_remainder_via_division,
+    template_result,
     zero_constraints,
 )
 from conftest import in_span, same_span
@@ -117,7 +125,7 @@ def test_compose_matches_instantiating_the_combined_row(running):
     values = (1, -2, 3, Fraction(1, 2), Fraction(-4, 3))
     for _ in range(60):
         n = rng.randint(1, 6)
-        t = Template(U, fresh_parameters(n), {
+        t = rational_template(U, fresh_parameters(n), {
             e: {k: rng.choice(values) for k in rng.sample(range(n), rng.randint(1, n))}
             for e in rng.sample(monomials, rng.randint(0, len(monomials)))
         })
@@ -129,6 +137,55 @@ def test_compose_matches_instantiating_the_combined_row(running):
         y = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
         v = [sum((yk * row.get(j, 0) for yk, row in zip(y, rows)), Fraction(0)) for j in range(n)]
         assert t.compose(rows, fresh_parameters(m, "y")).instantiate(y) == t.instantiate(v)
+
+
+def _same_template(fast, slow):
+    """Equal values, in lowest terms, with equal instances."""
+    assert fast == slow
+    assert fast.denominator > 0
+    assert gcd(fast.denominator, *(v for f in fast.forms() for v in f.values())) == 1
+    assert fast.unit_instances() == slow.unit_instances()
+
+
+def test_projective_template_ops_equal_the_fraction_oracle():
+    # integer forms over one denominator give exactly the instances of the
+    # Fraction oracles: rational template coefficients, drifts whose
+    # denominators clear to D > 1, and bases with rational coefficients
+    rng = random.Random(103)
+    values = (1, -2, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(5, 6))
+    fields_with_d, rational_bases, scaled = 0, 0, 0
+    for _ in range(30):
+        U, F = rand_field(rng, max_vars=2)
+        fields_with_d += F.denominator > 1
+        monomials = [m.exps for m in monomials_up_to_degree(U, U.symbols, 2)]
+        n = rng.randint(1, 5)
+        t = rational_template(U, fresh_parameters(n), {
+            e: {k: rng.choice(values) for k in rng.sample(range(n), rng.randint(1, n))}
+            for e in rng.sample(monomials, rng.randint(1, len(monomials)))
+        })
+        gens = [rand_poly(rng, U, 4, 2) for _ in range(rng.randint(1, 2))]
+        gens = [p for p in gens if len(p._terms) > 1]
+        basis = buchberger(gens, max_degree=8) if gens else []
+        rational_bases += any(c.denominator > 1 for g in basis for c in g._terms.values())
+        reducer = GroebnerReducer(basis)
+        for _ in range(3):
+            rem = t.reduce_by(reducer)
+            _same_template(rem, template_reduce_by(t, basis))
+            scaled += rem.denominator > 1
+            kernel = nullspace(rem.forms(), n)
+            ys = fresh_parameters(len(kernel), "y")
+            _same_template(t.compose(kernel, ys), template_compose(t, kernel, ys))
+            space = Subspace.from_rows(kernel, n)
+            _same_template(result_template(t, space), template_result(t, space))
+            d = rng.randint(1, 6)
+            rows = [{j: rng.choice(values) for j in rng.sample(range(n), rng.randint(0, n))}]
+            divided = [{j: Fraction(v) / d for j, v in rows[0].items()}]
+            ys = fresh_parameters(1, "y")
+            _same_template(t.compose(rows, ys, d), template_compose(t, divided, ys))
+            derived = t.lie(F)
+            _same_template(derived, template_lie(t, F))
+            t = derived
+    assert fields_with_d > 10 and rational_bases > 10 and scaled > 10
 
 
 def test_template_remainder_examples(running):

@@ -133,6 +133,57 @@ def test_cli_rk4_step_cap_exits_4_before_integrating(capsys):
     assert elapsed < 1.0
 
 
+def test_cli_template_parameter_cap_exits_4_before_enumerating(tmp_path, capsys):
+    # a degree-50 template over 18 variables would enumerate about 1.3e16
+    # monomials; the cap refuses it from a binomial coefficient
+    data = yaml.safe_load(open(_corpus_path("collision-avoidance"), encoding="utf-8"))
+    data["query"]["template"]["degree"] = 50
+    spec = tmp_path / "huge.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec)])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "over the cap of 65536" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+RATIONAL_LIE_YAML = """
+name: rational-lie
+variables: [x, y]
+field:
+  x: "1/2*y"
+  y: "-1/3*x"
+precondition:
+  generators: ["x - 1"]
+query:
+  kind: post
+  template:
+    kind: complete
+    degree: 2
+numeric_check:
+  enabled: false
+"""
+
+
+def test_cli_lie_on_a_rational_field(tmp_path, capsys):
+    # the template's drift denominators (lcm 6) are cleared for the
+    # derivation and divided out again in every printed instance
+    spec = tmp_path / "rational.yaml"
+    spec.write_text(RATIONAL_LIE_YAML, encoding="utf-8")
+    assert main(["lie", str(spec), "--steps", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "template:\n"
+        "  L^0: a1*(1) + a2*(y) + a3*(x) + a4*(y^2) + a5*(x*y) + a6*(x^2)\n"
+        "  L^1: a2*(-1/3*x) + a3*(1/2*y) + a4*(-2/3*x*y) + a5*(-1/3*x^2 + 1/2*y^2)"
+        " + a6*(x*y)\n"
+        "  L^2: a2*(-1/6*y) + a3*(-1/6*x) + a4*(2/9*x^2 - 1/3*y^2) + a5*(-2/3*x*y)"
+        " + a6*(-1/3*x^2 + 1/2*y^2)\n"
+        "  L^3: a2*(1/18*x) + a3*(-1/12*y) + a4*(4/9*x*y) + a5*(2/9*x^2 - 1/3*y^2)"
+        " + a6*(-2/3*x*y)\n"
+    )
+
+
 def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4

@@ -1,8 +1,10 @@
 import json
+from importlib import resources
 
 import pytest
+import yaml
 
-from odeinv import ResourceLimitError, SpecError, SystemSpec
+from odeinv import ResourceLimitError, SpecError, SystemSpec, sysspec
 from odeinv.numcheck import MAX_RK4_STEPS
 from odeinv.report import run
 from odeinv.sysspec import NumericSpec
@@ -227,3 +229,23 @@ def test_rk4_step_count_is_capped_on_load_and_in_override():
     # a horizon that is no whole number of steps stays an input error
     with pytest.raises(SpecError, match="whole number"):
         NumericSpec().override(horizon=f"{2 * MAX_RK4_STEPS + 1}/2", step=1)
+
+
+def test_template_parameter_count_is_capped_before_enumerating(monkeypatch):
+    # degree 50 over collision-avoidance's 18 variables asks for
+    # comb(68, 18), about 1.3e16 monomials: refused when the spec is built
+    data = yaml.safe_load(
+        (resources.files("odeinv") / "corpus" / "collision-avoidance.yaml").read_text()
+    )
+    data["query"]["template"]["degree"] = 50
+    with pytest.raises(ResourceLimitError, match="12736262814039336 parameters"):
+        SystemSpec.from_text(json.dumps(data)).build()
+    data["query"]["template"]["degree"] = 4
+    assert len(SystemSpec.from_text(json.dumps(data)).build().template.params) == 7315
+    # each auxiliary monomial m adds m and m*v for the 2 variables
+    monkeypatch.setattr(sysspec, "MAX_TEMPLATE_PARAMETERS", 6)
+    assert len(SystemSpec.from_text(RUNNING_YAML).build().template.params) == 6
+    with pytest.raises(ResourceLimitError, match="9 parameters"):
+        SystemSpec.from_text(
+            RUNNING_YAML + "    auxiliary_monomials: [\"x^3\"]\n"
+        ).build()
