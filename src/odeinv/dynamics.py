@@ -190,9 +190,11 @@ class Template:
         """Instantiations at the standard basis of the parameter space."""
         n = len(self.params)
         cols: list = [dict() for _ in range(n)]
+        den = self.denominator
         for exps, form in self._terms.items():
             for k, c in form.items():
-                cols[k][exps] = Fraction(c, self.denominator)
+                # Fraction(c) of an int takes no gcd
+                cols[k][exps] = Fraction(c) if den == 1 else Fraction(c, den)
         return [Polynomial(self.universe, col) for col in cols]
 
     def _map_monomials(self, images, denominator: int) -> "Template":

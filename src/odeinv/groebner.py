@@ -225,9 +225,9 @@ _ZERO = ({}, 1)
 class GroebnerReducer:
     """Cached normal forms of state monomials against a Groebner basis.
 
-    `basis` must be a Groebner basis (every caller passes a reduced one):
-    only then is the normal form unique and linear in the dividend, which
-    both the monomial-by-monomial reduction of a template and the recurrence
+    `basis` must be a Groebner basis, reduced or not: only then is the
+    normal form unique and linear in the dividend, which the monomial-by-
+    monomial reduction of a template or a polynomial and the recurrence
     below rely on.  The basis is converted to engine form once.
 
     A monomial m that no leading monomial divides is its own normal form.
@@ -265,21 +265,22 @@ class GroebnerReducer:
         """Fill the cache up to `target` with an explicit stack: a monomial
         is popped once the normal forms it is built from are cached."""
         cache = self._cache
-        quotients: dict = {}  # monomial -> (variable index, m / x_i) or None
+        pending: dict = {}  # monomial -> (divisor, _quotient of it)
         stack = [target]
         while stack:
             m = stack[-1]
             if m in cache:
                 stack.pop()
                 continue
-            d = self._divisor_of(m)
-            if d is None:
-                cache[m] = ({m: 1}, 1)
-                stack.pop()
-                continue
-            if m not in quotients:
-                quotients[m] = self._quotient(m)
-            split = quotients[m]
+            entry = pending.get(m)
+            if entry is None:
+                d = self._divisor_of(m)
+                if d is None:
+                    cache[m] = ({m: 1}, 1)
+                    stack.pop()
+                    continue
+                entry = pending[m] = d, self._quotient(m)
+            d, split = entry
             if split is not None:
                 i, q = split
                 nq = cache.get(q)
@@ -304,19 +305,33 @@ class GroebnerReducer:
             if missing:
                 stack.extend(missing)
                 continue
-            scale = lcm(*(cache[p][1] for p, _ in parts))
-            acc: dict = {}
-            for p, c in parts:
-                nums, s = cache[p]
-                c *= scale // s
-                for e, v in nums.items():
-                    prev = acc.get(e)
-                    acc[e] = c * v if prev is None else prev + c * v
-            acc = {e: v for e, v in acc.items() if v}
-            g = gcd(scale * base, *acc.values())
-            cache[m] = ({e: v // g for e, v in acc.items()}, scale * base // g) if acc else _ZERO
+            cache[m] = self._combine(parts, base)
             stack.pop()
         return cache[target]
+
+    def _combine(self, parts, base=1):
+        """(1/base) sum c * NF(p) over parts (p, c) whose normal forms are
+        cached, in lowest terms."""
+        cache = self._cache
+        scale = lcm(*(cache[p][1] for p, _ in parts))
+        acc: dict = {}
+        for p, c in parts:
+            nums, s = cache[p]
+            c *= scale // s
+            for e, v in nums.items():
+                prev = acc.get(e)
+                acc[e] = c * v if prev is None else prev + c * v
+        acc = {e: v for e, v in acc.items() if v}
+        g = gcd(scale * base, *acc.values())
+        return ({e: v // g for e, v in acc.items()}, scale * base // g) if acc else _ZERO
+
+    def reduce_terms(self, terms) -> dict:
+        """NF of the integer terms (exps, coeff) as {exps: int}, up to a
+        positive factor: normal forms are linear, so it is the combination
+        of the cached normal forms of its monomials."""
+        for e, _ in terms:
+            self.monomial_terms(e)
+        return self._combine(terms)[0]
 
     def _quotient(self, m):
         """(i, m / x_i) for the variable to strip from m, or None when m is
@@ -442,8 +457,10 @@ DEFAULT_PAIR_BUDGET = 200_000
 
 
 def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
-    """Reduced Groebner basis of `seed` (a Groebner basis) together with
-    `gens`; pairs within the seed are skipped, they reduce to zero."""
+    """Reduced Groebner basis of `seed`, a Groebner basis (reduced or not),
+    together with `gens`; pairs within the seed are skipped.  The new
+    generators are first reduced modulo the seed through one shared memo of
+    monomial normal forms, and only nonzero remainders enter Buchberger."""
     seed = [g for g in seed if not g.is_zero()]
     gens = [g for g in gens if not g.is_zero()]
     if not seed and not gens:
@@ -453,9 +470,13 @@ def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
         if g.universe is not universe:
             raise ValueError("generators from different symbol universes")
     key = universe.key
+    reducer = GroebnerReducer(seed)
+    new = [_primitive(g.sorted_terms()) for g in gens]
+    if seed:
+        new = [_primitive(_sorted_terms(reducer.reduce_terms(t).items(), key)) for t in new]
     G = _buchberger_core(
-        [_gpoly(g) for g in seed],
-        [_gpoly(g) for g in gens],
+        reducer._divisors,
+        [_GPoly(t) for t in new if t],
         key,
         pair_budget,
         max_degree,
@@ -487,9 +508,12 @@ def buchberger_extend(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
 ):
-    """Extend a known Groebner basis with additional generators.
+    """Reduced Groebner basis of the Groebner basis `gb` extended with
+    additional generators.
 
-    Pairs among the seed basis are skipped: they already reduce to zero.
+    `gb` must be a Groebner basis, reduced or not.  The new generators are
+    reduced modulo it through one shared memo of monomial normal forms
+    first; pairs among `gb` are skipped, they already reduce to zero.
     """
     return _complete(gb, new_gens, pair_budget, max_degree)
 

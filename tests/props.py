@@ -26,6 +26,7 @@ from odeinv import (
     monomials_up_to_degree,
     normal_form,
 )
+from odeinv.groebner import buchberger_extend
 from oracles import is_groebner_basis
 
 
@@ -125,6 +126,41 @@ def run_reduced_gb_canonicity(n: int, seed: int = 3003):
         assert (
             buchberger(gens, shuffle=random.Random(seed + k)) == reference
         ), "pair-selection order changed the reduced basis"
+
+
+def run_extension_agreement(n: int, seed: int = 3113):
+    """Extending a Groebner basis agrees with Buchberger from scratch, for
+    new generators that all lie in the ideal, for zero generators and for
+    arbitrary ones; returns how many instances had a generator outside the
+    ideal.  Orders alternate between lex and grevlex, and every other seed
+    is scaled with a redundant multiple added (a basis, not a reduced one).
+    """
+    rng = random.Random(seed)
+    escaped = 0
+    for k in range(n):
+        U = small_universe(rng, order=Lex() if k % 2 else GrevLex())
+        seed_gens = [
+            q
+            for q in (rand_poly(rng, U, max_terms=3, max_degree=2) for _ in range(rng.randint(1, 2)))
+            if not q.is_zero()
+        ]
+        gb = buchberger(seed_gens)
+        loose = gb
+        if gb and k % 4 >= 2:
+            loose = [g * Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 3)) for g in gb]
+            loose.append(rand_poly(rng, U, max_terms=2, max_degree=1) * gb[0])
+        members = [rand_poly(rng, U, max_terms=2, max_degree=2) * g for g in gb]
+        members.append(sum(members, Polynomial.zero(U)))
+        others = [rand_poly(rng, U, max_terms=3, max_degree=2) for _ in range(rng.randint(1, 2))]
+        zeros = [Polynomial.zero(U)]
+        for gens in (members, zeros, others, members + others):
+            want = buchberger(seed_gens + gens)
+            assert buchberger_extend(loose, gens) == want, "extension differs from Buchberger"
+        # members reduce to zero before Buchberger: no pair is formed
+        assert buchberger_extend(loose, members, pair_budget=0) == gb
+        if any(not normal_form(g, gb).is_zero() for g in others):
+            escaped += 1
+    return escaped
 
 
 def _oracle_member(p, gens, max_total_degree):

@@ -42,6 +42,7 @@ from conftest import in_span, same_span
 from props import (
     run_buchberger_closure,
     run_division_contract,
+    run_extension_agreement,
     run_lie_laws,
     run_membership_oracle,
     run_reduced_gb_canonicity,
@@ -192,22 +193,41 @@ def test_criterion_7_airplane_vertical_motion():
     _report("criterion 7: airplane vertical-motion study", started, 600.0)
 
 
+def _digest(report):
+    """SHA-256 of a report's comparable block, as the benchmark takes it."""
+    blob = json.dumps(report.comparable(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _bench_digest(name):
+    refs = json.loads(
+        (Path(__file__).parents[1] / "bench" / "references.json").read_text(encoding="utf-8")
+    )
+    return refs["digests"][name]
+
+
+def test_kepler_report_keeps_the_benchmark_digest():
+    # the benchmark's kepler query, numeric check off; its report must keep
+    # the digest recorded in bench/references.json
+    started = time.perf_counter()
+    report = run(corpus.load("kepler").build(), numeric=False)
+    assert report.exit_code == 0
+    assert _digest(report) == _bench_digest("kepler")
+    _report("kepler: generators mode at template degree 4", started, 10.0)
+
+
 @pytest.mark.extended
 def test_stress_tier_collision_avoidance_degree_3():
     # the benchmark's stress-deg3 query; its report must keep the digest
     # recorded in bench/references.json
     started = time.perf_counter()
-    refs = json.loads(
-        (Path(__file__).parents[1] / "bench" / "references.json").read_text(encoding="utf-8")
-    )
     spec_file = resources.files("odeinv") / "corpus" / "collision-avoidance.yaml"
     data = yaml.safe_load(spec_file.read_text(encoding="utf-8"))
     data["query"]["template"]["degree"] = 3
     data["numeric_check"]["enabled"] = False
     report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
     assert report.exit_code == 0
-    blob = json.dumps(report.comparable(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == refs["digests"]["stress-deg3"]
+    assert _digest(report) == _bench_digest("stress-deg3")
     _report("stress tier: collision-avoidance at template degree 3", started, 60.0)
 
 
@@ -222,8 +242,7 @@ def test_stress_tier_airplane_vertical_degree_3():
     data["numeric_check"]["enabled"] = False
     report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
     assert report.exit_code == 0
-    blob = json.dumps(report.comparable(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+    assert _digest(report) == (
         "6afbb393b0cb8cfa1540cb711e3aceb50728c5bb74594b3db5b6b0fcc12cb2fd"
     )
     _report("stress tier: airplane-vertical at template degree 3", started, 120.0)
@@ -235,6 +254,7 @@ def test_criterion_8_property_suites():
     run_buchberger_closure(100)
     run_membership_oracle(100)
     run_reduced_gb_canonicity(50)
+    run_extension_agreement(100)
     run_lie_laws(500)
     run_template_commutation(100)
     _report("criterion 8a: randomized property suites", started, 300.0)

@@ -31,6 +31,7 @@ from oracles import is_groebner_basis, monomial_normal_form
 from props import (
     run_buchberger_closure,
     run_division_contract,
+    run_extension_agreement,
     run_membership_oracle,
     run_reduced_gb_canonicity,
 )
@@ -236,8 +237,15 @@ def test_extend_and_reduce_return_the_reduced_basis(running):
     loose = [3 * g for g in gb] + [X * gb[0]]
     assert groebner.buchberger_extend(gb, []) == gb
     assert groebner.buchberger_extend(loose, []) == gb
+    # a member reduces to zero before Buchberger; the seed is reduced anyway
+    assert groebner.buchberger_extend(loose, [X * gb[0]]) == gb
     assert reduce_basis(loose) == gb
     assert reduce_basis([]) == [] == groebner.buchberger_extend([], [])
+
+
+def test_extension_agrees_with_buchberger_from_scratch():
+    # most instances extend by a generator outside the seed's ideal
+    assert run_extension_agreement(30, seed=47) >= 15
 
 
 def test_normal_form_matches_divide():
