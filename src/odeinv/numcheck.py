@@ -10,7 +10,14 @@ step, becomes straight-line Python source, compiled once.  The source
 names state variables `s0, s1, ...` and coefficients `C0, C1, ...` and
 binds the values in its namespace, so no text from a spec reaches
 `compile`.  The interpreted loops it replaces are the reference in
-`tests/oracles.py`, and it matches them float for float.
+`tests/oracles.py`, and it matches them float for float.  The source
+leaves out only operations IEEE 754 makes exact identities:
+- `x**1` is `x`: pow returns x unchanged and cannot overflow;
+- a coefficient 1 is not multiplied in: `1.0 * a == a`;
+- a coefficient -1 is a `-` in the sum: rounding is sign-symmetric;
+- each step's `0.5 * h` and `h / 6.0` are computed once: the same doubles;
+- a term is computed once for the value and the magnitude: `abs(t)` is
+  the loop's |c| * |x|**e ..., since CPython's pow takes |x|**e first.
 """
 
 from __future__ import annotations
@@ -28,24 +35,30 @@ ESCAPE_BOUND = 1e60
 STEP_RTOL = 1e-10
 
 
-def _power_sum(p: Polynomial, names, consts: dict) -> str:
-    """Source of a float expression for `p` over the variable expressions
-    `names`, one per exponent position.
-
-    Terms are summed onto a `0.0` seed in the polynomial's term order, and
-    each term multiplies its coefficient by `name**e` left to right, so the
-    result equals a loop of `v = c; v *= x**e; total += v` float for float,
-    `OverflowError` included.  Coefficients become names: `consts` maps
-    each exact coefficient to its name and is shared by every expression of
-    one compile.
+def _power_terms(p: Polynomial, names, consts: dict):
+    """`(op, product)` source per term of `p`, in its term order, over the
+    variable expressions `names`, one per exponent position.  A product
+    multiplies its factors left to right, as the loop `v = c; v *= x**e`
+    does, less what cannot change a float:
+    - `x**1` is `x`: it equals x for every float and never raises;
+    - a coefficient 1 is left out: `1.0 * a == a`;
+    - a coefficient -1 is the op `-`: `(-1.0 * a) * b == -(a * b)`, as
+      rounding is sign-symmetric, and `s + (-t) == s - t`.
+    `**e` stays for e >= 2, so `OverflowError` comes from the same terms.
+    Other coefficients become names: `consts` maps each exact coefficient
+    to its name and is shared by every expression of one compile.
     """
-    parts = ["0.0"]
     for exps, c in p._terms.items():
-        const = consts.setdefault(c, f"C{len(consts)}")
-        parts.append(
-            "*".join([const] + [f"{names[i]}**{e}" for i, e in enumerate(exps) if e])
-        )
-    return " + ".join(parts)
+        factors = [names[i] if e == 1 else f"{names[i]}**{e}" for i, e in enumerate(exps) if e]
+        if abs(c) != 1:
+            factors.insert(0, consts.setdefault(c, f"C{len(consts)}"))
+        yield "-" if c == -1 else "+", "*".join(factors) or "1.0"
+
+
+def _sum(terms) -> str:
+    """`0.0 op t ...`, equal to `total = 0.0; total += v` per term float
+    for float.  The seed stays: it turns a sum of -0.0 into 0.0."""
+    return "0.0" + "".join(f" {op} {t}" for op, t in terms)
 
 
 def _compile(name: str, lines, consts: dict, **bound):
@@ -61,41 +74,46 @@ def _compile(name: str, lines, consts: dict, **bound):
 def compile_check(p: Polynomial):
     """Compile `p` to `evaluate(state) -> (value, magnitude)`: its float
     value and the sum of its absolute term magnitudes, the scale its
-    residual is judged against.  The value is summed first, and an
-    `OverflowError` in either sum propagates."""
+    residual is judged against.  Each term t is computed once, for both
+    sums: `abs(t)` is the loop's `|c| * |x|**e ...` exactly, since rounding
+    is sign-symmetric and CPython computes `x**e` as `|x|**e` with the sign
+    fixed after, so the sums overflow on the same terms, and an
+    `OverflowError` propagates."""
     consts: dict = {}
     states = [f"s{i}" for i in range(len(p.universe))]
-    magnitudes = Polynomial(p.universe, {e: abs(c) for e, c in p._terms.items()})
-    value = _power_sum(p, states, consts)
-    magnitude = _power_sum(magnitudes, [f"abs({s})" for s in states], consts)
+    terms = list(_power_terms(p, states, consts))
+    value = _sum((op, f"t{k}") for k, (op, _) in enumerate(terms))
+    magnitude = _sum(("+", f"abs(t{k})") for k in range(len(terms)))
     return _compile(
         "evaluate",
         [
             "def evaluate(state):",
             f"    {', '.join(states)}, = state",
+            *(f"    t{k} = {t}" for k, (_, t) in enumerate(terms)),
             f"    return {value}, {magnitude}",
         ],
         consts,
     )
 
 
-def _rk4_lines(drifts, xs, h: str, tag: str, consts: dict, k0=None):
-    """Source lines of one classical RK4 step of size `h` from the state
-    names `xs`, the names of the new state, and the names of the drifts at
-    `xs`, which `k0` supplies when earlier lines computed them.  The
-    arithmetic is written as `x + 0.5 * h * k` and
-    `x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)`, with each stage's drifts
+def _rk4_lines(drifts, xs, sizes, tag: str, consts: dict, k0=None):
+    """Source lines of one classical RK4 step from the state names `xs`,
+    the names of the new state, and the names of the drifts at `xs`, which
+    `k0` supplies when earlier lines computed them.  `sizes` names the
+    step, its half and its sixth; the arithmetic is `x + half * k` and
+    `x + sixth * (a + 2.0 * b + 2.0 * c + d)`, with each stage's drifts
     inlined."""
+    step, half, sixth = sizes
     n = len(xs)
     lines, ks, point = [], [], xs
-    for j, shift in enumerate((f"0.5 * {h}", f"0.5 * {h}", h, None)):
+    for j, shift in enumerate((half, half, step, None)):
         if j == 0 and k0 is not None:
             k = k0
         else:
             # a zero drift stays the literal 0.0, which compile() folds
             k = ["0.0" if d.is_zero() else f"{tag}k{j}_{i}" for i, d in enumerate(drifts)]
             lines += [
-                f"{k[i]} = {_power_sum(d, point, consts)}"
+                f"{k[i]} = {_sum(_power_terms(d, point, consts))}"
                 for i, d in enumerate(drifts)
                 if not d.is_zero()
             ]
@@ -105,7 +123,7 @@ def _rk4_lines(drifts, xs, h: str, tag: str, consts: dict, k0=None):
             lines += [f"{point[i]} = {xs[i]} + {shift} * {k[i]}" for i in range(n)]
     out = [f"{tag}_{i}" for i in range(n)]
     lines += [
-        f"{out[i]} = {xs[i]} + ({h} / 6.0) * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        f"{out[i]} = {xs[i]} + {sixth} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
         for i, (a, b, c, d) in enumerate(zip(*ks))
     ]
     return lines, out, ks[0]
@@ -118,17 +136,21 @@ def compile_rk4(field: VectorField):
     `state`.  It returns the two-half-step state, or None when a power
     overflows, when the two results differ by more than
     STEP_RTOL * (1 + max |fine|) or either is NaN, or when the new state
-    leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  The function is cached on the
-    field, so every start point of a query shares one compile.
+    leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  `0.5 * h`, `h / 6.0`,
+    `0.5 * half` and `half / 6.0` are computed once per call: the doubles
+    `x + 0.5 * h * k` and `x + (h / 6.0) * (...)` use at every stage.  The
+    function is cached on the field, so every start point of a query
+    shares one compile.
     """
     if field._advance is not None:
         return field._advance
     consts: dict = {}
     xs = [f"s{i}" for i in range(len(field.drifts))]
     # the full step and the first half step share the drifts at the start
-    full, full_out, k0 = _rk4_lines(field.drifts, xs, "h", "F", consts)
-    mid, mid_out, _ = _rk4_lines(field.drifts, xs, "half", "M", consts, k0)
-    fine, fine_out, _ = _rk4_lines(field.drifts, mid_out, "half", "N", consts)
+    full, full_out, k0 = _rk4_lines(field.drifts, xs, ("h", "h2", "h6"), "F", consts)
+    halves = ("half", "q2", "q6")
+    mid, mid_out, _ = _rk4_lines(field.drifts, xs, halves, "M", consts, k0)
+    fine, fine_out, _ = _rk4_lines(field.drifts, mid_out, halves, "N", consts)
     magnitudes = ", ".join(f"abs({f})" for f in fine_out)
     if len(fine_out) > 1:
         magnitudes = f"max({magnitudes})"
@@ -137,6 +159,10 @@ def compile_rk4(field: VectorField):
     lines = [
         "def advance(state, h, half):",
         f"    {', '.join(xs)}, = state",
+        "    h2 = 0.5 * h",
+        "    h6 = h / 6.0",
+        "    q2 = 0.5 * half",
+        "    q6 = half / 6.0",
         "    try:",
         *(f"        {line}" for line in full + mid + fine),
         "    except OverflowError:",
@@ -259,7 +285,8 @@ def verify_from_analysis(
 ):
     """Sample the precondition (or take user points) and run the check.
 
-    Returns (records, note); when no sample point is available the check is
+    Returns (records, note); when no sample point is available, or a
+    coefficient or start value is outside the double range, the check is
     skipped with an explanatory note rather than failing.  User-supplied
     points must bind every variable and satisfy the precondition exactly;
     a point that does not raises SpecError.  For a `pre` or `invariant`
@@ -285,11 +312,25 @@ def verify_from_analysis(
                     )
             resolved.append(point)
         points = resolved
-    else:
+    if not _fit_doubles(c for p in (*field.drifts, *polys) for c in p._terms.values()):
+        return [], "a coefficient of the field or of a checked polynomial does not fit a double"
+    if points is None:
         points = sample_points(analysis, universe, samples)
     if not points:
         return [], "no rational sample point available for this precondition"
+    if not _fit_doubles(v for point in points for v in point.values()):
+        return [], "a start point does not fit a double"
     return (
         check_invariants(polys, field, points, horizon, step, tolerance),
         None,
     )
+
+
+def _fit_doubles(values) -> bool:
+    """Whether every exact value converts to a float without overflow."""
+    try:
+        for v in values:
+            float(v)
+    except OverflowError:
+        return False
+    return True

@@ -61,6 +61,10 @@ def _as_fraction_option(value, name):
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # non-finite floats and malformed or infinite literals
         raise SpecError(f"{name}: {exc}") from exc
+    try:
+        float(x)  # the numeric harness integrates in doubles
+    except OverflowError:
+        raise SpecError(f"{name} {value} is outside the double range") from None
     return x.limit_denominator(10**9) if isinstance(value, float) else x
 
 
@@ -107,6 +111,7 @@ def _number(name, value):
         x > least if strict else x >= least,
         f"{name} must be {'>' if strict else '>='} {least}, not {value}",
     )
+    _require(kind is not Fraction or float(x) != 0.0, f"{name} {value} is 0.0 as a double")
     return x
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -90,14 +91,41 @@ START_POOL = tuple(
 )
 
 
+def _synthetic_fields():
+    """Fields whose sums meet every shortcut of the generated source: +-1
+    coefficients first and last, -1 terms that are zero at a zero start,
+    constants +-1, exponent 1 beside exponents >= 2, rational coefficients."""
+    x, y, z = Symbol("x"), Symbol("y"), Symbol("z")
+    U = SymbolUniverse([x, y, z])
+    X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
+    V = SymbolUniverse([x, y])
+    P, Q = Polynomial.variable(V, x), Polynomial.variable(V, y)
+    return [
+        VectorField(U, [
+            -X * Y + Fraction(2, 3) * Y**2 - 1,
+            X * X * Y - Y + 1,
+            X - Z - Fraction(5, 7) * Y * Z**3,
+        ]),
+        VectorField(V, [Fraction(1, 3) * P**2 - Q, -P + Fraction(5, 2)]),
+    ]
+
+
+def _synthetic_polys(field):
+    X, Y = (Polynomial.variable(field.universe, s) for s in field.state_vars[:2])
+    one = Polynomial.constant(field.universe, 1)
+    return [-X - Y, -X * Y**2 + 1, X**3 * Y - Fraction(7, 3) * X + Y, -one, one]
+
+
 def test_compiled_trajectory_matches_the_oracle():
     rng = random.Random(9)
     overflows = 0
-    for field in _corpus_fields():
+    for field in _corpus_fields() + _synthetic_fields():
         n = len(field.drifts)
         starts = [[rng.choice(START_POOL) for _ in range(n)] for _ in range(4)]
         starts.append([Fraction(0)] * n)
-        polys = list(field.drifts)
+        # a start is checked before its escape test: x**2 overflows there
+        starts.append([Fraction(10**200)] + [Fraction(1)] * (n - 1))
+        polys = list(field.drifts) + _synthetic_polys(field)
         polys += [lie_derivative(d, field) for d in field.drifts if not d.is_zero()]
         # x^200 overflows once |x| > 35 and not below
         x = Polynomial.variable(field.universe, field.state_vars[0])
@@ -105,6 +133,29 @@ def test_compiled_trajectory_matches_the_oracle():
         overflows += _assert_matches_oracle(field, starts, polys)
     # the compiled evaluators met an overflow, and agreed with the oracle on it
     assert overflows > 0
+
+
+def test_compiled_step_computes_no_ieee_identity(running, monkeypatch):
+    U, _, (X, Y), _ = running
+    # a fresh field, so its RK4 step is compiled here
+    F = VectorField(U, [Y * Y, X * Y])
+    sources = []
+
+    def captured(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(numcheck, "compile", captured, raising=False)
+    numcheck.compile_rk4(F)
+    (source,) = sources
+    assert not re.search(r"\*\*1\b", source)
+    # both coefficients are 1, so no coefficient is bound
+    assert not re.search(r"\bC\d", source)
+    # y^2 once per drift evaluation: 4 + 3 + 4, the first half step
+    # sharing the full step's drifts at the start
+    assert source.count("**") == 11
+    # 0.5 * h and 0.5 * half, once each
+    assert source.count("0.5 *") == 2
 
 
 def test_spec_names_never_reach_the_compiled_source():
@@ -257,6 +308,17 @@ def test_verify_from_analysis_without_sample_points(running):
     records, note = verify_from_analysis([X - Y], F, analysis)
     assert records == []
     assert note is not None
+
+
+def test_verify_skips_values_outside_doubles(running):
+    U, _, (X, Y), F = running
+    # the sampled start x = 10^400 has no double
+    analysis = Precondition([X - 10**400, Y]).analyze(U)
+    assert verify_from_analysis([X * Y], F, analysis) == ([], "a start point does not fit a double")
+    # nor has a coefficient of the checked polynomial
+    analysis = Precondition([X - Y]).analyze(U)
+    records, note = verify_from_analysis([X - 10**400 * Y], F, analysis)
+    assert records == [] and "coefficient" in note
 
 
 def test_verify_with_user_supplied_points(ghost):

@@ -289,6 +289,45 @@ def test_cli_bad_numeric_literal_is_input_error(flag, value):
     assert main(["verify-numeric", _corpus_path("ghost-post"), flag, value]) == 3
 
 
+def _planar_invariant(tmp_path, field=("y^2", "x*y"), **numeric):
+    """x' = y^2, y' = x*y with the invariant line x = y, numeric check on."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({
+        "variables": ["x", "y"],
+        "field": dict(zip("xy", field)),
+        "query": {"kind": "invariant", "generators": ["x - y"]},
+        "numeric_check": {"enabled": True, **numeric},
+    }))
+    return spec
+
+
+def test_cli_coefficient_outside_doubles_skips_the_numeric_check(tmp_path, capsys):
+    # exact arithmetic takes 10^400; the harness skips it, and the symbolic
+    # answer (the line is still invariant) sets the exit code
+    spec = _planar_invariant(tmp_path, field=("10^400*y^2", "10^400*x*y"))
+    assert main(["invariant", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "invariant ideal: True" in out
+    assert "does not fit a double" in out
+
+
+def test_cli_point_outside_doubles_is_input_error(tmp_path, capsys):
+    spec = _planar_invariant(tmp_path, points=[{"x": "1e400", "y": "1e400"}])
+    assert main(["invariant", str(spec)]) == 3
+    assert "outside the double range" in capsys.readouterr().err
+
+
+def test_cli_step_of_zero_double_is_input_error(tmp_path, capsys):
+    # 10^5 whole steps, but both values are 0.0 as doubles
+    spec = _planar_invariant(tmp_path, horizon="1e-395", step="1e-400")
+    assert main(["invariant", str(spec)]) == 3
+    assert "is 0.0 as a double" in capsys.readouterr().err
+    spec = _planar_invariant(tmp_path)
+    flags = ["--horizon", "1e-395", "--step", "1e-400"]
+    assert main(["verify-numeric", str(spec), *flags]) == 3
+    assert "is 0.0 as a double" in capsys.readouterr().err
+
+
 def test_cli_accepts_json_spec(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(
