@@ -231,12 +231,19 @@ class GroebnerReducer:
     below rely on.  The basis is converted to engine form once.
 
     A monomial m that no leading monomial divides is its own normal form.
-    Otherwise NF(m) = NF(x_i * NF(m / x_i)) for a variable x_i of m, the
-    multiplication step of FGLM (Faugere, Gianni, Lazard, Mora 1993), so a
-    normal form is built from smaller ones already in the cache.  When
-    m / x_i is standard, one division step by the first divisor whose lead
-    divides m takes its place.  Every monomial this reaches is smaller than
-    m, and every normal form computed on the way is cached.
+    It is zero when the first divisor whose lead divides it is a single
+    term, or when its quotient m / x_i below is cached as zero; these cases
+    are settled at once.  Otherwise NF(m) = NF(x_i * NF(m / x_i)) for a
+    variable x_i of m, the multiplication step of FGLM (Faugere, Gianni,
+    Lazard, Mora 1993), so a normal form is built from smaller ones already
+    in the cache.  When m / x_i is standard, one division step by the first
+    divisor whose lead divides m takes its place.  Every monomial this
+    reaches is smaller than m.
+
+    Each such normal form is built in one pass by a coroutine that yields
+    the smaller monomials it needs and is sent their normal forms; one loop
+    in `_reduce` runs the coroutines from an explicit stack, so deep chains
+    do not recurse.  Every normal form computed on the way is cached.
 
     A normal form is integer numerators over a positive scale, in lowest
     terms; the recurrence takes the lcm of its parts' scales.
@@ -261,77 +268,98 @@ class GroebnerReducer:
                 return d
         return None
 
-    def _reduce(self, target) -> dict:
-        """Fill the cache up to `target` with an explicit stack: a monomial
-        is popped once the normal forms it is built from are cached."""
-        cache = self._cache
-        pending: dict = {}  # monomial -> (divisor, _quotient of it)
-        stack = [target]
+    def _reduce(self, target):
+        """NF(target), not cached yet: drive the coroutines of `_nf` on an
+        explicit stack, sending each the normal form of the monomial it
+        yielded; one that returns is popped."""
+        stack = []
+        nf = self._settle(target, stack)
         while stack:
-            m = stack[-1]
-            if m in cache:
+            try:
+                m = stack[-1].send(nf)
+            except StopIteration as done:
                 stack.pop()
-                continue
-            entry = pending.get(m)
-            if entry is None:
-                d = self._divisor_of(m)
-                if d is None:
-                    cache[m] = ({m: 1}, 1)
-                    stack.pop()
-                    continue
-                entry = pending[m] = d, self._quotient(m)
-            d, split = entry
-            if split is not None:
-                i, q = split
-                nq = cache.get(q)
-                if nq is None:
-                    stack.append(q)
-                    continue
-            # NF(m) = (1/base) sum c * NF(p) over the parts (p, c)
-            if split is None or q in nq[0]:
-                # m / x_i is standard (or m is 1): m = shift * lead(d), so
-                # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
-                shift = tuple(map(sub, m, d.lead_exps))
-                base = d.lead_coeff
-                parts = [(tuple(map(add, te, shift)), -tc) for te, tc in d.tail]
+                nf = done.value
             else:
-                nums, base = nq
-                parts = []
-                for t, c in nums.items():
-                    t = list(t)
-                    t[i] += 1
-                    parts.append((tuple(t), c))
-            missing = [p for p, _ in parts if p not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            cache[m] = self._combine(parts, base)
-            stack.pop()
-        return cache[target]
+                nf = self._settle(m, stack)
+        return nf
 
-    def _combine(self, parts, base=1):
-        """(1/base) sum c * NF(p) over parts (p, c) whose normal forms are
-        cached, in lowest terms."""
+    def _settle(self, m, stack):
+        """NF(m), not cached yet, cached now if m is standard or zero; else
+        None, with the coroutine that builds it pushed on `stack`."""
         cache = self._cache
-        scale = lcm(*(cache[p][1] for p, _ in parts))
+        d = self._divisor_of(m)
+        if d is None:
+            nf = cache[m] = ({m: 1}, 1)
+            return nf
+        if d.tail:
+            split = self._quotient(m)
+            if split is None or cache.get(split[1]) is not _ZERO:
+                stack.append(self._nf(m, d, split))
+                return None
+        cache[m] = _ZERO
+        return _ZERO
+
+    def _nf(self, m, d, split):
+        """Coroutine of NF(m), where d's lead divides m.  It yields each
+        smaller monomial it is built from that is not cached, is sent its
+        normal form, and caches and returns NF(m)."""
+        cache = self._cache
+        if split is not None:
+            i, q = split
+            nq = cache.get(q)
+            if nq is None:
+                nq = yield q
+        if split is None or q in nq[0]:
+            # m / x_i is standard (or m is 1): m = shift * lead(d), so
+            # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
+            shift = tuple(map(sub, m, d.lead_exps))
+            base = d.lead_coeff
+            parts = [(tuple(map(add, te, shift)), -tc) for te, tc in d.tail]
+        else:
+            nums, base = nq
+            parts = []
+            for t, c in nums.items():
+                t = list(t)
+                t[i] += 1
+                parts.append((tuple(t), c))
+        # NF(m) = (1/base) sum c * NF(p) over the parts (p, c), accumulated
+        # over the lcm of the parts' scales as they arrive
         acc: dict = {}
+        scale = 1
         for p, c in parts:
-            nums, s = cache[p]
-            c *= scale // s
+            nf = cache.get(p)
+            if nf is None:
+                nf = yield p
+            nums, s = nf
+            if not nums:
+                continue
+            if s != scale:
+                grown = lcm(scale, s)
+                if grown != scale:
+                    f = grown // scale
+                    for e in acc:
+                        acc[e] *= f
+                    scale = grown
+                c *= scale // s
             for e, v in nums.items():
                 prev = acc.get(e)
                 acc[e] = c * v if prev is None else prev + c * v
-        acc = {e: v for e, v in acc.items() if v}
-        g = gcd(scale * base, *acc.values())
-        return ({e: v // g for e, v in acc.items()}, scale * base // g) if acc else _ZERO
+        nf = cache[m] = _lowest(acc, scale * base)
+        return nf
 
     def reduce_terms(self, terms) -> dict:
         """NF of the integer terms (exps, coeff) as {exps: int}, up to a
         positive factor: normal forms are linear, so it is the combination
         of the cached normal forms of its monomials."""
-        for e, _ in terms:
-            self.monomial_terms(e)
-        return self._combine(terms)[0]
+        parts = [(c, self.monomial_terms(e)) for e, c in terms]
+        scale = lcm(*(s for _, (_, s) in parts))
+        acc: dict = {}
+        for c, (nums, s) in parts:
+            c *= scale // s
+            for e, v in nums.items():
+                acc[e] = acc.get(e, 0) + c * v
+        return _lowest(acc, scale)[0]
 
     def _quotient(self, m):
         """(i, m / x_i) for the variable to strip from m, or None when m is
@@ -347,6 +375,14 @@ class GroebnerReducer:
                 if last is None:
                     last = i, q
         return last
+
+
+def _lowest(acc, scale):
+    """The normal form acc / scale, for integer numerators acc that may
+    hold zeros, in lowest terms."""
+    g = gcd(scale, *acc.values())
+    nums = {e: v // g for e, v in acc.items() if v}
+    return (nums, scale // g) if nums else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +489,25 @@ def _reduce_int_basis(G, key):
     return reduced
 
 
+def _is_reduced(basis, key):
+    """Whether a nonempty Groebner basis is already the reduced one, in the
+    order `_complete` returns: monic, leads strictly descending, and no
+    term of an element divisible by the lead of another."""
+    leads = [p.leading() for p in basis]
+    if any(c != 1 for _, c in leads):
+        return False
+    keys = [key(e) for e, _ in leads]
+    if any(a <= b for a, b in zip(keys, keys[1:])):
+        return False
+    return not any(
+        _divides_exps(lead, e)
+        for i, p in enumerate(basis)
+        for e in p._terms
+        for j, (lead, _) in enumerate(leads)
+        if j != i
+    )
+
+
 DEFAULT_PAIR_BUDGET = 200_000
 
 
@@ -460,7 +515,9 @@ def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
     """Reduced Groebner basis of `seed`, a Groebner basis (reduced or not),
     together with `gens`; pairs within the seed are skipped.  The new
     generators are first reduced modulo the seed through one shared memo of
-    monomial normal forms, and only nonzero remainders enter Buchberger."""
+    monomial normal forms, and only nonzero remainders enter Buchberger.
+    When all of them vanish and the seed is reduced already, it is the
+    answer as it stands."""
     seed = [g for g in seed if not g.is_zero()]
     gens = [g for g in gens if not g.is_zero()]
     if not seed and not gens:
@@ -474,6 +531,8 @@ def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
     new = [_primitive(g.sorted_terms()) for g in gens]
     if seed:
         new = [_primitive(_sorted_terms(reducer.reduce_terms(t).items(), key)) for t in new]
+        if not any(new) and _is_reduced(seed, key):
+            return seed
     G = _buchberger_core(
         reducer._divisors,
         [_GPoly(t) for t in new if t],

@@ -160,7 +160,8 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             tolerance=spec.numeric.tolerance,
             points=spec.numeric.points,
         )
-        ok = all(r["passed"] for r in records)
+        # a check skipped with a note neither passed nor failed
+        ok = None if note else all(r["passed"] for r in records)
         report["numeric_check"] = {
             "passed": ok,
             "checked": len(records),
@@ -168,7 +169,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             "failures": [r for r in records if not r["passed"]],
         }
         timings["numeric_check"] = time.perf_counter() - t0
-        if not ok and exit_code == 0:
+        if ok is False and exit_code == 0:
             exit_code = 1
     timings["total"] = time.perf_counter() - t_start
     report["timings"] = {k: round(v, 6) for k, v in timings.items()}
@@ -228,12 +229,11 @@ class RunReport:
         else:
             lines.append(f"  invariant ideal: {r['invariant']}")
         nc = d.get("numeric_check")
-        if nc:
+        if nc and nc["passed"] is None:
+            lines.append(f"  numeric cross-check: skipped ({nc['note']})")
+        elif nc:
             status = "passed" if nc["passed"] else "FAILED"
-            extra = f" ({nc['note']})" if nc.get("note") else ""
-            lines.append(
-                f"  numeric cross-check: {status}, {nc['checked']} checks{extra}"
-            )
+            lines.append(f"  numeric cross-check: {status}, {nc['checked']} checks")
         return "\n".join(lines) + "\n"
 
 

@@ -243,6 +243,18 @@ def test_extend_and_reduce_return_the_reduced_basis(running):
     assert reduce_basis([]) == [] == groebner.buchberger_extend([], [])
 
 
+def test_extend_by_members_returns_the_same_basis(running, monkeypatch):
+    U, _, (X, Y), _ = running
+    ideal = Ideal(U, [X**3 - Y, X * Y**2 - X - 1])
+    gb = ideal.reduced_groebner_basis()
+    # every new generator reduces to zero and the seed is reduced: no
+    # interreduction runs
+    monkeypatch.setattr(groebner, "_reduce_int_basis", None)
+    grown = ideal.extend([X * gb[0] - 3 * gb[-1], Y**2 * gb[-1]])
+    assert grown.reduced_groebner_basis() == gb
+    assert ideal_equal(grown, ideal)
+
+
 def test_extension_agrees_with_buchberger_from_scratch():
     # most instances extend by a generator outside the seed's ideal
     assert run_extension_agreement(30, seed=47) >= 15
@@ -330,15 +342,18 @@ def test_reducer_converts_its_basis_once(running, monkeypatch):
 
 
 def _kepler_and_airplane_bases():
+    """Each basis with the variables to enumerate and the degree; the
+    second kepler case reaches the pure-monomial leads th, vr and s."""
     out = []
-    for name, names in (
-        ("kepler", ("GM", "a", "ecc", "r", "u", "dA")),
-        ("airplane-vertical", ("u", "w", "x", "q", "th", "c", "s")),
+    for name, names, degree in (
+        ("kepler", ("GM", "a", "ecc", "r", "u", "dA"), 8),
+        ("kepler", ("r", "th", "vr", "u", "s", "dA"), 5),
+        ("airplane-vertical", ("u", "w", "x", "q", "th", "c", "s"), 8),
     ):
         built = corpus.load(name).build()
         U = built.universe
         basis = built.precondition.analyze(U).basis
-        out.append((basis, U, [U.by_name(n) for n in names]))
+        out.append((basis, U, [U.by_name(n) for n in names], degree))
     return out
 
 
@@ -355,18 +370,20 @@ def _small_bases():
     block = buchberger([A * EX - EY, EX * EX - 2 * A, EY * EY * EX - A - 3])
     unit = [Polynomial.constant(U, 1)]
     return [
-        (grevlex, U, U.symbols),
-        (block, E, E.symbols),
-        ([], U, U.symbols),
-        (unit, U, U.symbols),
+        (grevlex, U, U.symbols, 8),
+        (block, E, E.symbols, 8),
+        ([], U, U.symbols, 8),
+        (unit, U, U.symbols, 8),
     ]
 
 
 def test_reducer_equals_the_from_scratch_oracle_up_to_degree_8():
     cases = _kepler_and_airplane_bases() + _small_bases()
-    assert [len(basis) for basis, _, _ in cases][-2:] == [0, 1]
-    for basis, U, variables in cases:
-        monomials = [m.exps for m in monomials_up_to_degree(U, variables, 8)]
+    assert [len(basis) for basis, _, _, _ in cases][-2:] == [0, 1]
+    # kepler's basis holds the pure monomials th, vr and s: zero at once
+    assert sum(len(g.sorted_terms()) == 1 for g in cases[1][0]) == 3
+    for basis, U, variables, degree in cases:
+        monomials = [m.exps for m in monomials_up_to_degree(U, variables, degree)]
         assert (0,) * len(U) in monomials
         oracle = monomial_normal_form(basis, U)
         want = [oracle(m) for m in monomials]
@@ -380,6 +397,15 @@ def test_reducer_equals_the_from_scratch_oracle_up_to_degree_8():
         for m in reversed(monomials):
             warm.monomial_terms(m)
         assert [_rational_nf(warm, m) for m in monomials] == want
+
+
+def test_reducer_follows_a_deep_quotient_chain_without_recursion():
+    # lex over (x, y): NF(x^k) = NF(x * NF(x^(k-1))) chains down to 1
+    x, y = Symbol("x"), Symbol("y")
+    U = SymbolUniverse([x, y], Lex())
+    X, Y = (Polynomial.variable(U, s) for s in (x, y))
+    reducer = GroebnerReducer([X - 2 * Y])
+    assert reducer.monomial_terms((3000, 0)) == ({(0, 3000): 2**3000}, 1)
 
 
 def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import yaml
 
+import odeinv
 from odeinv import SpecError, SystemSpec, corpus
 from odeinv.cli import main
 from odeinv.report import lie_chain, run
@@ -21,6 +26,33 @@ def test_report_determinism():
     b = run(corpus.load("running-post").build()).comparable()
     assert a == b
     assert "timings" not in a
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # set and dict iteration follows the hash seed; the reports must not
+    script = (
+        "import json\n"
+        "from odeinv import corpus\n"
+        "from odeinv.report import run\n"
+        "names = ('kepler', 'running-post')\n"
+        "print(json.dumps([run(corpus.load(n).build()).comparable() for n in names]))\n"
+    )
+    src = str(Path(odeinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "12345")
+    ]
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    kepler, running = json.loads(outputs[0])
+    assert kepler["query"] == "post" and running["numeric_check"]["passed"]
+    assert outputs[0] == outputs[1]
 
 
 def test_report_contains_result_template_and_basis():
@@ -308,7 +340,30 @@ def test_cli_coefficient_outside_doubles_skips_the_numeric_check(tmp_path, capsy
     assert main(["invariant", str(spec)]) == 0
     out = capsys.readouterr().out
     assert "invariant ideal: True" in out
+    assert "numeric cross-check: skipped (a coefficient" in out
     assert "does not fit a double" in out
+    assert "passed" not in out
+
+
+def test_report_without_a_rational_sample_point_skips_the_numeric_check():
+    # x^2 + y^2 is invariant under the rotation, but it binds no variable
+    # triangularly, so no rational start point is sampled: the check is
+    # skipped, not passed
+    spec = SystemSpec.from_text(yaml.safe_dump({
+        "variables": ["x", "y"],
+        "field": {"x": "-y", "y": "x"},
+        "query": {"kind": "invariant", "generators": ["x^2 + y^2"]},
+        "numeric_check": {"enabled": True},
+    }))
+    report = run(spec.build())
+    assert report.exit_code == 0
+    assert report.data["numeric_check"] == {
+        "passed": None,
+        "checked": 0,
+        "note": "no rational sample point available for this precondition",
+        "failures": [],
+    }
+    assert "numeric cross-check: skipped (no rational sample point" in report.human_text()
 
 
 def test_cli_point_outside_doubles_is_input_error(tmp_path, capsys):
