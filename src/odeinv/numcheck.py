@@ -5,19 +5,26 @@ rational points on the precondition variety, integrates the field in double
 precision, and flags any reported invariant whose residual leaves a small
 relative band along the trajectory.
 
-The float code is generated: each polynomial, and each field's checked RK4
-step, becomes straight-line Python source, compiled once.  The source
-names state variables `s0, s1, ...` and coefficients `C0, C1, ...` and
-binds the values in its namespace, so no text from a spec reaches
-`compile`.  The interpreted loops it replaces are the reference in
-`tests/oracles.py`, and it matches them float for float.  The source
-leaves out only operations IEEE 754 makes exact identities:
+The float code is generated, term by term: each field's checked RK4
+step, compiled once per field, and one residual observer per
+`check_invariants` call, which checks every polynomial against each state
+as the trajectory yields it.  The source names state variables
+`s0, s1, ...` and coefficients `C0, C1, ...` and binds the values in its
+namespace, so no text from a spec reaches `compile`.  The interpreted
+loops it replaces are the reference in `tests/oracles.py`, and it matches
+them float for float.  The source leaves out only operations IEEE 754
+makes exact identities:
 - `x**1` is `x`: pow returns x unchanged and cannot overflow;
 - a coefficient 1 is not multiplied in: `1.0 * a == a`;
 - a coefficient -1 is a `-` in the sum: rounding is sign-symmetric;
 - each step's `0.5 * h` and `h / 6.0` are computed once: the same doubles;
 - a term is computed once for the value and the magnitude: `abs(t)` is
-  the loop's |c| * |x|**e ..., since CPython's pow takes |x|**e first.
+  the loop's |c| * |x|**e ..., since CPython's pow takes |x|**e first;
+- the observer's sums drop the `0.0` seed: it changes only the sign of a
+  zero, which `abs` drops, and no `abs(t)` is -0.0;
+- the observer's `if w > g: g = w` is `g = max(g, w)`: max keeps its
+  first argument unless the second is greater, so both keep g for a NaN
+  w and for -0.0 against 0.0.
 """
 
 from __future__ import annotations
@@ -69,31 +76,6 @@ def _compile(name: str, lines, consts: dict, **bound):
     namespace.update(bound)
     exec(compile("\n".join(lines), f"<odeinv.numcheck {name}>", "exec"), namespace)
     return namespace[name]
-
-
-def compile_check(p: Polynomial):
-    """Compile `p` to `evaluate(state) -> (value, magnitude)`: its float
-    value and the sum of its absolute term magnitudes, the scale its
-    residual is judged against.  Each term t is computed once, for both
-    sums: `abs(t)` is the loop's `|c| * |x|**e ...` exactly, since rounding
-    is sign-symmetric and CPython computes `x**e` as `|x|**e` with the sign
-    fixed after, so the sums overflow on the same terms, and an
-    `OverflowError` propagates."""
-    consts: dict = {}
-    states = [f"s{i}" for i in range(len(p.universe))]
-    terms = list(_power_terms(p, states, consts))
-    value = _sum((op, f"t{k}") for k, (op, _) in enumerate(terms))
-    magnitude = _sum(("+", f"abs(t{k})") for k in range(len(terms)))
-    return _compile(
-        "evaluate",
-        [
-            "def evaluate(state):",
-            f"    {', '.join(states)}, = state",
-            *(f"    t{k} = {t}" for k, (_, t) in enumerate(terms)),
-            f"    return {value}, {magnitude}",
-        ],
-        consts,
-    )
 
 
 def _rk4_lines(drifts, xs, sizes, tag: str, consts: dict, k0=None):
@@ -210,6 +192,63 @@ def trajectory(field: VectorField, start, horizon: float, step: float):
         yield t, state
 
 
+def compile_observer(polys, n: int):
+    """Compile the nonzero `polys` over `n` state variables to one
+    `observe(states, tolerance)`.
+
+    `observe` consumes `(time, state)` pairs and returns one
+    `(residual, scale, fail_time)` per polynomial: the largest |value|, the
+    largest magnitude (the sum of absolute term magnitudes) and the first
+    time the residual left the band tolerance * (1 + scale), tested after
+    the scale is updated, else None.  Each product term is computed once,
+    for both sums.  A polynomial with a power has its own `try`, so an
+    `OverflowError` stops only that polynomial; float products and sums
+    never raise it.  The running values stay in locals, so no state is
+    kept.
+    """
+    consts: dict = {}
+    xs = [f"s{i}" for i in range(n)]
+    head, body, out = [], [], []
+    for j, p in enumerate(polys):
+        terms = list(_power_terms(p, xs, consts))
+        # a product is computed once, into a temporary; a name stands as is
+        names = [f"t{k}" if "*" in t else t for k, (_, t) in enumerate(terms)]
+        products = [f"{x} = {t}" for x, (_, t) in zip(names, terms) if x != t]
+        r, g, f = f"r{j}", f"g{j}", f"f{j}"
+        head += [f"    {r} = {g} = 0.0", f"    {f} = None"]
+        value = " ".join(f"{op} {x}" for (op, _), x in zip(terms, names))
+        check = [
+            f"r = abs({value.removeprefix('+ ')})",
+            "w = " + " + ".join(f"abs({x})" for x in names),
+            f"if w > {g}: {g} = w",
+            f"if r > {r}: {r} = r",
+            f"if {f} is None and r > tolerance * (1.0 + {g}): {f} = time",
+        ]
+        if any("**" in t for _, t in terms):
+            on = f"on{j}"
+            head.append(f"    {on} = True")
+            body += [
+                f"        if {on}:",
+                "            try:",
+                *(f"                {line}" for line in products),
+                "            except OverflowError:",
+                f"                {on} = False",
+                "            else:",
+                *(f"                {line}" for line in check),
+            ]
+        else:
+            body += [f"        {line}" for line in products + check]
+        out.append(f"({r}, {g}, {f})")
+    lines = [
+        "def observe(states, tolerance):",
+        *head,
+        f"    for time, ({', '.join(xs)},) in states:",
+        *body,
+        f"    return [{', '.join(out)}]",
+    ]
+    return _compile("observe", lines, consts)
+
+
 def check_invariants(
     polys,
     field: VectorField,
@@ -224,50 +263,38 @@ def check_invariants(
     The acceptance band is tolerance * (1 + s) where s is the running
     maximum of the sum of absolute term magnitudes, i.e. a relative
     tolerance against the polynomial's own scale along the trajectory.
-    More than MAX_RK4_STEPS steps raise ResourceLimitError up front.
+    One observer, compiled per call, checks every nonzero polynomial
+    against each state as `trajectory` yields it and keeps only running
+    values.  Its `if w > s: s = w` equals `s = max(s, w)`: max keeps its
+    first argument unless the second is greater, so both keep s for a NaN
+    w and for -0.0 against 0.0.  An overflow stops only the polynomial it
+    happened in.  More than MAX_RK4_STEPS steps raise ResourceLimitError
+    up front.
     """
     if horizon / step > MAX_RK4_STEPS:
         raise ResourceLimitError(
             f"horizon {horizon} takes more than {MAX_RK4_STEPS} RK4 steps of {step}"
         )
-    universe = field.universe
+    symbols = field.universe.symbols
+    checked = [p for p in polys if not p.is_zero()]
+    if not checked:
+        return []
+    observe = compile_observer(checked, len(symbols))
+    texts = [str(p) for p in checked]
+    horizon_f, step_f = float(horizon), float(step)
     records = []
-    horizon_f = float(horizon)
-    step_f = float(step)
-    compiled = [(p, compile_check(p)) for p in polys if not p.is_zero()]
-    if not compiled:
-        return records
-    m = len(compiled)
     for point in points:
-        start = [point[s] for s in universe.symbols]
-        # each state is checked as it arrives; an overflow stops only the
-        # polynomial it happened in
-        residual, scale = [0.0] * m, [0.0] * m
-        fail_time, stopped = [None] * m, [False] * m
-        for t, state in trajectory(field, start, horizon_f, step_f):
-            for k, (_, evaluate) in enumerate(compiled):
-                if stopped[k]:
-                    continue
-                try:
-                    value, magnitude = evaluate(state)
-                except OverflowError:
-                    stopped[k] = True
-                    continue
-                r = abs(value)
-                scale[k] = max(scale[k], magnitude)
-                if r > residual[k]:
-                    residual[k] = r
-                if fail_time[k] is None and r > tolerance * (1.0 + scale[k]):
-                    fail_time[k] = t
-        for k, (p, _) in enumerate(compiled):
+        where = {s.name: str(point[s]) for s in symbols}
+        states = trajectory(field, [point[s] for s in symbols], horizon_f, step_f)
+        for text, (residual, scale, fail_time) in zip(texts, observe(states, tolerance)):
             records.append(
                 {
-                    "polynomial": str(p),
-                    "point": {s.name: str(point[s]) for s in universe.symbols},
-                    "passed": fail_time[k] is None,
-                    "max_residual": residual[k],
-                    "scale": scale[k],
-                    "fail_time": fail_time[k],
+                    "polynomial": text,
+                    "point": dict(where),
+                    "passed": fail_time is None,
+                    "max_residual": residual,
+                    "scale": scale,
+                    "fail_time": fail_time,
                 }
             )
     return records
@@ -285,13 +312,14 @@ def verify_from_analysis(
 ):
     """Sample the precondition (or take user points) and run the check.
 
-    Returns (records, note); when no sample point is available, or a
-    coefficient or start value is outside the double range, the check is
-    skipped with an explanatory note rather than failing.  User-supplied
-    points must bind every variable and satisfy the precondition exactly;
-    a point that does not raises SpecError.  For a `pre` or `invariant`
-    query the precondition is the computed ideal, so the spec's own
-    build-time check cannot catch this.
+    Returns (records, note); when every polynomial is zero, no sample
+    point is available, or a coefficient or start value is outside the
+    double range, the check is skipped with an explanatory note rather
+    than failing.  User-supplied points must bind every variable and
+    satisfy the precondition exactly; a point that does not raises
+    SpecError, also when nothing is left to check.  For a `pre` or
+    `invariant` query the precondition is the computed ideal, so the
+    spec's own build-time check cannot catch this.
     """
     universe = field.universe
     if points is not None:
@@ -312,6 +340,8 @@ def verify_from_analysis(
                     )
             resolved.append(point)
         points = resolved
+    if all(p.is_zero() for p in polys):
+        return [], "no nonzero polynomial to check"
     if not _fit_doubles(c for p in (*field.drifts, *polys) for c in p._terms.values()):
         return [], "a coefficient of the field or of a checked polynomial does not fit a double"
     if points is None:

@@ -11,9 +11,9 @@ from smaller normal forms, template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer forms over one
 denominator, Buchberger's S-polynomial criterion on plain
 `Polynomial` arithmetic instead of the integer engine, a finite-difference
-Lie rate instead of the symbolic derivative, and float evaluators and an
-RK4 trajectory that walk the terms on every call instead of the compiled
-straight-line code of `numcheck`.
+Lie rate instead of the symbolic derivative, and float evaluators, an RK4
+trajectory and a residual check that walk the terms on every call instead
+of the compiled straight-line code of `numcheck`.
 """
 
 from __future__ import annotations
@@ -432,3 +432,48 @@ def oracle_trajectory(field, start, horizon: float, step: float):
         if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
             return
         yield t, state
+
+
+def oracle_check_invariants(polys, field, points, horizon, step, tolerance):
+    """`numcheck.check_invariants` as a loop over the interpreted
+    evaluators, one state and one polynomial at a time.  Returns the
+    records and the number of (state, polynomial) evaluations that
+    overflowed; an overflow stops only the polynomial it happened in."""
+    symbols = field.universe.symbols
+    checked = [
+        (p, float_evaluator(p), abs_float_evaluator(p)) for p in polys if not p.is_zero()
+    ]
+    records, overflows = [], 0
+    for point in points:
+        start = [point[s] for s in symbols]
+        m = len(checked)
+        residual, scale = [0.0] * m, [0.0] * m
+        fail_time, stopped = [None] * m, [False] * m
+        for t, state in oracle_trajectory(field, start, float(horizon), float(step)):
+            for k, (_, value, magnitude) in enumerate(checked):
+                if stopped[k]:
+                    continue
+                try:
+                    # value first, so an overflow in either sum raises
+                    r, w = abs(value(state)), magnitude(state)
+                except OverflowError:
+                    stopped[k] = True
+                    overflows += 1
+                    continue
+                scale[k] = max(scale[k], w)
+                if r > residual[k]:
+                    residual[k] = r
+                if fail_time[k] is None and r > tolerance * (1.0 + scale[k]):
+                    fail_time[k] = t
+        for k, (p, _, _) in enumerate(checked):
+            records.append(
+                {
+                    "polynomial": str(p),
+                    "point": {s.name: str(point[s]) for s in symbols},
+                    "passed": fail_time[k] is None,
+                    "max_residual": residual[k],
+                    "scale": scale[k],
+                    "fail_time": fail_time[k],
+                }
+            )
+    return records, overflows

@@ -18,12 +18,11 @@ from odeinv import corpus, lie_derivative, numcheck
 from odeinv.numcheck import (
     MAX_RK4_STEPS,
     check_invariants,
-    compile_check,
     trajectory,
     verify_from_analysis,
 )
 from odeinv.sysspec import SystemSpec
-from oracles import abs_float_evaluator, float_evaluator, oracle_trajectory
+from oracles import oracle_check_invariants, oracle_trajectory
 
 
 def _same(a: float, b: float) -> bool:
@@ -33,32 +32,16 @@ def _same(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def _same_outcome(a, b) -> bool:
-    if a is OverflowError or b is OverflowError:
-        return a is b
-    return _same(a, b)
-
-
-def _oracle_check(p: Polynomial):
-    """(value, magnitude) of `p` from the interpreted evaluators, value
-    first, so an overflow in either sum raises."""
-    value, magnitude = float_evaluator(p), abs_float_evaluator(p)
-    return lambda state: (value(state), magnitude(state))
-
-
-def _check_outcome(evaluate, state):
-    try:
-        return evaluate(state)
-    except OverflowError:
-        return OverflowError, OverflowError
-
-
-def _assert_matches_oracle(field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5)):
-    """Trajectories equal the oracle's state for state, and the compiled
-    (value, magnitude) evaluator of each of `polys` equals the interpreted
-    pair on every state."""
-    evaluators = [(compile_check(p), _oracle_check(p)) for p in polys]
-    overflows = 0
+def _assert_matches_oracle(
+    field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5), tolerances=(1e-6, 0.5)
+):
+    """Trajectories equal the oracle's state for state, and the records of
+    `check_invariants` equal the interpreted residual check's: residuals
+    and scales float for float, fail times and verdicts equal.  Returns
+    the oracle's overflow count and the number of records that failed
+    after t = 0."""
+    points = [dict(zip(field.universe.symbols, start)) for start in starts]
+    overflows = late_fails = 0
     for step in steps:
         for start in starts:
             got = list(trajectory(field, start, 1.0, step))
@@ -68,12 +51,20 @@ def _assert_matches_oracle(field, starts, polys, steps=(1.0 / 256, 1.0 / 16, 0.5
                 assert _same(t, t0)
                 assert len(state) == len(state0)
                 assert all(map(_same, state, state0)), (start, step, t)
-                for compiled, oracle in evaluators:
-                    a, c = _check_outcome(compiled, state)
-                    b, d = _check_outcome(oracle, state)
-                    assert _same_outcome(a, b) and _same_outcome(c, d), (start, step, t)
-                    overflows += a is OverflowError
-    return overflows
+        for tolerance in tolerances:
+            got = check_invariants(polys, field, points, 1.0, step, tolerance)
+            want, n = oracle_check_invariants(polys, field, points, 1.0, step, tolerance)
+            overflows += n
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                where = (a["polynomial"], a["point"], step, tolerance)
+                assert a["polynomial"] == b["polynomial"] and a["point"] == b["point"]
+                assert _same(a["max_residual"], b["max_residual"]), where
+                assert _same(a["scale"], b["scale"]), where
+                assert a["fail_time"] == b["fail_time"], where
+                assert a["passed"] == b["passed"], where
+                late_fails += bool(b["fail_time"])
+    return overflows, late_fails
 
 
 def _corpus_fields():
@@ -118,7 +109,7 @@ def _synthetic_polys(field):
 
 def test_compiled_trajectory_matches_the_oracle():
     rng = random.Random(9)
-    overflows = 0
+    overflows = late_fails = 0
     for field in _corpus_fields() + _synthetic_fields():
         n = len(field.drifts)
         starts = [[rng.choice(START_POOL) for _ in range(n)] for _ in range(4)]
@@ -130,9 +121,13 @@ def test_compiled_trajectory_matches_the_oracle():
         # x^200 overflows once |x| > 35 and not below
         x = Polynomial.variable(field.universe, field.state_vars[0])
         polys.append(x**200 * Fraction(1, 3))
-        overflows += _assert_matches_oracle(field, starts, polys)
-    # the compiled evaluators met an overflow, and agreed with the oracle on it
+        counts = _assert_matches_oracle(field, starts, polys)
+        overflows += counts[0]
+        late_fails += counts[1]
+    # the checks met an overflow, and a residual that left its band after
+    # the start, and agreed with the oracle on both
     assert overflows > 0
+    assert late_fails > 0
 
 
 def test_compiled_step_computes_no_ieee_identity(running, monkeypatch):
@@ -160,13 +155,15 @@ def test_compiled_step_computes_no_ieee_identity(running, monkeypatch):
 
 def test_spec_names_never_reach_the_compiled_source():
     # each of these names would shadow or break code generated from them
-    names = ["abs", "state", "h", "s0", "C0"]
+    names = ["abs", "state", "h", "s0", "C0", "time", "tolerance", "states", "observe"]
     spec = SystemSpec(
         {
             "variables": names,
             "field": {
                 "abs": "-state", "state": "abs", "h": "3/7*s0*C0 - h",
                 "s0": "-C0 + abs*h", "C0": "s0 - 2/3*state^2",
+                "time": "1 - tolerance*states", "tolerance": "time - observe",
+                "states": "-observe^2", "observe": "states + 1/5*time",
             },
             "query": {"kind": "invariant", "generators": ["abs^2 + state^2 - 1"]},
         }
@@ -175,7 +172,7 @@ def test_spec_names_never_reach_the_compiled_source():
     field = built.field
     X = {s.name: Polynomial.variable(field.universe, s) for s in field.universe.symbols}
     residual = X["abs"] * X["abs"] + X["state"] * X["state"] - 1
-    starts = [[Fraction(1), Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2)]]
+    starts = [[Fraction(v) for v in ("1", "0", "1/2", "-1/3", "2", "0", "1/4", "-1", "3/2")]]
     _assert_matches_oracle(field, starts, [residual, *field.drifts])
     records = check_invariants([residual], field, [dict(zip(field.universe.symbols, starts[0]))])
     assert records[0]["passed"] and records[0]["max_residual"] < 1e-9
@@ -244,7 +241,7 @@ def test_one_integration_per_start_point(running, monkeypatch):
     assert not all(r["passed"] for r in records)
 
 
-def test_one_compile_per_checked_polynomial(running, monkeypatch):
+def test_one_compile_per_field_and_one_per_check(running, monkeypatch):
     U, (x, y), (X, Y), _ = running
     # a fresh field, so its RK4 step is compiled here too, once
     F = VectorField(U, [Y * Y, X * Y])
@@ -259,7 +256,8 @@ def test_one_compile_per_checked_polynomial(running, monkeypatch):
 
     monkeypatch.setattr(numcheck, "_compile", counted)
     check_invariants(polys, F, points)
-    assert sorted(compiled) == ["advance", "evaluate", "evaluate"]
+    # one RK4 step for the field, one observer for both nonzero polynomials
+    assert sorted(compiled) == ["advance", "observe"]
 
 
 def test_check_invariants_refuses_more_than_the_step_cap(running):
@@ -308,6 +306,19 @@ def test_verify_from_analysis_without_sample_points(running):
     records, note = verify_from_analysis([X - Y], F, analysis)
     assert records == []
     assert note is not None
+
+
+def test_verify_without_a_nonzero_polynomial_skips_the_check(ghost):
+    U, syms, (X, Y, X0, Y0), F = ghost
+    analysis = Precondition([X - X0, Y - Y0]).analyze(U)
+    zero = Polynomial.zero(U)
+    assert verify_from_analysis([zero], F, analysis) == ([], "no nonzero polynomial to check")
+    assert verify_from_analysis([], F, analysis) == ([], "no nonzero polynomial to check")
+    # a user point is still checked against the precondition first
+    with pytest.raises(ValueError, match="violates the precondition"):
+        verify_from_analysis(
+            [zero], F, analysis, points=[{"x": "2", "y": "1", "x0": "3", "y0": "1"}]
+        )
 
 
 def test_verify_skips_values_outside_doubles(running):

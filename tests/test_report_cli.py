@@ -366,6 +366,30 @@ def test_report_without_a_rational_sample_point_skips_the_numeric_check():
     assert "numeric cross-check: skipped (no rational sample point" in report.human_text()
 
 
+def test_cli_post_with_nothing_to_check_skips_the_numeric_check(tmp_path, capsys):
+    # from the origin of x' = 1, y' = x no linear form is conserved: V ends
+    # at dimension 0 and J = <0>, so no polynomial is left to integrate
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({
+        "variables": ["x", "y"],
+        "field": {"x": "1", "y": "x"},
+        "precondition": {"generators": ["x", "y"]},
+        "query": {"kind": "post", "template": {"kind": "complete", "degree": 1}},
+        "numeric_check": {"enabled": True},
+    }))
+    assert main(["post", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "numeric cross-check: skipped (no nonzero polynomial to check)" in out
+    assert "passed" not in out
+    report = run(SystemSpec.from_text(spec.read_text()).build())
+    assert report.data["numeric_check"] == {
+        "passed": None,
+        "checked": 0,
+        "note": "no nonzero polynomial to check",
+        "failures": [],
+    }
+
+
 def test_cli_point_outside_doubles_is_input_error(tmp_path, capsys):
     spec = _planar_invariant(tmp_path, points=[{"x": "1e400", "y": "1e400"}])
     assert main(["invariant", str(spec)]) == 3
