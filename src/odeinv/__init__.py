@@ -4,7 +4,6 @@ polynomial ODE systems, on a self-contained Groebner-basis substrate."""
 __version__ = "0.1.0"
 
 from .poly import (  # noqa: F401
-    BlockElim,
     GrevLex,
     Lex,
     Monomial,
@@ -14,16 +13,11 @@ from .poly import (  # noqa: F401
     monomials_up_to_degree,
 )
 from .groebner import (  # noqa: F401
-    DivisionResult,
     Ideal,
     ResourceLimitError,
     buchberger,
-    divide,
-    eliminate_parameters,
-    ideal_contains,
     ideal_equal,
     normal_form,
-    reduce_basis,
 )
 from .linalg import Subspace  # noqa: F401
 from .dynamics import (  # noqa: F401
@@ -31,7 +25,6 @@ from .dynamics import (  # noqa: F401
     VectorField,
     complete_template,
     lie_derivative,
-    lie_iterate,
     linear_combination_template,
     result_template,
 )
@@ -48,7 +41,6 @@ from .algorithms import (  # noqa: F401
     check_safety,
     post,
     pre,
-    weakest_precondition_via_post,
 )
 from .parser import ParseError, parse_polynomial  # noqa: F401
 from .sysspec import SpecError, SystemSpec  # noqa: F401

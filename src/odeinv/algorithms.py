@@ -480,45 +480,3 @@ def check_invariant_ideal(ideal: Ideal, field: VectorField) -> bool:
         for g in ideal.reduced_groebner_basis()
     )
 
-
-class WeakestPreconditionResult:
-    """Result template for the postcondition and the ideal carving out the
-    weakest precondition of its variety."""
-
-    __slots__ = ("result", "ideal", "post_result")
-
-    def __init__(self, result, ideal, post_result):
-        self.result = result
-        self.ideal = ideal
-        self.post_result = post_result
-
-
-def weakest_precondition_via_post(
-    precondition,
-    template: Template,
-    field: VectorField,
-    **options,
-) -> WeakestPreconditionResult:
-    """Weakest precondition of Var(template[V]) through one `post` run.
-
-    Requires an exact vanishing-ideal mode for the seed precondition; the
-    returned ideal's variety is then both the weakest precondition and the
-    largest algebraic invariant inside the postcondition variety.
-    """
-    universe = field.universe
-    if isinstance(precondition, PreconditionAnalysis):
-        analysis = precondition
-    else:
-        caps = {
-            k: v
-            for k, v in options.items()
-            if k in ("pair_budget", "max_degree")
-        }
-        analysis = precondition.analyze(universe, **caps)
-    if not analysis.exact:
-        raise ModeError(
-            "weakest preconditions via the postcondition chain need an exact "
-            f"vanishing ideal; mode {analysis.effective_mode!r} is only sound"
-        )
-    res = post(analysis, template, field, **options)
-    return WeakestPreconditionResult(res.result, res.ideal, res)

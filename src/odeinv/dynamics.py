@@ -28,10 +28,6 @@ from .poly import (
 )
 
 
-class TemplateLinearityError(ValueError):
-    """A polynomial claimed to be a template is not parameter-linear."""
-
-
 class VectorField:
     """Drifts f_1..f_N aligned with the state variables of one universe."""
 
@@ -102,15 +98,6 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
             v = acc.get(ne)
             acc[ne] = c * dc if v is None else v + c * dc
     return Polynomial(p.universe, acc)
-
-
-def lie_iterate(p: Polynomial, field: VectorField, j: int) -> Polynomial:
-    """j-fold Lie derivative; j = 0 is the identity."""
-    if j < 0:
-        raise ValueError("iteration count must be non-negative")
-    for _ in range(j):
-        p = lie_derivative(p, field)
-    return p
 
 
 class Template:
@@ -247,25 +234,6 @@ class Template:
         images = (nf if s == scale else {e: v * (scale // s) for e, v in nf.items()}
                   for nf, s in parts)
         return self._map_monomials(images, scale)
-
-    @classmethod
-    def from_joint_polynomial(
-        cls, p: Polynomial, nparams: int, state_universe: SymbolUniverse
-    ) -> "Template":
-        """Split a parameter-linear polynomial back into a template."""
-        params = p.universe.symbols[:nparams]
-        den = lcm(*(c.denominator for c in p._terms.values()))
-        terms: dict = {}
-        for exps, c in p._terms.items():
-            ppart, spart = exps[:nparams], exps[nparams:]
-            if sum(ppart) != 1:
-                raise TemplateLinearityError(
-                    "polynomial has a term of parameter degree "
-                    f"{sum(ppart)}; templates must be parameter-linear"
-                )
-            k = ppart.index(1)
-            terms.setdefault(spart, {})[k] = c.numerator * (den // c.denominator)
-        return cls(state_universe, params, terms, den)
 
     def __eq__(self, other):
         return (

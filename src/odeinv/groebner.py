@@ -1,7 +1,8 @@
 """Multivariate division, Buchberger's algorithm, and ideal predicates.
 
-The user-facing entry points (`divide`, `buchberger`, `reduce_basis`,
-`Ideal`) exchange canonical `Polynomial` values.  Internally the engine
+The entry points the queries run (`buchberger`, `normal_form`, `Ideal`,
+`ideal_equal`) exchange canonical `Polynomial` values, and so does
+textbook `divide`, which also returns the quotients.  Internally the engine
 works on content-free integer term lists: reductions cross-multiply instead
 of dividing, which keeps coefficients in Z and controls bignum growth, and
 the exact rational normal form is recovered from the accumulated scale.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, neg, sub
 
-from .poly import BlockElim, Lex, Polynomial, Symbol, SymbolUniverse, primitive_integers
+from .poly import Polynomial, SymbolUniverse, primitive_integers
 
 
 class ResourceLimitError(RuntimeError):
@@ -144,7 +145,7 @@ def _to_poly(universe: SymbolUniverse, items) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# user-facing multivariate division
+# textbook multivariate division
 
 
 class DivisionResult:
@@ -577,11 +578,6 @@ def buchberger_extend(
     return _complete(gb, new_gens, pair_budget, max_degree)
 
 
-def reduce_basis(G):
-    """Monic, auto-reduced form of a Groebner basis (unique per ideal)."""
-    return _complete(G, [], DEFAULT_PAIR_BUDGET, None)
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -647,18 +643,8 @@ class Ideal:
             return True
         return normal_form(p, self.reduced_groebner_basis()).is_zero()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.reduced_groebner_basis()
-
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators)"
-
-
-def ideal_contains(outer: Ideal, inner: Ideal) -> bool:
-    """outer ⊇ inner, decided by membership of inner's generators."""
-    if outer.universe is not inner.universe:
-        raise ValueError("ideals over different universes")
-    return all(outer.member(g) for g in inner.generators)
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
@@ -667,29 +653,3 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
         raise ValueError("ideals over different universes")
     return list(a.reduced_groebner_basis()) == list(b.reduced_groebner_basis())
 
-
-def eliminate_parameters(G):
-    """Parameter-free part of a GB under an elimination order.
-
-    By the elimination property this is a Groebner basis of the ideal
-    intersected with the state-variable subring.
-    """
-    if not G:
-        return []
-    universe = G[0].universe
-    order = universe.order
-    if isinstance(order, Lex):
-        kinds = [s.kind for s in universe.symbols]
-        np = sum(1 for k in kinds if k == Symbol.PARAM)
-        if any(k == Symbol.PARAM for k in kinds[np:]):
-            raise ValueError(
-                "lex order eliminates parameters only when they precede "
-                "all state variables"
-            )
-    elif not isinstance(order, BlockElim):
-        raise ValueError(f"{order.name} is not an elimination order")
-    return [
-        g
-        for g in G
-        if all(s.kind != Symbol.PARAM for s in g.symbols())
-    ]

@@ -80,7 +80,7 @@ class Lex:
 
     name = "lex"
 
-    def key(self, exps, nparams):
+    def key(self, exps):
         return exps
 
 
@@ -89,37 +89,18 @@ class GrevLex:
 
     name = "grevlex"
 
-    def key(self, exps, nparams):
+    def key(self, exps):
         return (sum(exps),) + tuple(-e for e in reversed(exps))
-
-
-class BlockElim:
-    """Elimination order: lex on the parameter block, then a state-block order.
-
-    Every monomial containing a parameter exceeds every parameter-free
-    monomial, which is what makes `G ∩ Q[states]` a basis of the eliminated
-    ideal.
-    """
-
-    def __init__(self, state_order=None):
-        self.state_order = state_order if state_order is not None else Lex()
-
-    @property
-    def name(self):
-        return f"elim({self.state_order.name})"
-
-    def key(self, exps, nparams):
-        return exps[:nparams] + self.state_order.key(exps[nparams:], 0)
 
 
 class SymbolUniverse:
     """An immutable, ordered collection of symbols plus the active order.
 
-    Symbols are listed in decreasing precedence.  Under a block-elimination
-    order every parameter must precede every state variable.
+    Symbols are listed in decreasing precedence.  `key` is the order's own
+    `key`: the flat, totally ordered sort key of an exponent tuple.
     """
 
-    __slots__ = ("symbols", "order", "_index", "_nparams", "_one")
+    __slots__ = ("symbols", "order", "key", "_index", "_one")
 
     def __init__(self, symbols, order=None):
         symbols = tuple(symbols)
@@ -127,17 +108,10 @@ class SymbolUniverse:
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique within a universe")
         order = order if order is not None else Lex()
-        nparams = sum(1 for s in symbols if s.kind == Symbol.PARAM)
-        if isinstance(order, BlockElim):
-            if any(s.kind == Symbol.PARAM for s in symbols[nparams:]):
-                raise ValueError(
-                    "block-elimination order requires all parameters to "
-                    "precede all state variables"
-                )
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "key", order.key)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_nparams", nparams)
         object.__setattr__(self, "_one", (0,) * len(symbols))
 
     def __setattr__(self, *_):
@@ -161,10 +135,6 @@ class SymbolUniverse:
                 return s
         raise KeyError(f"no symbol named {name!r} in this universe")
 
-    def key(self, exps):
-        """The flat, totally ordered sort key of an exponent tuple."""
-        return self.order.key(exps, self._nparams)
-
     def monomial(self, exponents) -> "Monomial":
         """Build a monomial from a {Symbol: exponent} mapping."""
         exps = [0] * len(self.symbols)
@@ -187,18 +157,8 @@ class Monomial:
     def __setattr__(self, *_):
         raise AttributeError("Monomial is immutable")
 
-    @property
-    def exponents(self) -> dict:
-        """Nonzero exponents keyed by symbol."""
-        return {
-            s: e for s, e in zip(self.universe.symbols, self.exps) if e != 0
-        }
-
     def degree(self) -> int:
         return sum(self.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.universe is not other.universe:
@@ -293,10 +253,6 @@ class Polynomial:
         exps[universe.index_of(symbol)] = 1
         return cls(universe, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def from_monomial(cls, mono: Monomial, coeff=1) -> "Polynomial":
-        return cls(mono.universe, {mono.exps: as_fraction(coeff)})
-
     # -- views ---------------------------------------------------------
 
     def sorted_terms(self):
@@ -330,9 +286,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(sum(e) for e in self._terms)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono.exps, Fraction(0))
 
     def symbols(self):
         """Symbols occurring with nonzero exponent."""
@@ -435,40 +388,6 @@ class Polynomial:
             total += term
         return total
 
-    def substitute(self, bindings: dict) -> "Polynomial":
-        """Replace some symbols by rational constants, exactly."""
-        idx = {self.universe.index_of(s): as_fraction(v) for s, v in bindings.items()}
-        terms: dict = {}
-        for exps, coeff in self._terms.items():
-            c = coeff
-            new = list(exps)
-            for i, v in idx.items():
-                e = exps[i]
-                if e:
-                    c *= v**e
-                    new[i] = 0
-            e = tuple(new)
-            acc = terms.get(e)
-            terms[e] = c if acc is None else acc + c
-        return Polynomial(self.universe, terms)
-
-    def substitute_params(self, valuation: dict) -> "Polynomial":
-        """Bind every parameter symbol occurring in the polynomial.
-
-        The result mentions state variables only; unbound parameters are an
-        error.
-        """
-        unbound = [
-            s
-            for s in self.symbols()
-            if s.kind == Symbol.PARAM and s not in valuation
-        ]
-        if unbound:
-            raise ValueError(f"unbound parameters {unbound}")
-        return self.substitute(
-            {s: v for s, v in valuation.items() if s.kind == Symbol.PARAM}
-        )
-
     def substitute_symbol(self, symbol: Symbol, replacement: "Polynomial") -> "Polynomial":
         """Replace one symbol by a polynomial, exactly."""
         replacement = self._check(replacement)
@@ -486,17 +405,6 @@ class Polynomial:
                 base = base * powers[e]
             out = out + base
         return out
-
-    def partial(self, symbol: Symbol) -> "Polynomial":
-        """Partial derivative with respect to one symbol."""
-        i = self.universe.index_of(symbol)
-        # lowering exponent i is one-to-one on the terms it keeps
-        terms = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff * exps[i]
-            for exps, coeff in self._terms.items()
-            if exps[i]
-        }
-        return Polynomial(self.universe, terms)
 
     def __str__(self):
         return format_terms(self.universe, self.sorted_terms())

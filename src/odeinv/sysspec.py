@@ -9,7 +9,7 @@ data are expression strings in the grammar of `parser`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb, isfinite, lcm
 
 import yaml
 
@@ -17,14 +17,7 @@ from .algorithms import MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
 from .groebner import ResourceLimitError
 from .parser import ParseError, parse_polynomial
-from .poly import (
-    BlockElim,
-    GrevLex,
-    Lex,
-    Monomial,
-    Symbol,
-    SymbolUniverse,
-)
+from .poly import GrevLex, Lex, Monomial, Symbol, SymbolUniverse
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
 TIERS = ("quick", "extended", "data-only")
@@ -273,15 +266,32 @@ def _parse(text, universe, what):
         raise SpecError(f"{what}: {exc}") from exc
 
 
+def _split_template(p, params, universe) -> Template:
+    """The template over `universe` of a polynomial `p` over the parameters
+    followed by the symbols of `universe`, each term of parameter degree 1;
+    its rational coefficients are cleared by one lcm."""
+    n = len(params)
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    terms: dict = {}
+    for exps, c in p._terms.items():
+        degree = sum(exps[:n])
+        _require(
+            degree == 1,
+            f"template expression: polynomial has a term of parameter degree {degree}; "
+            "templates must be parameter-linear",
+        )
+        # the first 1 is the parameter's, all before it are 0
+        terms.setdefault(exps[n:], {})[exps.index(1)] = c.numerator * (den // c.denominator)
+    return Template(universe, params, terms, den)
+
+
 class BuiltSystem:
     """Specification resolved into engine objects."""
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-        state_order = Lex() if spec.order == "lex" else GrevLex()
-        self.state_order = state_order
         symbols = [Symbol(n) for n in spec.variables]
-        self.universe = SymbolUniverse(symbols, state_order)
+        self.universe = SymbolUniverse(symbols, Lex() if spec.order == "lex" else GrevLex())
         drifts = [
             _parse(spec.field[s.name], self.universe, f"drift of {s.name}")
             for s in symbols
@@ -376,16 +386,10 @@ class BuiltSystem:
             clash = [p for p in pnames if p in self.spec.variables]
             _require(not clash, f"parameters clash with variables: {clash}")
             params = tuple(Symbol(p, Symbol.PARAM) for p in pnames)
-            joint = SymbolUniverse(
-                params + self.universe.symbols, BlockElim(self.state_order)
-            )
             expr = tspec.get("expression")
             _require(isinstance(expr, str), "explicit template needs an expression")
-            p = _parse(expr, joint, "template expression")
-            try:
-                return Template.from_joint_polynomial(p, len(params), self.universe)
-            except ValueError as exc:
-                raise SpecError(f"template expression: {exc}") from exc
+            p = _parse(expr, SymbolUniverse(params + self.universe.symbols), "template expression")
+            return _split_template(p, params, self.universe)
         raise SpecError("template kind must be complete or explicit")
 
     def canonical_echo(self) -> dict:

@@ -5,9 +5,11 @@ Nothing in `odeinv` calls these.  Each recomputes an answer the package
 gets another way: linear forms and ambient-space refinement instead of
 restricted reparametrization, a dense `Fraction` Gauss-Jordan RREF instead
 of sparse integer elimination, a kernel from two eliminations instead of
-one, division in the joint parameter-state ring instead of cached monomial
-normal forms, each monomial divided from scratch instead of multiplied up
-from smaller normal forms, template Lie derivatives, remainders and
+one, division in the joint parameter-state ring under a block elimination
+order instead of cached monomial normal forms, j-fold Lie derivatives of
+a template's instances instead of the template's own Lie iterates, each
+monomial divided from scratch instead of multiplied up from smaller
+normal forms, template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer forms over one
 denominator, Buchberger's S-polynomial criterion on plain
 `Polynomial` arithmetic instead of the integer engine, a finite-difference
@@ -21,9 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from odeinv import BlockElim, Polynomial, Subspace, Symbol, SymbolUniverse, divide
+from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, lie_derivative
 from odeinv import groebner
 from odeinv.dynamics import Template
+from odeinv.groebner import divide
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
 from odeinv.poly import as_fraction
@@ -173,6 +176,25 @@ def zero_constraints(template: Template):
     ]
 
 
+class BlockOrder:
+    """Elimination order on Q[params, states]: lex on the first `nparams`
+    exponents, the parameter block, then `state_order` on the rest.
+
+    Every monomial containing a parameter exceeds every parameter-free
+    monomial, so division by parameter-free divisors keeps a
+    parameter-linear dividend parameter-linear.
+    """
+
+    def __init__(self, nparams: int, state_order):
+        self.nparams = nparams
+        self.state_order = state_order
+        self.name = f"elim({state_order.name})"
+
+    def key(self, exps):
+        n = self.nparams
+        return exps[:n] + self.state_order.key(exps[n:])
+
+
 def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
     """Embed a template into a universe listing the parameters before the states."""
     np = len(template.params)
@@ -188,26 +210,53 @@ def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
     return Polynomial(joint, terms)
 
 
+def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Template:
+    """The template of a parameter-linear polynomial of the joint ring;
+    ValueError when a term has parameter degree other than 1."""
+    params = p.universe.symbols[:nparams]
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    terms: dict = {}
+    for exps, c in p._terms.items():
+        ppart, spart = exps[:nparams], exps[nparams:]
+        if sum(ppart) != 1:
+            raise ValueError(
+                "polynomial has a term of parameter degree "
+                f"{sum(ppart)}; templates must be parameter-linear"
+            )
+        terms.setdefault(spart, {})[ppart.index(1)] = c.numerator * (den // c.denominator)
+    return Template(state_universe, params, terms, den)
+
+
 def template_remainder_via_division(
     template: Template, basis, state_order=None
 ) -> Template:
-    """Divide in Q[params, states] under an elimination order.
+    """Divide in Q[params, states] under a block elimination order.
 
-    Raises TemplateLinearityError when the remainder is not parameter-linear,
-    which indicates the order does not dominate the states by the parameters.
+    Raises ValueError when the remainder is not parameter-linear, which
+    indicates the order does not dominate the states by the parameters.
     """
     state_universe = template.universe
-    order = BlockElim(
-        state_order if state_order is not None else state_universe.order
+    np = len(template.params)
+    order = BlockOrder(
+        np, state_order if state_order is not None else state_universe.order
     )
     joint = SymbolUniverse(tuple(template.params) + state_universe.symbols, order)
-    pad = (0,) * len(template.params)
+    pad = (0,) * np
     lifted = [
         Polynomial(joint, {pad + exps: c for exps, c in g._terms.items()})
         for g in basis
     ]
     rem = divide(joint_polynomial(template, joint), lifted).remainder
-    return Template.from_joint_polynomial(rem, len(template.params), state_universe)
+    return split_joint_polynomial(rem, np, state_universe)
+
+
+def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
+    """j-fold Lie derivative; j = 0 is the identity."""
+    if j < 0:
+        raise ValueError("iteration count must be non-negative")
+    for _ in range(j):
+        p = lie_derivative(p, field)
+    return p
 
 
 def monomial_normal_form(basis, universe: SymbolUniverse):
@@ -463,7 +512,8 @@ def oracle_check_invariants(polys, field, points, horizon, step, tolerance):
                 scale[k] = max(scale[k], w)
                 if r > residual[k]:
                     residual[k] = r
-                if fail_time[k] is None and r > tolerance * (1.0 + scale[k]):
+                # a NaN residual is outside every band
+                if fail_time[k] is None and not r <= tolerance * (1.0 + scale[k]):
                     fail_time[k] = t
         for k, (p, _, _) in enumerate(checked):
             records.append(

@@ -20,14 +20,12 @@ from odeinv import (
     VectorField,
     buchberger,
     complete_template,
-    divide,
     lie_derivative,
-    lie_iterate,
     monomials_up_to_degree,
     normal_form,
 )
-from odeinv.groebner import buchberger_extend
-from oracles import is_groebner_basis
+from odeinv.groebner import buchberger_extend, divide
+from oracles import is_groebner_basis, lie_iterate
 
 
 def rand_poly(rng, universe, max_terms=4, max_degree=2, coeff_bound=4):
@@ -174,7 +172,7 @@ def _oracle_member(p, gens, max_total_degree):
         if room < 0:
             continue
         for m in monomials_up_to_degree(universe, universe.symbols, room):
-            columns.append(Polynomial.from_monomial(m) * g)
+            columns.append(Polynomial(m.universe, {m.exps: Fraction(1)}) * g)
     monos = sorted(
         {e for q in columns for e in q._terms} | set(p._terms),
         key=universe.key,

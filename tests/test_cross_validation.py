@@ -136,32 +136,3 @@ def test_groebner_matches_sympy():
         assert set(mine) == set(converted), (
             f"basis disagreement on {[str(g) for g in gens]}"
         )
-
-
-def test_parameter_elimination_matches_sympy():
-    from odeinv import BlockElim, eliminate_parameters
-
-    rng = random.Random(107)
-    for _ in range(40):
-        a = Symbol("a", Symbol.PARAM)
-        states = [Symbol("x"), Symbol("y")]
-        U = SymbolUniverse([a] + states, BlockElim(Lex()))
-        syms = sympy.symbols(["a", "x", "y"])
-        gens = [
-            g
-            for g in (rand_poly(rng, U, 3, 2, 3) for _ in range(rng.randint(1, 3)))
-            if not g.is_zero()
-        ]
-        if not gens:
-            continue
-        gb = buchberger(gens)
-        mine = eliminate_parameters(gb)
-        theirs = sympy.groebner(
-            [_to_sympy(g, syms) for g in gens], *syms, order="lex"
-        )
-        kept = []
-        for e in theirs.exprs:
-            if syms[0] not in e.free_symbols:
-                p = _from_sympy(e, syms, U)
-                kept.append(p * (1 / p.leading()[1]))
-        assert set(mine) == set(kept)

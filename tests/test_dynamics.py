@@ -13,20 +13,22 @@ from odeinv import (
     buchberger,
     complete_template,
     lie_derivative,
-    lie_iterate,
     linear_combination_template,
     result_template,
 )
-from odeinv.dynamics import GroebnerReducer, Template, TemplateLinearityError, fresh_parameters
+from odeinv.dynamics import GroebnerReducer, Template, fresh_parameters
 from odeinv.linalg import nullspace
-from odeinv.poly import GrevLex, monomials_up_to_degree
+from odeinv.poly import monomials_up_to_degree
 from oracles import (
     dense_basis,
+    BlockOrder,
     joint_polynomial,
+    lie_iterate,
     lie_rate_estimate,
     rational_template,
     solve_homogeneous,
     sparse,
+    split_joint_polynomial,
     template_compose,
     template_lie,
     template_reduce_by,
@@ -230,26 +232,16 @@ def test_template_remainder_matches_division_oracle(running):
 
 
 def test_joint_division_linearity_guard(running):
-    # without parameter dominance the remainder can go nonlinear: divide a
-    # parameter-linear polynomial by one whose leading term is a state
-    # variable times a parameter
+    # the oracle's split refuses a polynomial that is not parameter-linear,
+    # as a remainder can be without parameter dominance
     U, (x, y), (X, Y), _ = running
     pi = complete_template(U, [x, y], 1)
-    with pytest.raises(TemplateLinearityError):
-        Template.from_joint_polynomial(
-            # fabricate a parameter-quadratic polynomial in the joint ring
-            _joint_square(pi),
-            len(pi.params),
-            U,
-        )
-
-
-def _joint_square(pi):
-    from odeinv.poly import BlockElim, Lex, SymbolUniverse
-
-    joint = SymbolUniverse(tuple(pi.params) + pi.universe.symbols, BlockElim(Lex()))
+    joint = SymbolUniverse(tuple(pi.params) + U.symbols, BlockOrder(len(pi.params), U.order))
     p = joint_polynomial(pi, joint)
-    return p * p
+    assert split_joint_polynomial(p, len(pi.params), U) == pi
+    with pytest.raises(ValueError, match="parameter degree 2"):
+        # a parameter-quadratic polynomial in the joint ring
+        split_joint_polynomial(p * p, len(pi.params), U)
 
 
 def test_zero_constraints_examples(running):

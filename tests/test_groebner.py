@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from odeinv import (
-    BlockElim,
     Ideal,
     Polynomial,
     ResourceLimitError,
@@ -13,21 +12,16 @@ from odeinv import (
     SymbolUniverse,
     buchberger,
     complete_template,
-    divide,
-    eliminate_parameters,
-    ideal_contains,
     ideal_equal,
     lie_derivative,
-    lie_iterate,
     monomials_up_to_degree,
     normal_form,
-    reduce_basis,
 )
 from odeinv import algorithms, corpus, groebner
-from odeinv.groebner import GroebnerReducer
+from odeinv.groebner import GroebnerReducer, divide
 from odeinv.poly import GrevLex, Lex
 from odeinv.report import run
-from oracles import is_groebner_basis, monomial_normal_form
+from oracles import is_groebner_basis, lie_iterate, monomial_normal_form
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -80,12 +74,6 @@ def test_buchberger_closure_small():
     run_buchberger_closure(40, seed=37)
 
 
-def test_reduce_basis_examples(running):
-    U, _, (X, Y), _ = running
-    assert reduce_basis([2 * X - 2 * Y]) == [X - Y]
-    assert reduce_basis([X - Y, 3 * X - 3 * Y]) == [X - Y]
-
-
 def test_member_examples(running):
     U, _, (X, Y), F = running
     q = X * X - X * Y
@@ -116,8 +104,8 @@ def test_ideal_equality_and_containment(running):
     q1 = lie_derivative(q, F)
     q2 = lie_iterate(q, F, 2)
     assert ideal_equal(Ideal(U, [q, q1]), Ideal(U, [q, q1, q2]))
-    assert ideal_contains(Ideal(U, [X, Y]), Ideal(U, [X]))
-    assert not ideal_contains(Ideal(U, [X]), Ideal(U, [X, Y]))
+    assert Ideal(U, [X, Y]).member(X)
+    assert not Ideal(U, [X]).member(Y)
 
 
 def test_reduced_gb_canonicity_small():
@@ -172,24 +160,6 @@ def test_cached_basis_generates_same_ideal():
             assert ideal_equal(ideal, other)
 
 
-def test_eliminate_parameters():
-    a1 = Symbol("a1", Symbol.PARAM)
-    x, y = Symbol("x"), Symbol("y")
-    U = SymbolUniverse([a1, x, y], BlockElim(Lex()))
-    A1, X, Y = (Polynomial.variable(U, s) for s in (a1, x, y))
-    assert eliminate_parameters([A1 - X, X - Y]) == [X - Y]
-    assert eliminate_parameters([X - Y, X * Y - Y]) == [X - Y, X * Y - Y]
-    assert eliminate_parameters([A1]) == []
-    # a lex order with parameters first also eliminates
-    U2 = SymbolUniverse([a1, x, y], Lex())
-    A1b, Xb = Polynomial.variable(U2, a1), Polynomial.variable(U2, x)
-    assert eliminate_parameters([A1b - Xb]) == []
-    # grevlex is not an elimination order
-    U3 = SymbolUniverse([a1, x, y], GrevLex())
-    with pytest.raises(ValueError):
-        eliminate_parameters([Polynomial.variable(U3, a1)])
-
-
 def test_pair_budget_is_distinct_error(running):
     U, _, (X, Y), _ = running
     with pytest.raises(ResourceLimitError):
@@ -239,8 +209,7 @@ def test_extend_and_reduce_return_the_reduced_basis(running):
     assert groebner.buchberger_extend(loose, []) == gb
     # a member reduces to zero before Buchberger; the seed is reduced anyway
     assert groebner.buchberger_extend(loose, [X * gb[0]]) == gb
-    assert reduce_basis(loose) == gb
-    assert reduce_basis([]) == [] == groebner.buchberger_extend([], [])
+    assert groebner.buchberger_extend([], []) == []
 
 
 def test_extend_by_members_returns_the_same_basis(running, monkeypatch):
@@ -358,14 +327,15 @@ def _kepler_and_airplane_bases():
 
 
 def _small_bases():
-    """A grevlex basis, one under a block elimination order, the empty
-    basis and the unit ideal <1>, each with the variables to enumerate."""
+    """A grevlex basis, one over a parameter and states under lex (which
+    orders as the block order over lex does), the empty basis and the unit
+    ideal <1>, each with the variables to enumerate."""
     x, y, z = (Symbol(n) for n in ("x", "y", "z"))
     U = SymbolUniverse([x, y, z], GrevLex())
     X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
     grevlex = buchberger([X * X - 2 * Y * Z + 1, 3 * X * Y - Z * Z, Y**3 - X])
     a = Symbol("a", Symbol.PARAM)
-    E = SymbolUniverse([a, x, y], BlockElim(Lex()))
+    E = SymbolUniverse([a, x, y], Lex())
     A, EX, EY = (Polynomial.variable(E, s) for s in (a, x, y))
     block = buchberger([A * EX - EY, EX * EX - 2 * A, EY * EY * EX - A - 3])
     unit = [Polynomial.constant(U, 1)]

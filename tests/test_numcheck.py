@@ -281,6 +281,22 @@ def test_corrupted_invariant_fails(running):
     assert records[0]["fail_time"] <= 1.0
 
 
+def test_nan_residual_fails():
+    # at x = 10^10 both terms are inf, so the value is inf - inf = NaN: the
+    # record fails at t = 0, in the observer and in the oracle alike
+    x, y, z = (Symbol(n) for n in ("x", "y", "z"))
+    U = SymbolUniverse([x, y, z])
+    X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
+    F = VectorField(U, [Polynomial.zero(U)] * 3)
+    p = 10**300 * X * Y - 10**300 * X * Z
+    point = {x: Fraction(10**10), y: Fraction(2), z: Fraction(1)}
+    got = check_invariants([p], F, [point])
+    want, _ = oracle_check_invariants([p], F, [point], 1.0, 1.0 / 256, 1e-6)
+    for (record,) in (got, want):
+        assert record["scale"] == math.inf
+        assert not record["passed"] and record["fail_time"] == 0.0
+
+
 def test_true_invariant_from_line_passes(running):
     # x^2 - x*y vanishes along trajectories from the diagonal
     U, (x, y), (X, Y), F = running

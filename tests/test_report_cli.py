@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -427,3 +428,28 @@ def test_lie_chain_for_templates():
     chains = lie_chain(built, 1)
     assert chains[0]["subject"] == "template"
     assert len(chains[0]["chain"]) == 2
+
+
+def test_every_export_is_used_in_the_package():
+    # the package exports only what the queries, the CLI and the report run
+    # on: every name odeinv/__init__.py imports is read, as a Name or an
+    # Attribute, in another package module outside its own definition
+    package = Path(odeinv.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            used |= names - {getattr(stmt, "name", None)}
+    assert {"post", "pre", "SystemSpec"} <= exported
+    assert sorted(exported - used) == []

@@ -59,6 +59,11 @@ query:
     assert len(built.template.params) == 3
     report = run(built)
     assert report.data["result"]["space_dimension"] == 3
+    # the template does not depend on the state order
+    grevlex = SystemSpec.from_text("order: grevlex\n" + text).build().template
+    lex = built.template
+    assert grevlex.params == lex.params and grevlex.denominator == lex.denominator
+    assert grevlex.forms() == lex.forms() and grevlex._terms == lex._terms
 
 
 def test_explicit_template_rejects_nonlinear_parameters():
@@ -72,8 +77,12 @@ query:
     parameters: [a1]
     expression: "a1^2*x"
 """
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         SystemSpec.from_text(text).build()
+    assert str(err.value) == (
+        "template expression: polynomial has a term of parameter degree 2; "
+        "templates must be parameter-linear"
+    )
 
 
 def test_explicit_template_rejects_constant_term():
@@ -87,8 +96,12 @@ query:
     parameters: [a1]
     expression: "a1*x + 1"
 """
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         SystemSpec.from_text(text).build()
+    assert str(err.value) == (
+        "template expression: polynomial has a term of parameter degree 0; "
+        "templates must be parameter-linear"
+    )
 
 
 def test_complete_template_exclude_and_aux():
