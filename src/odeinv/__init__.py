@@ -16,7 +16,6 @@ from .groebner import (  # noqa: F401
     Ideal,
     ResourceLimitError,
     buchberger,
-    ideal_equal,
     normal_form,
 )
 from .linalg import Subspace  # noqa: F401

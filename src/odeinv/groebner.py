@@ -1,11 +1,11 @@
 """Multivariate division, Buchberger's algorithm, and ideal predicates.
 
-The entry points the queries run (`buchberger`, `normal_form`, `Ideal`,
-`ideal_equal`) exchange canonical `Polynomial` values, and so does
-textbook `divide`, which also returns the quotients.  Internally the engine
-works on content-free integer term lists: reductions cross-multiply instead
-of dividing, which keeps coefficients in Z and controls bignum growth, and
-the exact rational normal form is recovered from the accumulated scale.
+The entry points the queries run (`buchberger`, `normal_form`, `Ideal`)
+exchange canonical `Polynomial` values, and so does textbook `divide`,
+which also returns the quotients.  Internally the engine works on
+content-free integer term lists: reductions cross-multiply instead of
+dividing, which keeps coefficients in Z and controls bignum growth, and the
+exact rational normal form is recovered from the accumulated scale.
 """
 
 from __future__ import annotations
@@ -247,13 +247,15 @@ class GroebnerReducer:
     do not recurse.  Every normal form computed on the way is cached.
 
     A normal form is integer numerators over a positive scale, in lowest
-    terms; the recurrence takes the lcm of its parts' scales.
+    terms; the recurrence takes the lcm of its parts' scales.  `basis`
+    keeps the nonzero basis polynomials.
     """
 
-    __slots__ = ("_divisors", "_cache")
+    __slots__ = ("basis", "_divisors", "_cache")
 
     def __init__(self, basis):
-        self._divisors = [_gpoly(d) for d in basis if not d.is_zero()]
+        self.basis = tuple(d for d in basis if not d.is_zero())
+        self._divisors = [_gpoly(d) for d in self.basis]
         self._cache: dict = {}
 
     def monomial_terms(self, exps):
@@ -490,37 +492,17 @@ def _reduce_int_basis(G, key):
     return reduced
 
 
-def _is_reduced(basis, key):
-    """Whether a nonempty Groebner basis is already the reduced one, in the
-    order `_complete` returns: monic, leads strictly descending, and no
-    term of an element divisible by the lead of another."""
-    leads = [p.leading() for p in basis]
-    if any(c != 1 for _, c in leads):
-        return False
-    keys = [key(e) for e, _ in leads]
-    if any(a <= b for a, b in zip(keys, keys[1:])):
-        return False
-    return not any(
-        _divides_exps(lead, e)
-        for i, p in enumerate(basis)
-        for e in p._terms
-        for j, (lead, _) in enumerate(leads)
-        if j != i
-    )
-
-
 DEFAULT_PAIR_BUDGET = 200_000
 
 
-def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
-    """Reduced Groebner basis of `seed`, a Groebner basis (reduced or not),
-    together with `gens`; pairs within the seed are skipped.  The new
-    generators are first reduced modulo the seed through one shared memo of
-    monomial normal forms, and only nonzero remainders enter Buchberger.
-    When all of them vanish and the seed is reduced already, it is the
-    answer as it stands."""
-    seed = [g for g in seed if not g.is_zero()]
-    gens = [g for g in gens if not g.is_zero()]
+def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
+    """Reduced Groebner basis of the reducer's basis, a Groebner basis
+    (reduced or not), together with `gens`; pairs within the basis are
+    skipped.  The new generators are first reduced modulo the basis through
+    the reducer's memo of monomial normal forms, and only nonzero
+    remainders enter Buchberger."""
+    seed = reducer.basis
+    gens = tuple(g for g in gens if not g.is_zero())
     if not seed and not gens:
         return []
     universe = (seed or gens)[0].universe
@@ -528,12 +510,9 @@ def _complete(seed, gens, pair_budget, max_degree, shuffle=None):
         if g.universe is not universe:
             raise ValueError("generators from different symbol universes")
     key = universe.key
-    reducer = GroebnerReducer(seed)
     new = [_primitive(g.sorted_terms()) for g in gens]
     if seed:
         new = [_primitive(_sorted_terms(reducer.reduce_terms(t).items(), key)) for t in new]
-        if not any(new) and _is_reduced(seed, key):
-            return seed
     G = _buchberger_core(
         reducer._divisors,
         [_GPoly(t) for t in new if t],
@@ -558,24 +537,26 @@ def buchberger(
     `random.Random` to randomize pair selection, the reduced result is the
     same either way.  Raises ResourceLimitError when a cap is hit.
     """
-    return _complete([], gens, pair_budget, max_degree, shuffle)
+    return _complete(GroebnerReducer(()), gens, pair_budget, max_degree, shuffle)
 
 
 def buchberger_extend(
-    gb,
+    reducer,
     new_gens,
     *,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
 ):
-    """Reduced Groebner basis of the Groebner basis `gb` extended with
+    """Reduced Groebner basis of the reducer's basis extended with
     additional generators.
 
-    `gb` must be a Groebner basis, reduced or not.  The new generators are
-    reduced modulo it through one shared memo of monomial normal forms
-    first; pairs among `gb` are skipped, they already reduce to zero.
+    The `GroebnerReducer` seed may be over any Groebner basis, reduced or
+    not.  The new generators are reduced modulo it through its memo of
+    monomial normal forms first, so an extension shares the memo with every
+    other reduction by the same basis; pairs within the basis are skipped,
+    they already reduce to zero.
     """
-    return _complete(gb, new_gens, pair_budget, max_degree)
+    return _complete(reducer, new_gens, pair_budget, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +566,12 @@ def buchberger_extend(
 class Ideal:
     """A polynomial ideal given by generators, with a cached reduced GB.
 
-    The reduced basis is computed once on demand; generators and universe
-    are immutable so the cache is single-assignment.
+    The reduced basis and the one `GroebnerReducer` over it are computed
+    once on demand; generators and universe are immutable so both caches
+    are single-assignment.
     """
 
-    __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_gb")
+    __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_gb", "_reducer")
 
     def __init__(
         self,
@@ -608,6 +590,7 @@ class Ideal:
         object.__setattr__(self, "pair_budget", pair_budget)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "_gb", None)
+        object.__setattr__(self, "_reducer", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
@@ -615,13 +598,13 @@ class Ideal:
     def extend(self, polys) -> "Ideal":
         """This ideal with the nonzero `polys` appended to its generators.
 
-        The new basis is completed from this ideal's reduced basis, under
-        the same caps.
+        The new basis is completed from this ideal's reducer, under the
+        same caps.
         """
         polys = [p for p in polys if not p.is_zero()]
         caps = {"pair_budget": self.pair_budget, "max_degree": self.max_degree}
         grown = Ideal(self.universe, self.generators + tuple(polys), **caps)
-        gb = buchberger_extend(self.reduced_groebner_basis(), polys, **caps)
+        gb = buchberger_extend(self.reducer(), polys, **caps)
         object.__setattr__(grown, "_gb", tuple(gb))
         return grown
 
@@ -638,6 +621,15 @@ class Ideal:
             object.__setattr__(self, "_gb", gb)
         return gb
 
+    def reducer(self) -> GroebnerReducer:
+        """The one reducer over the reduced basis: every normal form taken
+        modulo this ideal shares its memo."""
+        reducer = self._reducer
+        if reducer is None:
+            reducer = GroebnerReducer(self.reduced_groebner_basis())
+            object.__setattr__(self, "_reducer", reducer)
+        return reducer
+
     def member(self, p: Polynomial) -> bool:
         if p.is_zero():
             return True
@@ -645,11 +637,3 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators)"
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality via the unique reduced Groebner basis."""
-    if a.universe is not b.universe:
-        raise ValueError("ideals over different universes")
-    return list(a.reduced_groebner_basis()) == list(b.reduced_groebner_basis())
-

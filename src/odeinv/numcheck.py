@@ -202,11 +202,13 @@ def compile_observer(polys, n: int):
     time the residual left the band tolerance * (1 + scale), tested after
     the scale is updated, else None.  The test is `not r <= band`, so a
     NaN residual leaves the band; the band is never NaN, since the scale
-    starts at 0.0 and only grows through `w > g`.  Each product term is
-    computed once, for both sums.  A polynomial with a power has its own
-    `try`, so an `OverflowError` stops only that polynomial; float products
-    and sums never raise it.  The running values stay in locals, so no
-    state is kept.
+    starts at 0.0 and only grows through `w > g`.  A NaN residual is also
+    taken as the largest (`r != r`), and no later residual compares above
+    it, so the first NaN sticks.  Each product term is computed once, for
+    both sums.  A polynomial with a power has its own `try`, so an
+    `OverflowError` stops only that polynomial; float products and sums
+    never raise it.  The running values stay in locals, so no state is
+    kept.
     """
     consts: dict = {}
     xs = [f"s{i}" for i in range(n)]
@@ -223,7 +225,7 @@ def compile_observer(polys, n: int):
             f"r = abs({value.removeprefix('+ ')})",
             "w = " + " + ".join(f"abs({x})" for x in names),
             f"if w > {g}: {g} = w",
-            f"if r > {r}: {r} = r",
+            f"if r > {r} or r != r: {r} = r",
             f"if {f} is None and not r <= tolerance * (1.0 + {g}): {f} = time",
         ]
         if any("**" in t for _, t in terms):

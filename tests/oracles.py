@@ -12,10 +12,11 @@ monomial divided from scratch instead of multiplied up from smaller
 normal forms, template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer forms over one
 denominator, Buchberger's S-polynomial criterion on plain
-`Polynomial` arithmetic instead of the integer engine, a finite-difference
-Lie rate instead of the symbolic derivative, and float evaluators, an RK4
-trajectory and a residual check that walk the terms on every call instead
-of the compiled straight-line code of `numcheck`.
+`Polynomial` arithmetic instead of the integer engine, ideal equality by
+comparing reduced bases instead of membership of the new generators, a
+finite-difference Lie rate instead of the symbolic derivative, and float
+evaluators, an RK4 trajectory and a residual check that walk the terms on
+every call instead of the compiled straight-line code of `numcheck`.
 """
 
 from __future__ import annotations
@@ -371,6 +372,13 @@ def is_groebner_basis(G) -> bool:
     )
 
 
+def ideal_equal(a, b) -> bool:
+    """Equality of two ideals via their unique reduced Groebner bases."""
+    if a.universe is not b.universe:
+        raise ValueError("ideals over different universes")
+    return list(a.reduced_groebner_basis()) == list(b.reduced_groebner_basis())
+
+
 def lie_rate_estimate(field, p: Polynomial, point, h: float = 1.0 / 1024):
     """Estimate of d/dt p(x(t)) at t=0 from RK4 steps around the point.
 
@@ -510,7 +518,7 @@ def oracle_check_invariants(polys, field, points, horizon, step, tolerance):
                     overflows += 1
                     continue
                 scale[k] = max(scale[k], w)
-                if r > residual[k]:
+                if r > residual[k] or r != r:
                     residual[k] = r
                 # a NaN residual is outside every band
                 if fail_time[k] is None and not r <= tolerance * (1.0 + scale[k]):

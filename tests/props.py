@@ -24,7 +24,7 @@ from odeinv import (
     monomials_up_to_degree,
     normal_form,
 )
-from odeinv.groebner import buchberger_extend, divide
+from odeinv.groebner import GroebnerReducer, buchberger_extend, divide
 from oracles import is_groebner_basis, lie_iterate
 
 
@@ -151,11 +151,13 @@ def run_extension_agreement(n: int, seed: int = 3113):
         members.append(sum(members, Polynomial.zero(U)))
         others = [rand_poly(rng, U, max_terms=3, max_degree=2) for _ in range(rng.randint(1, 2))]
         zeros = [Polynomial.zero(U)]
+        # one reducer for every extension, as an Ideal shares its own
+        reducer = GroebnerReducer(loose)
         for gens in (members, zeros, others, members + others):
             want = buchberger(seed_gens + gens)
-            assert buchberger_extend(loose, gens) == want, "extension differs from Buchberger"
+            assert buchberger_extend(reducer, gens) == want, "extension differs from Buchberger"
         # members reduce to zero before Buchberger: no pair is formed
-        assert buchberger_extend(loose, members, pair_budget=0) == gb
+        assert buchberger_extend(reducer, members, pair_budget=0) == gb
         if any(not normal_form(g, gb).is_zero() for g in others):
             escaped += 1
     return escaped

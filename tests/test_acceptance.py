@@ -25,7 +25,6 @@ from odeinv import (
     VectorField,
     check_safety,
     complete_template,
-    ideal_equal,
     lie_derivative,
     parse_polynomial,
     post,
@@ -35,7 +34,7 @@ from odeinv import corpus
 from odeinv.report import run
 from odeinv.sysspec import SystemSpec
 from conftest import in_span, same_span
-from oracles import lie_iterate
+from oracles import ideal_equal, lie_iterate
 from props import (
     run_buchberger_closure,
     run_division_contract,

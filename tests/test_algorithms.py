@@ -20,17 +20,18 @@ from odeinv import (
     check_safety,
     complete_template,
     corpus,
-    ideal_equal,
     lie_derivative,
     linear_combination_template,
     post,
     pre,
 )
+from odeinv import groebner
 from odeinv.algorithms import sample_points, triangular_bindings
 from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
+from odeinv.report import run
 from conftest import same_span
-from oracles import lie_iterate
+from oracles import ideal_equal, lie_iterate
 
 
 def test_post_running_example(running):
@@ -320,6 +321,23 @@ def test_post_rebuilds_ideal_after_refinement():
         "r*u - 1",
         "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
     ]
+
+
+@pytest.mark.parametrize("name, extensions", [("kepler", 2), ("running-pre", 1), ("running-post", 0)])
+def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
+    """A stable J step is decided by membership, so `buchberger_extend` runs
+    once per growing step only: kepler's J grows at j = 1 and j = 3, and
+    running-pre's chain grows once."""
+    calls = []
+    extend = groebner.buchberger_extend
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger_extend", counting)
+    run(corpus.load(name).build(), numeric=False)
+    assert len(calls) == extensions
 
 
 @pytest.mark.parametrize("name", ["running-post", "ghost-post", "kepler"])

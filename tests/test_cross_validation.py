@@ -22,11 +22,10 @@ from odeinv import (
     VectorField,
     buchberger,
     complete_template,
-    ideal_equal,
     post,
 )
 from odeinv.dynamics import GroebnerReducer
-from oracles import dense_basis, solve_homogeneous, zero_constraints
+from oracles import dense_basis, ideal_equal, solve_homogeneous, zero_constraints
 from props import rand_poly
 
 

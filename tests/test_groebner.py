@@ -12,7 +12,6 @@ from odeinv import (
     SymbolUniverse,
     buchberger,
     complete_template,
-    ideal_equal,
     lie_derivative,
     monomials_up_to_degree,
     normal_form,
@@ -21,7 +20,7 @@ from odeinv import algorithms, corpus, groebner
 from odeinv.groebner import GroebnerReducer, divide
 from odeinv.poly import GrevLex, Lex
 from odeinv.report import run
-from oracles import is_groebner_basis, lie_iterate, monomial_normal_form
+from oracles import ideal_equal, is_groebner_basis, lie_iterate, monomial_normal_form
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -205,20 +204,17 @@ def test_extend_and_reduce_return_the_reduced_basis(running):
     gb = buchberger([X**2 - Y, X**3 - X])
     # scaled and with a redundant multiple: a Groebner basis, not reduced
     loose = [3 * g for g in gb] + [X * gb[0]]
-    assert groebner.buchberger_extend(gb, []) == gb
-    assert groebner.buchberger_extend(loose, []) == gb
+    assert groebner.buchberger_extend(GroebnerReducer(gb), []) == gb
+    assert groebner.buchberger_extend(GroebnerReducer(loose), []) == gb
     # a member reduces to zero before Buchberger; the seed is reduced anyway
-    assert groebner.buchberger_extend(loose, [X * gb[0]]) == gb
-    assert groebner.buchberger_extend([], []) == []
+    assert groebner.buchberger_extend(GroebnerReducer(loose), [X * gb[0]]) == gb
+    assert groebner.buchberger_extend(GroebnerReducer([]), []) == []
 
 
-def test_extend_by_members_returns_the_same_basis(running, monkeypatch):
+def test_extend_by_members_returns_the_same_basis(running):
     U, _, (X, Y), _ = running
     ideal = Ideal(U, [X**3 - Y, X * Y**2 - X - 1])
     gb = ideal.reduced_groebner_basis()
-    # every new generator reduces to zero and the seed is reduced: no
-    # interreduction runs
-    monkeypatch.setattr(groebner, "_reduce_int_basis", None)
     grown = ideal.extend([X * gb[0] - 3 * gb[-1], Y**2 * gb[-1]])
     assert grown.reduced_groebner_basis() == gb
     assert ideal_equal(grown, ideal)
@@ -379,24 +375,29 @@ def test_reducer_follows_a_deep_quotient_chain_without_recursion():
 
 
 def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
-    """The memo of a kepler query holds at most 1.5 times the distinct
-    monomials asked for: the choice of variable to strip decides how many
-    intermediates it keeps."""
-    reducers, requested = [], set()
+    """Every reducer of a kepler query, the precondition's and each J
+    basis's, keeps a memo of at most 1.5 times the distinct monomials asked
+    of it: the choice of variable to strip decides how many intermediates it
+    keeps."""
+    requested = {}  # reducer -> the distinct monomials asked of it
 
     class Recording(GroebnerReducer):
         __slots__ = ()
 
         def __init__(self, *args):
             super().__init__(*args)
-            reducers.append(self)
+            requested[self] = set()
 
         def monomial_terms(self, exps):
-            requested.add(exps)
+            requested[self].add(exps)
             return super().monomial_terms(exps)
 
     monkeypatch.setattr(algorithms, "GroebnerReducer", Recording)
+    monkeypatch.setattr(groebner, "GroebnerReducer", Recording)
     run(corpus.load("kepler").build(), numeric=False)
-    assert len(reducers) == 1
-    assert len(requested) > 2000
-    assert len(reducers[0]._cache) <= 1.5 * len(requested)
+    asked = {r: m for r, m in requested.items() if m}
+    # the precondition's reducer and the J bases at j = 1, 3 and 5
+    assert len(asked) == 4
+    assert max(map(len, asked.values())) > 2000
+    for reducer, monomials in asked.items():
+        assert len(reducer._cache) <= 1.5 * len(monomials)

@@ -283,7 +283,8 @@ def test_corrupted_invariant_fails(running):
 
 def test_nan_residual_fails():
     # at x = 10^10 both terms are inf, so the value is inf - inf = NaN: the
-    # record fails at t = 0, in the observer and in the oracle alike
+    # record fails at t = 0, in the observer and in the oracle alike, and
+    # reports the NaN as its largest residual
     x, y, z = (Symbol(n) for n in ("x", "y", "z"))
     U = SymbolUniverse([x, y, z])
     X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
@@ -295,6 +296,7 @@ def test_nan_residual_fails():
     for (record,) in (got, want):
         assert record["scale"] == math.inf
         assert not record["passed"] and record["fail_time"] == 0.0
+        assert math.isnan(record["max_residual"])
 
 
 def test_true_invariant_from_line_passes(running):

@@ -453,3 +453,26 @@ def test_every_export_is_used_in_the_package():
             used |= names - {getattr(stmt, "name", None)}
     assert {"post", "pre", "SystemSpec"} <= exported
     assert sorted(exported - used) == []
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a module-level _name (not a dunder) defined in a package module is
+    # read, as a Name or an Attribute, somewhere in the package outside its
+    # own definition: no helper outlives its last caller
+    package = Path(odeinv.__file__).resolve().parent
+    defined, used = set(), set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= {n for n in own if n.startswith("_") and not n.startswith("__")}
+            nodes = list(ast.walk(stmt))
+            names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            used |= names - own
+    assert {"_complete", "_nf_int"} <= defined
+    assert sorted(defined - used) == []
