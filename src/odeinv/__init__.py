@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .poly import (  # noqa: F401
     GrevLex,
     Lex,
-    Monomial,
     Polynomial,
     Symbol,
     SymbolUniverse,

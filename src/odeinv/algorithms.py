@@ -4,10 +4,10 @@
 subspaces V_m refined by remainder templates, paired with an ascending
 sequence of ideals J_m, each generated by the instances of the Lie iterates
 L^0..L^m of the template restricted to V_m; it stops at the least step
-where both stabilize.  `pre`
-iterates Lie derivatives of the postcondition generators until the generated
-ideal stops growing.  Safety checking and invariant-ideal checking are thin
-layers over these.
+where both stabilize.  `pre` iterates Lie derivatives of the linear
+combination template over the postcondition generators until the generated
+ideal stops growing.  Both ideal chains step through `_grow`.  Safety
+checking and invariant-ideal checking are thin layers over these.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dynamics import (
     linear_combination_template,
     result_template,
 )
-from .groebner import GroebnerReducer, Ideal, ResourceLimitError, buchberger
+from .groebner import Ideal, ResourceLimitError
 from .linalg import Subspace, nullspace
 from .poly import Polynomial, SymbolUniverse
 
@@ -110,24 +110,30 @@ def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
 
 
 class PreconditionAnalysis:
-    """Resolved radical mode, reduced basis, and sampling structure."""
+    """Resolved radical mode, the precondition's `Ideal`, and sampling
+    structure."""
 
     __slots__ = (
         "generators",
         "requested_mode",
         "effective_mode",
         "exact",
-        "basis",
+        "ideal",
         "bindings",
     )
 
-    def __init__(self, generators, requested_mode, effective_mode, exact, basis, bindings):
+    def __init__(self, generators, requested_mode, effective_mode, exact, ideal, bindings):
         self.generators = tuple(generators)
         self.requested_mode = requested_mode
         self.effective_mode = effective_mode
         self.exact = exact
-        self.basis = tuple(basis)
+        self.ideal = ideal
         self.bindings = bindings
+
+    @property
+    def basis(self):
+        """The reduced Groebner basis of the precondition ideal."""
+        return self.ideal.reduced_groebner_basis()
 
 
 class Precondition:
@@ -175,12 +181,11 @@ class Precondition:
         # <0> = Id(R^N) and a unit ideal matches the empty variety, so
         # these two degenerate shapes are exact even in the sound mode.
         exact = mode != MODE_GENERATORS or not gens
-        basis = buchberger(gens, **caps)
+        ideal = Ideal(universe, gens, **caps)
+        basis = ideal.reduced_groebner_basis()
         if not exact and basis and basis[0].degree() == 0:
             exact = True  # unit ideal: empty variety, Id(∅) is everything
-        return PreconditionAnalysis(
-            gens, self.mode, mode, exact, basis, bindings
-        )
+        return PreconditionAnalysis(gens, self.mode, mode, exact, ideal, bindings)
 
 
 def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, count: int):
@@ -276,7 +281,7 @@ def post(
         analysis = precondition
     else:
         analysis = precondition.analyze(universe, **caps)
-    reducer = GroebnerReducer(analysis.basis)
+    reducer = analysis.ideal.reducer()
     n = len(template.params)
 
     rows = template.reduce_by(reducer).forms()
@@ -330,14 +335,14 @@ def post(
                 t = t.lie(field)
                 generators += t.unit_instances()
             ideal = Ideal(universe, generators, **caps)
-        # J_{j+1} = J_j iff every instance of L^{j+1}(T∘B) lies in J_j, and
-        # normal forms are linear: one template remainder decides it
-        stable = nxt.reduce_by(ideal.reducer()).is_zero()
+        grown = _grow(ideal, nxt)
+        stable = grown is ideal
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": len(ideal.generators)})
         trace.append(entry)
         if stable:
             break
-        ideal = ideal.extend(nxt.unit_instances())
+        ideal = grown
+        del grown  # else J and its reducer memo outlive a refinement of V
         current = nxt
         j += 1
 
@@ -348,6 +353,16 @@ def post(
     )
     _verify_post(result, field)
     return result
+
+
+def _grow(ideal: Ideal, t: Template) -> Ideal:
+    """The J step of both chains: `ideal` itself when every instance of `t`
+    lies in it, else `ideal` extended by those instances.  Normal forms are
+    linear, so one template remainder modulo the ideal's reducer decides
+    membership, and the extension's pre-pass reuses its memo."""
+    if t.reduce_by(ideal.reducer()).is_zero():
+        return ideal
+    return ideal.extend(t.unit_instances())
 
 
 def _verify_post(res: PostResult, field: VectorField):
@@ -386,8 +401,10 @@ def pre(
 
     Builds the ascending ideal chain generated by iterated Lie derivatives
     and returns the first stable ideal; its variety is the largest set of
-    initial states keeping all postcondition polynomials at zero.  The chain
-    ascends, so it is stable once the new derivatives lie in the ideal.
+    initial states keeping all postcondition polynomials at zero.  The
+    derivatives are the instances of the Lie iterates of the template
+    sum a_i * p_i, and the chain ascends, so it is stable once they lie in
+    the ideal.
     """
     P = list(postcondition)
     if not P:
@@ -397,12 +414,13 @@ def pre(
         if p.universe is not universe:
             raise ValueError("postcondition polynomial over a different universe")
     ideal = Ideal(universe, P, pair_budget=pair_budget, max_degree=max_degree)
-    current = P
+    current = linear_combination_template(P)
     for m in range(max_iterations):
-        current = [lie_derivative(p, field) for p in current]
-        if all(ideal.member(p) for p in current):
+        current = current.lie(field)
+        grown = _grow(ideal, current)
+        if grown is ideal:
             return PreResult(ideal, m)
-        ideal = ideal.extend(current)
+        ideal = grown
     raise ResourceLimitError(
         f"precondition chain exceeded {max_iterations} iterations"
     )
@@ -478,6 +496,9 @@ def check_invariant_ideal(ideal: Ideal, field: VectorField) -> bool:
 
     Checking the reduced basis suffices: the derivative of h*g expands to
     h*L(g) + L(h)*g, both sides staying in the ideal when L(g) does.
+    Membership is `Ideal.member`, a normal form divided from scratch, not
+    the reducer memo the chains step by: as the self-check of `post`, it
+    stays independent of the answers it checks.
     """
     return all(
         ideal.member(lie_derivative(g, field))

@@ -1,10 +1,10 @@
 """Vector fields, Lie derivatives, and parameter-linear templates.
 
 A template is a polynomial over the state variables whose coefficients are
-linear forms in a disjoint parameter tuple.  Monomial keys live in the state
-universe only; parameters never enter monomials, which keeps templates linear
-by construction and lets the precondition basis reduce templates one state
-monomial at a time.
+linear forms in a disjoint parameter tuple.  Its monomials, exponent tuples,
+live in the state universe only; parameters never enter monomials, which
+keeps templates linear by construction and lets the precondition basis
+reduce templates one state monomial at a time.
 
 The chains use only spans, so a template holds integer forms over one
 denominator: `lie`, `reduce_by` and `compose` run on integers, carry their
@@ -262,54 +262,48 @@ def fresh_parameters(n: int, prefix: str = "a"):
 
 
 def complete_template(
-    universe: SymbolUniverse,
-    variables,
-    degree: int,
-    prefix: str = "a",
-    exclude=(),
-    auxiliary=(),
+    universe: SymbolUniverse, variables, degree: int, exclude=(), auxiliary=()
 ) -> Template:
     """One fresh parameter per monomial of total degree <= `degree`.
 
-    Each auxiliary monomial m adds m and m*v for every template variable v;
-    `exclude` then drops specific monomials from the ansatz.  Parameters are
-    assigned in ascending (degree, order) sequence, so the first parameter
-    always multiplies the constant monomial.
+    Each auxiliary monomial m, an exponent tuple, adds m and m*v for every
+    template variable v; `exclude` then drops specific monomials from the
+    ansatz.  Parameters are assigned in ascending (degree, order) sequence,
+    so the first parameter always multiplies the constant monomial.
     """
     variables = list(variables)
-    exps = {m.exps for m in monomials_up_to_degree(universe, variables, degree)}
+    exps = set(monomials_up_to_degree(universe, variables, degree))
     for m in auxiliary:
-        exps.add(m.exps)
+        exps.add(m)
         for v in variables:
             i = universe.index_of(v)
-            exps.add(m.exps[:i] + (m.exps[i] + 1,) + m.exps[i + 1:])
-    exps -= {m.exps for m in exclude}
+            exps.add(m[:i] + (m[i] + 1,) + m[i + 1:])
+    exps -= set(exclude)
     ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
-    params = fresh_parameters(len(ordered), prefix)
+    params = fresh_parameters(len(ordered))
     return Template(universe, params, {e: {k: 1} for k, e in enumerate(ordered)})
 
 
-def linear_combination_template(polys, prefix: str = "a") -> Template:
+def linear_combination_template(polys) -> Template:
     """Template sum a_i * q_i over the given polynomials."""
     polys = list(polys)
     if not polys:
         raise ValueError("need at least one polynomial")
     universe = polys[0].universe
-    params = fresh_parameters(len(polys), prefix)
+    params = fresh_parameters(len(polys))
     return Template.from_instances(universe, params, polys)
 
 
-def result_template(
-    template: Template, space: Subspace, prefix: str = "b"
-) -> Template:
-    """Fresh-parameter template whose instances are exactly template[space].
+def result_template(template: Template, space: Subspace) -> Template:
+    """Fresh-parameter template b_1..b_d whose instances are exactly
+    template[space].
 
     The k-th fresh parameter corresponds to the k-th row of `space.rows`,
     scaled to a unit pivot: the k-th row of the canonical RREF basis.
     """
     if space.ambient_dim != len(template.params):
         raise ValueError("subspace ambient dimension must match parameter count")
-    params = fresh_parameters(space.dim, prefix)
+    params = fresh_parameters(space.dim, "b")
     pivots = [row[col] for col, row in zip(space.pivots, space.rows)]
     scale = lcm(*pivots)  # the rows over one denominator
     rows = [{j: v * (scale // p) for j, v in row.items()} for p, row in zip(pivots, space.rows)]

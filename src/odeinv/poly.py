@@ -4,6 +4,8 @@ Polynomials are immutable values: a symbol universe fixes the variables and
 the active monomial order once, and every arithmetic operation returns a new
 canonical polynomial with exact `fractions.Fraction` coefficients.  The Groebner
 engine, linear algebra and templates run on integers over one scale instead.
+A monomial is an exponent tuple, one entry per universe symbol, and the
+universe's `key` orders it.
 """
 
 from __future__ import annotations
@@ -135,56 +137,6 @@ class SymbolUniverse:
                 return s
         raise KeyError(f"no symbol named {name!r} in this universe")
 
-    def monomial(self, exponents) -> "Monomial":
-        """Build a monomial from a {Symbol: exponent} mapping."""
-        exps = [0] * len(self.symbols)
-        for sym, e in exponents.items():
-            if e < 0:
-                raise ValueError("negative exponent")
-            exps[self.index_of(sym)] = e
-        return Monomial(self, tuple(exps))
-
-
-class Monomial:
-    """A power product of universe symbols, stored as an exponent tuple."""
-
-    __slots__ = ("universe", "exps")
-
-    def __init__(self, universe: SymbolUniverse, exps: tuple):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Monomial is immutable")
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.universe is not other.universe:
-            raise ValueError("monomials from different universes")
-        return Monomial(
-            self.universe, tuple(a + b for a, b in zip(self.exps, other.exps))
-        )
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.universe is other.universe
-            and self.exps == other.exps
-        )
-
-    def __lt__(self, other: "Monomial"):
-        return self.universe.key(self.exps) < other.universe.key(other.exps)
-
-    def __str__(self):
-        return format_monomial(self.universe, self.exps) or "1"
-
-    __repr__ = __str__
-
 
 def format_monomial(universe: SymbolUniverse, exps) -> str:
     parts = []
@@ -265,12 +217,6 @@ class Polynomial:
             )
             object.__setattr__(self, "_sorted", cached)
         return cached
-
-    def terms(self):
-        """Public view: (Monomial, Fraction) pairs, leading term first."""
-        return tuple(
-            (Monomial(self.universe, e), c) for e, c in self.sorted_terms()
-        )
 
     def leading(self):
         """(exps, coeff) of the leading term; raises on the zero polynomial."""
@@ -414,7 +360,8 @@ class Polynomial:
 
 
 def monomials_up_to_degree(universe: SymbolUniverse, variables, k: int):
-    """All monomials of total degree <= k over the given symbols.
+    """All monomials of total degree <= k over the given symbols, as
+    exponent tuples.
 
     Returned in descending active order; the count is C(len(vars)+k, k).
     """
@@ -428,7 +375,7 @@ def monomials_up_to_degree(universe: SymbolUniverse, variables, k: int):
             exps = [0] * len(universe)
             for i in combo:
                 exps[i] += 1
-            monos.append(Monomial(universe, tuple(exps)))
+            monos.append(tuple(exps))
     assert len(monos) == comb(len(variables) + k, k)
-    monos.sort(key=lambda m: universe.key(m.exps), reverse=True)
+    monos.sort(key=universe.key, reverse=True)
     return monos

@@ -68,7 +68,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     t0 = time.perf_counter()
     exit_code = 0
     numeric_polys = []
-    numeric_analysis = analysis
+    numeric_basis = None  # pre and invariant sample their own ideal's variety
     if spec.query_kind == "post":
         res = post(analysis, built.template, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
@@ -110,7 +110,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             },
         }
         numeric_polys = list(res.ideal.generators)
-        numeric_analysis = Precondition(list(gb)).analyze(built.universe, **gb_caps)
+        numeric_basis = gb
     elif spec.query_kind == "check":
         res = check_safety(analysis, built.postcondition, built.field, **caps)
         witness = None
@@ -144,16 +144,18 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         }
         exit_code = 0 if ok else 1
         numeric_polys = list(gb)
-        numeric_analysis = Precondition(list(gb)).analyze(built.universe, **gb_caps)
+        numeric_basis = gb
     timings["query"] = time.perf_counter() - t0
 
     run_numeric = spec.numeric.enabled if numeric is None else numeric
     if run_numeric:
         t0 = time.perf_counter()
+        if numeric_basis is not None:
+            analysis = Precondition(list(numeric_basis)).analyze(built.universe, **gb_caps)
         records, note = verify_from_analysis(
             numeric_polys,
             built.field,
-            numeric_analysis,
+            analysis,
             samples=spec.numeric.samples,
             horizon=spec.numeric.horizon,
             step=spec.numeric.step,

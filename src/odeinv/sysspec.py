@@ -17,7 +17,7 @@ from .algorithms import MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
 from .groebner import ResourceLimitError
 from .parser import ParseError, parse_polynomial
-from .poly import GrevLex, Lex, Monomial, Symbol, SymbolUniverse
+from .poly import GrevLex, Lex, Symbol, SymbolUniverse
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
 TIERS = ("quick", "extended", "data-only")
@@ -252,11 +252,12 @@ class SystemSpec:
 
 
 def _parse_monomial(text, universe, what):
+    """The exponent tuple of a monomial's text."""
     p = _parse(text, universe, what)
     terms = p.sorted_terms()
     if len(terms) != 1 or terms[0][1] != 1:
         raise SpecError(f"{what}: {text!r} is not a monomial")
-    return Monomial(universe, terms[0][0])
+    return terms[0][0]
 
 
 def _parse(text, universe, what):

@@ -13,7 +13,9 @@ normal forms, template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer forms over one
 denominator, Buchberger's S-polynomial criterion on plain
 `Polynomial` arithmetic instead of the integer engine, ideal equality by
-comparing reduced bases instead of membership of the new generators, a
+comparing reduced bases instead of membership of the new generators, the
+precondition chain one Lie derivative and one `Ideal.member` per
+polynomial instead of one template remainder per step, a
 finite-difference Lie rate instead of the symbolic derivative, and float
 evaluators, an RK4 trajectory and a residual check that walk the terms on
 every call instead of the compiled straight-line code of `numcheck`.
@@ -24,7 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, lie_derivative
+from odeinv import (
+    Ideal,
+    Polynomial,
+    ResourceLimitError,
+    Subspace,
+    Symbol,
+    SymbolUniverse,
+    lie_derivative,
+)
 from odeinv import groebner
 from odeinv.dynamics import Template
 from odeinv.groebner import divide
@@ -370,6 +380,21 @@ def is_groebner_basis(G) -> bool:
         for i, f in enumerate(G)
         for g in G[i + 1 :]
     )
+
+
+def pre_by_polynomials(postcondition, field, *, max_iterations: int = 64, **caps):
+    """The weakest-precondition chain one polynomial at a time: each Lie
+    derivative is taken on its own and asked of the ideal by `Ideal.member`;
+    when one is not a member, all of them extend it.  Returns the stable
+    ideal and its iteration count, as `pre` does."""
+    ideal = Ideal(field.universe, postcondition, **caps)
+    current = list(postcondition)
+    for m in range(max_iterations):
+        current = [lie_derivative(p, field) for p in current]
+        if all(ideal.member(p) for p in current):
+            return ideal, m
+        ideal = ideal.extend(current)
+    raise ResourceLimitError(f"precondition chain exceeded {max_iterations} iterations")
 
 
 def ideal_equal(a, b) -> bool:

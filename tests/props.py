@@ -174,7 +174,7 @@ def _oracle_member(p, gens, max_total_degree):
         if room < 0:
             continue
         for m in monomials_up_to_degree(universe, universe.symbols, room):
-            columns.append(Polynomial(m.universe, {m.exps: Fraction(1)}) * g)
+            columns.append(Polynomial(universe, {m: Fraction(1)}) * g)
     monos = sorted(
         {e for q in columns for e in q._terms} | set(p._terms),
         key=universe.key,

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -31,7 +32,8 @@ from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
 from odeinv.report import run
 from conftest import same_span
-from oracles import ideal_equal, lie_iterate
+from oracles import ideal_equal, lie_iterate, pre_by_polynomials
+from props import rand_field, rand_poly
 
 
 def test_post_running_example(running):
@@ -290,6 +292,49 @@ def test_pre_stable_step_adds_no_generator():
     )["result"]
     assert [str(g) for g in res.ideal.generators] == pinned["derivative_closure"]
     assert len(res.ideal.generators) == pinned["ideal"]["generator_count"] == 2
+
+
+def test_post_reduces_by_the_precondition_ideal_reducer(running):
+    U, (x, y), (X, Y), F = running
+    analysis = Precondition([X - Y]).analyze(U)
+    reducer = analysis.ideal.reducer()
+    assert not reducer._cache
+    post(analysis, complete_template(U, [x, y], 2), F)
+    assert analysis.ideal.reducer() is reducer
+    assert (2, 0) in reducer._cache  # x^2, asked by the degree-2 template
+
+
+def _pre_or_none(chain, P, field, **options):
+    try:
+        return chain(P, field, **options)
+    except ResourceLimitError:
+        return None
+
+
+def test_pre_matches_the_per_polynomial_chain():
+    # one template remainder per step decides what one Ideal.member per
+    # Lie derivative decides: same iterations, generators and reduced basis
+    built = corpus.load("running-pre").build()
+    cases = [(built.postcondition, built.field, {})]
+    rng = random.Random(7007)
+    for _ in range(40):
+        U, F = rand_field(rng)
+        origin = {s: 0 for s in U.symbols}  # through the origin: few unit ideals
+        P = [p - p.evaluate(origin) for p in (rand_poly(rng, U, 3, 2) for _ in range(3))]
+        cases.append((P, F, {"max_iterations": 6, "pair_budget": 2000, "max_degree": 12}))
+    compared = 0
+    for P, F, options in cases:
+        res = _pre_or_none(pre, P, F, **options)
+        oracle = _pre_or_none(pre_by_polynomials, P, F, **options)
+        assert (res is None) == (oracle is None)
+        if res is None:
+            continue
+        ideal, m = oracle
+        assert res.iterations == m
+        assert [str(g) for g in res.ideal.generators] == [str(g) for g in ideal.generators]
+        assert res.ideal.reduced_groebner_basis() == ideal.reduced_groebner_basis()
+        compared += 1
+    assert compared >= 35
 
 
 def test_post_rebuilds_ideal_after_refinement():

@@ -476,3 +476,25 @@ def test_every_private_module_name_is_read_in_the_package():
             used |= names - own
     assert {"_complete", "_nf_int"} <= defined
     assert sorted(defined - used) == []
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    # every name a package module other than __init__ binds by an import,
+    # at any depth, is read as a Name in that module: no import outlives
+    # its last use
+    package = Path(odeinv.__file__).resolve().parent
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in nodes
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert dead == []
