@@ -231,24 +231,13 @@ def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, coun
 class PostResult:
     """Outcome of the postcondition chain."""
 
-    __slots__ = (
-        "template",
-        "space",
-        "result",
-        "ideal",
-        "iterations",
-        "mode_exact",
-        "analysis",
-        "trace",
-    )
+    __slots__ = ("space", "result", "ideal", "iterations", "analysis", "trace")
 
-    def __init__(self, template, space, result, ideal, iterations, mode_exact, analysis, trace):
-        self.template = template
+    def __init__(self, space, result, ideal, iterations, analysis, trace):
         self.space = space
         self.result = result
         self.ideal = ideal
         self.iterations = iterations
-        self.mode_exact = mode_exact
         self.analysis = analysis
         self.trace = tuple(trace)
 
@@ -348,9 +337,7 @@ def post(
 
     space = Subspace.from_rows(basis_rows, n)
     out_template = result_template(template, space)
-    result = PostResult(
-        template, space, out_template, ideal, j, analysis.exact, analysis, trace
-    )
+    result = PostResult(space, out_template, ideal, j, analysis, trace)
     _verify_post(result, field)
     return result
 
@@ -464,7 +451,7 @@ def check_safety(
     res = post(precondition, template, field, **options)
     if res.space.is_full():
         return SafetyResult(HOLDS, res, Q, None)
-    if not res.mode_exact:
+    if not res.analysis.exact:
         return SafetyResult(INCONCLUSIVE, res, Q, None)
     witness = _find_witness(res, Q, field)
     return SafetyResult(FAILS, res, Q, witness)

@@ -31,7 +31,7 @@ from .poly import (
 class VectorField:
     """Drifts f_1..f_N aligned with the state variables of one universe."""
 
-    __slots__ = ("universe", "state_vars", "drifts", "denominator", "_scaled", "_lie_cache",
+    __slots__ = ("universe", "drifts", "denominator", "_scaled", "_lie_cache",
                  "_advance")
 
     def __init__(self, universe: SymbolUniverse, drifts):
@@ -46,7 +46,6 @@ class VectorField:
                 raise ValueError("drift from a different symbol universe")
         den = lcm(*(c.denominator for d in drifts for c in d._terms.values()))
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "state_vars", universe.symbols)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "denominator", den)
         # D = the lcm of the coefficients' denominators; the integer terms of D * f_i
@@ -83,7 +82,7 @@ class VectorField:
         return total
 
     def __repr__(self):
-        names = ", ".join(s.name for s in self.state_vars)
+        names = ", ".join(s.name for s in self.universe.symbols)
         return f"VectorField({names})"
 
 

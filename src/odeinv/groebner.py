@@ -6,6 +6,11 @@ which also returns the quotients.  Internally the engine works on
 content-free integer term lists: reductions cross-multiply instead of
 dividing, which keeps coefficients in Z and controls bignum growth, and the
 exact rational normal form is recovered from the accumulated scale.
+
+Buchberger keeps its S-pairs in one heap, each entry holding the lcm of the
+pair's leads, computed once when the pair is formed (Gebauer-Moeller 1988).
+Every reduction, in Buchberger, in the basis interreduction and in
+`GroebnerReducer`, finds its divisor through the one search `_divisor_of`.
 """
 
 from __future__ import annotations
@@ -59,12 +64,21 @@ def _neg(key):
     return tuple(map(neg, key))
 
 
+def _divisor_of(divisors, exps):
+    """The first of `divisors` whose lead divides x^exps, or None."""
+    for d in divisors:
+        if all(map(le, d.lead_exps, exps)):
+            return d
+    return None
+
+
 def _nf_int(terms, divisors, key):
     """Reduce integer terms by divisors; return (remainder_terms, scale).
 
     `scale` is the positive integer by which the dividend was cross-
     multiplied overall, so exact_remainder = remainder / scale.  The
-    remainder is NOT content-stripped.  `terms` holds distinct monomials;
+    remainder is NOT content-stripped; it is sorted lead first, as the
+    heap pops monomials largest first.  `terms` holds distinct monomials;
     a zero coefficient among them is skipped.
     """
     work = dict(terms)
@@ -77,16 +91,11 @@ def _nf_int(terms, divisors, key):
         c = work.get(e)
         if not c:
             continue
-        red = None
-        for d in divisors:
-            if all(map(le, d.lead_exps, e)):
-                red = d
-                break
+        del work[e]
+        red = _divisor_of(divisors, e)
         if red is None:
-            del work[e]
             emitted.append((e, c, scale))
             continue
-        del work[e]
         g = gcd(abs(c), red.lead_coeff)
         mult_work = red.lead_coeff // g
         mult_div = c // g
@@ -111,12 +120,12 @@ def _nf_int(terms, divisors, key):
     return remainder, scale
 
 
-def _spoly_int(f: _GPoly, g: _GPoly):
-    """Integer S-polynomial of two engine polynomials.
+def _spoly_int(f: _GPoly, g: _GPoly, lcm):
+    """Integer S-polynomial of two engine polynomials whose leads have the
+    exponents `lcm` as their lcm.
 
     Cancelled terms, the lcm's at least, stay as zeros for `_nf_int` to skip.
     """
-    lcm = _lcm_exps(f.lead_exps, g.lead_exps)
     cf = g.lead_coeff
     cg = f.lead_coeff
     d = gcd(cf, cg)
@@ -135,6 +144,7 @@ def _spoly_int(f: _GPoly, g: _GPoly):
 
 
 def _sorted_terms(items, key):
+    """Integer terms of a dict's items, sorted lead first."""
     return sorted(items, key=lambda t: key(t[0]), reverse=True)
 
 
@@ -265,12 +275,6 @@ class GroebnerReducer:
             cached = self._reduce(exps)
         return cached
 
-    def _divisor_of(self, exps):
-        for d in self._divisors:
-            if all(map(le, d.lead_exps, exps)):
-                return d
-        return None
-
     def _reduce(self, target):
         """NF(target), not cached yet: drive the coroutines of `_nf` on an
         explicit stack, sending each the normal form of the monomial it
@@ -291,7 +295,7 @@ class GroebnerReducer:
         """NF(m), not cached yet, cached now if m is standard or zero; else
         None, with the coroutine that builds it pushed on `stack`."""
         cache = self._cache
-        d = self._divisor_of(m)
+        d = _divisor_of(self._divisors, m)
         if d is None:
             nf = cache[m] = ({m: 1}, 1)
             return nf
@@ -392,80 +396,64 @@ def _lowest(acc, scale):
 # Buchberger
 
 
-def _lcm_exps(a, b):
-    return tuple(map(max, a, b))
-
-
-def _divides_exps(a, b):
-    return all(map(le, a, b))
-
-
 def _update_pairs(G, P, f, key):
     """Gebauer-Moeller pair update: installs Buchberger's coprime and chain
-    criteria while adding f to the basis."""
+    criteria while adding f to the basis.
+
+    A pair (i, j) is the heap entry (key(lcm), i, j, lcm) of its leads' lcm,
+    so the heap pops the least lcm first, ties broken by (i, j).  The lcm
+    of f's lead with each lead in G is computed once, for the chain
+    criterion on the old pairs and for the new pairs alike; a new pair
+    takes the least i of its lcm's class."""
     m = len(G)
     lmf = f.lead_exps
-    kept = set()
-    for i, j in P:
-        lij = _lcm_exps(G[i].lead_exps, G[j].lead_exps)
-        if (
-            not _divides_exps(lmf, lij)
-            or lij == _lcm_exps(G[i].lead_exps, lmf)
-            or lij == _lcm_exps(G[j].lead_exps, lmf)
-        ):
-            kept.add((i, j))
+    with_f = [tuple(map(max, g.lead_exps, lmf)) for g in G]
+    kept = [
+        pair
+        for pair in P
+        if not all(map(le, lmf, pair[3])) or pair[3] in (with_f[pair[1]], with_f[pair[2]])
+    ]
     classes: dict = {}
-    for i in range(m):
-        classes.setdefault(_lcm_exps(G[i].lead_exps, lmf), []).append(i)
+    for i, lcm in enumerate(with_f):
+        classes.setdefault(lcm, []).append(i)
     minimal = []
-    for lcm in sorted(classes, key=key):
-        if all(not _divides_exps(other, lcm) for other in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
-        coprime = any(
-            lcm == tuple(map(add, G[i].lead_exps, lmf))
-            for i in classes[lcm]
-        )
+    for k, lcm in sorted((key(lcm), lcm) for lcm in classes):
+        if not any(all(map(le, other, lcm)) for _, other in minimal):
+            minimal.append((k, lcm))
+    for k, lcm in minimal:
+        coprime = any(lcm == tuple(map(add, G[i].lead_exps, lmf)) for i in classes[lcm])
         if not coprime:
-            kept.add((min(classes[lcm]), m))
+            kept.append((k, classes[lcm][0], m, lcm))
+    heapq.heapify(kept)
     G.append(f)
     return kept
 
 
 def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
     """Complete `seed` (pairwise S-reduced already) with `gens` to a GB."""
-    G: list = []
-    P: set = set()
-    for f in seed:
-        G.append(f)
+    G = list(seed)
+    P: list = []
     for f in sorted(gens, key=lambda t: key(t.lead_exps)):
         rem, _ = _nf_int(f.terms(), G, key)
         rem = _primitive(rem)
         if rem:
-            P = _update_pairs(G, P, _GPoly(_sorted_terms(rem, key)), key)
+            P = _update_pairs(G, P, _GPoly(rem), key)
     processed = 0
     while P:
         if shuffle is None:
-            pair = min(
-                P,
-                key=lambda ij: (
-                    key(_lcm_exps(G[ij[0]].lead_exps, G[ij[1]].lead_exps)),
-                    ij,
-                ),
-            )
+            _, i, j, lcm = heapq.heappop(P)
         else:
-            pair = shuffle.choice(sorted(P))
-        P.remove(pair)
+            # the heap order is not read under shuffle: any entry may go
+            _, i, j, lcm = P.pop(shuffle.randrange(len(P)))
         processed += 1
         if processed > pair_budget:
             raise ResourceLimitError(
                 f"Buchberger pair budget of {pair_budget} exceeded"
             )
-        s = _spoly_int(G[pair[0]], G[pair[1]])
-        rem, _ = _nf_int(s, G, key)
+        rem, _ = _nf_int(_spoly_int(G[i], G[j], lcm), G, key)
         rem = _primitive(rem)
         if rem:
-            g = _GPoly(_sorted_terms(rem, key))
+            g = _GPoly(rem)
             if max_degree is not None and g.degree > max_degree:
                 raise ResourceLimitError(
                     f"intermediate degree {g.degree} exceeds cap {max_degree}"
@@ -476,18 +464,17 @@ def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
 
 def _reduce_int_basis(G, key):
     """Minimalize and interreduce an integer GB; returns integer term lists."""
-    order = sorted(range(len(G)), key=lambda i: key(G[i].lead_exps))
     minimal: list = []
-    for i in order:
-        if all(not _divides_exps(m.lead_exps, G[i].lead_exps) for m in minimal):
-            minimal.append(G[i])
+    for g in sorted(G, key=lambda t: key(t.lead_exps)):
+        if _divisor_of(minimal, g.lead_exps) is None:
+            minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         rem, _ = _nf_int(g.terms(), others, key)
         rem = _primitive(rem)
         if rem:
-            reduced.append(_GPoly(_sorted_terms(rem, key)))
+            reduced.append(_GPoly(rem))
     reduced.sort(key=lambda g: key(g.lead_exps), reverse=True)
     return reduced
 

@@ -43,7 +43,7 @@ STEP_RTOL = 1e-10
 
 
 def _power_terms(p: Polynomial, names, consts: dict):
-    """`(op, product)` source per term of `p`, in its term order, over the
+    """`(op, product)` source per term of `p`, lead first, over the
     variable expressions `names`, one per exponent position.  A product
     multiplies its factors left to right, as the loop `v = c; v *= x**e`
     does, less what cannot change a float:
@@ -55,7 +55,7 @@ def _power_terms(p: Polynomial, names, consts: dict):
     Other coefficients become names: `consts` maps each exact coefficient
     to its name and is shared by every expression of one compile.
     """
-    for exps, c in p._terms.items():
+    for exps, c in p.sorted_terms():
         factors = [names[i] if e == 1 else f"{names[i]}**{e}" for i, e in enumerate(exps) if e]
         if abs(c) != 1:
             factors.insert(0, consts.setdefault(c, f"C{len(consts)}"))

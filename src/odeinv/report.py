@@ -86,12 +86,12 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             },
             "chain_trace": list(res.trace),
             "weakest_precondition": {
-                "applies": res.mode_exact,
+                "applies": res.analysis.exact,
                 "note": (
                     "the ideal's variety is the weakest precondition of the "
                     "result template's variety, and the largest algebraic "
                     "invariant inside it"
-                    if res.mode_exact
+                    if res.analysis.exact
                     else "sound mode only: inclusions hold, maximality is not guaranteed"
                 ),
             },

@@ -426,10 +426,11 @@ def lie_rate_estimate(field, p: Polynomial, point, h: float = 1.0 / 1024):
 
 
 def float_evaluator(p: Polynomial):
-    """Float evaluator of `p` that walks its terms on every call."""
+    """Float evaluator of `p` that walks its terms, lead first, on every
+    call."""
     terms = [
         ([(i, e) for i, e in enumerate(exps) if e], float(c))
-        for exps, c in p._terms.items()
+        for exps, c in p.sorted_terms()
     ]
 
     def evaluate(state):
@@ -448,7 +449,7 @@ def abs_float_evaluator(p: Polynomial):
     """Float evaluator of the sum of absolute term magnitudes of `p`."""
     terms = [
         ([(i, e) for i, e in enumerate(exps) if e], abs(float(c)))
-        for exps, c in p._terms.items()
+        for exps, c in p.sorted_terms()
     ]
 
     def evaluate(state):

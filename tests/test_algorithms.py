@@ -41,7 +41,7 @@ def test_post_running_example(running):
     res = post(Precondition([X - Y]), complete_template(U, [x, y], 2), F)
     assert res.iterations == 0
     assert res.space.dim == 3
-    assert res.mode_exact
+    assert res.analysis.exact
     assert [str(g) for g in res.ideal.reduced_groebner_basis()] == ["x - y"]
     assert same_span(
         res.result.unit_instances(),
@@ -83,7 +83,7 @@ def test_post_ghost_example(ghost):
 def test_post_trivial_precondition(running):
     U, (x, y), _, F = running
     res = post(Precondition([]), complete_template(U, [x, y], 2), F)
-    assert res.mode_exact  # the zero ideal is the full vanishing ideal here
+    assert res.analysis.exact  # the zero ideal is the full vanishing ideal here
     assert res.space.dim == 0
     assert res.result.is_zero()
     assert not res.ideal.reduced_groebner_basis()

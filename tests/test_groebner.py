@@ -165,6 +165,54 @@ def test_pair_budget_is_distinct_error(running):
         buchberger([X**3 - Y, X * Y**2 - X - 1, Y**3 - X * Y + 2], pair_budget=1)
 
 
+def _pair_count_systems(order):
+    syms = [Symbol(n) for n in ("x", "y", "z")]
+    U = SymbolUniverse(syms, order)
+    X, Y, Z = (Polynomial.variable(U, s) for s in syms)
+    return [
+        [X**3 - Y, X * Y**2 - X - 1, Y**3 - X * Y + 2],
+        [X * Y * Z - 1, X**2 - Y, Y**2 - Z],
+        [X**2 * Y + Z, Y**2 * Z + X, Z**2 * X + Y],
+        [X**2 - 2 * X * Z + 5, X * Y**2 + Y * Z**3, 3 * Y**2 - 8 * Z**3],
+    ]
+
+
+@pytest.mark.parametrize(
+    "order, counts", [(Lex(), [6, 11, 11, 7]), (GrevLex(), [11, 11, 11, 2])], ids=["lex", "grevlex"]
+)
+def test_buchberger_pair_counts_are_pinned(order, counts):
+    # the S-pairs each basis takes, pinned: a change to pair selection or to
+    # the Gebauer-Moeller criteria shows here first.  Without the chain
+    # criterion the counts read 6, 15, 11, 8 (lex) and 13, 11, 14, 2 (grevlex)
+    for gens, n in zip(_pair_count_systems(order), counts):
+        buchberger(gens, pair_budget=n)
+        with pytest.raises(ResourceLimitError):
+            buchberger(gens, pair_budget=n - 1)
+
+
+def test_shuffle_changes_the_pair_sequence(monkeypatch):
+    # a shuffled run must give the default basis (props) through another
+    # sequence of S-pairs; an ignored `shuffle` repeats the default sequence
+    taken = []
+    spoly = groebner._spoly_int
+
+    def recording(f, g, lcm):
+        taken.append((f.lead_exps, g.lead_exps))
+        return spoly(f, g, lcm)
+
+    monkeypatch.setattr(groebner, "_spoly_int", recording)
+    differ = 0
+    for gens in _pair_count_systems(GrevLex()):
+        for seed in range(3):
+            taken.clear()
+            reference = buchberger(gens)
+            default = list(taken)
+            taken.clear()
+            assert buchberger(gens, shuffle=random.Random(seed)) == reference
+            differ += taken != default
+    assert differ > 0
+
+
 def test_degree_cap_is_distinct_error(running):
     U, _, (X, Y), _ = running
     with pytest.raises(ResourceLimitError):

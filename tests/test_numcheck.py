@@ -102,7 +102,7 @@ def _synthetic_fields():
 
 
 def _synthetic_polys(field):
-    X, Y = (Polynomial.variable(field.universe, s) for s in field.state_vars[:2])
+    X, Y = (Polynomial.variable(field.universe, s) for s in field.universe.symbols[:2])
     one = Polynomial.constant(field.universe, 1)
     return [-X - Y, -X * Y**2 + 1, X**3 * Y - Fraction(7, 3) * X + Y, -one, one]
 
@@ -119,7 +119,7 @@ def test_compiled_trajectory_matches_the_oracle():
         polys = list(field.drifts) + _synthetic_polys(field)
         polys += [lie_derivative(d, field) for d in field.drifts if not d.is_zero()]
         # x^200 overflows once |x| > 35 and not below
-        x = Polynomial.variable(field.universe, field.state_vars[0])
+        x = Polynomial.variable(field.universe, field.universe.symbols[0])
         polys.append(x**200 * Fraction(1, 3))
         counts = _assert_matches_oracle(field, starts, polys)
         overflows += counts[0]
@@ -297,6 +297,22 @@ def test_nan_residual_fails():
         assert record["scale"] == math.inf
         assert not record["passed"] and record["fail_time"] == 0.0
         assert math.isnan(record["max_residual"])
+
+
+def test_records_do_not_depend_on_term_insertion_order():
+    # 10^16*x + y - 10^16*z at (1, 1, 1) sums to 0.0 lead first but to 1.0
+    # with y added last; two equal polynomials built in those two insertion
+    # orders must get one record
+    x, y, z = (Symbol(n) for n in ("x", "y", "z"))
+    U = SymbolUniverse([x, y, z])
+    X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
+    F = VectorField(U, [Polynomial.zero(U)] * 3)
+    a = 10**16 * X + Y - 10**16 * Z
+    b = 10**16 * X - 10**16 * Z + Y
+    assert a == b and list(a._terms) != list(b._terms)
+    point = {x: Fraction(1), y: Fraction(1), z: Fraction(1)}
+    got = [check_invariants([p], F, [point], tolerance=1e-30) for p in (a, b)]
+    assert got[0] == got[1]
 
 
 def test_true_invariant_from_line_passes(running):
