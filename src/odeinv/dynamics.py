@@ -1,10 +1,13 @@
 """Vector fields, Lie derivatives, and parameter-linear templates.
 
 A template is a polynomial over the state variables whose coefficients are
-linear forms in a disjoint parameter tuple.  Its monomials, exponent tuples,
-live in the state universe only; parameters never enter monomials, which
-keeps templates linear by construction and lets the precondition basis
-reduce templates one state monomial at a time.
+linear forms in a disjoint parameter tuple.  Its monomials live in the state
+universe only; parameters never enter monomials, which keeps templates
+linear by construction and lets the precondition basis reduce templates one
+state monomial at a time.  A template monomial, like a vector field's, is
+the universe's packed integer, the Groebner engine's own monomial, so a
+reduction hands its keys to the reducer as they are; exponent tuples appear
+only where a template meets a `Polynomial`.
 
 The chains use only spans, so a template holds integer forms over one
 denominator: `lie`, `reduce_by` and `compose` run on integers, carry their
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .groebner import GroebnerReducer
 from .linalg import Subspace
@@ -24,6 +26,7 @@ from .poly import (
     Symbol,
     SymbolUniverse,
     as_fraction,
+    exponent_overflow,
     monomials_up_to_degree,
 )
 
@@ -45,12 +48,15 @@ class VectorField:
             if d.universe is not universe:
                 raise ValueError("drift from a different symbol universe")
         den = lcm(*(c.denominator for d in drifts for c in d._terms.values()))
+        pack = universe.packing.pack
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "denominator", den)
-        # D = the lcm of the coefficients' denominators; the integer terms of D * f_i
+        # D = the lcm of the coefficients' denominators; the integer terms
+        # of D * f_i on packed monomials
         object.__setattr__(self, "_scaled", tuple(
-            [(e, c.numerator * (den // c.denominator)) for e, c in d._terms.items()] for d in drifts
+            [(pack(e), c.numerator * (den // c.denominator)) for e, c in d._terms.items()]
+            for d in drifts
         ))
         object.__setattr__(self, "_lie_cache", {})
         # the float step numcheck.compile_rk4 builds on first use
@@ -59,26 +65,30 @@ class VectorField:
     def __setattr__(self, *_):
         raise AttributeError("VectorField is immutable")
 
-    def lie_monomial(self, exps) -> dict:
-        """Integer term map of D * L(x^exps), D = `denominator` (cached).
+    def lie_monomial(self, m) -> dict:
+        """Integer term map of D * L(m), D = `denominator`, for a packed
+        monomial m, on packed monomials (cached).
 
         Cancelled terms stay as zeros; every consumer ends in a constructor,
         which drops them.
         """
-        cached = self._lie_cache.get(exps)
+        cached = self._lie_cache.get(m)
         if cached is not None:
             return cached
+        packing = self.universe.packing
+        guards = packing.guards
         total: dict = {}
-        for i, e in enumerate(exps):
+        for e, x, drift in zip(packing.unpack(m), packing.units, self._scaled):
             if not e:
                 continue
-            base = list(exps)
-            base[i] = e - 1
-            for de, dc in self._scaled[i]:
-                ne = tuple(map(add, base, de))
+            base = m - x
+            for de, dc in drift:
+                ne = base + de
+                if ne & guards:
+                    raise exponent_overflow()
                 acc = total.get(ne)
                 total[ne] = e * dc if acc is None else acc + e * dc
-        self._lie_cache[exps] = total
+        self._lie_cache[m] = total
         return total
 
     def __repr__(self):
@@ -90,20 +100,22 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
     """Syntactic Lie derivative <grad p, F>."""
     if p.universe is not field.universe:
         raise ValueError("polynomial and field use different universes")
+    packing = p.universe.packing
     acc: dict = {}
     for exps, c in p._terms.items():
         c /= field.denominator
-        for ne, dc in field.lie_monomial(exps).items():
+        for ne, dc in field.lie_monomial(packing.pack(exps)).items():
             v = acc.get(ne)
             acc[ne] = c * dc if v is None else v + c * dc
-    return Polynomial(p.universe, acc)
+    return Polynomial(p.universe, {packing.unpack(e): c for e, c in acc.items()})
 
 
 class Template:
     """A polynomial with parameter-linear coefficients.
 
-    Stored as integer forms {state exponent tuple: {parameter index: int}}
-    over one positive `denominator`, in lowest terms: equal values, equal forms.
+    Stored as integer forms {packed state monomial: {parameter index: int}}
+    over one positive `denominator`, in lowest terms: equal values, equal
+    forms.
     """
 
     __slots__ = ("universe", "params", "_terms", "denominator")
@@ -112,10 +124,10 @@ class Template:
         """Integer forms `terms` over a positive `denominator`, in lowest terms."""
         g = denominator
         clean = {}
-        for exps, form in terms.items():
+        for m, form in terms.items():
             form = {k: v for k, v in form.items() if v}
             if form:
-                clean[exps] = form
+                clean[m] = form
                 if g != 1:
                     g = gcd(g, *form.values())
         if g != 1:
@@ -137,12 +149,13 @@ class Template:
         if len(polys) != len(params):
             raise ValueError("one polynomial per parameter required")
         den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
+        pack = universe.packing.pack
         terms: dict = {}
         for k, p in enumerate(polys):
             if p.universe is not universe:
                 raise ValueError("instance from a different universe")
             for exps, c in p._terms.items():
-                terms.setdefault(exps, {})[k] = c.numerator * (den // c.denominator)
+                terms.setdefault(pack(exps), {})[k] = c.numerator * (den // c.denominator)
         return cls(universe, params, terms, den)
 
     # -- views ------------------------------------------------------------
@@ -166,9 +179,11 @@ class Template:
             v = [as_fraction(x) for x in valuation]
         if len(v) != len(self.params):
             raise ValueError("valuation length does not match parameter count")
+        unpack = self.universe.packing.unpack
         terms = {
-            exps: sum((coeff * v[k] for k, coeff in form.items()), Fraction(0)) / self.denominator
-            for exps, form in self._terms.items()
+            unpack(m): sum((coeff * v[k] for k, coeff in form.items()), Fraction(0))
+            / self.denominator
+            for m, form in self._terms.items()
         }
         return Polynomial(self.universe, terms)
 
@@ -177,7 +192,9 @@ class Template:
         n = len(self.params)
         cols: list = [dict() for _ in range(n)]
         den = self.denominator
-        for exps, form in self._terms.items():
+        unpack = self.universe.packing.unpack
+        for m, form in self._terms.items():
+            exps = unpack(m)
             for k, c in form.items():
                 # Fraction(c) of an int takes no gcd
                 cols[k][exps] = Fraction(c) if den == 1 else Fraction(c, den)
@@ -217,18 +234,23 @@ class Template:
             for j, r in row.items():
                 cols.setdefault(j, []).append((k, r.numerator * (den // r.denominator)))
         terms: dict = {}
-        for exps, form in self._terms.items():
+        for m, form in self._terms.items():
             dst: dict = {}
             for j, v in form.items():
                 for k, r in cols.get(j, ()):
                     acc = dst.get(k)
                     dst[k] = v * r if acc is None else acc + v * r
-            terms[exps] = dst
+            terms[m] = dst
         return Template(self.universe, new_params, terms, self.denominator * den * denominator)
 
     def reduce_by(self, reducer: GroebnerReducer) -> "Template":
-        """Remainder template modulo the reducer's Groebner basis."""
-        parts = [reducer.monomial_terms(e) for e in self._terms]
+        """Remainder template modulo the reducer's Groebner basis.
+
+        The reducer is asked in ascending order, so each normal form finds
+        the smaller ones it is built from cached and keeps few others."""
+        flip = self.universe.packing.flip
+        nfs = {m: reducer.monomial_terms(m) for m in sorted(self._terms, key=flip.__xor__)}
+        parts = [nfs[m] for m in self._terms]
         scale = lcm(*(s for _, s in parts))
         images = (nf if s == scale else {e: v * (scale // s) for e, v in nf.items()}
                   for nf, s in parts)
@@ -280,7 +302,8 @@ def complete_template(
     exps -= set(exclude)
     ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
     params = fresh_parameters(len(ordered))
-    return Template(universe, params, {e: {k: 1} for k, e in enumerate(ordered)})
+    pack = universe.packing.pack
+    return Template(universe, params, {pack(e): {k: 1} for k, e in enumerate(ordered)})
 
 
 def linear_combination_template(polys) -> Template:

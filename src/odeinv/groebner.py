@@ -7,6 +7,14 @@ content-free integer term lists: reductions cross-multiply instead of
 dividing, which keeps coefficients in Z and controls bignum growth, and the
 exact rational normal form is recovered from the accumulated scale.
 
+Every engine monomial is one packed integer of the universe's `Packing`,
+which orders as its exponent tuple does: a product is one addition, a
+divisibility test or an lcm a few masked integer operations.  Polynomials
+are packed on the way in (`_gpoly`) and unpacked on the way out
+(`_to_poly`).  A monomial the engine makes is checked against its guard
+bits before it is used, so an exponent that outgrows its field raises
+`ResourceLimitError` instead of wrapping.
+
 Buchberger keeps its S-pairs in one heap, each entry holding the lcm of the
 pair's leads, computed once when the pair is formed (Gebauer-Moeller 1988).
 Every reduction, in Buchberger, in the basis interreduction and in
@@ -18,16 +26,14 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, neg, sub
 
-from .poly import Polynomial, SymbolUniverse, primitive_integers
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured pair budget or degree cap was exceeded.
-
-    Raised instead of returning a wrong or partial answer.
-    """
+from .poly import (
+    Polynomial,
+    ResourceLimitError,
+    SymbolUniverse,
+    exponent_overflow,
+    primitive_integers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +41,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def _primitive(items):
-    """Content-free integer (exps, coeff) terms, first coefficient positive."""
+    """Content-free integer (monomial, coeff) terms, first coefficient
+    positive."""
     ints, _ = primitive_integers([c for _, c in items])
     if ints and ints[0] < 0:
         ints = [-c for c in ints]
@@ -43,56 +50,65 @@ def _primitive(items):
 
 
 class _GPoly:
-    """Engine-side polynomial: integer terms split into lead and tail."""
+    """Engine-side polynomial: integer terms split into lead and tail, on
+    packed monomials (`lead_exps` is the packed lead monomial)."""
 
-    __slots__ = ("lead_exps", "lead_coeff", "tail", "degree")
+    __slots__ = ("lead_exps", "lead_coeff", "tail")
 
     def __init__(self, terms):
         self.lead_exps, self.lead_coeff = terms[0]
         self.tail = terms[1:]
-        self.degree = max(sum(e) for e, _ in terms)
 
     def terms(self):
         return [(self.lead_exps, self.lead_coeff)] + list(self.tail)
 
 
+def _packed(p: Polynomial):
+    """The rational terms of p on packed monomials, lead first."""
+    pack = p.universe.packing.pack
+    return [(pack(e), c) for e, c in p.sorted_terms()]
+
+
 def _gpoly(p: Polynomial) -> _GPoly:
-    return _GPoly(_primitive(p.sorted_terms()))
+    return _GPoly(_primitive(_packed(p)))
 
 
-def _neg(key):
-    return tuple(map(neg, key))
-
-
-def _divisor_of(divisors, exps):
-    """The first of `divisors` whose lead divides x^exps, or None."""
+def _divisor_of(divisors, m, guards):
+    """The first of `divisors` whose lead divides the packed monomial m, or
+    None: d divides m iff no field of m - d borrows, that is iff every
+    guard bit of (m | guards) - d is set."""
+    mg = m | guards
     for d in divisors:
-        if all(map(le, d.lead_exps, exps)):
+        if (mg - d.lead_exps) & guards == guards:
             return d
     return None
 
 
-def _nf_int(terms, divisors, key):
+def _nf_int(terms, divisors, packing):
     """Reduce integer terms by divisors; return (remainder_terms, scale).
 
     `scale` is the positive integer by which the dividend was cross-
     multiplied overall, so exact_remainder = remainder / scale.  The
     remainder is NOT content-stripped; it is sorted lead first, as the
     heap pops monomials largest first.  `terms` holds distinct monomials;
-    a zero coefficient among them is skipped.
+    a zero coefficient among them is skipped.  A monomial popped with a set
+    guard bit, given or made by a shift, raises ResourceLimitError.
     """
+    flip, guards = packing.flip, packing.guards
     work = dict(terms)
-    heap = [(_neg(key(e)), e) for e in work]
+    heap = [-(e ^ flip) for e in work]
     heapq.heapify(heap)
-    emitted = []  # (exps, coeff, scale at emission)
+    emitted = []  # (monomial, coeff, scale at emission)
     scale = 1
     while heap:
-        _, e = heapq.heappop(heap)
+        e = -heapq.heappop(heap) ^ flip
         c = work.get(e)
         if not c:
             continue
+        if e & guards:
+            raise exponent_overflow()
         del work[e]
-        red = _divisor_of(divisors, e)
+        red = _divisor_of(divisors, e, guards)
         if red is None:
             emitted.append((e, c, scale))
             continue
@@ -103,13 +119,13 @@ def _nf_int(terms, divisors, key):
             for k2 in work:
                 work[k2] *= mult_work
             scale *= mult_work
-        shift = tuple(map(sub, e, red.lead_exps))
+        shift = e - red.lead_exps
         for de, dc in red.tail:
-            ne = tuple(map(add, de, shift))
+            ne = de + shift
             acc = work.get(ne)
             if acc is None:
                 work[ne] = -mult_div * dc
-                heapq.heappush(heap, (_neg(key(ne)), ne))
+                heapq.heappush(heap, -(ne ^ flip))
             else:
                 acc -= mult_div * dc
                 if acc:
@@ -122,36 +138,39 @@ def _nf_int(terms, divisors, key):
 
 def _spoly_int(f: _GPoly, g: _GPoly, lcm):
     """Integer S-polynomial of two engine polynomials whose leads have the
-    exponents `lcm` as their lcm.
+    packed monomial `lcm` as their lcm.
 
-    Cancelled terms, the lcm's at least, stay as zeros for `_nf_int` to skip.
+    Cancelled terms, the lcm's at least, stay as zeros for `_nf_int` to
+    skip; a term that overflows a field keeps its guard bit set, which
+    `_nf_int` rejects.
     """
     cf = g.lead_coeff
     cg = f.lead_coeff
     d = gcd(cf, cg)
     cf //= d
     cg //= d
-    sf = tuple(map(sub, lcm, f.lead_exps))
-    sg = tuple(map(sub, lcm, g.lead_exps))
+    sf = lcm - f.lead_exps
+    sg = lcm - g.lead_exps
     acc: dict = {}
     for e, c in f.terms():
-        ne = tuple(map(add, e, sf))
+        ne = e + sf
         acc[ne] = acc.get(ne, 0) + cf * c
     for e, c in g.terms():
-        ne = tuple(map(add, e, sg))
+        ne = e + sg
         acc[ne] = acc.get(ne, 0) - cg * c
     return list(acc.items())
 
 
-def _sorted_terms(items, key):
+def _sorted_terms(items, flip):
     """Integer terms of a dict's items, sorted lead first."""
-    return sorted(items, key=lambda t: key(t[0]), reverse=True)
+    return sorted(items, key=lambda t: t[0] ^ flip, reverse=True)
 
 
 def _to_poly(universe: SymbolUniverse, items) -> Polynomial:
     """The monic polynomial of integer terms sorted lead first."""
     lead = items[0][1]
-    return Polynomial(universe, {e: Fraction(c, lead) for e, c in items})
+    unpack = universe.packing.unpack
+    return Polynomial(universe, {unpack(e): Fraction(c, lead) for e, c in items})
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +236,16 @@ def divide(p: Polynomial, divisors) -> DivisionResult:
 
 def normal_form(p: Polynomial, divisors) -> Polynomial:
     """Exact remainder of p under division by the divisor list."""
-    items = p.sorted_terms()
-    if not items:
+    if p.is_zero():
         return p
+    items = _packed(p)
     gdivs = [_gpoly(d) for d in divisors if not d.is_zero()]
     ints, scale = primitive_integers([c for _, c in items])
-    rem, nf_scale = _nf_int(
-        [(e, c) for (e, _), c in zip(items, ints)], gdivs, p.universe.key
-    )
+    packing = p.universe.packing
+    rem, nf_scale = _nf_int([(e, c) for (e, _), c in zip(items, ints)], gdivs, packing)
     num, den = scale.numerator * nf_scale, scale.denominator
-    return Polynomial(p.universe, {e: Fraction(c * den, num) for e, c in rem})
+    unpack = packing.unpack
+    return Polynomial(p.universe, {unpack(e): Fraction(c * den, num) for e, c in rem})
 
 
 # NF of every monomial in the ideal, shared: most of a chain's vanish.
@@ -234,7 +253,8 @@ _ZERO = ({}, 1)
 
 
 class GroebnerReducer:
-    """Cached normal forms of state monomials against a Groebner basis.
+    """Cached normal forms of packed state monomials against a Groebner
+    basis.
 
     `basis` must be a Groebner basis, reduced or not: only then is the
     normal form unique and linear in the dividend, which the monomial-by-
@@ -258,21 +278,28 @@ class GroebnerReducer:
 
     A normal form is integer numerators over a positive scale, in lowest
     terms; the recurrence takes the lcm of its parts' scales.  `basis`
-    keeps the nonzero basis polynomials.
+    keeps the nonzero basis polynomials.  A monomial the recurrence makes
+    is checked for a set guard bit when it is settled.
     """
 
-    __slots__ = ("basis", "_divisors", "_cache")
+    __slots__ = ("basis", "_divisors", "_cache", "_guards", "_strip")
 
     def __init__(self, basis):
         self.basis = tuple(d for d in basis if not d.is_zero())
         self._divisors = [_gpoly(d) for d in self.basis]
         self._cache: dict = {}
+        # an empty basis divides nothing and needs no layout
+        packing = self.basis[0].universe.packing if self.basis else None
+        self._guards = packing.guards if packing else 0
+        # (exponent field, x_i) of each variable, the last variable first
+        self._strip = tuple(zip(packing.fields[::-1], packing.units[::-1])) if packing else ()
 
-    def monomial_terms(self, exps):
-        """NF(x^exps) as ({exps: int numerator}, scale), to be read only."""
-        cached = self._cache.get(exps)
+    def monomial_terms(self, m):
+        """NF(m) of a packed monomial m as ({packed monomial: int
+        numerator}, scale), to be read only."""
+        cached = self._cache.get(m)
         if cached is None:
-            cached = self._reduce(exps)
+            cached = self._reduce(m)
         return cached
 
     def _reduce(self, target):
@@ -295,7 +322,9 @@ class GroebnerReducer:
         """NF(m), not cached yet, cached now if m is standard or zero; else
         None, with the coroutine that builds it pushed on `stack`."""
         cache = self._cache
-        d = _divisor_of(self._divisors, m)
+        if m & self._guards:
+            raise exponent_overflow()
+        d = _divisor_of(self._divisors, m, self._guards)
         if d is None:
             nf = cache[m] = ({m: 1}, 1)
             return nf
@@ -313,23 +342,19 @@ class GroebnerReducer:
         normal form, and caches and returns NF(m)."""
         cache = self._cache
         if split is not None:
-            i, q = split
+            x, q = split
             nq = cache.get(q)
             if nq is None:
                 nq = yield q
         if split is None or q in nq[0]:
             # m / x_i is standard (or m is 1): m = shift * lead(d), so
             # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
-            shift = tuple(map(sub, m, d.lead_exps))
+            shift = m - d.lead_exps
             base = d.lead_coeff
-            parts = [(tuple(map(add, te, shift)), -tc) for te, tc in d.tail]
+            parts = [(te + shift, -tc) for te, tc in d.tail]
         else:
             nums, base = nq
-            parts = []
-            for t, c in nums.items():
-                t = list(t)
-                t[i] += 1
-                parts.append((tuple(t), c))
+            parts = [(t + x, c) for t, c in nums.items()]
         # NF(m) = (1/base) sum c * NF(p) over the parts (p, c), accumulated
         # over the lcm of the parts' scales as they arrive
         acc: dict = {}
@@ -356,7 +381,7 @@ class GroebnerReducer:
         return nf
 
     def reduce_terms(self, terms) -> dict:
-        """NF of the integer terms (exps, coeff) as {exps: int}, up to a
+        """NF of the integer terms (monomial, coeff) as {monomial: int}, up to a
         positive factor: normal forms are linear, so it is the combination
         of the cached normal forms of its monomials."""
         parts = [(c, self.monomial_terms(e)) for e, c in terms]
@@ -369,18 +394,18 @@ class GroebnerReducer:
         return _lowest(acc, scale)[0]
 
     def _quotient(self, m):
-        """(i, m / x_i) for the variable to strip from m, or None when m is
-        1.  An i whose quotient is cached already wins, scanning from the
-        last variable; else the last variable of m."""
+        """(x_i, m / x_i) for the variable to strip from m, or None when m
+        is 1.  An x_i whose quotient is cached already wins, scanning from
+        the last variable; else the last variable of m."""
         cache = self._cache
         last = None
-        for i in range(len(m) - 1, -1, -1):
-            if m[i]:
-                q = m[:i] + (m[i] - 1,) + m[i + 1 :]
+        for field, x in self._strip:
+            if m & field:
+                q = m - x
                 if q in cache:
-                    return i, q
+                    return x, q
                 if last is None:
-                    last = i, q
+                    last = x, q
         return last
 
 
@@ -396,32 +421,38 @@ def _lowest(acc, scale):
 # Buchberger
 
 
-def _update_pairs(G, P, f, key):
+def _update_pairs(G, P, f, packing):
     """Gebauer-Moeller pair update: installs Buchberger's coprime and chain
     criteria while adding f to the basis.
 
-    A pair (i, j) is the heap entry (key(lcm), i, j, lcm) of its leads' lcm,
-    so the heap pops the least lcm first, ties broken by (i, j).  The lcm
-    of f's lead with each lead in G is computed once, for the chain
-    criterion on the old pairs and for the new pairs alike; a new pair
-    takes the least i of its lcm's class."""
+    A pair (i, j) is the heap entry (lcm ^ flip, i, j, lcm) of its leads'
+    lcm, the order key first, so the heap pops the least lcm first, ties
+    broken by (i, j).  The lcm of f's lead with each lead in G is computed
+    once, for the chain criterion on the old pairs and for the new pairs
+    alike; a new pair takes the least i of its lcm's class.  Divisibility is
+    the guard-bit test of `_divisor_of`."""
+    flip, guards = packing.flip, packing.guards
     m = len(G)
     lmf = f.lead_exps
-    with_f = [tuple(map(max, g.lead_exps, lmf)) for g in G]
+    lcm_with = packing.lcm
+    with_f = [lcm_with(g.lead_exps, lmf) for g in G]
     kept = [
         pair
         for pair in P
-        if not all(map(le, lmf, pair[3])) or pair[3] in (with_f[pair[1]], with_f[pair[2]])
+        if ((pair[3] | guards) - lmf) & guards != guards
+        or pair[3] in (with_f[pair[1]], with_f[pair[2]])
     ]
     classes: dict = {}
     for i, lcm in enumerate(with_f):
         classes.setdefault(lcm, []).append(i)
     minimal = []
-    for k, lcm in sorted((key(lcm), lcm) for lcm in classes):
-        if not any(all(map(le, other, lcm)) for _, other in minimal):
+    for k in sorted(lcm ^ flip for lcm in classes):
+        lcm = k ^ flip
+        lg = lcm | guards
+        if not any((lg - other) & guards == guards for _, other in minimal):
             minimal.append((k, lcm))
     for k, lcm in minimal:
-        coprime = any(lcm == tuple(map(add, G[i].lead_exps, lmf)) for i in classes[lcm])
+        coprime = any(lcm == G[i].lead_exps + lmf for i in classes[lcm])
         if not coprime:
             kept.append((k, classes[lcm][0], m, lcm))
     heapq.heapify(kept)
@@ -429,15 +460,16 @@ def _update_pairs(G, P, f, key):
     return kept
 
 
-def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
+def _buchberger_core(seed, gens, packing, pair_budget, max_degree, shuffle):
     """Complete `seed` (pairwise S-reduced already) with `gens` to a GB."""
     G = list(seed)
     P: list = []
-    for f in sorted(gens, key=lambda t: key(t.lead_exps)):
-        rem, _ = _nf_int(f.terms(), G, key)
+    flip = packing.flip
+    for f in sorted(gens, key=lambda t: t.lead_exps ^ flip):
+        rem, _ = _nf_int(f.terms(), G, packing)
         rem = _primitive(rem)
         if rem:
-            P = _update_pairs(G, P, _GPoly(rem), key)
+            P = _update_pairs(G, P, _GPoly(rem), packing)
     processed = 0
     while P:
         if shuffle is None:
@@ -450,32 +482,34 @@ def _buchberger_core(seed, gens, key, pair_budget, max_degree, shuffle):
             raise ResourceLimitError(
                 f"Buchberger pair budget of {pair_budget} exceeded"
             )
-        rem, _ = _nf_int(_spoly_int(G[i], G[j], lcm), G, key)
+        rem, _ = _nf_int(_spoly_int(G[i], G[j], lcm), G, packing)
         rem = _primitive(rem)
         if rem:
-            g = _GPoly(rem)
-            if max_degree is not None and g.degree > max_degree:
-                raise ResourceLimitError(
-                    f"intermediate degree {g.degree} exceeds cap {max_degree}"
-                )
-            P = _update_pairs(G, P, g, key)
+            if max_degree is not None:
+                degree = max(sum(packing.unpack(e)) for e, _ in rem)
+                if degree > max_degree:
+                    raise ResourceLimitError(
+                        f"intermediate degree {degree} exceeds cap {max_degree}"
+                    )
+            P = _update_pairs(G, P, _GPoly(rem), packing)
     return G
 
 
-def _reduce_int_basis(G, key):
+def _reduce_int_basis(G, packing):
     """Minimalize and interreduce an integer GB; returns integer term lists."""
+    flip = packing.flip
     minimal: list = []
-    for g in sorted(G, key=lambda t: key(t.lead_exps)):
-        if _divisor_of(minimal, g.lead_exps) is None:
+    for g in sorted(G, key=lambda t: t.lead_exps ^ flip):
+        if _divisor_of(minimal, g.lead_exps, packing.guards) is None:
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        rem, _ = _nf_int(g.terms(), others, key)
+        rem, _ = _nf_int(g.terms(), others, packing)
         rem = _primitive(rem)
         if rem:
             reduced.append(_GPoly(rem))
-    reduced.sort(key=lambda g: key(g.lead_exps), reverse=True)
+    reduced.sort(key=lambda g: g.lead_exps ^ flip, reverse=True)
     return reduced
 
 
@@ -496,19 +530,22 @@ def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
     for g in seed + gens:
         if g.universe is not universe:
             raise ValueError("generators from different symbol universes")
-    key = universe.key
-    new = [_primitive(g.sorted_terms()) for g in gens]
+    packing = universe.packing
+    new = [_primitive(_packed(g)) for g in gens]
     if seed:
-        new = [_primitive(_sorted_terms(reducer.reduce_terms(t).items(), key)) for t in new]
+        new = [
+            _primitive(_sorted_terms(reducer.reduce_terms(t).items(), packing.flip))
+            for t in new
+        ]
     G = _buchberger_core(
         reducer._divisors,
         [_GPoly(t) for t in new if t],
-        key,
+        packing,
         pair_budget,
         max_degree,
         shuffle,
     )
-    return [_to_poly(universe, g.terms()) for g in _reduce_int_basis(G, key)]
+    return [_to_poly(universe, g.terms()) for g in _reduce_int_basis(G, packing)]
 
 
 def buchberger(

@@ -4,15 +4,40 @@ Polynomials are immutable values: a symbol universe fixes the variables and
 the active monomial order once, and every arithmetic operation returns a new
 canonical polynomial with exact `fractions.Fraction` coefficients.  The Groebner
 engine, linear algebra and templates run on integers over one scale instead.
-A monomial is an exponent tuple, one entry per universe symbol, and the
-universe's `key` orders it.
+
+A `Polynomial` monomial is an exponent tuple, one entry per universe symbol,
+and the universe's `key` orders it.  Inside the Groebner engine and the
+templates a monomial is one packed integer instead (Monagan & Pearce, CASC
+2007): the universe's `packing` converts between the two at their edges.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from fractions import Fraction
 from math import comb, gcd, lcm
+
+# Every field of a packed monomial holds an exponent below 2^31 under one
+# guard bit.  A sum of two fields never carries into the next field, so an
+# exponent that outgrows its field shows as a set guard bit.
+FIELD_BITS = 32
+EXPONENT_CAP = 1 << (FIELD_BITS - 1)
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured pair budget or degree cap was exceeded, or a monomial
+    outgrew the exponent cap of its packed fields.
+
+    Raised instead of returning a wrong or partial answer.
+    """
+
+
+def exponent_overflow() -> ResourceLimitError:
+    return ResourceLimitError(
+        "exponent cap exceeded: a monomial exponent, or a grevlex total "
+        f"degree, reached 2^{FIELD_BITS - 1}"
+    )
 
 
 def as_fraction(value) -> Fraction:
@@ -81,6 +106,7 @@ class Lex:
     """Lexicographic order along the universe's symbol precedence."""
 
     name = "lex"
+    graded = False
 
     def key(self, exps):
         return exps
@@ -90,9 +116,93 @@ class GrevLex:
     """Graded reverse lexicographic order."""
 
     name = "grevlex"
+    graded = True
 
     def key(self, exps):
         return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+class Packing:
+    """The packed integers of one universe's monomials.
+
+    Each exponent takes a field of FIELD_BITS bits.  Under lex the fields
+    hold e_1..e_n, most significant first.  Under grevlex a total-degree
+    field sits on top and the variables follow in reverse order, e_n first.
+    Either layout preserves the order: `m ^ flip` is the sort key of m, the
+    int itself under lex and, under grevlex, the degree over the
+    complemented variable fields.  So a product is one addition, the
+    quotient by a divisor one subtraction, and x^d divides x^m iff every
+    guard bit of `(m | guards) - d` is set.  Every exponent, and the
+    grevlex degree, stays below EXPONENT_CAP; a packed monomial whose
+    guard bit is set is an overflow, never a value.
+    """
+
+    __slots__ = (
+        "graded", "flip", "guards", "units", "fields", "_struct", "_top", "_packed", "_unpacked"
+    )
+
+    def __init__(self, n: int, graded: bool):
+        width = FIELD_BITS
+        count = n + graded
+        exponents = EXPONENT_CAP - 1
+        self.graded = graded
+        self._struct = struct.Struct(f">{count}I")
+        self._top = width * n  # the grevlex degree field
+        self.guards = sum(EXPONENT_CAP << (width * f) for f in range(count))
+        # x_i sits in field i from the bottom under grevlex, from the top
+        # under lex; `units` are the packed x_i, `fields` their exponent bits
+        shifts = [width * i if graded else width * (n - 1 - i) for i in range(n)]
+        self.fields = tuple(exponents << s for s in shifts)
+        if graded:
+            self.units = tuple((1 << self._top) | (1 << s) for s in shifts)
+            self.flip = sum(self.fields)
+        else:
+            self.units = tuple(1 << s for s in shifts)
+            self.flip = 0
+        # every monomial converted either way, once: the polynomials and
+        # templates of one universe share one tuple and one int per monomial
+        self._packed: dict = {}
+        self._unpacked: dict = {}
+
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent tuple."""
+        m = self._packed.get(exps)
+        if m is None:
+            values = (sum(exps), *reversed(exps)) if self.graded else exps
+            try:
+                m = int.from_bytes(self._struct.pack(*values), "big")
+            except struct.error:  # a field of 2^32 or more
+                raise exponent_overflow() from None
+            if m & self.guards:
+                raise exponent_overflow()
+            self._packed[exps] = m
+            self._unpacked[m] = exps
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        exps = self._unpacked.get(m)
+        if exps is None:
+            values = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
+            exps = values[:0:-1] if self.graded else values
+            self._unpacked[m] = exps
+            self._packed[exps] = m
+        return exps
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials: the fieldwise maximum, with the
+        grevlex degree field summed again."""
+        guards = self.guards
+        ge = ((a | guards) - b) & guards  # the guard bits of the fields where a >= b
+        m = b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
+        if self.graded:
+            # 2^32 = 1 modulo 2^32 - 1, and the degree is below 2^32 - 1
+            m &= (1 << self._top) - 1
+            degree = m % ((1 << FIELD_BITS) - 1)
+            if degree >= EXPONENT_CAP:
+                raise exponent_overflow()
+            m |= degree << self._top
+        return m
 
 
 class SymbolUniverse:
@@ -100,9 +210,11 @@ class SymbolUniverse:
 
     Symbols are listed in decreasing precedence.  `key` is the order's own
     `key`: the flat, totally ordered sort key of an exponent tuple.
+    `packing` lays out the universe's packed monomials; an order without a
+    layout (`graded` unset) serves only the tuple code.
     """
 
-    __slots__ = ("symbols", "order", "key", "_index", "_one")
+    __slots__ = ("symbols", "order", "key", "packing", "_index", "_one")
 
     def __init__(self, symbols, order=None):
         symbols = tuple(symbols)
@@ -113,6 +225,9 @@ class SymbolUniverse:
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "key", order.key)
+        graded = getattr(order, "graded", None)
+        packing = None if graded is None else Packing(len(symbols), graded)
+        object.__setattr__(self, "packing", packing)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
         object.__setattr__(self, "_one", (0,) * len(symbols))
 

@@ -273,6 +273,7 @@ def _split_template(p, params, universe) -> Template:
     its rational coefficients are cleared by one lcm."""
     n = len(params)
     den = lcm(*(c.denominator for c in p._terms.values()))
+    pack = universe.packing.pack
     terms: dict = {}
     for exps, c in p._terms.items():
         degree = sum(exps[:n])
@@ -282,7 +283,7 @@ def _split_template(p, params, universe) -> Template:
             "templates must be parameter-linear",
         )
         # the first 1 is the parameter's, all before it are 0
-        terms.setdefault(exps[n:], {})[exps.index(1)] = c.numerator * (den // c.denominator)
+        terms.setdefault(pack(exps[n:]), {})[exps.index(1)] = c.numerator * (den // c.denominator)
     return Template(universe, params, terms, den)
 
 

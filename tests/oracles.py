@@ -8,8 +8,9 @@ of sparse integer elimination, a kernel from two eliminations instead of
 one, division in the joint parameter-state ring under a block elimination
 order instead of cached monomial normal forms, j-fold Lie derivatives of
 a template's instances instead of the template's own Lie iterates, each
-monomial divided from scratch instead of multiplied up from smaller
-normal forms, template Lie derivatives, remainders and
+monomial divided from scratch by an integer engine on exponent tuples
+instead of multiplied up from smaller normal forms on packed monomials,
+template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer forms over one
 denominator, Buchberger's S-polynomial criterion on plain
 `Polynomial` arithmetic instead of the integer engine, ideal equality by
@@ -23,8 +24,10 @@ every call instead of the compiled straight-line code of `numcheck`.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from odeinv import (
     Ideal,
@@ -35,12 +38,11 @@ from odeinv import (
     SymbolUniverse,
     lie_derivative,
 )
-from odeinv import groebner
 from odeinv.dynamics import Template
 from odeinv.groebner import divide
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
-from odeinv.poly import as_fraction
+from odeinv.poly import as_fraction, primitive_integers
 
 
 class LinearForm:
@@ -178,12 +180,18 @@ def refine(space: Subspace, constraints, params) -> Subspace:
     return Subspace.from_rows(new_rows, space.ambient_dim)
 
 
+def exponent_terms(template: Template) -> dict:
+    """The template's integer forms keyed by exponent tuples."""
+    unpack = template.universe.packing.unpack
+    return {unpack(m): form for m, form in template._terms.items()}
+
+
 def zero_constraints(template: Template):
     """Linear forms whose common vanishing makes the template instance zero."""
-    key = template.universe.key
+    terms = exponent_terms(template)
     return [
-        LinearForm({template.params[k]: v for k, v in template._terms[exps].items()})
-        for exps in sorted(template._terms, key=key, reverse=True)
+        LinearForm({template.params[k]: v for k, v in terms[exps].items()})
+        for exps in sorted(terms, key=template.universe.key, reverse=True)
     ]
 
 
@@ -213,7 +221,7 @@ def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
         if joint.symbols[k] is not p:
             raise ValueError("joint universe must list the parameters first")
     terms = {}
-    for exps, form in template._terms.items():
+    for exps, form in exponent_terms(template).items():
         for k, c in form.items():
             unit = [0] * np
             unit[k] = 1
@@ -235,7 +243,8 @@ def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Templ
                 f"{sum(ppart)}; templates must be parameter-linear"
             )
         terms.setdefault(spart, {})[ppart.index(1)] = c.numerator * (den // c.denominator)
-    return Template(state_universe, params, terms, den)
+    pack = state_universe.packing.pack
+    return Template(state_universe, params, {pack(e): f for e, f in terms.items()}, den)
 
 
 def template_remainder_via_division(
@@ -270,13 +279,103 @@ def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
     return p
 
 
+# The integer engine on exponent tuples, which the package's packed engine
+# replaced; it shares no monomial arithmetic with it.
+
+
+def _primitive(items):
+    """Content-free integer (exps, coeff) terms, first coefficient positive."""
+    ints, _ = primitive_integers([c for _, c in items])
+    if ints and ints[0] < 0:
+        ints = [-c for c in ints]
+    return [(e, c) for (e, _), c in zip(items, ints)]
+
+
+class _GPoly:
+    """Engine-side polynomial: integer terms split into lead and tail."""
+
+    __slots__ = ("lead_exps", "lead_coeff", "tail", "degree")
+
+    def __init__(self, terms):
+        self.lead_exps, self.lead_coeff = terms[0]
+        self.tail = terms[1:]
+        self.degree = max(sum(e) for e, _ in terms)
+
+    def terms(self):
+        return [(self.lead_exps, self.lead_coeff)] + list(self.tail)
+
+
+def _gpoly(p: Polynomial) -> _GPoly:
+    return _GPoly(_primitive(p.sorted_terms()))
+
+
+def _neg(key):
+    return tuple(map(neg, key))
+
+
+def _divisor_of(divisors, exps):
+    """The first of `divisors` whose lead divides x^exps, or None."""
+    for d in divisors:
+        if all(map(le, d.lead_exps, exps)):
+            return d
+    return None
+
+
+def _nf_int(terms, divisors, key):
+    """Reduce integer terms by divisors; return (remainder_terms, scale).
+
+    `scale` is the positive integer by which the dividend was cross-
+    multiplied overall, so exact_remainder = remainder / scale.  The
+    remainder is NOT content-stripped; it is sorted lead first, as the
+    heap pops monomials largest first.  `terms` holds distinct monomials;
+    a zero coefficient among them is skipped.
+    """
+    work = dict(terms)
+    heap = [(_neg(key(e)), e) for e in work]
+    heapq.heapify(heap)
+    emitted = []  # (exps, coeff, scale at emission)
+    scale = 1
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = work.get(e)
+        if not c:
+            continue
+        del work[e]
+        red = _divisor_of(divisors, e)
+        if red is None:
+            emitted.append((e, c, scale))
+            continue
+        g = gcd(abs(c), red.lead_coeff)
+        mult_work = red.lead_coeff // g
+        mult_div = c // g
+        if mult_work != 1:
+            for k2 in work:
+                work[k2] *= mult_work
+            scale *= mult_work
+        shift = tuple(map(sub, e, red.lead_exps))
+        for de, dc in red.tail:
+            ne = tuple(map(add, de, shift))
+            acc = work.get(ne)
+            if acc is None:
+                work[ne] = -mult_div * dc
+                heapq.heappush(heap, (_neg(key(ne)), ne))
+            else:
+                acc -= mult_div * dc
+                if acc:
+                    work[ne] = acc
+                else:
+                    del work[ne]
+    remainder = [(e, c * (scale // s)) for e, c, s in emitted]
+    return remainder, scale
+
+
 def monomial_normal_form(basis, universe: SymbolUniverse):
     """NF(x^exps) as {exps: Fraction}, each monomial divided from scratch
-    by one integer engine reduction, with no memo between monomials."""
-    divisors = [groebner._gpoly(d) for d in basis if not d.is_zero()]
+    by one reduction of the tuple engine, with no memo between monomials."""
+    divisors = [_gpoly(d) for d in basis if not d.is_zero()]
 
     def nf(exps) -> dict:
-        rem, scale = groebner._nf_int([(exps, 1)], divisors, universe.key)
+        rem, scale = _nf_int([(exps, 1)], divisors, universe.key)
         return {e: Fraction(c, scale) for e, c in rem}
 
     return nf
@@ -286,8 +385,9 @@ def rational_template(universe, params, terms: dict) -> Template:
     """The template of rational forms {exps: {parameter index: rational}},
     over the lcm of their denominators."""
     den = lcm(*(v.denominator for form in terms.values() for v in form.values()))
+    pack = universe.packing.pack
     return Template(universe, params, {
-        e: {k: v.numerator * (den // v.denominator) for k, v in form.items()}
+        pack(e): {k: v.numerator * (den // v.denominator) for k, v in form.items()}
         for e, form in terms.items()
     }, den)
 
@@ -297,7 +397,7 @@ def rational_forms(template: Template) -> dict:
     den = template.denominator
     return {
         e: {k: Fraction(v, den) for k, v in form.items()}
-        for e, form in template._terms.items()
+        for e, form in exponent_terms(template).items()
     }
 
 

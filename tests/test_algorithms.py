@@ -301,7 +301,7 @@ def test_post_reduces_by_the_precondition_ideal_reducer(running):
     assert not reducer._cache
     post(analysis, complete_template(U, [x, y], 2), F)
     assert analysis.ideal.reducer() is reducer
-    assert (2, 0) in reducer._cache  # x^2, asked by the degree-2 template
+    assert U.packing.pack((2, 0)) in reducer._cache  # x^2, asked by the degree-2 template
 
 
 def _pre_or_none(chain, P, field, **options):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +20,8 @@ from odeinv import (
 )
 from odeinv import corpus, groebner
 from odeinv.groebner import GroebnerReducer, divide
-from odeinv.poly import GrevLex, Lex
+from odeinv.dynamics import VectorField
+from odeinv.poly import EXPONENT_CAP, GrevLex, Lex
 from odeinv.report import run
 from oracles import ideal_equal, is_groebner_basis, lie_iterate, monomial_normal_form
 from props import (
@@ -28,6 +31,93 @@ from props import (
     run_membership_oracle,
     run_reduced_gb_canonicity,
 )
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=["lex", "grevlex"])
+def test_packing_laws(order):
+    # over 1-18 variables, with exponents up to the cap: the packed integer
+    # round-trips, orders as the tuple key does, and its product, quotient,
+    # lcm and divisibility test are the tuple operations; an exponent, or a
+    # grevlex degree, of 2^31 is refused, and an overflowing product shows
+    # its guard bit
+    rng = random.Random(131)
+    cap = EXPONENT_CAP
+
+    def draw(n):
+        return tuple(rng.choice((0, 0, 1, 2, 3, cap - 1, rng.randrange(cap))) for _ in range(n))
+
+    def packable(exps):
+        return max(exps) < cap and (not order.graded or sum(exps) < cap)
+
+    overflows = 0
+    for n in range(1, 19):
+        U = SymbolUniverse([Symbol(f"x{i}") for i in range(n)], order)
+        P = U.packing
+        for _ in range(40):
+            a, b = draw(n), draw(n)
+            if not (packable(a) and packable(b)):
+                with pytest.raises(ResourceLimitError):
+                    P.pack(a if not packable(a) else b)
+                continue
+            pa, pb = P.pack(a), P.pack(b)
+            assert P.unpack(pa) == a and P.unpack(pb) == b
+            assert (pa ^ P.flip < pb ^ P.flip) == (order.key(a) < order.key(b))
+            assert (pa == pb) == (a == b)
+            divides = all(map(le, a, b))
+            lead = [SimpleNamespace(lead_exps=pa)]
+            assert (groebner._divisor_of(lead, pb, P.guards) is not None) == divides
+            if divides:
+                assert P.unpack(pb - pa) == tuple(map(sub, b, a))
+            product = tuple(map(add, a, b))
+            if packable(product):
+                assert not (pa + pb) & P.guards
+                assert pa + pb == P.pack(product)
+            else:
+                overflows += 1
+                assert (pa + pb) & P.guards
+                with pytest.raises(ResourceLimitError):
+                    P.pack(product)
+            lcm = tuple(map(max, a, b))
+            if packable(lcm):
+                assert P.lcm(pa, pb) == P.pack(lcm)
+            else:
+                with pytest.raises(ResourceLimitError):
+                    P.lcm(pa, pb)
+        for big in (cap, 2 * cap, 2**40):
+            with pytest.raises(ResourceLimitError, match="exponent cap"):
+                P.pack((0,) * (n - 1) + (big,))
+    assert overflows > 10
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=["lex", "grevlex"])
+def test_an_overflowing_monomial_raises_in_every_engine_path(order):
+    # x^top is the largest power a field holds (and, under grevlex, the
+    # largest degree): every path that multiplies past it raises, never
+    # wraps into the next field
+    x, y = Symbol("x"), Symbol("y")
+    U = SymbolUniverse([x, y], order)
+    X, Y = (Polynomial.variable(U, s) for s in (x, y))
+    top = EXPONENT_CAP - 1
+    pack = U.packing.pack
+    # the Lie derivative of x^top along x' = x^2 is top * x^(top + 1)
+    field = VectorField(U, [X * X, Polynomial.zero(U)])
+    with pytest.raises(ResourceLimitError, match="exponent cap"):
+        field.lie_monomial(pack((top, 0)))
+    if order.graded:
+        # the lcm of x^(2^30) and y^(2^30) has degree 2^31; a graded
+        # reduction never raises the degree
+        with pytest.raises(ResourceLimitError, match="exponent cap"):
+            buchberger([X ** 2**30 - 1, Y ** 2**30 - 1])
+        return
+    # x * y^top = y^(top + 1) modulo x - y, by division; x * y =
+    # y^(top + 1) modulo x - y^top, by the memo's multiplication step
+    with pytest.raises(ResourceLimitError, match="exponent cap"):
+        normal_form(X * Y**top, [X - Y])
+    with pytest.raises(ResourceLimitError, match="exponent cap"):
+        GroebnerReducer([X - Y**top]).monomial_terms(pack((1, 1)))
+    # the S-polynomial of x*y^top - 1 and x^2 - y holds y^(top + 1)
+    with pytest.raises(ResourceLimitError, match="exponent cap"):
+        buchberger([X * Y**top - 1, X * X - Y])
 
 
 def test_divide_examples(running):
@@ -290,12 +380,13 @@ def test_normal_form_matches_divide():
         assert normal_form(p, divisors) == divide(p, divisors).remainder
 
 
-def _rational_nf(reducer, exps):
+def _rational_nf(reducer, universe, exps):
     """The reducer's NF(x^exps) as {exps: Fraction}: numerators / scale,
     checked to be in lowest terms over a positive scale."""
-    nums, scale = reducer.monomial_terms(exps)
+    packing = universe.packing
+    nums, scale = reducer.monomial_terms(packing.pack(exps))
     assert scale > 0 and gcd(scale, *nums.values()) == 1
-    return {e: Fraction(v, scale) for e, v in nums.items()}
+    return {packing.unpack(e): Fraction(v, scale) for e, v in nums.items()}
 
 
 def _assert_reducer_matches_normal_form(basis, universe, variables):
@@ -303,7 +394,7 @@ def _assert_reducer_matches_normal_form(basis, universe, variables):
     reducer = GroebnerReducer(basis)
     for m in monomials_up_to_degree(universe, variables, 4):
         nf = normal_form(Polynomial(universe, {m: Fraction(1)}), basis)
-        assert _rational_nf(reducer, m) == nf._terms
+        assert _rational_nf(reducer, universe, m) == nf._terms
 
 
 def test_reducer_monomial_terms_match_normal_form():
@@ -402,15 +493,15 @@ def test_reducer_equals_the_from_scratch_oracle_up_to_degree_8():
         oracle = monomial_normal_form(basis, U)
         want = [oracle(m) for m in monomials]
         cold = GroebnerReducer(basis)
-        assert [_rational_nf(cold, m) for m in monomials] == want
+        assert [_rational_nf(cold, U, m) for m in monomials] == want
         if not basis:
             # every monomial is standard: no intermediate entries
             assert len(cold._cache) == len(monomials)
         # warmed from the other end, the memo holds other intermediates
         warm = GroebnerReducer(basis)
         for m in reversed(monomials):
-            warm.monomial_terms(m)
-        assert [_rational_nf(warm, m) for m in monomials] == want
+            warm.monomial_terms(U.packing.pack(m))
+        assert [_rational_nf(warm, U, m) for m in monomials] == want
 
 
 def test_reducer_follows_a_deep_quotient_chain_without_recursion():
@@ -419,7 +510,8 @@ def test_reducer_follows_a_deep_quotient_chain_without_recursion():
     U = SymbolUniverse([x, y], Lex())
     X, Y = (Polynomial.variable(U, s) for s in (x, y))
     reducer = GroebnerReducer([X - 2 * Y])
-    assert reducer.monomial_terms((3000, 0)) == ({(0, 3000): 2**3000}, 1)
+    pack = U.packing.pack
+    assert reducer.monomial_terms(pack((3000, 0))) == ({pack((0, 3000)): 2**3000}, 1)
 
 
 def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):

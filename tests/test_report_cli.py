@@ -217,6 +217,26 @@ def test_cli_lie_on_a_rational_field(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("field", "x", "x^2147483648"), ("precondition", "generators", ["x^2147483648 - y"])],
+    ids=["field", "precondition"],
+)
+def test_cli_exponent_over_the_packed_cap_exits_4(tmp_path, capsys, section, key, value):
+    # a packed monomial holds exponents below 2^31: an exponent of 2^31 in
+    # the field or in the precondition is refused as a resource limit
+    data = yaml.safe_load(RATIONAL_LIE_YAML)
+    data[section][key] = value
+    spec = tmp_path / "huge-exponent.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec)])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "exponent cap" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
 def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4
@@ -476,6 +496,27 @@ def test_every_private_module_name_is_read_in_the_package():
             used |= names - own
     assert {"_complete", "_nf_int"} <= defined
     assert sorted(defined - used) == []
+
+
+def test_engine_and_templates_do_no_tuple_exponent_arithmetic():
+    # a monomial of the Groebner engine and of the templates is a packed
+    # integer; `tuple(map(...))`, the idiom of exponent-tuple products,
+    # quotients and lcms, must not creep back into either module
+    package = Path(odeinv.__file__).resolve().parent
+    found = []
+    for name in ("groebner.py", "dynamics.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name)
+                and node.args[0].func.id == "map"
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_package_module_imports_a_name_it_never_reads():
