@@ -2,11 +2,11 @@
 
 `post` runs the double chain: a descending sequence of parameter-valuation
 subspaces V_m refined by remainder templates, paired with an ascending
-sequence of ideals J_m, each generated by the instances of the Lie iterates
-L^0..L^m of the template restricted to V_m; it stops at the least step
-where both stabilize.  `pre` iterates Lie derivatives of the linear
-combination template over the postcondition generators until the generated
-ideal stops growing.  Both ideal chains step through `_grow`.  Safety
+sequence of ideals J_m, each generated by the Lie iterates L^0..L^m of the
+template restricted to V_m, whose instances its `Ideal` reads; it stops at
+the least step where both stabilize.  `pre` iterates Lie derivatives of the
+linear combination template over the postcondition generators until the
+generated ideal stops growing.  Both ideal chains step through `_grow`.  Safety
 checking and invariant-ideal checking are thin layers over these.
 """
 
@@ -24,7 +24,7 @@ from .dynamics import (
     result_template,
 )
 from .groebner import Ideal, ResourceLimitError
-from .linalg import Subspace, nullspace
+from .linalg import Subspace, combine, nullspace
 from .poly import Polynomial, SymbolUniverse
 
 
@@ -299,15 +299,7 @@ def post(
             d = len(basis_rows)
             coords = nullspace(rows, d)
             assert len(coords) < d, "nonzero constraints must shrink the space"
-            new_rows = []
-            for yrow in coords:
-                acc: dict = {}
-                for k, y in yrow.items():
-                    for i, b in basis_rows[k].items():
-                        x = acc.get(i)
-                        acc[i] = y * b if x is None else x + y * b
-                new_rows.append({i: x for i, x in acc.items() if x})
-            basis_rows = new_rows
+            basis_rows = [combine(y, basis_rows) for y in coords]
             current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
             ideal = None
             entry.update({"dim": len(basis_rows), "v_stable": False})
@@ -317,16 +309,14 @@ def post(
         # V stabilized at this step; check the ideal chain.
         entry.update({"dim": len(basis_rows), "v_stable": True})
         if ideal is None:
-            # J_j is generated by the instances of L^0..L^j of T∘B.
-            t = restricted()
-            generators = t.unit_instances()
+            # J_j is generated by L^0..L^j of T∘B.
+            generators = [restricted()]
             for _ in range(j):
-                t = t.lie(field)
-                generators += t.unit_instances()
+                generators.append(generators[-1].lie(field))
             ideal = Ideal(universe, generators, **caps)
         grown = _grow(ideal, nxt)
         stable = grown is ideal
-        entry.update({"j_checked": True, "j_stable": stable, "j_generators": len(ideal.generators)})
+        entry.update({"j_checked": True, "j_stable": stable, "j_generators": ideal.generator_count})
         trace.append(entry)
         if stable:
             break
@@ -344,12 +334,12 @@ def post(
 
 def _grow(ideal: Ideal, t: Template) -> Ideal:
     """The J step of both chains: `ideal` itself when every instance of `t`
-    lies in it, else `ideal` extended by those instances.  Normal forms are
-    linear, so one template remainder modulo the ideal's reducer decides
-    membership, and the extension's pre-pass reuses its memo."""
+    lies in it, else `ideal` extended by `t`.  Normal forms are linear, so
+    one template remainder modulo the ideal's reducer decides membership,
+    and the extension's pre-pass reuses its memo."""
     if t.reduce_by(ideal.reducer()).is_zero():
         return ideal
-    return ideal.extend(t.unit_instances())
+    return ideal.extend([t])
 
 
 def _verify_post(res: PostResult, field: VectorField):

@@ -9,23 +9,25 @@ the universe's packed integer, the Groebner engine's own monomial, so a
 reduction hands its keys to the reducer as they are; exponent tuples appear
 only where a template meets a `Polynomial`.
 
-The chains use only spans, so a template holds integer forms over one
-denominator: `lie`, `reduce_by` and `compose` run on integers, carry their
-scale in the denominator, and every instance divides by it.
+A template is stored as its parameters' instances, one integer column
+{packed monomial: int} per parameter over one denominator: the chains use
+only spans, so `lie`, `reduce_by` and `compose` run on integers, each
+column combined with the images of its monomials or of the old columns by
+the one sparse product `linalg.combine`, and the scale goes into the
+denominator.  The columns are what an `Ideal` reads as the generators of
+J; `forms` transposes them into the rows `nullspace` reads.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .groebner import GroebnerReducer
-from .linalg import Subspace
+from .linalg import Subspace, combine
 from .poly import (
     Polynomial,
     Symbol,
     SymbolUniverse,
-    as_fraction,
     exponent_overflow,
     monomials_up_to_degree,
 )
@@ -69,8 +71,8 @@ class VectorField:
         """Integer term map of D * L(m), D = `denominator`, for a packed
         monomial m, on packed monomials (cached).
 
-        Cancelled terms stay as zeros; every consumer ends in a constructor,
-        which drops them.
+        Cancelled terms stay as zeros; `combine`, which every consumer
+        reads it through, drops them.
         """
         cached = self._lie_cache.get(m)
         if cached is not None:
@@ -101,40 +103,39 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
     if p.universe is not field.universe:
         raise ValueError("polynomial and field use different universes")
     packing = p.universe.packing
-    acc: dict = {}
-    for exps, c in p._terms.items():
-        c /= field.denominator
-        for ne, dc in field.lie_monomial(packing.pack(exps)).items():
-            v = acc.get(ne)
-            acc[ne] = c * dc if v is None else v + c * dc
-    return Polynomial(p.universe, {packing.unpack(e): c for e, c in acc.items()})
+    coeffs = {packing.pack(e): c / field.denominator for e, c in p._terms.items()}
+    images = {m: field.lie_monomial(m) for m in coeffs}
+    return Polynomial(p.universe, {
+        packing.unpack(e): c for e, c in combine(coeffs, images).items()
+    })
 
 
 class Template:
     """A polynomial with parameter-linear coefficients.
 
-    Stored as integer forms {packed state monomial: {parameter index: int}}
-    over one positive `denominator`, in lowest terms: equal values, equal
-    forms.
+    Stored as `columns`, one integer column {packed state monomial: int}
+    per parameter, with no zero entry, over one positive `denominator`:
+    column k is the instance at the k-th unit valuation times the
+    denominator.  Columns and denominator are in lowest terms, so equal
+    values have equal columns.  The columns are the template's own dicts,
+    to be read, not changed.
     """
 
-    __slots__ = ("universe", "params", "_terms", "denominator")
+    __slots__ = ("universe", "params", "columns", "denominator")
 
-    def __init__(self, universe: SymbolUniverse, params, terms: dict, denominator: int = 1):
-        """Integer forms `terms` over a positive `denominator`, in lowest terms."""
+    def __init__(self, universe: SymbolUniverse, params, columns, denominator: int = 1):
+        """Integer columns without zero entries over a positive `denominator`."""
+        columns = tuple(columns)
         g = denominator
-        clean = {}
-        for m, form in terms.items():
-            form = {k: v for k, v in form.items() if v}
-            if form:
-                clean[m] = form
-                if g != 1:
-                    g = gcd(g, *form.values())
+        for col in columns:
+            if g == 1:
+                break
+            g = gcd(g, *col.values())
         if g != 1:
-            clean = {e: {k: v // g for k, v in form.items()} for e, form in clean.items()}
+            columns = tuple({m: v // g for m, v in col.items()} for col in columns)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "denominator", denominator // g)
 
     def __setattr__(self, *_):
@@ -148,113 +149,75 @@ class Template:
         polys = list(polys)
         if len(polys) != len(params):
             raise ValueError("one polynomial per parameter required")
-        den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
-        pack = universe.packing.pack
-        terms: dict = {}
-        for k, p in enumerate(polys):
+        for p in polys:
             if p.universe is not universe:
                 raise ValueError("instance from a different universe")
-            for exps, c in p._terms.items():
-                terms.setdefault(pack(exps), {})[k] = c.numerator * (den // c.denominator)
-        return cls(universe, params, terms, den)
+        den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
+        pack = universe.packing.pack
+        return cls(universe, params, [
+            {pack(e): c.numerator * (den // c.denominator) for e, c in p._terms.items()}
+            for p in polys
+        ], den)
 
     # -- views ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self.columns)
 
     def forms(self):
-        """Parameter forms as sparse integer rows {parameter index: int}, one
-        per monomial: the template vanishes exactly where all do.  The rows
-        are the template's own dicts, to be read, not changed."""
-        return list(self._terms.values())
-
-    # -- operations ---------------------------------------------------------
-
-    def instantiate(self, valuation) -> Polynomial:
-        """Substitute rationals for all parameters."""
-        if isinstance(valuation, dict):
-            v = [as_fraction(valuation[p]) for p in self.params]
-        else:
-            v = [as_fraction(x) for x in valuation]
-        if len(v) != len(self.params):
-            raise ValueError("valuation length does not match parameter count")
-        unpack = self.universe.packing.unpack
-        terms = {
-            unpack(m): sum((coeff * v[k] for k, coeff in form.items()), Fraction(0))
-            / self.denominator
-            for m, form in self._terms.items()
-        }
-        return Polynomial(self.universe, terms)
+        """Parameter forms as sparse integer rows {parameter index: int},
+        one per monomial, the transpose of the columns: the template
+        vanishes exactly where all do."""
+        rows: dict = {}
+        for k, col in enumerate(self.columns):
+            for m, v in col.items():
+                row = rows.get(m)
+                if row is None:
+                    rows[m] = {k: v}
+                else:
+                    row[k] = v
+        return list(rows.values())
 
     def unit_instances(self):
         """Instantiations at the standard basis of the parameter space."""
-        n = len(self.params)
-        cols: list = [dict() for _ in range(n)]
-        den = self.denominator
-        unpack = self.universe.packing.unpack
-        for m, form in self._terms.items():
-            exps = unpack(m)
-            for k, c in form.items():
-                # Fraction(c) of an int takes no gcd
-                cols[k][exps] = Fraction(c) if den == 1 else Fraction(c, den)
-        return [Polynomial(self.universe, col) for col in cols]
+        return [
+            Polynomial.from_packed(self.universe, col.items(), self.denominator)
+            for col in self.columns
+        ]
 
-    def _map_monomials(self, images, denominator: int) -> "Template":
-        """Apply the linear map sending the i-th state monomial to the i-th
-        integer term map of `images`, over `denominator` more."""
-        terms: dict = {}
-        for form, image in zip(self._terms.values(), images):
-            for ne, dc in image.items():
-                dst = terms.get(ne)
-                if dst is None:
-                    dst = {}
-                    terms[ne] = dst
-                for k, v in form.items():
-                    acc = dst.get(k)
-                    dst[k] = v * dc if acc is None else acc + v * dc
-        return Template(self.universe, self.params, terms, self.denominator * denominator)
+    # -- operations ---------------------------------------------------------
 
     def lie(self, field: VectorField) -> "Template":
         """Lie derivative with linear expressions treated as constants."""
         if field.universe is not self.universe:
             raise ValueError("template and field use different universes")
-        return self._map_monomials(map(field.lie_monomial, self._terms), field.denominator)
+        monomials = {m for col in self.columns for m in col}
+        images = {m: field.lie_monomial(m) for m in monomials}
+        columns = [combine(col, images) for col in self.columns]
+        return Template(self.universe, self.params, columns, self.denominator * field.denominator)
 
     def compose(self, rows, new_params, denominator: int = 1) -> "Template":
         """Reparametrize by valuations v = y . rows / denominator.
 
         Each new parameter y_k stands for the sparse row rows[k] / denominator,
-        rows[k] = {old parameter j: rational}.  The rows are cleared by one lcm
-        and indexed by column once, so the work follows their nonzeros.
+        rows[k] = {old parameter j: rational}; its column is the old columns
+        combined by the row, once the rows are cleared by one lcm.
         """
         den = lcm(*(r.denominator for row in rows for r in row.values()))
-        cols: dict = {}
-        for k, row in enumerate(rows):
-            for j, r in row.items():
-                cols.setdefault(j, []).append((k, r.numerator * (den // r.denominator)))
-        terms: dict = {}
-        for m, form in self._terms.items():
-            dst: dict = {}
-            for j, v in form.items():
-                for k, r in cols.get(j, ()):
-                    acc = dst.get(k)
-                    dst[k] = v * r if acc is None else acc + v * r
-            terms[m] = dst
-        return Template(self.universe, new_params, terms, self.denominator * den * denominator)
+        columns = [
+            combine({j: r.numerator * (den // r.denominator) for j, r in row.items()}, self.columns)
+            for row in rows
+        ]
+        return Template(self.universe, new_params, columns, self.denominator * den * denominator)
 
     def reduce_by(self, reducer: GroebnerReducer) -> "Template":
-        """Remainder template modulo the reducer's Groebner basis.
-
-        The reducer is asked in ascending order, so each normal form finds
-        the smaller ones it is built from cached and keeps few others."""
+        """Remainder template modulo the reducer's Groebner basis: each
+        column combined with its monomials' normal forms over one scale."""
         flip = self.universe.packing.flip
-        nfs = {m: reducer.monomial_terms(m) for m in sorted(self._terms, key=flip.__xor__)}
-        parts = [nfs[m] for m in self._terms]
-        scale = lcm(*(s for _, s in parts))
-        images = (nf if s == scale else {e: v * (scale // s) for e, v in nf.items()}
-                  for nf, s in parts)
-        return self._map_monomials(images, scale)
+        monomials = {m for col in self.columns for m in col}
+        images, scale = reducer.images(sorted(monomials, key=flip.__xor__))
+        columns = [combine(col, images) for col in self.columns]
+        return Template(self.universe, self.params, columns, self.denominator * scale)
 
     def __eq__(self, other):
         return (
@@ -262,18 +225,16 @@ class Template:
             and self.universe is other.universe
             and self.params == other.params
             and self.denominator == other.denominator
-            and self._terms == other._terms
+            and self.columns == other.columns
         )
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for k, inst in enumerate(self.unit_instances()):
-            if inst.is_zero():
-                continue
-            parts.append(f"{self.params[k].name}*({inst})")
-        return " + ".join(parts)
+        parts = [
+            f"{self.params[k].name}*({inst})"
+            for k, inst in enumerate(self.unit_instances())
+            if not inst.is_zero()
+        ]
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -303,7 +264,7 @@ def complete_template(
     ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
     params = fresh_parameters(len(ordered))
     pack = universe.packing.pack
-    return Template(universe, params, {pack(e): {k: 1} for k, e in enumerate(ordered)})
+    return Template(universe, params, [{pack(e): 1} for e in ordered])
 
 
 def linear_combination_template(polys) -> Template:

@@ -5,13 +5,17 @@ exchange canonical `Polynomial` values, and so does textbook `divide`,
 which also returns the quotients.  Internally the engine works on
 content-free integer term lists: reductions cross-multiply instead of
 dividing, which keeps coefficients in Z and controls bignum growth, and the
-exact rational normal form is recovered from the accumulated scale.
+exact rational normal form is recovered from the accumulated scale.  A
+`Polynomial` has its denominators cleared once, where it enters (`_packed`).
+An ideal generator may also be a `Template`, standing for its nonzero
+instances: the chains generate each J by templates, whose integer columns
+the engine reads as they are, through `_instances`.
 
 Every engine monomial is one packed integer of the universe's `Packing`,
 which orders as its exponent tuple does: a product is one addition, a
 divisibility test or an lcm a few masked integer operations.  Polynomials
 are packed on the way in (`_gpoly`) and unpacked on the way out
-(`_to_poly`).  A monomial the engine makes is checked against its guard
+(`Polynomial.from_packed`).  A monomial the engine makes is checked against its guard
 bits before it is used, so an exponent that outgrows its field raises
 `ResourceLimitError` instead of wrapping.
 
@@ -27,12 +31,13 @@ import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
+from .linalg import combine
 from .poly import (
     Polynomial,
     ResourceLimitError,
     SymbolUniverse,
+    content_free,
     exponent_overflow,
-    primitive_integers,
 )
 
 
@@ -43,7 +48,7 @@ from .poly import (
 def _primitive(items):
     """Content-free integer (monomial, coeff) terms, first coefficient
     positive."""
-    ints, _ = primitive_integers([c for _, c in items])
+    ints = content_free(c for _, c in items)
     if ints and ints[0] < 0:
         ints = [-c for c in ints]
     return [(e, c) for (e, _), c in zip(items, ints)]
@@ -64,13 +69,26 @@ class _GPoly:
 
 
 def _packed(p: Polynomial):
-    """The rational terms of p on packed monomials, lead first."""
+    """(terms, den): the terms of p on packed monomials, lead first, as
+    integers over den, the lcm of p's denominators."""
+    items = p.sorted_terms()
+    den = lcm(*(c.denominator for _, c in items))
     pack = p.universe.packing.pack
-    return [(pack(e), c) for e, c in p.sorted_terms()]
+    return [(pack(e), c.numerator * (den // c.denominator)) for e, c in items], den
 
 
 def _gpoly(p: Polynomial) -> _GPoly:
-    return _GPoly(_primitive(_packed(p)))
+    return _GPoly(_primitive(_packed(p)[0]))
+
+
+def _instances(g):
+    """The instances of a nonzero ideal generator, each as integer terms
+    (packed monomial, int) over a positive denominator: a `Polynomial` is
+    its own one, a `Template` has one per nonzero column.  The only code
+    that tells the two kinds apart."""
+    if isinstance(g, Polynomial):
+        return [_packed(g)]
+    return [(col.items(), g.denominator) for col in g.columns if col]
 
 
 def _divisor_of(divisors, m, guards):
@@ -161,18 +179,6 @@ def _spoly_int(f: _GPoly, g: _GPoly, lcm):
     return list(acc.items())
 
 
-def _sorted_terms(items, flip):
-    """Integer terms of a dict's items, sorted lead first."""
-    return sorted(items, key=lambda t: t[0] ^ flip, reverse=True)
-
-
-def _to_poly(universe: SymbolUniverse, items) -> Polynomial:
-    """The monic polynomial of integer terms sorted lead first."""
-    lead = items[0][1]
-    unpack = universe.packing.unpack
-    return Polynomial(universe, {unpack(e): Fraction(c, lead) for e, c in items})
-
-
 # ---------------------------------------------------------------------------
 # textbook multivariate division
 
@@ -238,14 +244,10 @@ def normal_form(p: Polynomial, divisors) -> Polynomial:
     """Exact remainder of p under division by the divisor list."""
     if p.is_zero():
         return p
-    items = _packed(p)
+    terms, den = _packed(p)
     gdivs = [_gpoly(d) for d in divisors if not d.is_zero()]
-    ints, scale = primitive_integers([c for _, c in items])
-    packing = p.universe.packing
-    rem, nf_scale = _nf_int([(e, c) for (e, _), c in zip(items, ints)], gdivs, packing)
-    num, den = scale.numerator * nf_scale, scale.denominator
-    unpack = packing.unpack
-    return Polynomial(p.universe, {unpack(e): Fraction(c * den, num) for e, c in rem})
+    rem, scale = _nf_int(terms, gdivs, p.universe.packing)
+    return Polynomial.from_packed(p.universe, rem, scale * den)
 
 
 # NF of every monomial in the ideal, shared: most of a chain's vanish.
@@ -377,21 +379,26 @@ class GroebnerReducer:
             for e, v in nums.items():
                 prev = acc.get(e)
                 acc[e] = c * v if prev is None else prev + c * v
-        nf = cache[m] = _lowest(acc, scale * base)
+        # in lowest terms, the zeros of cancelled sums dropped
+        scale *= base
+        g = gcd(scale, *acc.values())
+        nums = {e: v // g for e, v in acc.items() if v}
+        nf = cache[m] = (nums, scale // g) if nums else _ZERO
         return nf
 
-    def reduce_terms(self, terms) -> dict:
-        """NF of the integer terms (monomial, coeff) as {monomial: int}, up to a
-        positive factor: normal forms are linear, so it is the combination
-        of the cached normal forms of its monomials."""
-        parts = [(c, self.monomial_terms(e)) for e, c in terms]
-        scale = lcm(*(s for _, (_, s) in parts))
-        acc: dict = {}
-        for c, (nums, s) in parts:
-            c *= scale // s
-            for e, v in nums.items():
-                acc[e] = acc.get(e, 0) + c * v
-        return _lowest(acc, scale)[0]
+    def images(self, monomials):
+        """(images, scale): the normal forms of packed monomials over one
+        scale, NF(m) = images[m] / scale, to be read only.  Normal forms are
+        linear, so a combination of the images is the normal form of the
+        same combination of the monomials.  Asked in ascending order, each
+        normal form finds the smaller ones it is built from cached and keeps
+        few others."""
+        nfs = {m: self.monomial_terms(m) for m in monomials}
+        scale = lcm(*(s for _, s in nfs.values()))
+        return {
+            m: nums if s == scale else {e: v * (scale // s) for e, v in nums.items()}
+            for m, (nums, s) in nfs.items()
+        }, scale
 
     def _quotient(self, m):
         """(x_i, m / x_i) for the variable to strip from m, or None when m
@@ -407,14 +414,6 @@ class GroebnerReducer:
                 if last is None:
                     last = x, q
         return last
-
-
-def _lowest(acc, scale):
-    """The normal form acc / scale, for integer numerators acc that may
-    hold zeros, in lowest terms."""
-    g = gcd(scale, *acc.values())
-    nums = {e: v // g for e, v in acc.items() if v}
-    return (nums, scale // g) if nums else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +517,10 @@ DEFAULT_PAIR_BUDGET = 200_000
 
 def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
     """Reduced Groebner basis of the reducer's basis, a Groebner basis
-    (reduced or not), together with `gens`; pairs within the basis are
-    skipped.  The new generators are first reduced modulo the basis through
-    the reducer's memo of monomial normal forms, and only nonzero
-    remainders enter Buchberger."""
+    (reduced or not), together with the instances of `gens`; pairs within
+    the basis are skipped.  The new instances are first reduced modulo the
+    basis through the reducer's memo of monomial normal forms, and only
+    nonzero remainders enter Buchberger."""
     seed = reducer.basis
     gens = tuple(g for g in gens if not g.is_zero())
     if not seed and not gens:
@@ -531,12 +530,13 @@ def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
         if g.universe is not universe:
             raise ValueError("generators from different symbol universes")
     packing = universe.packing
-    new = [_primitive(_packed(g)) for g in gens]
+    flip = packing.flip
+    new = [terms for g in gens for terms, _ in _instances(g)]
     if seed:
-        new = [
-            _primitive(_sorted_terms(reducer.reduce_terms(t).items(), packing.flip))
-            for t in new
-        ]
+        images, _ = reducer.images(sorted({e for t in new for e, _ in t}, key=flip.__xor__))
+        new = [combine(dict(t), images).items() for t in new]
+    # lead first
+    new = [_primitive(sorted(t, key=lambda term: term[0] ^ flip, reverse=True)) for t in new]
     G = _buchberger_core(
         reducer._divisors,
         [_GPoly(t) for t in new if t],
@@ -545,7 +545,11 @@ def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
         max_degree,
         shuffle,
     )
-    return [_to_poly(universe, g.terms()) for g in _reduce_int_basis(G, packing)]
+    # monic: each basis element over its lead coefficient
+    return [
+        Polynomial.from_packed(universe, g.terms(), g.lead_coeff)
+        for g in _reduce_int_basis(G, packing)
+    ]
 
 
 def buchberger(
@@ -590,9 +594,10 @@ def buchberger_extend(
 class Ideal:
     """A polynomial ideal given by generators, with a cached reduced GB.
 
-    The reduced basis and the one `GroebnerReducer` over it are computed
-    once on demand; generators and universe are immutable so both caches
-    are single-assignment.
+    A generator is a `Polynomial` or a `Template`, which stands for its
+    nonzero instances.  The reduced basis and the one `GroebnerReducer`
+    over it are computed once on demand; generators and universe are
+    immutable so both caches are single-assignment.
     """
 
     __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_gb", "_reducer")
@@ -619,18 +624,31 @@ class Ideal:
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
 
-    def extend(self, polys) -> "Ideal":
-        """This ideal with the nonzero `polys` appended to its generators.
+    def extend(self, gens) -> "Ideal":
+        """This ideal with the nonzero `gens` appended to its generators.
 
         The new basis is completed from this ideal's reducer, under the
         same caps.
         """
-        polys = [p for p in polys if not p.is_zero()]
+        gens = [g for g in gens if not g.is_zero()]
         caps = {"pair_budget": self.pair_budget, "max_degree": self.max_degree}
-        grown = Ideal(self.universe, self.generators + tuple(polys), **caps)
-        gb = buchberger_extend(self.reducer(), polys, **caps)
+        grown = Ideal(self.universe, self.generators + tuple(gens), **caps)
+        gb = buchberger_extend(self.reducer(), gens, **caps)
         object.__setattr__(grown, "_gb", tuple(gb))
         return grown
+
+    @property
+    def generator_count(self) -> int:
+        """The number of nonzero generator instances."""
+        return sum(len(_instances(g)) for g in self.generators)
+
+    def instances(self):
+        """The nonzero generator instances as polynomials, in order."""
+        return [
+            Polynomial.from_packed(self.universe, terms, den)
+            for g in self.generators
+            for terms, den in _instances(g)
+        ]
 
     def reduced_groebner_basis(self):
         gb = self._gb
@@ -660,4 +678,4 @@ class Ideal:
         return normal_form(p, self.reduced_groebner_basis()).is_zero()
 
     def __repr__(self):
-        return f"Ideal({len(self.generators)} generators)"
+        return f"Ideal({self.generator_count} generators)"

@@ -5,22 +5,31 @@ content-free integer rows (cross-multiplication, no intermediate
 fractions), and answers in such rows: `nullspace` returns the kernel's,
 and a `Subspace` stores its integer echelon rows, one per pivot, which
 are canonical, so two subspaces are equal iff their rows are.  Rationals
-are made only by callers that print or instantiate a row.
+are made only by callers that print or instantiate a row.  `combine` is
+the one sparse product of the templates and the chains.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .poly import as_fraction, primitive_integers
+from .poly import as_fraction, content_free
+
+
+def combine(coeffs: dict, rows) -> dict:
+    """The sparse row sum of c * rows[k] over the sparse coefficients
+    {k: c}, zero entries dropped."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        for i, v in rows[k].items():
+            x = acc.get(i)
+            acc[i] = c * v if x is None else x + c * v
+    return {i: x for i, x in acc.items() if x}
 
 
 def _primitive(row: dict) -> dict:
-    """Content-free integer row proportional to the sparse rational row
-    `row`, zero entries dropped."""
-    cols = [k for k, v in row.items() if v]
-    ints, _ = primitive_integers([row[k] for k in cols])
-    return dict(zip(cols, ints))
+    """The integer row `row` divided by its content."""
+    return dict(zip(row, content_free(row.values())))
 
 
 def _eliminate(row: dict, col: int, prow: dict) -> dict:
@@ -46,7 +55,9 @@ def _echelon(rows, width: int):
     """
     echelon = {}  # pivot column -> row, in order of adoption
     for row in rows:
-        row = _primitive(row)
+        # clear the denominators, once, and drop the zeros
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items() if v})
         if row and not (min(row) >= 0 and max(row) < width):
             raise ValueError("row has a column outside the width")
         # an adopted row has no entry in the pivot columns adopted before

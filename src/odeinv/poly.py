@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import struct
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 # Every field of a packed monomial holds an exponent below 2^31 under one
 # guard bit.  A sum of two fields never carries into the next field, so an
@@ -56,19 +56,12 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def primitive_integers(values):
-    """Content-free integers proportional to the rationals `values`.
-
-    Clears the common denominator, then divides out the content, reading
-    each value once; ints also pass (denominator 1).  Returns (ints, scale)
-    with ints[i] = values[i] * scale; all zeros give zeros and scale 1.
-    """
-    denom = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (denom // v.denominator) for v in values]
-    g = gcd(*ints) or 1
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints, Fraction(denom, g)
+def content_free(ints) -> list:
+    """The integers `ints` divided by their content, their gcd; all zeros
+    stay zeros."""
+    ints = list(ints)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 class Symbol:
@@ -319,6 +312,16 @@ class Polynomial:
         exps = [0] * len(universe)
         exps[universe.index_of(symbol)] = 1
         return cls(universe, {tuple(exps): Fraction(1)})
+
+    @classmethod
+    def from_packed(cls, universe: SymbolUniverse, terms, den: int = 1) -> "Polynomial":
+        """The polynomial of integer terms (packed monomial, int) over a
+        positive `den`: where the integer engine and templates hand back
+        rationals."""
+        unpack = universe.packing.unpack
+        if den == 1:  # Fraction(c) of an int takes no gcd
+            return cls(universe, {unpack(m): Fraction(c) for m, c in terms})
+        return cls(universe, {unpack(m): Fraction(c, den) for m, c in terms})
 
     # -- views ---------------------------------------------------------
 

@@ -81,7 +81,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
                 "instances": [str(p) for p in res.result.unit_instances()],
             },
             "ideal": {
-                "generator_count": len(res.ideal.generators),
+                "generator_count": res.ideal.generator_count,
                 "reduced_groebner_basis": [str(g) for g in gb],
             },
             "chain_trace": list(res.trace),
@@ -101,15 +101,15 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     elif spec.query_kind == "pre":
         res = pre(built.postcondition, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
+        numeric_polys = res.ideal.instances()
         report["result"] = {
             "iterations": res.iterations,
-            "derivative_closure": [str(p) for p in res.ideal.generators],
+            "derivative_closure": [str(p) for p in numeric_polys],
             "ideal": {
-                "generator_count": len(res.ideal.generators),
+                "generator_count": res.ideal.generator_count,
                 "reduced_groebner_basis": [str(g) for g in gb],
             },
         }
-        numeric_polys = list(res.ideal.generators)
         numeric_basis = gb
     elif spec.query_kind == "check":
         res = check_safety(analysis, built.postcondition, built.field, **caps)

@@ -274,7 +274,7 @@ def _split_template(p, params, universe) -> Template:
     n = len(params)
     den = lcm(*(c.denominator for c in p._terms.values()))
     pack = universe.packing.pack
-    terms: dict = {}
+    columns: list = [{} for _ in params]
     for exps, c in p._terms.items():
         degree = sum(exps[:n])
         _require(
@@ -283,8 +283,8 @@ def _split_template(p, params, universe) -> Template:
             "templates must be parameter-linear",
         )
         # the first 1 is the parameter's, all before it are 0
-        terms.setdefault(pack(exps[n:]), {})[exps.index(1)] = c.numerator * (den // c.denominator)
-    return Template(universe, params, terms, den)
+        columns[exps.index(1)][pack(exps[n:])] = c.numerator * (den // c.denominator)
+    return Template(universe, params, columns, den)
 
 
 class BuiltSystem:

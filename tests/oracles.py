@@ -11,11 +11,12 @@ a template's instances instead of the template's own Lie iterates, each
 monomial divided from scratch by an integer engine on exponent tuples
 instead of multiplied up from smaller normal forms on packed monomials,
 template Lie derivatives, remainders and
-reparametrizations on `Fraction` forms instead of integer forms over one
-denominator, Buchberger's S-polynomial criterion on plain
-`Polynomial` arithmetic instead of the integer engine, ideal equality by
-comparing reduced bases instead of membership of the new generators, the
-precondition chain one Lie derivative and one `Ideal.member` per
+reparametrizations on `Fraction` forms instead of integer columns over one
+denominator, a template's value at a valuation summed from its unit
+instances, which the package never needs, Buchberger's S-polynomial
+criterion on plain `Polynomial` arithmetic instead of the integer engine,
+ideal equality by comparing reduced bases instead of membership of the new
+generators, the precondition chain one Lie derivative and one `Ideal.member` per
 polynomial instead of one template remainder per step, a
 finite-difference Lie rate instead of the symbolic derivative, and float
 evaluators, an RK4 trajectory and a residual check that walk the terms on
@@ -42,7 +43,7 @@ from odeinv.dynamics import Template
 from odeinv.groebner import divide
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
-from odeinv.poly import as_fraction, primitive_integers
+from odeinv.poly import as_fraction
 
 
 class LinearForm:
@@ -181,9 +182,41 @@ def refine(space: Subspace, constraints, params) -> Subspace:
 
 
 def exponent_terms(template: Template) -> dict:
-    """The template's integer forms keyed by exponent tuples."""
+    """The template's integer forms {parameter index: int}, the rows of
+    its columns, keyed by exponent tuples."""
     unpack = template.universe.packing.unpack
-    return {unpack(m): form for m, form in template._terms.items()}
+    terms: dict = {}
+    for k, col in enumerate(template.columns):
+        for m, v in col.items():
+            terms.setdefault(unpack(m), {})[k] = v
+    return terms
+
+
+def forms_template(universe, params, terms: dict, den: int = 1) -> Template:
+    """The template of integer forms {exps: {parameter index: int}} over
+    `den`, zero entries dropped: each form's entries go to their
+    parameters' columns."""
+    pack = universe.packing.pack
+    columns = [{} for _ in params]
+    for e, form in terms.items():
+        for k, v in form.items():
+            if v:
+                columns[k][pack(e)] = v
+    return Template(universe, params, columns, den)
+
+
+def instantiate(template: Template, valuation) -> Polynomial:
+    """Substitute rationals for all parameters: the sum of v_k times the
+    k-th unit instance, on `Fraction` polynomial arithmetic."""
+    if isinstance(valuation, dict):
+        valuation = [valuation[p] for p in template.params]
+    v = [as_fraction(x) for x in valuation]
+    if len(v) != len(template.params):
+        raise ValueError("valuation length does not match parameter count")
+    total = Polynomial.zero(template.universe)
+    for c, inst in zip(v, template.unit_instances()):
+        total = total + inst * c
+    return total
 
 
 def zero_constraints(template: Template):
@@ -243,8 +276,7 @@ def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Templ
                 f"{sum(ppart)}; templates must be parameter-linear"
             )
         terms.setdefault(spart, {})[ppart.index(1)] = c.numerator * (den // c.denominator)
-    pack = state_universe.packing.pack
-    return Template(state_universe, params, {pack(e): f for e, f in terms.items()}, den)
+    return forms_template(state_universe, params, terms, den)
 
 
 def template_remainder_via_division(
@@ -284,11 +316,14 @@ def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
 
 
 def _primitive(items):
-    """Content-free integer (exps, coeff) terms, first coefficient positive."""
-    ints, _ = primitive_integers([c for _, c in items])
+    """Content-free integer (exps, coeff) terms of rational ones, first
+    coefficient positive."""
+    den = lcm(*(c.denominator for _, c in items))
+    ints = [c.numerator * (den // c.denominator) for _, c in items]
+    g = gcd(*ints) or 1
     if ints and ints[0] < 0:
-        ints = [-c for c in ints]
-    return [(e, c) for (e, _), c in zip(items, ints)]
+        g = -g
+    return [(e, c // g) for (e, _), c in zip(items, ints)]
 
 
 class _GPoly:
@@ -385,9 +420,8 @@ def rational_template(universe, params, terms: dict) -> Template:
     """The template of rational forms {exps: {parameter index: rational}},
     over the lcm of their denominators."""
     den = lcm(*(v.denominator for form in terms.values() for v in form.values()))
-    pack = universe.packing.pack
-    return Template(universe, params, {
-        pack(e): {k: v.numerator * (den // v.denominator) for k, v in form.items()}
+    return forms_template(universe, params, {
+        e: {k: v.numerator * (den // v.denominator) for k, v in form.items()}
         for e, form in terms.items()
     }, den)
 

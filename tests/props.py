@@ -25,7 +25,7 @@ from odeinv import (
     normal_form,
 )
 from odeinv.groebner import GroebnerReducer, buchberger_extend, divide
-from oracles import is_groebner_basis, lie_iterate
+from oracles import instantiate, is_groebner_basis, lie_iterate
 
 
 def rand_poly(rng, universe, max_terms=4, max_degree=2, coeff_bound=4):
@@ -286,4 +286,4 @@ def run_template_commutation(n: int, seed: int = 6006):
         derived = template
         for _ in range(j):
             derived = derived.lie(F)
-        assert lie_iterate(template.instantiate(v), F, j) == derived.instantiate(v)
+        assert lie_iterate(instantiate(template, v), F, j) == instantiate(derived, v)

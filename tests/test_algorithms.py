@@ -141,7 +141,7 @@ def test_pre_example(running):
     q2 = lie_iterate(q, F, 2)
     assert ideal_equal(res.ideal, Ideal(U, [q, q1]))
     assert res.ideal.member(q2)
-    assert list(res.ideal.generators) == [q, q1]
+    assert res.ideal.instances() == [q, q1]
 
 
 def test_pre_trivial_cases(running):
@@ -290,8 +290,8 @@ def test_pre_stable_step_adds_no_generator():
     pinned = json.loads(
         (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
     )["result"]
-    assert [str(g) for g in res.ideal.generators] == pinned["derivative_closure"]
-    assert len(res.ideal.generators) == pinned["ideal"]["generator_count"] == 2
+    assert [str(g) for g in res.ideal.instances()] == pinned["derivative_closure"]
+    assert res.ideal.generator_count == pinned["ideal"]["generator_count"] == 2
 
 
 def test_post_reduces_by_the_precondition_ideal_reducer(running):
@@ -331,7 +331,7 @@ def test_pre_matches_the_per_polynomial_chain():
             continue
         ideal, m = oracle
         assert res.iterations == m
-        assert [str(g) for g in res.ideal.generators] == [str(g) for g in ideal.generators]
+        assert [str(g) for g in res.ideal.instances()] == [str(g) for g in ideal.generators]
         assert res.ideal.reduced_groebner_basis() == ideal.reduced_groebner_basis()
         compared += 1
     assert compared >= 35
@@ -361,7 +361,7 @@ def test_post_rebuilds_ideal_after_refinement():
         {"j": 5, "constraints": 0, "dim": 29, "v_stable": True,
          "j_checked": True, "j_stable": True, "j_generators": 145},
     ]
-    assert len(res.ideal.generators) == 145
+    assert res.ideal.generator_count == 145
     assert [str(g) for g in res.ideal.reduced_groebner_basis()] == [
         "r*u - 1",
         "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
@@ -383,6 +383,42 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
     monkeypatch.setattr(groebner, "buchberger_extend", counting)
     run(corpus.load(name).build(), numeric=False)
     assert len(calls) == extensions
+
+
+def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):
+    """Each J is generated by whole templates, whose columns the engine
+    reads as they are: `post` on kepler and `pre` on running-pre complete,
+    with their pinned answers, while every unit instance is refused."""
+
+    def refuse(self):
+        raise AssertionError("a chain instantiated a template")
+
+    monkeypatch.setattr(Template, "unit_instances", refuse)
+    kepler = corpus.load("kepler").build()
+    spec = kepler.spec
+    res = post(
+        kepler.precondition,
+        kepler.template,
+        kepler.field,
+        max_iterations=spec.max_iterations,
+        pair_budget=spec.pair_budget,
+        max_degree=spec.max_degree,
+    )
+    assert [t.get("j_generators") for t in res.trace] == [None, 71, None, 96, None, 145]
+    assert res.ideal.generator_count == 145
+    assert [str(g) for g in res.ideal.reduced_groebner_basis()] == [
+        "r*u - 1",
+        "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
+    ]
+    running = corpus.load("running-pre").build()
+    res = pre(running.postcondition, running.field)
+    pinned = json.loads(
+        (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
+    )["result"]
+    assert [str(g) for g in res.ideal.instances()] == pinned["derivative_closure"]
+    assert [str(g) for g in res.ideal.reduced_groebner_basis()] == (
+        pinned["ideal"]["reduced_groebner_basis"]
+    )
 
 
 @pytest.mark.parametrize("name", ["running-post", "ghost-post", "kepler"])

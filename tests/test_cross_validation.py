@@ -25,7 +25,7 @@ from odeinv import (
     post,
 )
 from odeinv.dynamics import GroebnerReducer
-from oracles import dense_basis, ideal_equal, solve_homogeneous, zero_constraints
+from oracles import dense_basis, ideal_equal, instantiate, solve_homogeneous, zero_constraints
 from props import rand_poly
 
 
@@ -47,7 +47,7 @@ def naive_post(gens, template, field, max_iter=12):
         collected = []
         for j in range(i + 1):
             collected.extend(
-                inst for inst in [derivs[j].instantiate(r) for r in dense_basis(v)] if not inst.is_zero()
+                inst for inst in [instantiate(derivs[j], r) for r in dense_basis(v)] if not inst.is_zero()
             )
         return Ideal(U, collected)
 

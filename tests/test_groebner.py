@@ -20,11 +20,12 @@ from odeinv import (
 )
 from odeinv import corpus, groebner
 from odeinv.groebner import GroebnerReducer, divide
-from odeinv.dynamics import VectorField
+from odeinv.dynamics import Template, VectorField, fresh_parameters
 from odeinv.poly import EXPONENT_CAP, GrevLex, Lex
 from odeinv.report import run
 from oracles import ideal_equal, is_groebner_basis, lie_iterate, monomial_normal_form
 from props import (
+    rand_poly,
     run_buchberger_closure,
     run_division_contract,
     run_extension_agreement,
@@ -540,3 +541,53 @@ def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
     assert max(map(len, asked.values())) > 2000
     for reducer, monomials in asked.items():
         assert len(reducer._cache) <= 1.5 * len(monomials)
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=["lex", "grevlex"])
+def test_ideal_of_templates_equals_ideal_of_their_instances(order, monkeypatch):
+    # a template generator stands for its nonzero unit instances: from
+    # scratch and as an extension, the engine is handed the same content-
+    # free term lists, lead first with a positive lead, and the ideal has
+    # the same reduced basis, generator count and instances; random
+    # templates with zero columns and rational denominators
+    handed = []
+    core = groebner._buchberger_core
+
+    def recording(seed, gens, *args):
+        handed.append([g.terms() for g in gens])
+        return core(seed, gens, *args)
+
+    def completed(make):
+        """The ideal `make` returns, with its reduced basis and what the
+        engine was handed for it, each term list content-free with a
+        positive lead."""
+        handed.clear()
+        ideal = make()
+        gb = ideal.reduced_groebner_basis()
+        calls = handed[:]
+        for terms in (terms for call in calls for terms in call):
+            assert terms[0][1] > 0 and gcd(*(c for _, c in terms)) == 1
+        return ideal, (gb, calls)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", recording)
+    rng = random.Random(139)
+    zero_columns = denominators = 0
+    for _ in range(25):
+        U = SymbolUniverse([Symbol(f"x{i}") for i in range(rng.randint(1, 3))], order)
+        n = rng.randint(1, 4)
+        polys = [rand_poly(rng, U, 3, 2) for _ in range(n)]
+        t = Template.from_instances(U, fresh_parameters(n), polys)
+        instances = t.unit_instances()
+        nonzero = [p for p in instances if not p.is_zero()]
+        zero_columns += len(nonzero) < n
+        denominators += t.denominator > 1
+        ideal, engine = completed(lambda: Ideal(U, [t], max_degree=12))
+        assert engine == completed(lambda: Ideal(U, instances, max_degree=12))[1]
+        assert ideal.generator_count == len(nonzero)
+        assert ideal.instances() == nonzero
+        base = Ideal(U, [rand_poly(rng, U, 3, 2)], max_degree=12)
+        base.reducer()
+        grown, engine = completed(lambda: base.extend([t]))
+        assert engine == completed(lambda: base.extend(instances))[1]
+        assert grown.generator_count == base.generator_count + len(nonzero)
+    assert zero_columns > 3 and denominators > 3
