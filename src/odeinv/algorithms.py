@@ -4,7 +4,10 @@
 subspaces V_m refined by remainder templates, paired with an ascending
 sequence of ideals J_m, each generated by the Lie iterates L^0..L^m of the
 template restricted to V_m, whose instances its `Ideal` reads; it stops at
-the least step where both stabilize.  `pre` iterates Lie derivatives of the
+the least step where both stabilize.  After V moves, J_j is not completed
+over L^0..L^j when L^1 already lies in J_0: by Leibniz J_0 is then
+Lie-closed and equals J_j.  `_verify_post` certifies every answer by the
+independent `check_invariant_ideal`.  `pre` iterates Lie derivatives of the
 linear combination template over the postcondition generators until the
 generated ideal stops growing.  Both ideal chains step through `_grow`.  Safety
 checking and invariant-ideal checking are thin layers over these.
@@ -261,6 +264,13 @@ def post(
     V.  Lie derivation commutes with restriction, so a refinement restricts
     that one template further, and the generators of J_j are rebuilt, when
     V has moved, by Lie-iterating the restricted template j times.
+
+    A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`): when
+    L(g) lies in J_0 for every instance g, the Leibniz rule
+    L(sum h_i g_i) = sum L(h_i) g_i + h_i L(g_i) keeps J_0 Lie-closed, so
+    J_j = J_0 holds L^{j+1} and the step is stable without completing
+    L^0..L^j.  `_verify_post` still certifies J by `check_invariant_ideal`,
+    which divides from scratch and does not rely on this test.
     """
     universe = field.universe
     if template.universe is not universe:
@@ -308,13 +318,10 @@ def post(
             continue
         # V stabilized at this step; check the ideal chain.
         entry.update({"dim": len(basis_rows), "v_stable": True})
+        closed = False
         if ideal is None:
-            # J_j is generated by L^0..L^j of T∘B.
-            generators = [restricted()]
-            for _ in range(j):
-                generators.append(generators[-1].lie(field))
-            ideal = Ideal(universe, generators, **caps)
-        grown = _grow(ideal, nxt)
+            ideal, closed = _iterates_ideal(restricted(), j, field, caps)
+        grown = ideal if closed else _grow(ideal, nxt)
         stable = grown is ideal
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": ideal.generator_count})
         trace.append(entry)
@@ -330,6 +337,25 @@ def post(
     result = PostResult(space, out_template, ideal, j, analysis, trace)
     _verify_post(result, field)
     return result
+
+
+def _iterates_ideal(base: Template, j: int, field: VectorField, caps):
+    """J_j = <L^0..L^j(base)>, and whether it is known to be Lie-closed.
+
+    For j >= 1, J_0 = <base> is completed first and L(base) tested against
+    it by one template remainder; when it lies in J_0, J_0 is Lie-closed
+    (see `post`) and J_j, its generators kept, takes J_0's basis and
+    reducer.  Otherwise J_j is completed from scratch over L^0..L^j.  At
+    j = 0 the test would be the caller's own J step, so it is left to it.
+    """
+    generators = [base]
+    for _ in range(j):
+        generators.append(generators[-1].lie(field))
+    if j:
+        j0 = Ideal(base.universe, [base], **caps)
+        if generators[1].reduce_by(j0.reducer()).is_zero():
+            return j0._known(generators, j0.reduced_groebner_basis(), j0.reducer()), True
+    return Ideal(base.universe, generators, **caps), False
 
 
 def _grow(ideal: Ideal, t: Template) -> Ideal:

@@ -276,7 +276,10 @@ class GroebnerReducer:
     Each such normal form is built in one pass by a coroutine that yields
     the smaller monomials it needs and is sent their normal forms; one loop
     in `_reduce` runs the coroutines from an explicit stack, so deep chains
-    do not recurse.  Every normal form computed on the way is cached.
+    do not recurse.  Every normal form computed on the way is cached but
+    that of a standard x_i * t, t a monomial of NF(m / x_i): t is standard,
+    so a search of the few leads that x_i divides shows x_i * t standard,
+    and leaving it out keeps the memo near the monomials asked of it.
 
     A normal form is integer numerators over a positive scale, in lowest
     terms; the recurrence takes the lcm of its parts' scales.  `basis`
@@ -284,7 +287,7 @@ class GroebnerReducer:
     is checked for a set guard bit when it is settled.
     """
 
-    __slots__ = ("basis", "_divisors", "_cache", "_guards", "_strip")
+    __slots__ = ("basis", "_divisors", "_cache", "_guards", "_strip", "_leads_with")
 
     def __init__(self, basis):
         self.basis = tuple(d for d in basis if not d.is_zero())
@@ -295,6 +298,10 @@ class GroebnerReducer:
         self._guards = packing.guards if packing else 0
         # (exponent field, x_i) of each variable, the last variable first
         self._strip = tuple(zip(packing.fields[::-1], packing.units[::-1])) if packing else ()
+        # x_i -> the divisors whose lead x_i divides
+        self._leads_with = {
+            x: [d for d in self._divisors if d.lead_exps & field] for field, x in self._strip
+        }
 
     def monomial_terms(self, m):
         """NF(m) of a packed monomial m as ({packed monomial: int
@@ -340,8 +347,9 @@ class GroebnerReducer:
 
     def _nf(self, m, d, split):
         """Coroutine of NF(m), where d's lead divides m.  It yields each
-        smaller monomial it is built from that is not cached, is sent its
-        normal form, and caches and returns NF(m)."""
+        smaller monomial it is built from that is neither cached nor a
+        standard x_i * t, is sent its normal form, and caches and returns
+        NF(m)."""
         cache = self._cache
         if split is not None:
             x, q = split
@@ -354,17 +362,24 @@ class GroebnerReducer:
             shift = m - d.lead_exps
             base = d.lead_coeff
             parts = [(te + shift, -tc) for te, tc in d.tail]
+            leads = None
         else:
             nums, base = nq
             parts = [(t + x, c) for t, c in nums.items()]
+            # t is standard, so only a lead that x divides can divide t * x
+            leads = self._leads_with[x]
         # NF(m) = (1/base) sum c * NF(p) over the parts (p, c), accumulated
         # over the lcm of the parts' scales as they arrive
         acc: dict = {}
         scale = 1
+        guards = self._guards
         for p, c in parts:
             nf = cache.get(p)
             if nf is None:
-                nf = yield p
+                if leads is not None and not p & guards and _divisor_of(leads, p, guards) is None:
+                    nf = ({p: 1}, 1)  # a standard x * t, left out of the memo
+                else:
+                    nf = yield p
             nums, s = nf
             if not nums:
                 continue
@@ -631,11 +646,22 @@ class Ideal:
         same caps.
         """
         gens = [g for g in gens if not g.is_zero()]
-        caps = {"pair_budget": self.pair_budget, "max_degree": self.max_degree}
-        grown = Ideal(self.universe, self.generators + tuple(gens), **caps)
-        gb = buchberger_extend(self.reducer(), gens, **caps)
-        object.__setattr__(grown, "_gb", tuple(gb))
-        return grown
+        gb = buchberger_extend(
+            self.reducer(), gens, pair_budget=self.pair_budget, max_degree=self.max_degree
+        )
+        return self._known(self.generators + tuple(gens), gb)
+
+    def _known(self, generators, gb, reducer=None) -> "Ideal":
+        """The ideal of `generators`, under this ideal's universe and caps,
+        whose reduced basis `gb`, and optionally the reducer over it, the
+        caller already holds: the one way to make an `Ideal` without
+        running Buchberger over its generators."""
+        ideal = Ideal(
+            self.universe, generators, pair_budget=self.pair_budget, max_degree=self.max_degree
+        )
+        object.__setattr__(ideal, "_gb", tuple(gb))
+        object.__setattr__(ideal, "_reducer", reducer)
+        return ideal
 
     @property
     def generator_count(self) -> int:

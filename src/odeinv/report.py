@@ -72,13 +72,14 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     if spec.query_kind == "post":
         res = post(analysis, built.template, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
+        instances = res.result.unit_instances()
         report["result"] = {
             "iterations": res.iterations,
             "template_parameters": len(built.template.params),
             "space_dimension": res.space.dim,
             "result_template": {
                 "parameters": [p.name for p in res.result.params],
-                "instances": [str(p) for p in res.result.unit_instances()],
+                "instances": [str(p) for p in instances],
             },
             "ideal": {
                 "generator_count": res.ideal.generator_count,
@@ -96,7 +97,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
                 ),
             },
         }
-        numeric_polys = [p for p in res.result.unit_instances() if not p.is_zero()]
+        numeric_polys = [p for p in instances if not p.is_zero()]
         numeric_polys += [g for g in gb if g not in numeric_polys]
     elif spec.query_kind == "pre":
         res = pre(built.postcondition, built.field, **caps)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+import yaml
 
 from odeinv import (
     FAILS,
@@ -26,11 +27,12 @@ from odeinv import (
     post,
     pre,
 )
-from odeinv import groebner
+from odeinv import algorithms, groebner
 from odeinv.algorithms import sample_points, triangular_bindings
 from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
 from odeinv.report import run
+from odeinv.sysspec import SystemSpec
 from conftest import same_span
 from oracles import ideal_equal, lie_iterate, pre_by_polynomials
 from props import rand_field, rand_poly
@@ -383,6 +385,88 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
     monkeypatch.setattr(groebner, "buchberger_extend", counting)
     run(corpus.load(name).build(), numeric=False)
     assert len(calls) == extensions
+
+
+def _post_of_entry(name, order):
+    """The corpus entry `name` under the monomial order `order`, and its
+    `post` answer under the entry's caps."""
+    text = (resources.files("odeinv") / "corpus" / f"{name}.yaml").read_text(encoding="utf-8")
+    data = yaml.safe_load(text)
+    data["order"] = order
+    built = SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build()
+    spec = built.spec
+    caps = {"pair_budget": spec.pair_budget, "max_degree": spec.max_degree}
+    res = post(
+        built.precondition,
+        built.template,
+        built.field,
+        max_iterations=spec.max_iterations,
+        **caps,
+    )
+    return built, caps, res
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize(
+    "name", ["kepler", "ghost-post", "collision-avoidance", "airplane-vertical"]
+)
+def test_post_ideal_is_completed_over_all_its_lie_iterates(name, order, monkeypatch):
+    """When L(T∘B) lies in J_0 = <T∘B>, `post` gives J_j the basis of J_0
+    instead of completing L^0..L^j, as each of these entries does at its
+    last step: the answer must still be generated by the whole chain of
+    Lie iterates, have the reduced basis Buchberger computes from scratch
+    over them, and count their nonzero instances."""
+    closed = []
+    iterates_ideal = algorithms._iterates_ideal
+
+    def recording(*args):
+        ideal, is_closed = iterates_ideal(*args)
+        closed.append(is_closed)
+        return ideal, is_closed
+
+    monkeypatch.setattr(algorithms, "_iterates_ideal", recording)
+    built, caps, res = _post_of_entry(name, order)
+    assert closed[-1]
+    gens = res.ideal.generators
+    assert same_span(gens[0].unit_instances(), res.result.unit_instances())
+    iterates = [gens[0]]
+    for _ in range(res.iterations):
+        iterates.append(iterates[-1].lie(built.field))
+    # an Ideal keeps its nonzero generators only
+    assert [t.unit_instances() for t in gens] == [
+        t.unit_instances() for t in iterates if not t.is_zero()
+    ]
+    assert list(res.ideal.reduced_groebner_basis()) == groebner.buchberger(gens, **caps)
+    instances = [p for t in gens for p in t.unit_instances() if not p.is_zero()]
+    assert res.ideal.generator_count == len(instances)
+
+
+def test_kepler_last_step_completes_j0_alone(monkeypatch):
+    """Kepler's J stops at j = 5 over 145 instances of L^0..L^5, but J_0,
+    the 29 instances of the final L^0, is already Lie-closed: Buchberger
+    runs over those 29 alone there, as at j = 3 it first runs over J_0's
+    32 before it falls back to all 96."""
+    built = corpus.load("kepler").build()
+    spec = built.spec
+    analysis = built.precondition.analyze(built.universe)
+    sizes = []
+    buchberger = groebner.buchberger
+
+    def counting(gens, **kwargs):
+        sizes.append(sum(len(groebner._instances(g)) for g in gens))
+        return buchberger(gens, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    res = post(
+        analysis,
+        built.template,
+        built.field,
+        max_iterations=spec.max_iterations,
+        pair_budget=spec.pair_budget,
+        max_degree=spec.max_degree,
+    )
+    assert sizes == [71, 32, 96, 29]
+    assert [t.get("j_generators") for t in res.trace] == [None, 71, None, 96, None, 145]
 
 
 def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):

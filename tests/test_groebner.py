@@ -516,10 +516,11 @@ def test_reducer_follows_a_deep_quotient_chain_without_recursion():
 
 
 def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
-    """Every reducer of a kepler query, the precondition's and each J
-    basis's, keeps a memo of at most 1.5 times the distinct monomials asked
-    of it: the choice of variable to strip decides how many intermediates it
-    keeps."""
+    """Every reducer of a kepler query, the precondition's, each J_0
+    basis's and each J basis's, keeps a memo of at most 1.5 times the
+    distinct monomials asked of it: the choice of variable to strip, and
+    the standard products x_i * t left out, decide how many intermediates
+    it keeps."""
     requested = {}  # reducer -> the distinct monomials asked of it
 
     class Recording(GroebnerReducer):
@@ -536,8 +537,9 @@ def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
     monkeypatch.setattr(groebner, "GroebnerReducer", Recording)
     run(corpus.load("kepler").build(), numeric=False)
     asked = {r: m for r, m in requested.items() if m}
-    # the precondition's reducer and the J bases at j = 1, 3 and 5
-    assert len(asked) == 4
+    # the precondition's reducer, J at j = 1, J_0 and J at j = 3, and J_0
+    # at j = 5, whose closure makes it J there
+    assert len(asked) == 5
     assert max(map(len, asked.values())) > 2000
     for reducer, monomials in asked.items():
         assert len(reducer._cache) <= 1.5 * len(monomials)
