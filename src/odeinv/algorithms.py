@@ -263,7 +263,8 @@ def post(
     Only one template is kept: L^j of the template restricted to the current
     V.  Lie derivation commutes with restriction, so a refinement restricts
     that one template further, and the generators of J_j are rebuilt, when
-    V has moved, by Lie-iterating the restricted template j times.
+    V has moved, from the restricted template's Lie iterates L^0..L^{j-1}
+    and the chain's own L^j.
 
     A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`): when
     L(g) lies in J_0 for every instance g, the Leibniz rule
@@ -320,7 +321,7 @@ def post(
         entry.update({"dim": len(basis_rows), "v_stable": True})
         closed = False
         if ideal is None:
-            ideal, closed = _iterates_ideal(restricted(), j, field, caps)
+            ideal, closed = _iterates_ideal(restricted(), current, j, field, caps)
         grown = ideal if closed else _grow(ideal, nxt)
         stable = grown is ideal
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": ideal.generator_count})
@@ -339,19 +340,21 @@ def post(
     return result
 
 
-def _iterates_ideal(base: Template, j: int, field: VectorField, caps):
+def _iterates_ideal(base: Template, top: Template, j: int, field: VectorField, caps):
     """J_j = <L^0..L^j(base)>, and whether it is known to be Lie-closed.
 
-    For j >= 1, J_0 = <base> is completed first and L(base) tested against
-    it by one template remainder; when it lies in J_0, J_0 is Lie-closed
-    (see `post`) and J_j, its generators kept, takes J_0's basis and
-    reducer.  Otherwise J_j is completed from scratch over L^0..L^j.  At
-    j = 0 the test would be the caller's own J step, so it is left to it.
+    `top` is the chain's own L^j(base), so only L^1..L^{j-1} are derived
+    here.  For j >= 1, J_0 = <base> is completed first and L(base) tested
+    against it by one template remainder; when it lies in J_0, J_0 is
+    Lie-closed (see `post`) and J_j, its generators kept, takes J_0's basis
+    and reducer.  Otherwise J_j is completed from scratch over L^0..L^j.
+    At j = 0 the test would be the caller's own J step, so it is left to it.
     """
     generators = [base]
-    for _ in range(j):
+    for _ in range(j - 1):
         generators.append(generators[-1].lie(field))
     if j:
+        generators.append(top)
         j0 = Ideal(base.universe, [base], **caps)
         if generators[1].reduce_by(j0.reducer()).is_zero():
             return j0._known(generators, j0.reduced_groebner_basis(), j0.reducer()), True
@@ -360,12 +363,18 @@ def _iterates_ideal(base: Template, j: int, field: VectorField, caps):
 
 def _grow(ideal: Ideal, t: Template) -> Ideal:
     """The J step of both chains: `ideal` itself when every instance of `t`
-    lies in it, else `ideal` extended by `t`.  Normal forms are linear, so
-    one template remainder modulo the ideal's reducer decides membership,
-    and the extension's pre-pass reuses its memo."""
-    if t.reduce_by(ideal.reducer()).is_zero():
+    lies in it, else `ideal` with `t` appended to its generators.  Normal
+    forms are linear, so one template remainder modulo the ideal's reducer
+    decides membership.  On a miss Buchberger completes that remainder,
+    which with the basis generates the same ideal: `t` is reduced once."""
+    reducer = ideal.reducer()
+    r = t.reduce_by(reducer)
+    if r.is_zero():
         return ideal
-    return ideal.extend([t])
+    gb = groebner.buchberger_extend(
+        reducer, [r], pair_budget=ideal.pair_budget, max_degree=ideal.max_degree
+    )
+    return ideal._known(ideal.generators + (t,), gb)
 
 
 def _verify_post(res: PostResult, field: VectorField):

@@ -2,38 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .sysspec import SystemSpec
 
 
-def _corpus_root():
-    return resources.files(__package__) / "corpus"
-
-
-def entry_names(tier: str | None = None) -> list[str]:
-    """Names of bundled entries, optionally filtered by tier."""
-    names = sorted(
-        p.name[: -len(".yaml")]
-        for p in _corpus_root().iterdir()
-        if p.name.endswith(".yaml")
-    )
-    if tier is None:
-        return names
-    return [n for n in names if load(n).tier == tier]
-
-
 def load(name: str) -> SystemSpec:
-    text = (_corpus_root() / f"{name}.yaml").read_text(encoding="utf-8")
+    path = resources.files(__package__) / "corpus" / f"{name}.yaml"
+    text = path.read_text(encoding="utf-8")
     return SystemSpec.from_text(text, source=f"corpus:{name}")
-
-
-def expected_report(name: str):
-    """Stored expected report (timings stripped), or None if not pinned."""
-    path = _corpus_root() / "expected" / f"{name}.json"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return None
-    return json.loads(text)

@@ -1,12 +1,12 @@
-"""Multivariate division, Buchberger's algorithm, and ideal predicates.
+"""Normal forms, Buchberger's algorithm, and ideal predicates.
 
-The entry points the queries run (`buchberger`, `normal_form`, `Ideal`)
-exchange canonical `Polynomial` values, and so does textbook `divide`,
-which also returns the quotients.  Internally the engine works on
-content-free integer term lists: reductions cross-multiply instead of
-dividing, which keeps coefficients in Z and controls bignum growth, and the
-exact rational normal form is recovered from the accumulated scale.  A
-`Polynomial` has its denominators cleared once, where it enters (`_packed`).
+The entry points the queries run (`buchberger`, `buchberger_extend`,
+`normal_form`, `Ideal`) exchange canonical `Polynomial` values.
+Internally the engine works on content-free integer term lists: reductions
+cross-multiply instead of dividing, which keeps coefficients in Z and
+controls bignum growth, and the exact rational normal form is recovered
+from the accumulated scale.  A `Polynomial` has its denominators cleared
+once, where it enters (`_packed`).
 An ideal generator may also be a `Template`, standing for its nonzero
 instances: the chains generate each J by templates, whose integer columns
 the engine reads as they are, through `_instances`.
@@ -28,10 +28,8 @@ Every reduction, in Buchberger, in the basis interreduction and in
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import combine
 from .poly import (
     Polynomial,
     ResourceLimitError,
@@ -177,67 +175,6 @@ def _spoly_int(f: _GPoly, g: _GPoly, lcm):
         ne = e + sg
         acc[ne] = acc.get(ne, 0) - cg * c
     return list(acc.items())
-
-
-# ---------------------------------------------------------------------------
-# textbook multivariate division
-
-
-class DivisionResult:
-    """Outcome of dividing p by an ordered divisor list.
-
-    Invariants: p = sum(quotients[i] * divisors[i]) + remainder, no monomial
-    of the remainder is divisible by any divisor's leading term, and every
-    quotient*divisor product has multidegree <= multideg(p).
-    """
-
-    __slots__ = ("remainder", "quotients")
-
-    def __init__(self, remainder: Polynomial, quotients):
-        self.remainder = remainder
-        self.quotients = tuple(quotients)
-
-
-def divide(p: Polynomial, divisors) -> DivisionResult:
-    """Textbook multivariate division, deterministic in the divisor order."""
-    universe = p.universe
-    divisors = list(divisors)
-    for d in divisors:
-        if d.universe is not universe:
-            raise ValueError("divisor from a different symbol universe")
-        if d.is_zero():
-            raise ValueError("zero polynomial among divisors")
-    key = universe.key
-    leads = [d.leading() for d in divisors]
-    work = dict(p._terms)
-    quotients = [dict() for _ in divisors]
-    remainder: dict = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for i, (le, lc) in enumerate(leads):
-            for a, b in zip(le, e):
-                if a > b:
-                    break
-            else:
-                shift = tuple(x - y for x, y in zip(e, le))
-                coeff = c / lc
-                q = quotients[i]
-                q[shift] = q.get(shift, Fraction(0)) + coeff
-                for de, dc in divisors[i].sorted_terms()[1:]:
-                    ne = tuple(x + y for x, y in zip(de, shift))
-                    acc = work.get(ne, Fraction(0)) - coeff * dc
-                    if acc:
-                        work[ne] = acc
-                    else:
-                        work.pop(ne, None)
-                break
-        else:
-            remainder[e] = c
-    return DivisionResult(
-        Polynomial(universe, remainder),
-        [Polynomial(universe, q) for q in quotients],
-    )
 
 
 def normal_form(p: Polynomial, divisors) -> Polynomial:
@@ -474,7 +411,7 @@ def _update_pairs(G, P, f, packing):
     return kept
 
 
-def _buchberger_core(seed, gens, packing, pair_budget, max_degree, shuffle):
+def _buchberger_core(seed, gens, packing, pair_budget, max_degree):
     """Complete `seed` (pairwise S-reduced already) with `gens` to a GB."""
     G = list(seed)
     P: list = []
@@ -486,11 +423,7 @@ def _buchberger_core(seed, gens, packing, pair_budget, max_degree, shuffle):
             P = _update_pairs(G, P, _GPoly(rem), packing)
     processed = 0
     while P:
-        if shuffle is None:
-            _, i, j, lcm = heapq.heappop(P)
-        else:
-            # the heap order is not read under shuffle: any entry may go
-            _, i, j, lcm = P.pop(shuffle.randrange(len(P)))
+        _, i, j, lcm = heapq.heappop(P)
         processed += 1
         if processed > pair_budget:
             raise ResourceLimitError(
@@ -530,12 +463,10 @@ def _reduce_int_basis(G, packing):
 DEFAULT_PAIR_BUDGET = 200_000
 
 
-def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
+def _complete(reducer, gens, pair_budget, max_degree):
     """Reduced Groebner basis of the reducer's basis, a Groebner basis
-    (reduced or not), together with the instances of `gens`; pairs within
-    the basis are skipped.  The new instances are first reduced modulo the
-    basis through the reducer's memo of monomial normal forms, and only
-    nonzero remainders enter Buchberger."""
+    (reduced or not), together with the instances of `gens`, each reduced
+    as it enters Buchberger; pairs within the basis are skipped."""
     seed = reducer.basis
     gens = tuple(g for g in gens if not g.is_zero())
     if not seed and not gens:
@@ -546,20 +477,13 @@ def _complete(reducer, gens, pair_budget, max_degree, shuffle=None):
             raise ValueError("generators from different symbol universes")
     packing = universe.packing
     flip = packing.flip
-    new = [terms for g in gens for terms, _ in _instances(g)]
-    if seed:
-        images, _ = reducer.images(sorted({e for t in new for e, _ in t}, key=flip.__xor__))
-        new = [combine(dict(t), images).items() for t in new]
     # lead first
-    new = [_primitive(sorted(t, key=lambda term: term[0] ^ flip, reverse=True)) for t in new]
-    G = _buchberger_core(
-        reducer._divisors,
-        [_GPoly(t) for t in new if t],
-        packing,
-        pair_budget,
-        max_degree,
-        shuffle,
-    )
+    new = [
+        _GPoly(_primitive(sorted(terms, key=lambda term: term[0] ^ flip, reverse=True)))
+        for g in gens
+        for terms, _ in _instances(g)
+    ]
+    G = _buchberger_core(reducer._divisors, new, packing, pair_budget, max_degree)
     # monic: each basis element over its lead coefficient
     return [
         Polynomial.from_packed(universe, g.terms(), g.lead_coeff)
@@ -572,15 +496,14 @@ def buchberger(
     *,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
-    shuffle=None,
 ):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Deterministic (normal selection, minimal lcm first); `shuffle` may be a
-    `random.Random` to randomize pair selection, the reduced result is the
-    same either way.  Raises ResourceLimitError when a cap is hit.
+    Deterministic (normal selection, minimal lcm first); the reduced result
+    does not depend on the order the pairs are taken in.  Raises
+    ResourceLimitError when a cap is hit.
     """
-    return _complete(GroebnerReducer(()), gens, pair_budget, max_degree, shuffle)
+    return _complete(GroebnerReducer(()), gens, pair_budget, max_degree)
 
 
 def buchberger_extend(
@@ -594,10 +517,10 @@ def buchberger_extend(
     additional generators.
 
     The `GroebnerReducer` seed may be over any Groebner basis, reduced or
-    not.  The new generators are reduced modulo it through its memo of
-    monomial normal forms first, so an extension shares the memo with every
-    other reduction by the same basis; pairs within the basis are skipped,
-    they already reduce to zero.
+    not; its basis enters in engine form as it is, and pairs within it are
+    skipped, they already reduce to zero.  A new generator may be reduced
+    modulo the seed already, as the chains' remainders are: Buchberger
+    then finds no divisor of the seed in it.
     """
     return _complete(reducer, new_gens, pair_budget, max_degree)
 
@@ -612,7 +535,9 @@ class Ideal:
     A generator is a `Polynomial` or a `Template`, which stands for its
     nonzero instances.  The reduced basis and the one `GroebnerReducer`
     over it are computed once on demand; generators and universe are
-    immutable so both caches are single-assignment.
+    immutable so both caches are single-assignment.  A chain grows an ideal
+    by `_known`, handing it the basis `buchberger_extend` completes from
+    this ideal's reducer.
     """
 
     __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_gb", "_reducer")
@@ -638,18 +563,6 @@ class Ideal:
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
-
-    def extend(self, gens) -> "Ideal":
-        """This ideal with the nonzero `gens` appended to its generators.
-
-        The new basis is completed from this ideal's reducer, under the
-        same caps.
-        """
-        gens = [g for g in gens if not g.is_zero()]
-        gb = buchberger_extend(
-            self.reducer(), gens, pair_budget=self.pair_budget, max_degree=self.max_degree
-        )
-        return self._known(self.generators + tuple(gens), gb)
 
     def _known(self, generators, gb, reducer=None) -> "Ideal":
         """The ideal of `generators`, under this ideal's universe and caps,

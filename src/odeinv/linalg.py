@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .poly import as_fraction, content_free
+from .poly import content_free
 
 
 def combine(coeffs: dict, rows) -> dict:
@@ -148,15 +148,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
-
-    def contains(self, vector) -> bool:
-        """Whether the dense vector lies in the space: appending it to the
-        stored rows leaves the rank unchanged."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector dimension mismatch")
-        v = {j: as_fraction(x) for j, x in enumerate(vector)}
-        pivots, _ = _echelon((*self.rows, v), self.ambient_dim)
-        return len(pivots) == self.dim
 
     def __eq__(self, other):
         return (

@@ -336,12 +336,6 @@ class Polynomial:
             object.__setattr__(self, "_sorted", cached)
         return cached
 
-    def leading(self):
-        """(exps, coeff) of the leading term; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self.sorted_terms()[0]
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -4,7 +4,7 @@ import pytest
 
 from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, VectorField
 from odeinv.poly import Lex
-from oracles import sparse
+from oracles import contains, sparse
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def in_span(p, polys):
     """Exact linear-span membership of a polynomial."""
     rows, monos = coefficient_rows(list(polys) + [p], p.universe)
     space = Subspace.from_rows([sparse(r) for r in rows[:-1]], len(monos))
-    return space.contains(rows[-1])
+    return contains(space, rows[-1])
 
 
 def same_span(polys_a, polys_b):

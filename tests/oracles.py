@@ -17,16 +17,23 @@ instances, which the package never needs, Buchberger's S-polynomial
 criterion on plain `Polynomial` arithmetic instead of the integer engine,
 ideal equality by comparing reduced bases instead of membership of the new
 generators, the precondition chain one Lie derivative and one `Ideal.member` per
-polynomial instead of one template remainder per step, a
+polynomial instead of one template remainder per step, each raw generator
+handed to Buchberger instead of its remainder, textbook division with its
+quotients instead of the engine's normal form, subspace membership of a
+vector by one more elimination, a
 finite-difference Lie rate instead of the symbolic derivative, and float
 evaluators, an RK4 trajectory and a residual check that walk the terms on
 every call instead of the compiled straight-line code of `numcheck`.
+The bundled corpus is listed here too, with its pinned reports: only the
+tests read those.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from fractions import Fraction
+from importlib import resources
 from math import gcd, lcm
 from operator import add, le, neg, sub
 
@@ -37,10 +44,11 @@ from odeinv import (
     Subspace,
     Symbol,
     SymbolUniverse,
+    corpus,
     lie_derivative,
 )
 from odeinv.dynamics import Template
-from odeinv.groebner import divide
+from odeinv.groebner import buchberger_extend
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
 from odeinv.poly import as_fraction
@@ -138,6 +146,15 @@ def dense_basis(space: Subspace):
         tuple(Fraction(row.get(j, 0), row[col]) for j in range(space.ambient_dim))
         for col, row in zip(space.pivots, space.rows)
     )
+
+
+def contains(space: Subspace, vector) -> bool:
+    """Whether the dense vector lies in `space`: appending it to the stored
+    rows leaves the rank unchanged."""
+    if len(vector) != space.ambient_dim:
+        raise ValueError("vector dimension mismatch")
+    v = {j: as_fraction(x) for j, x in enumerate(vector)}
+    return Subspace.from_rows((*space.rows, v), space.ambient_dim).dim == space.dim
 
 
 def nullspace_two_pass(rows, width: int):
@@ -300,6 +317,71 @@ def template_remainder_via_division(
     ]
     rem = divide(joint_polynomial(template, joint), lifted).remainder
     return split_joint_polynomial(rem, np, state_universe)
+
+
+def leading(p: Polynomial):
+    """(exps, coeff) of the leading term; raises on the zero polynomial."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no leading term")
+    return p.sorted_terms()[0]
+
+
+class DivisionResult:
+    """Outcome of dividing p by an ordered divisor list.
+
+    Invariants: p = sum(quotients[i] * divisors[i]) + remainder, no monomial
+    of the remainder is divisible by any divisor's leading term, and every
+    quotient*divisor product has multidegree <= multideg(p).
+    """
+
+    __slots__ = ("remainder", "quotients")
+
+    def __init__(self, remainder: Polynomial, quotients):
+        self.remainder = remainder
+        self.quotients = tuple(quotients)
+
+
+def divide(p: Polynomial, divisors) -> DivisionResult:
+    """Textbook multivariate division on `Fraction` terms, deterministic in
+    the divisor order."""
+    universe = p.universe
+    divisors = list(divisors)
+    for d in divisors:
+        if d.universe is not universe:
+            raise ValueError("divisor from a different symbol universe")
+        if d.is_zero():
+            raise ValueError("zero polynomial among divisors")
+    key = universe.key
+    leads = [leading(d) for d in divisors]
+    work = dict(p._terms)
+    quotients = [dict() for _ in divisors]
+    remainder: dict = {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for i, (le, lc) in enumerate(leads):
+            for a, b in zip(le, e):
+                if a > b:
+                    break
+            else:
+                shift = tuple(x - y for x, y in zip(e, le))
+                coeff = c / lc
+                q = quotients[i]
+                q[shift] = q.get(shift, Fraction(0)) + coeff
+                for de, dc in divisors[i].sorted_terms()[1:]:
+                    ne = tuple(x + y for x, y in zip(de, shift))
+                    acc = work.get(ne, Fraction(0)) - coeff * dc
+                    if acc:
+                        work[ne] = acc
+                    else:
+                        work.pop(ne, None)
+                break
+        else:
+            remainder[e] = c
+    return DivisionResult(
+        Polynomial(universe, remainder),
+        [Polynomial(universe, q) for q in quotients],
+    )
 
 
 def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
@@ -493,7 +575,7 @@ def template_result(template: Template, space: Subspace, prefix: str = "b") -> T
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm/LT(f) * f - lcm/LT(g) * g, on plain polynomial arithmetic."""
-    (ef, cf), (eg, cg) = f.leading(), g.leading()
+    (ef, cf), (eg, cg) = leading(f), leading(g)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
 
     def cofactor(exps, c):
@@ -516,6 +598,17 @@ def is_groebner_basis(G) -> bool:
     )
 
 
+def extend(ideal, gens):
+    """`ideal` with the nonzero `gens` appended to its generators, its basis
+    completed from the ideal's reducer under its caps.  Each generator
+    enters Buchberger as it is, not as its remainder modulo the ideal."""
+    gens = [g for g in gens if not g.is_zero()]
+    gb = buchberger_extend(
+        ideal.reducer(), gens, pair_budget=ideal.pair_budget, max_degree=ideal.max_degree
+    )
+    return ideal._known(ideal.generators + tuple(gens), gb)
+
+
 def pre_by_polynomials(postcondition, field, *, max_iterations: int = 64, **caps):
     """The weakest-precondition chain one polynomial at a time: each Lie
     derivative is taken on its own and asked of the ideal by `Ideal.member`;
@@ -527,8 +620,30 @@ def pre_by_polynomials(postcondition, field, *, max_iterations: int = 64, **caps
         current = [lie_derivative(p, field) for p in current]
         if all(ideal.member(p) for p in current):
             return ideal, m
-        ideal = ideal.extend(current)
+        ideal = extend(ideal, current)
     raise ResourceLimitError(f"precondition chain exceeded {max_iterations} iterations")
+
+
+def entry_names(tier: str | None = None) -> list[str]:
+    """Names of the bundled corpus entries, optionally filtered by tier."""
+    names = sorted(
+        p.name[: -len(".yaml")]
+        for p in (resources.files("odeinv") / "corpus").iterdir()
+        if p.name.endswith(".yaml")
+    )
+    if tier is None:
+        return names
+    return [n for n in names if corpus.load(n).tier == tier]
+
+
+def expected_report(name: str):
+    """The pinned report of a corpus entry (timings stripped), or None."""
+    path = resources.files("odeinv") / "corpus" / "expected" / f"{name}.json"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    return json.loads(text)
 
 
 def ideal_equal(a, b) -> bool:

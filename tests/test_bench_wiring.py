@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from odeinv import corpus, report
+from oracles import entry_names
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,6 +48,6 @@ def test_traced_kepler_run_reaches_every_mapped_layer():
 def test_traced_quick_mix_run_reaches_every_mapped_layer():
     # the numeric check runs as bundled, so every numcheck.* metric needs
     # check_invariants to call the module-level trajectory
-    quick = corpus.entry_names("quick")
+    quick = entry_names("quick")
     assert len(quick) == 7
     assert _unwired("quick-mix", quick) == []

@@ -25,7 +25,14 @@ from odeinv import (
     post,
 )
 from odeinv.dynamics import GroebnerReducer
-from oracles import dense_basis, ideal_equal, instantiate, solve_homogeneous, zero_constraints
+from oracles import (
+    dense_basis,
+    ideal_equal,
+    instantiate,
+    leading,
+    solve_homogeneous,
+    zero_constraints,
+)
 from props import rand_poly
 
 
@@ -131,7 +138,7 @@ def test_groebner_matches_sympy():
         converted = []
         for e in theirs.exprs:
             p = _from_sympy(e, syms, U)
-            converted.append(p * (1 / p.leading()[1]))  # sympy emits primitive, not monic
+            converted.append(p * (1 / leading(p)[1]))  # sympy emits primitive, not monic
         assert set(mine) == set(converted), (
             f"basis disagreement on {[str(g) for g in gens]}"
         )

@@ -22,7 +22,7 @@ from odeinv.numcheck import (
     verify_from_analysis,
 )
 from odeinv.sysspec import SystemSpec
-from oracles import oracle_check_invariants, oracle_trajectory
+from oracles import entry_names, oracle_check_invariants, oracle_trajectory
 
 
 def _same(a: float, b: float) -> bool:
@@ -69,7 +69,7 @@ def _assert_matches_oracle(
 
 def _corpus_fields():
     seen = {}
-    for name in corpus.entry_names():
+    for name in entry_names():
         spec = corpus.load(name)
         key = (tuple(spec.variables), tuple(sorted(spec.field.items())))
         seen.setdefault(key, spec.build().field)

@@ -13,6 +13,7 @@ import odeinv
 from odeinv import SpecError, SystemSpec, corpus
 from odeinv.cli import main
 from odeinv.report import lie_chain, run
+from oracles import entry_names, expected_report
 
 
 def _corpus_path(name):
@@ -66,11 +67,11 @@ def test_report_contains_result_template_and_basis():
 
 
 def test_quick_corpus_regression():
-    for name in corpus.entry_names():
+    for name in entry_names():
         spec = corpus.load(name)
         if spec.tier != "quick":
             continue
-        expected = corpus.expected_report(name)
+        expected = expected_report(name)
         assert expected is not None, f"no pinned report for {name}"
         got = run(spec.build()).comparable()
         assert got == expected, f"report drift for corpus entry {name}"
@@ -78,23 +79,23 @@ def test_quick_corpus_regression():
 
 @pytest.mark.extended
 def test_extended_corpus_regression():
-    for name in corpus.entry_names():
+    for name in entry_names():
         spec = corpus.load(name)
         if spec.tier != "extended":
             continue
-        expected = corpus.expected_report(name)
+        expected = expected_report(name)
         assert expected is not None, f"no pinned report for {name}"
         got = run(spec.build()).comparable()
         assert got == expected, f"report drift for corpus entry {name}"
 
 
 def test_data_only_entries_parse():
-    for name in corpus.entry_names():
+    for name in entry_names():
         spec = corpus.load(name)
         if spec.tier == "data-only":
             built = spec.build()
             assert built.template is not None
-            assert corpus.expected_report(name) is None
+            assert expected_report(name) is None
 
 
 def test_cli_exit_codes(tmp_path):
@@ -450,11 +451,51 @@ def test_lie_chain_for_templates():
     assert len(chains[0]["chain"]) == 2
 
 
+def _public_definitions(tree):
+    """(qualified name, name) of every public module-level function and
+    class and every public non-dunder method of a module-level class."""
+    found = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        found.append((stmt.name, stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            found += [
+                (f"{stmt.name}.{node.name}", node.name)
+                for node in stmt.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ]
+    return found
+
+
+def _names_read(tree):
+    """Every name read as a Name or an Attribute, except a read of a name
+    inside a function or class that defines that name itself."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return read
+
+
 def test_every_export_is_used_in_the_package():
-    # the package exports only what the queries, the CLI and the report run
-    # on: every name odeinv/__init__.py imports is read, as a Name or an
-    # Attribute, in another package module outside its own definition
+    # the package ships only what the queries, the CLI, the report and the
+    # benchmark run on: every name odeinv/__init__.py imports, and every
+    # public function, class and method a package module defines, is read,
+    # as a Name or an Attribute, in a package module or in bench/ outside
+    # its own definition.  Reads are matched by name, so a method that
+    # shares its name with one the package calls elsewhere passes unseen
     package = Path(odeinv.__file__).resolve().parent
+    bench = package.parents[1] / "bench"
     init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
     exported = {
         alias.asname or alias.name
@@ -462,17 +503,16 @@ def test_every_export_is_used_in_the_package():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    used = set()
-    for path in package.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            nodes = list(ast.walk(stmt))
-            names = {n.id for n in nodes if isinstance(n, ast.Name)}
-            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-            used |= names - {getattr(stmt, "name", None)}
+    defined, used = [], set()
+    for path in [*package.glob("*.py"), *bench.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _names_read(tree)
+        if path.parent == package:
+            defined += _public_definitions(tree)
     assert {"post", "pre", "SystemSpec"} <= exported
+    assert {"Ideal.member", "Template.reduce_by", "buchberger_extend"} <= {q for q, _ in defined}
     assert sorted(exported - used) == []
+    assert sorted(q for q, name in defined if name not in used) == []
 
 
 def test_every_private_module_name_is_read_in_the_package():
