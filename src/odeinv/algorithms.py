@@ -43,6 +43,8 @@ MODE_TRUSTED = "trusted"
 
 _MODES = (MODE_AUTO, MODE_GENERATORS, MODE_SINGLETON, MODE_GRAPH, MODE_TRUSTED)
 
+DEFAULT_MAX_ITERATIONS = 64
+
 
 def triangular_bindings(generators, universe: SymbolUniverse):
     """Recognize generator sets that carve out a graph over free variables.
@@ -250,7 +252,7 @@ def post(
     template: Template,
     field: VectorField,
     *,
-    max_iterations: int = 64,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     pair_budget: int = groebner.DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
 ) -> PostResult:
@@ -260,11 +262,11 @@ def post(
     In an exact mode both directions of the characterization hold; in the
     sound generator mode only the inclusions are guaranteed.
 
-    Only one template is kept: L^j of the template restricted to the current
-    V.  Lie derivation commutes with restriction, so a refinement restricts
-    that one template further, and the generators of J_j are rebuilt, when
-    V has moved, from the restricted template's Lie iterates L^0..L^{j-1}
-    and the chain's own L^j.
+    Two templates are kept: T∘B, the template restricted to V = span(B),
+    and L^j(T∘B).  Lie derivation commutes with restriction, so a
+    refinement of V restricts both by the same coordinates, and J_j is
+    rebuilt, when V has moved, from L^0..L^{j-1}(T∘B) and the chain's own
+    L^j.  The caller's template is read only for V_0 and the result.
 
     A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`): when
     L(g) lies in J_0 for every instance g, the Leibniz rule
@@ -288,14 +290,10 @@ def post(
     basis_rows = nullspace(rows, n)
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
-    def restricted():
-        """T∘B: the template restricted to the current valuation space."""
-        return template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
-
-    # Invariant: current = L^j(T∘B) for the current basis B = basis_rows,
-    # sparse integer rows that the final Subspace.from_rows brings to
-    # echelon form.
-    current = restricted() if len(basis_rows) < n else template
+    # Invariant: base = T∘B and current = L^j(T∘B) for the current basis
+    # B = basis_rows, sparse integer rows that the final Subspace.from_rows
+    # brings to echelon form.
+    base = current = template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
     j = 0
     ideal = None  # J_j, rebuilt after each refinement of V
     while True:
@@ -311,7 +309,9 @@ def post(
             coords = nullspace(rows, d)
             assert len(coords) < d, "nonzero constraints must shrink the space"
             basis_rows = [combine(y, basis_rows) for y in coords]
-            current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
+            ys = fresh_parameters(len(coords), "y")
+            base = base.compose(coords, ys)
+            current = nxt.compose(coords, ys)
             ideal = None
             entry.update({"dim": len(basis_rows), "v_stable": False})
             trace.append(entry)
@@ -321,7 +321,7 @@ def post(
         entry.update({"dim": len(basis_rows), "v_stable": True})
         closed = False
         if ideal is None:
-            ideal, closed = _iterates_ideal(restricted(), current, j, field, caps)
+            ideal, closed = _iterates_ideal(base, current, j, field, caps)
         grown = ideal if closed else _grow(ideal, nxt)
         stable = grown is ideal
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": ideal.generator_count})
@@ -343,11 +343,12 @@ def post(
 def _iterates_ideal(base: Template, top: Template, j: int, field: VectorField, caps):
     """J_j = <L^0..L^j(base)>, and whether it is known to be Lie-closed.
 
-    `top` is the chain's own L^j(base), so only L^1..L^{j-1} are derived
-    here.  For j >= 1, J_0 = <base> is completed first and L(base) tested
-    against it by one template remainder; when it lies in J_0, J_0 is
-    Lie-closed (see `post`) and J_j, its generators kept, takes J_0's basis
-    and reducer.  Otherwise J_j is completed from scratch over L^0..L^j.
+    `base` is the T∘B that `post` keeps and `top` its L^j, so only
+    L^1..L^{j-1} are derived here.  For j >= 1, J_0 = <base> is completed
+    first and L(base) tested against it by one template remainder; when it
+    lies in J_0, J_0 is Lie-closed (see `post`) and J_j, its generators
+    kept, takes J_0's basis and reducer.  Otherwise J_j is completed from
+    scratch over L^0..L^j.
     At j = 0 the test would be the caller's own J step, so it is left to it.
     """
     generators = [base]
@@ -405,7 +406,7 @@ def pre(
     postcondition,
     field: VectorField,
     *,
-    max_iterations: int = 64,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     pair_budget: int = groebner.DEFAULT_PAIR_BUDGET,
     max_degree: int | None = None,
 ) -> PreResult:

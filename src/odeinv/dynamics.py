@@ -28,6 +28,7 @@ from .poly import (
     Polynomial,
     Symbol,
     SymbolUniverse,
+    cleared,
     exponent_overflow,
     monomials_up_to_degree,
 )
@@ -49,17 +50,12 @@ class VectorField:
         for d in drifts:
             if d.universe is not universe:
                 raise ValueError("drift from a different symbol universe")
-        den = lcm(*(c.denominator for d in drifts for c in d._terms.values()))
-        pack = universe.packing.pack
+        # D * f_i as integer terms on packed monomials, D the drifts' lcm denominator
+        scaled, den = cleared((d._terms for d in drifts), universe.packing.pack)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "denominator", den)
-        # D = the lcm of the coefficients' denominators; the integer terms
-        # of D * f_i on packed monomials
-        object.__setattr__(self, "_scaled", tuple(
-            [(pack(e), c.numerator * (den // c.denominator)) for e, c in d._terms.items()]
-            for d in drifts
-        ))
+        object.__setattr__(self, "_scaled", tuple(list(d.items()) for d in scaled))
         object.__setattr__(self, "_lie_cache", {})
         # the float step numcheck.compile_rk4 builds on first use
         object.__setattr__(self, "_advance", None)
@@ -99,15 +95,12 @@ class VectorField:
 
 
 def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
-    """Syntactic Lie derivative <grad p, F>."""
+    """Syntactic Lie derivative <grad p, F>, taken on integers."""
     if p.universe is not field.universe:
         raise ValueError("polynomial and field use different universes")
-    packing = p.universe.packing
-    coeffs = {packing.pack(e): c / field.denominator for e, c in p._terms.items()}
-    images = {m: field.lie_monomial(m) for m in coeffs}
-    return Polynomial(p.universe, {
-        packing.unpack(e): c for e, c in combine(coeffs, images).items()
-    })
+    (ints,), den = cleared([p._terms], p.universe.packing.pack)
+    terms = combine(ints, {m: field.lie_monomial(m) for m in ints})
+    return Polynomial.from_packed(p.universe, terms.items(), den * field.denominator)
 
 
 class Template:
@@ -152,12 +145,8 @@ class Template:
         for p in polys:
             if p.universe is not universe:
                 raise ValueError("instance from a different universe")
-        den = lcm(*(c.denominator for p in polys for c in p._terms.values()))
-        pack = universe.packing.pack
-        return cls(universe, params, [
-            {pack(e): c.numerator * (den // c.denominator) for e, c in p._terms.items()}
-            for p in polys
-        ], den)
+        columns, den = cleared((p._terms for p in polys), universe.packing.pack)
+        return cls(universe, params, columns, den)
 
     # -- views ------------------------------------------------------------
 
@@ -200,14 +189,12 @@ class Template:
         """Reparametrize by valuations v = y . rows / denominator.
 
         Each new parameter y_k stands for the sparse row rows[k] / denominator,
-        rows[k] = {old parameter j: rational}; its column is the old columns
-        combined by the row, once the rows are cleared by one lcm.
+        rows[k] = {old parameter j: rational}, the API edge where rationals
+        may enter; its column is the old columns combined by the row, once
+        `poly.cleared` has put the rows over one lcm.
         """
-        den = lcm(*(r.denominator for row in rows for r in row.values()))
-        columns = [
-            combine({j: r.numerator * (den // r.denominator) for j, r in row.items()}, self.columns)
-            for row in rows
-        ]
+        ints, den = cleared(rows)
+        columns = [combine(row, self.columns) for row in ints]
         return Template(self.universe, new_params, columns, self.denominator * den * denominator)
 
     def reduce_by(self, reducer: GroebnerReducer) -> "Template":

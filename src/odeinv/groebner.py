@@ -6,7 +6,7 @@ Internally the engine works on content-free integer term lists: reductions
 cross-multiply instead of dividing, which keeps coefficients in Z and
 controls bignum growth, and the exact rational normal form is recovered
 from the accumulated scale.  A `Polynomial` has its denominators cleared
-once, where it enters (`_packed`).
+once, where it enters (`_packed`, through `poly.cleared`).
 An ideal generator may also be a `Template`, standing for its nonzero
 instances: the chains generate each J by templates, whose integer columns
 the engine reads as they are, through `_instances`.
@@ -34,6 +34,7 @@ from .poly import (
     Polynomial,
     ResourceLimitError,
     SymbolUniverse,
+    cleared,
     content_free,
     exponent_overflow,
 )
@@ -69,10 +70,8 @@ class _GPoly:
 def _packed(p: Polynomial):
     """(terms, den): the terms of p on packed monomials, lead first, as
     integers over den, the lcm of p's denominators."""
-    items = p.sorted_terms()
-    den = lcm(*(c.denominator for _, c in items))
-    pack = p.universe.packing.pack
-    return [(pack(e), c.numerator * (den // c.denominator)) for e, c in items], den
+    (ints,), den = cleared([dict(p.sorted_terms())], p.universe.packing.pack)
+    return ints.items(), den
 
 
 def _gpoly(p: Polynomial) -> _GPoly:

@@ -5,15 +5,16 @@ content-free integer rows (cross-multiplication, no intermediate
 fractions), and answers in such rows: `nullspace` returns the kernel's,
 and a `Subspace` stores its integer echelon rows, one per pivot, which
 are canonical, so two subspaces are equal iff their rows are.  Rationals
-are made only by callers that print or instantiate a row.  `combine` is
-the one sparse product of the templates and the chains.
+enter only as given rows, through `poly.cleared`, and are made only by
+callers that print or instantiate a row.  `combine` is the one sparse
+product of the templates and the chains.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .poly import content_free
+from .poly import cleared, content_free
 
 
 def combine(coeffs: dict, rows) -> dict:
@@ -54,10 +55,9 @@ def _echelon(rows, width: int):
     eliminate to nothing.
     """
     echelon = {}  # pivot column -> row, in order of adoption
-    for row in rows:
-        # clear the denominators, once, and drop the zeros
-        den = lcm(*(v.denominator for v in row.values()))
-        row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items() if v})
+    # cleared over one lcm: a row made content-free does not depend on it
+    for row in cleared(rows)[0]:
+        row = _primitive(row)
         if row and not (min(row) >= 0 and max(row) < width):
             raise ValueError("row has a column outside the width")
         # an adopted row has no entry in the pivot columns adopted before

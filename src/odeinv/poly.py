@@ -3,7 +3,8 @@
 Polynomials are immutable values: a symbol universe fixes the variables and
 the active monomial order once, and every arithmetic operation returns a new
 canonical polynomial with exact `fractions.Fraction` coefficients.  The Groebner
-engine, linear algebra and templates run on integers over one scale instead.
+engine, linear algebra and templates run on integers over one scale instead,
+entered through `cleared` and left through `Polynomial.from_packed`.
 
 A `Polynomial` monomial is an exponent tuple, one entry per universe symbol,
 and the universe's `key` orders it.  Inside the Groebner engine and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import struct
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 # Every field of a packed monomial holds an exponent below 2^31 under one
 # guard bit.  A sum of two fields never carries into the next field, so an
@@ -24,10 +25,14 @@ from math import comb, gcd
 FIELD_BITS = 32
 EXPONENT_CAP = 1 << (FIELD_BITS - 1)
 
+# Most term pairs one product may form, about a second's work; (x+y+z)^50
+# needs 106,590.  A larger product is refused before it is formed.  Not a setting.
+MAX_PRODUCT_TERM_PAIRS = 1 << 18
+
 
 class ResourceLimitError(RuntimeError):
-    """A configured pair budget or degree cap was exceeded, or a monomial
-    outgrew the exponent cap of its packed fields.
+    """A configured pair budget or degree cap, the exponent cap of the
+    packed fields, or the term-pair cap of one product was exceeded.
 
     Raised instead of returning a wrong or partial answer.
     """
@@ -54,6 +59,18 @@ def as_fraction(value) -> Fraction:
             "exact literal string instead"
         )
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def cleared(maps, key=None):
+    """(ints, den): maps {k: rational} as maps {key(k): int} over den, their
+    least common denominator, zeros dropped; inverse to `Polynomial.from_packed`."""
+    maps = list(maps)
+    den = lcm(*(v.denominator for m in maps for v in m.values()))
+    return [
+        {k if key is None else key(k): v.numerator * (den // v.denominator)
+         for k, v in m.items() if v}
+        for m in maps
+    ], den
 
 
 def content_free(ints) -> list:
@@ -317,7 +334,7 @@ class Polynomial:
     def from_packed(cls, universe: SymbolUniverse, terms, den: int = 1) -> "Polynomial":
         """The polynomial of integer terms (packed monomial, int) over a
         positive `den`: where the integer engine and templates hand back
-        rationals."""
+        rationals, the inverse of `cleared`."""
         unpack = universe.packing.unpack
         if den == 1:  # Fraction(c) of an int takes no gcd
             return cls(universe, {unpack(m): Fraction(c) for m, c in terms})
@@ -393,6 +410,8 @@ class Polynomial:
             big, small = self._terms, other._terms
         else:
             big, small = other._terms, self._terms
+        if len(big) * len(small) > MAX_PRODUCT_TERM_PAIRS:
+            raise ResourceLimitError(f"product over the cap of {MAX_PRODUCT_TERM_PAIRS} term pairs")
         terms: dict = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():

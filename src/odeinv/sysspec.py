@@ -9,15 +9,15 @@ data are expression strings in the grammar of `parser`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isfinite, lcm
+from math import comb, isfinite
 
 import yaml
 
-from .algorithms import MODE_AUTO, Precondition, _MODES
+from .algorithms import DEFAULT_MAX_ITERATIONS, MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
-from .groebner import ResourceLimitError
+from .groebner import DEFAULT_PAIR_BUDGET, ResourceLimitError
 from .parser import ParseError, parse_polynomial
-from .poly import GrevLex, Lex, Symbol, SymbolUniverse
+from .poly import GrevLex, Lex, Symbol, SymbolUniverse, cleared
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
 TIERS = ("quick", "extended", "data-only")
@@ -227,8 +227,10 @@ class SystemSpec:
         options = data.get("options") or {}
         _require(isinstance(options, dict), "options must be a mapping")
         _known_keys(options, {"max_iterations", "pair_budget", "max_degree"}, "option")
-        self.max_iterations = _number("max_iterations", options.get("max_iterations", 64))
-        self.pair_budget = _number("pair_budget", options.get("pair_budget", 200_000))
+        self.max_iterations = _number(
+            "max_iterations", options.get("max_iterations", DEFAULT_MAX_ITERATIONS)
+        )
+        self.pair_budget = _number("pair_budget", options.get("pair_budget", DEFAULT_PAIR_BUDGET))
         md = options.get("max_degree")
         self.max_degree = None if md is None else _number("max_degree", md)
 
@@ -272,10 +274,10 @@ def _split_template(p, params, universe) -> Template:
     followed by the symbols of `universe`, each term of parameter degree 1;
     its rational coefficients are cleared by one lcm."""
     n = len(params)
-    den = lcm(*(c.denominator for c in p._terms.values()))
+    (ints,), den = cleared([p._terms])
     pack = universe.packing.pack
     columns: list = [{} for _ in params]
-    for exps, c in p._terms.items():
+    for exps, c in ints.items():
         degree = sum(exps[:n])
         _require(
             degree == 1,
@@ -283,7 +285,7 @@ def _split_template(p, params, universe) -> Template:
             "templates must be parameter-linear",
         )
         # the first 1 is the parameter's, all before it are 0
-        columns[exps.index(1)][pack(exps[n:])] = c.numerator * (den // c.denominator)
+        columns[exps.index(1)][pack(exps[n:])] = c
     return Template(universe, params, columns, den)
 
 
@@ -331,6 +333,10 @@ class BuiltSystem:
             self.postcondition = [
                 _parse(p, self.universe, "postcondition polynomial") for p in polys
             ]
+            _require(
+                kind == "pre" or not all(p.is_zero() for p in self.postcondition),
+                "check query needs a nonzero postcondition polynomial",
+            )
         elif kind == "invariant":
             _known_keys(q, {"kind", "generators"}, "invariant query")
             gens_q = q.get("generators")

@@ -24,8 +24,8 @@ vector by one more elimination, a
 finite-difference Lie rate instead of the symbolic derivative, and float
 evaluators, an RK4 trajectory and a residual check that walk the terms on
 every call instead of the compiled straight-line code of `numcheck`.
-The bundled corpus is listed here too, with its pinned reports: only the
-tests read those.
+The bundled corpus is listed and loaded here too, with its pinned
+reports: only the tests read those.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from odeinv import (
     Subspace,
     Symbol,
     SymbolUniverse,
-    corpus,
+    SystemSpec,
     lie_derivative,
 )
 from odeinv.dynamics import Template
@@ -624,6 +624,12 @@ def pre_by_polynomials(postcondition, field, *, max_iterations: int = 64, **caps
     raise ResourceLimitError(f"precondition chain exceeded {max_iterations} iterations")
 
 
+def load_entry(name: str) -> SystemSpec:
+    """The bundled corpus entry `name`, parsed."""
+    path = resources.files("odeinv") / "corpus" / f"{name}.yaml"
+    return SystemSpec.from_text(path.read_text(encoding="utf-8"), source=f"corpus:{name}")
+
+
 def entry_names(tier: str | None = None) -> list[str]:
     """Names of the bundled corpus entries, optionally filtered by tier."""
     names = sorted(
@@ -633,7 +639,7 @@ def entry_names(tier: str | None = None) -> list[str]:
     )
     if tier is None:
         return names
-    return [n for n in names if corpus.load(n).tier == tier]
+    return [n for n in names if load_entry(n).tier == tier]
 
 
 def expected_report(name: str):

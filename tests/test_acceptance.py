@@ -30,11 +30,10 @@ from odeinv import (
     post,
     pre,
 )
-from odeinv import corpus
 from odeinv.report import run
 from odeinv.sysspec import SystemSpec
 from conftest import in_span, same_span
-from oracles import contains, entry_names, ideal_equal, leading, lie_iterate
+from oracles import contains, entry_names, ideal_equal, leading, lie_iterate, load_entry
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -151,7 +150,7 @@ COLLISION_REFERENCE = [
 @pytest.mark.extended
 def test_criterion_6_collision_avoidance():
     started = time.perf_counter()
-    built = corpus.load("collision-avoidance").build()
+    built = load_entry("collision-avoidance").build()
     assert len(built.template.params) == 190
     res = post(built.precondition, built.template, built.field)
     assert res.iterations == 3
@@ -169,7 +168,7 @@ def test_criterion_6_collision_avoidance():
 @pytest.mark.extended
 def test_criterion_7_airplane_vertical_motion():
     started = time.perf_counter()
-    built = corpus.load("airplane-vertical").build()
+    built = load_entry("airplane-vertical").build()
     # quadratic ansatz over 17 variables plus the q*u, q*w auxiliary
     # monomial products, deduplicated
     assert len(built.template.params) == 204
@@ -207,7 +206,7 @@ def test_kepler_report_keeps_the_benchmark_digest():
     # the benchmark's kepler query, numeric check off; its report must keep
     # the digest recorded in bench/references.json
     started = time.perf_counter()
-    report = run(corpus.load("kepler").build(), numeric=False)
+    report = run(load_entry("kepler").build(), numeric=False)
     assert report.exit_code == 0
     assert _digest(report) == _bench_digest("kepler")
     _report("kepler: generators mode at template degree 4", started, 10.0)
@@ -262,7 +261,7 @@ def test_criterion_8_numeric_harness_on_corpus():
     started = time.perf_counter()
     checked = 0
     for name in entry_names():
-        spec = corpus.load(name)
+        spec = load_entry(name)
         if spec.tier == "data-only" or not spec.numeric.enabled:
             continue
         report = run(spec.build(), numeric=True)

@@ -21,7 +21,6 @@ from odeinv import (
     check_invariant_ideal,
     check_safety,
     complete_template,
-    corpus,
     lie_derivative,
     linear_combination_template,
     post,
@@ -34,7 +33,7 @@ from odeinv.numcheck import verify_from_analysis
 from odeinv.report import run
 from odeinv.sysspec import SystemSpec
 from conftest import same_span
-from oracles import contains, ideal_equal, leading, lie_iterate, pre_by_polynomials
+from oracles import contains, ideal_equal, leading, lie_iterate, load_entry, pre_by_polynomials
 from props import rand_field, rand_poly
 
 
@@ -268,7 +267,7 @@ def test_sample_points_satisfy_generators(ghost):
 
 def test_sample_points_are_distinct():
     # the pool holds 10 values, so 25 asked give the 10 distinct points
-    built = corpus.load("running-post").build()
+    built = load_entry("running-post").build()
     an = built.precondition.analyze(built.universe)
     pts = sample_points(an, built.universe, 25)
     assert len(pts) == 10
@@ -287,7 +286,7 @@ def test_sample_points_bind_every_variable_once(running):
 
 
 def test_pre_stable_step_adds_no_generator():
-    built = corpus.load("running-pre").build()
+    built = load_entry("running-pre").build()
     res = pre(built.postcondition, built.field)
     pinned = json.loads(
         (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
@@ -316,7 +315,7 @@ def _pre_or_none(chain, P, field, **options):
 def test_pre_matches_the_per_polynomial_chain():
     # one template remainder per step decides what one Ideal.member per
     # Lie derivative decides: same iterations, generators and reduced basis
-    built = corpus.load("running-pre").build()
+    built = load_entry("running-pre").build()
     cases = [(built.postcondition, built.field, {})]
     rng = random.Random(7007)
     for _ in range(40):
@@ -342,7 +341,7 @@ def test_pre_matches_the_per_polynomial_chain():
 def test_post_rebuilds_ideal_after_refinement():
     # Kepler as bundled: j=1 is V-stable but J-unstable, j=2 refines V 71 -> 32,
     # and j=3 rebuilds the J basis from the restricted template's Lie iterates.
-    built = corpus.load("kepler").build()
+    built = load_entry("kepler").build()
     spec = built.spec
     res = post(
         built.precondition,
@@ -383,18 +382,20 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
         return extend(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger_extend", counting)
-    run(corpus.load(name).build(), numeric=False)
+    run(load_entry(name).build(), numeric=False)
     assert len(calls) == extensions
 
 
 def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
     """Counts, not timings: one kepler `post` takes 11 template remainders
-    (`GroebnerReducer.images`) and 9 template Lie derivatives.  A growing
-    J step completes the remainder its membership test made instead of
-    reducing the template again, and a rebuilt J takes the chain's own L^j
-    instead of deriving it anew from the restricted template."""
-    calls = {"images": 0, "lie": 0}
-    images, lie = groebner.GroebnerReducer.images, Template.lie
+    (`GroebnerReducer.images`), 9 template Lie derivatives and 6 template
+    compositions.  A growing J step completes the remainder its membership
+    test made instead of reducing the template again, a rebuilt J takes
+    the chain's own L^j instead of deriving it anew from the restricted
+    template, and T∘B is kept and restricted as V moves instead of
+    composed from the full template at each rebuild."""
+    calls = {"images": 0, "lie": 0, "compose": 0}
+    images, lie, compose = groebner.GroebnerReducer.images, Template.lie, Template.compose
 
     def counting_images(self, monomials):
         calls["images"] += 1
@@ -404,9 +405,14 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         calls["lie"] += 1
         return lie(self, field)
 
+    def counting_compose(self, *args):
+        calls["compose"] += 1
+        return compose(self, *args)
+
     monkeypatch.setattr(groebner.GroebnerReducer, "images", counting_images)
     monkeypatch.setattr(Template, "lie", counting_lie)
-    built = corpus.load("kepler").build()
+    monkeypatch.setattr(Template, "compose", counting_compose)
+    built = load_entry("kepler").build()
     spec = built.spec
     res = post(
         built.precondition,
@@ -417,7 +423,7 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         max_degree=spec.max_degree,
     )
     assert res.iterations == 4
-    assert calls == {"images": 11, "lie": 9}
+    assert calls == {"images": 11, "lie": 9, "compose": 6}
 
 
 def _post_of_entry(name, order):
@@ -479,7 +485,7 @@ def test_kepler_last_step_completes_j0_alone(monkeypatch):
     the 29 instances of the final L^0, is already Lie-closed: Buchberger
     runs over those 29 alone there, as at j = 3 it first runs over J_0's
     32 before it falls back to all 96."""
-    built = corpus.load("kepler").build()
+    built = load_entry("kepler").build()
     spec = built.spec
     analysis = built.precondition.analyze(built.universe)
     sizes = []
@@ -511,7 +517,7 @@ def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):
         raise AssertionError("a chain instantiated a template")
 
     monkeypatch.setattr(Template, "unit_instances", refuse)
-    kepler = corpus.load("kepler").build()
+    kepler = load_entry("kepler").build()
     spec = kepler.spec
     res = post(
         kepler.precondition,
@@ -527,7 +533,7 @@ def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):
         "r*u - 1",
         "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
     ]
-    running = corpus.load("running-pre").build()
+    running = load_entry("running-pre").build()
     res = pre(running.postcondition, running.field)
     pinned = json.loads(
         (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
@@ -542,7 +548,7 @@ def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):
 def test_time_and_template_scaling_keep_both_chains(name):
     """F -> (3/7)F scales L^j by (3/7)^j, and T -> (-5/2)T scales every
     instance: neither moves a span, so neither moves V or J."""
-    built = corpus.load(name).build()
+    built = load_entry(name).build()
     U, F, T = built.universe, built.field, built.template
     slow = VectorField(U, [d * Fraction(3, 7) for d in F.drifts])
     assert slow.denominator == 7 * F.denominator

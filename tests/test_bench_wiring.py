@@ -10,8 +10,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from odeinv import corpus, report
-from oracles import entry_names
+from odeinv import report
+from oracles import entry_names, load_entry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,7 +33,7 @@ def _unwired(workload, names, **run_options):
     patches.on()
     try:
         for name in names:
-            report.run(corpus.load(name).build(), **run_options)
+            report.run(load_entry(name).build(), **run_options)
     finally:
         patches.off()
     _, calls = tracing.layer_metrics(tracer, 1, Counter(), 1.0)

@@ -18,7 +18,7 @@ from odeinv import (
     monomials_up_to_degree,
     normal_form,
 )
-from odeinv import corpus, groebner
+from odeinv import groebner
 from odeinv.groebner import GroebnerReducer
 from odeinv.dynamics import Template, VectorField, fresh_parameters
 from odeinv.poly import EXPONENT_CAP, GrevLex, Lex
@@ -29,6 +29,7 @@ from oracles import (
     ideal_equal,
     is_groebner_basis,
     lie_iterate,
+    load_entry,
     monomial_normal_form,
 )
 from props import (
@@ -433,7 +434,7 @@ def test_reducer_monomial_terms_match_normal_form():
 
 
 def test_reducer_matches_normal_form_on_kepler_precondition():
-    built = corpus.load("kepler").build()
+    built = load_entry("kepler").build()
     basis = built.precondition.analyze(built.universe).basis
     template_vars = [built.universe.by_name(n) for n in ("GM", "a", "ecc", "r", "u", "dA")]
     _assert_reducer_matches_normal_form(basis, built.universe, template_vars)
@@ -466,7 +467,7 @@ def _kepler_and_airplane_bases():
         ("kepler", ("r", "th", "vr", "u", "s", "dA"), 5),
         ("airplane-vertical", ("u", "w", "x", "q", "th", "c", "s"), 8),
     ):
-        built = corpus.load(name).build()
+        built = load_entry(name).build()
         U = built.universe
         basis = built.precondition.analyze(U).basis
         out.append((basis, U, [U.by_name(n) for n in names], degree))
@@ -546,7 +547,7 @@ def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
             return super().monomial_terms(exps)
 
     monkeypatch.setattr(groebner, "GroebnerReducer", Recording)
-    run(corpus.load("kepler").build(), numeric=False)
+    run(load_entry("kepler").build(), numeric=False)
     asked = {r: m for r, m in requested.items() if m}
     # the precondition's reducer, J at j = 1, J_0 and J at j = 3, and J_0
     # at j = 5, whose closure makes it J there

@@ -14,7 +14,7 @@ from odeinv import (
     SymbolUniverse,
     VectorField,
 )
-from odeinv import corpus, lie_derivative, numcheck
+from odeinv import lie_derivative, numcheck
 from odeinv.numcheck import (
     MAX_RK4_STEPS,
     check_invariants,
@@ -22,7 +22,7 @@ from odeinv.numcheck import (
     verify_from_analysis,
 )
 from odeinv.sysspec import SystemSpec
-from oracles import entry_names, oracle_check_invariants, oracle_trajectory
+from oracles import entry_names, load_entry, oracle_check_invariants, oracle_trajectory
 
 
 def _same(a: float, b: float) -> bool:
@@ -70,7 +70,7 @@ def _assert_matches_oracle(
 def _corpus_fields():
     seen = {}
     for name in entry_names():
-        spec = corpus.load(name)
+        spec = load_entry(name)
         key = (tuple(spec.variables), tuple(sorted(spec.field.items())))
         seen.setdefault(key, spec.build().field)
     return list(seen.values())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 from operator import add
 
 import pytest
@@ -12,7 +13,7 @@ from odeinv import (
     SymbolUniverse,
     monomials_up_to_degree,
 )
-from odeinv.poly import format_monomial
+from odeinv.poly import MAX_PRODUCT_TERM_PAIRS, ResourceLimitError, cleared, format_monomial
 from oracles import BlockOrder
 from props import rand_poly, small_universe
 
@@ -176,3 +177,28 @@ def test_cancelling_operations_store_no_zero_terms(running):
     product = (X + Y) * (X - Y)
     assert product == X * X - Y * Y and _stores_no_zero(product)
     assert (X * 0).is_zero() and Polynomial.constant(U, 0).is_zero()
+
+
+def test_cleared_then_from_packed_is_the_identity():
+    # `cleared` is the one way from rationals into the integer core and
+    # `Polynomial.from_packed` the way back
+    rng = random.Random(24)
+    for _ in range(200):
+        U = small_universe(rng)
+        polys = [rand_poly(rng, U, max_terms=6, coeff_bound=9) for _ in range(rng.randint(1, 3))]
+        ints, den = cleared((dict(p.sorted_terms()) for p in polys), U.packing.pack)
+        assert den == lcm(*(c.denominator for p in polys for _, c in p.sorted_terms()))
+        assert all(type(v) is int and v for col in ints for v in col.values())
+        assert [Polynomial.from_packed(U, col.items(), den) for col in ints] == polys
+
+
+def test_a_product_over_the_term_pair_cap_is_refused():
+    # two polynomials of `side` terms each make side^2 term pairs, just over
+    # the cap: refused before any pair is formed
+    U = SymbolUniverse([Symbol("x"), Symbol("y")])
+    side = isqrt(MAX_PRODUCT_TERM_PAIRS) + 1
+    p = Polynomial(U, {(i, 0): Fraction(1) for i in range(side)})
+    q = Polynomial(U, {(0, i): Fraction(1) for i in range(side)})
+    with pytest.raises(ResourceLimitError, match="term pairs"):
+        p * q
+    assert len((p * Polynomial(U, {(0, 1): Fraction(1)})).sorted_terms()) == side

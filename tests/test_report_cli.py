@@ -10,10 +10,10 @@ import pytest
 import yaml
 
 import odeinv
-from odeinv import SpecError, SystemSpec, corpus
+from odeinv import SpecError, SystemSpec
 from odeinv.cli import main
 from odeinv.report import lie_chain, run
-from oracles import entry_names, expected_report
+from oracles import entry_names, expected_report, load_entry
 
 
 def _corpus_path(name):
@@ -23,9 +23,9 @@ def _corpus_path(name):
 
 
 def test_report_determinism():
-    spec = corpus.load("running-post")
+    spec = load_entry("running-post")
     a = run(spec.build()).comparable()
-    b = run(corpus.load("running-post").build()).comparable()
+    b = run(load_entry("running-post").build()).comparable()
     assert a == b
     assert "timings" not in a
 
@@ -34,13 +34,14 @@ def test_reports_do_not_depend_on_the_hash_seed():
     # set and dict iteration follows the hash seed; the reports must not
     script = (
         "import json\n"
-        "from odeinv import corpus\n"
         "from odeinv.report import run\n"
+        "from oracles import load_entry\n"
         "names = ('kepler', 'running-post')\n"
-        "print(json.dumps([run(corpus.load(n).build()).comparable() for n in names]))\n"
+        "print(json.dumps([run(load_entry(n).build()).comparable() for n in names]))\n"
     )
     src = str(Path(odeinv.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
     children = [
         subprocess.Popen(
             [sys.executable, "-c", script],
@@ -58,17 +59,17 @@ def test_reports_do_not_depend_on_the_hash_seed():
 
 
 def test_report_contains_result_template_and_basis():
-    report = run(corpus.load("running-post").build()).data
+    report = run(load_entry("running-post").build()).data
     rt = report["result"]["result_template"]["instances"]
     assert any("y^2" in inst for inst in rt)
     assert report["result"]["ideal"]["reduced_groebner_basis"] == ["x - y"]
-    text = run(corpus.load("running-post").build()).human_text()
+    text = run(load_entry("running-post").build()).human_text()
     assert "x - y" in text
 
 
 def test_quick_corpus_regression():
     for name in entry_names():
-        spec = corpus.load(name)
+        spec = load_entry(name)
         if spec.tier != "quick":
             continue
         expected = expected_report(name)
@@ -80,7 +81,7 @@ def test_quick_corpus_regression():
 @pytest.mark.extended
 def test_extended_corpus_regression():
     for name in entry_names():
-        spec = corpus.load(name)
+        spec = load_entry(name)
         if spec.tier != "extended":
             continue
         expected = expected_report(name)
@@ -91,7 +92,7 @@ def test_extended_corpus_regression():
 
 def test_data_only_entries_parse():
     for name in entry_names():
-        spec = corpus.load(name)
+        spec = load_entry(name)
         if spec.tier == "data-only":
             built = spec.build()
             assert built.template is not None
@@ -182,6 +183,68 @@ def test_cli_template_parameter_cap_exits_4_before_enumerating(tmp_path, capsys)
     assert elapsed < 1.0
 
 
+def test_cli_power_over_the_product_cap_exits_4(tmp_path, capsys):
+    # expanding (x+y+z)^300 ran for minutes; the squaring that would form
+    # 314,721 term pairs is refused before it is formed
+    data = yaml.safe_load(RATIONAL_LIE_YAML)
+    data["variables"] = ["x", "y", "z"]
+    data["field"] = {"x": "(x+y+z)^300", "y": "0", "z": "0"}
+    spec = tmp_path / "huge-power.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec)])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "term pairs" in capsys.readouterr().err
+    assert elapsed < 2.0
+
+
+def _degenerate_mutations(data):
+    """(label, spec) for each fixed degenerate edit of a spec: its
+    postcondition or generator list set to 0, 1 or 0, 0; its precondition
+    set to 0 or 1, or dropped; each drift set to 0; a complete template set
+    to degree 0, with and without the monomial 1."""
+    query = data["query"]
+    for key in ("postcondition", "generators"):
+        for value in (["0"], ["1"], ["0", "0"]) if key in query else ():
+            yield f"{key} {value}", {**data, "query": {**query, key: value}}
+    for value in (["0"], ["1"]):
+        yield f"precondition {value}", {**data, "precondition": {"generators": value}}
+    yield "no precondition", {k: v for k, v in data.items() if k != "precondition"}
+    for var in data["field"]:
+        yield f"drift of {var} 0", {**data, "field": {**data["field"], var: "0"}}
+    template = query.get("template")
+    if template is not None and template["kind"] == "complete":
+        plain = {k: v for k, v in template.items() if k != "exclude"}
+        for label, t in (("", plain), (" without 1", {**plain, "exclude": ["1"]})):
+            yield f"degree 0{label}", {**data, "query": {**query, "template": {**t, "degree": 0}}}
+
+
+def test_degenerate_corpus_specs_never_exit_5(tmp_path, capsys):
+    # exit 5 is for real bugs only: no degenerate but well-formed spec
+    # made from a quick corpus entry may end there
+    internal = []
+    spec = tmp_path / "mutated.yaml"
+    for name in entry_names("quick"):
+        data = yaml.safe_load(open(_corpus_path(name), encoding="utf-8"))
+        for label, mutated in _degenerate_mutations(data):
+            spec.write_text(yaml.safe_dump(mutated), encoding="utf-8")
+            if main([data["query"]["kind"], str(spec), "--no-numeric"]) == 5:
+                internal.append(f"{name}: {label}")
+    capsys.readouterr()
+    assert internal == []
+
+
+@pytest.mark.parametrize("postcondition", [["0"], ["0", "0"]])
+def test_cli_check_of_an_all_zero_postcondition_is_input_error(tmp_path, capsys, postcondition):
+    data = yaml.safe_load(open(_corpus_path("running-check"), encoding="utf-8"))
+    data["query"]["postcondition"] = postcondition
+    spec = tmp_path / "zero.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["check", str(spec), "--no-numeric"]) == 3
+    assert "nonzero postcondition" in capsys.readouterr().err
+
+
 RATIONAL_LIE_YAML = """
 name: rational-lie
 variables: [x, y]
@@ -262,7 +325,7 @@ def test_cli_negative_cap_is_input_error(capsys, command, name, flag, value):
 
 def test_run_rejects_malformed_cap_override():
     with pytest.raises(SpecError, match="pair_budget must be >= 0"):
-        run(corpus.load("running-post").build(), pair_budget=-1)
+        run(load_entry("running-post").build(), pair_budget=-1)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +508,7 @@ def test_cli_accepts_json_spec(tmp_path):
 
 
 def test_lie_chain_for_templates():
-    built = corpus.load("running-post").build()
+    built = load_entry("running-post").build()
     chains = lie_chain(built, 1)
     assert chains[0]["subject"] == "template"
     assert len(chains[0]["chain"]) == 2
@@ -487,13 +550,30 @@ def _names_read(tree):
     return read
 
 
+def _qualified_reads(tree):
+    """(module, name) of every name imported by `from module import name`,
+    the module taken by its last dotted part, and of every read
+    `module.name`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rpartition(".")[2]
+            found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add((node.value.id, node.attr))
+    return found
+
+
 def test_every_export_is_used_in_the_package():
     # the package ships only what the queries, the CLI, the report and the
     # benchmark run on: every name odeinv/__init__.py imports, and every
-    # public function, class and method a package module defines, is read,
-    # as a Name or an Attribute, in a package module or in bench/ outside
-    # its own definition.  Reads are matched by name, so a method that
-    # shares its name with one the package calls elsewhere passes unseen
+    # public function, class and method a package module defines, is read
+    # in a package module or in bench/ outside its own definition.  A
+    # module-level function or class is read where it is imported from its
+    # module, read as `module.name`, or read inside its own module; the
+    # re-exports of __init__.py do not count.  A method is matched by name,
+    # so one that shares its name with one the package calls elsewhere
+    # passes unseen
     package = Path(odeinv.__file__).resolve().parent
     bench = package.parents[1] / "bench"
     init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
@@ -503,16 +583,24 @@ def test_every_export_is_used_in_the_package():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    defined, used = [], set()
+    defined, used, qualified, own = [], set(), set(), {}
     for path in [*package.glob("*.py"), *bench.glob("*.py")]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used |= _names_read(tree)
+        if path != package / "__init__.py":
+            qualified |= _qualified_reads(tree)
         if path.parent == package:
-            defined += _public_definitions(tree)
+            defined += [(path.stem, q, name) for q, name in _public_definitions(tree)]
+            own[path.stem] = _names_read(tree)
     assert {"post", "pre", "SystemSpec"} <= exported
-    assert {"Ideal.member", "Template.reduce_by", "buchberger_extend"} <= {q for q, _ in defined}
+    assert {"Ideal.member", "Template.reduce_by", "buchberger_extend"} <= {q for _, q, _ in defined}
     assert sorted(exported - used) == []
-    assert sorted(q for q, name in defined if name not in used) == []
+    unread = [
+        f"{module}.{q}"
+        for module, q, name in defined
+        if (name not in used if "." in q else (module, name) not in qualified and name not in own[module])
+    ]
+    assert unread == []
 
 
 def test_every_private_module_name_is_read_in_the_package():
@@ -556,6 +644,25 @@ def test_engine_and_templates_do_no_tuple_exponent_arithmetic():
                 and node.args[0].func.id == "map"
             ):
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_engine_templates_and_linalg_take_no_rationals_apart():
+    # rationals enter the integer core through `poly.cleared` only: no
+    # package module but poly reads `.numerator`, and the Groebner engine,
+    # the templates and the linear algebra never divide with `/`
+    package = Path(odeinv.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "numerator" and path.name != "poly.py":
+                found.append(f"{path.name}:{node.lineno} .numerator")
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)
+                and path.name in ("groebner.py", "dynamics.py", "linalg.py")
+            ):
+                found.append(f"{path.name}:{node.lineno} /")
     assert found == []
 
 
