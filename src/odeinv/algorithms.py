@@ -6,7 +6,9 @@ sequence of ideals J_m, each generated by the Lie iterates L^0..L^m of the
 template restricted to V_m, whose instances its `Ideal` reads; it stops at
 the least step where both stabilize.  After V moves, J_j is not completed
 over L^0..L^j when L^1 already lies in J_0: by Leibniz J_0 is then
-Lie-closed and equals J_j.  `_verify_post` certifies every answer by the
+Lie-closed and equals J_j.  Nor is it completed when L^{j+2} moves V: a
+Lie-closed J_j inside the precondition ideal I would put L^{j+2} in I, so
+that J_j cannot be stable.  `_verify_post` certifies every answer by the
 independent `check_invariant_ideal`.  `pre` iterates Lie derivatives of the
 linear combination template over the postcondition generators until the
 generated ideal stops growing.  Both ideal chains step through `_grow`.  Safety
@@ -114,6 +116,9 @@ def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
     return covered == set(universe.symbols)
 
 
+_UNREAD = object()  # bindings not computed yet
+
+
 class PreconditionAnalysis:
     """Resolved radical mode, the precondition's `Ideal`, and sampling
     structure."""
@@ -124,21 +129,28 @@ class PreconditionAnalysis:
         "effective_mode",
         "exact",
         "ideal",
-        "bindings",
+        "_bindings",
     )
 
-    def __init__(self, generators, requested_mode, effective_mode, exact, ideal, bindings):
+    def __init__(self, generators, requested_mode, effective_mode, exact, ideal, bindings=_UNREAD):
         self.generators = tuple(generators)
         self.requested_mode = requested_mode
         self.effective_mode = effective_mode
         self.exact = exact
         self.ideal = ideal
-        self.bindings = bindings
+        self._bindings = bindings
 
     @property
     def basis(self):
         """The reduced Groebner basis of the precondition ideal."""
         return self.ideal.reduced_groebner_basis()
+
+    @property
+    def bindings(self):
+        """`triangular_bindings` of the generators, found on first read."""
+        if self._bindings is _UNREAD:
+            self._bindings = triangular_bindings(self.generators, self.ideal.universe)
+        return self._bindings
 
 
 class Precondition:
@@ -163,7 +175,6 @@ class Precondition:
         for g in gens:
             if g.universe is not universe:
                 raise ValueError("precondition generator over a different universe")
-        bindings = triangular_bindings(gens, universe)
         singleton = _is_singleton_pattern(gens, universe)
         mode = self.mode
         if mode == MODE_SINGLETON and not singleton:
@@ -171,6 +182,10 @@ class Precondition:
                 "singleton mode requires generators x_i - c_i covering every "
                 "state variable"
             )
+        # the bindings, found only where the mode decision reads them
+        bindings = _UNREAD
+        if mode == MODE_GRAPH or (mode == MODE_AUTO and not singleton):
+            bindings = triangular_bindings(gens, universe)
         if mode == MODE_GRAPH and bindings is None:
             raise ModeError(
                 "graph mode requires a triangular generator set (each "
@@ -274,6 +289,17 @@ def post(
     J_j = J_0 holds L^{j+1} and the step is stable without completing
     L^0..L^j.  `_verify_post` still certifies J by `check_invariant_ideal`,
     which divides from scratch and does not rely on this test.
+
+    When that test misses at j >= 1, L^{j+2} and its constraints modulo
+    the precondition ideal I are derived first, and the next step reads
+    them instead of deriving them again.  Nonzero constraints mean V moves
+    next, so J_j is not Lie-closed: J_j ⊆ I as V is stable, and a
+    Lie-closed J_j ⊆ I puts L^{j+2}(T∘B) in I.  The step is recorded
+    unstable, counted by the uncompleted `Ideal`'s
+    `generator_count`, and J_j is never completed.  Zero constraints run
+    the J step as usual; when that step is stable, the lookahead was one
+    Lie derivative and one remainder spent for nothing.  At j = 0 the J
+    step is one membership test and no lookahead is made.
     """
     universe = field.universe
     if template.universe is not universe:
@@ -294,15 +320,22 @@ def post(
     # B = basis_rows, sparse integer rows that the final Subspace.from_rows
     # brings to echelon form.
     base = current = template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
+
+    def derive(t):
+        """t's Lie derivative and its constraints modulo the precondition."""
+        t = t.lie(field)
+        return t, t.reduce_by(reducer).forms()
+
     j = 0
     ideal = None  # J_j, rebuilt after each refinement of V
+    ahead = None  # L^{j+1} and its constraints, when a lookahead derived them
     while True:
         if j >= max_iterations:
             raise ResourceLimitError(
                 f"postcondition chain exceeded {max_iterations} iterations"
             )
-        nxt = current.lie(field)
-        rows = nxt.reduce_by(reducer).forms()
+        nxt, rows = ahead or derive(current)
+        ahead = None
         entry = {"j": j + 1, "constraints": len(rows)}
         if rows:
             d = len(basis_rows)
@@ -322,8 +355,13 @@ def post(
         closed = False
         if ideal is None:
             ideal, closed = _iterates_ideal(base, current, j, field, caps)
-        grown = ideal if closed else _grow(ideal, nxt)
-        stable = grown is ideal
+            if j and not closed:
+                ahead = derive(nxt)
+        if ahead and ahead[1]:
+            grown, stable = None, False  # V moves next, so J_j is not Lie-closed
+        else:
+            grown = ideal if closed else _grow(ideal, nxt)
+            stable = grown is ideal
         entry.update({"j_checked": True, "j_stable": stable, "j_generators": ideal.generator_count})
         trace.append(entry)
         if stable:

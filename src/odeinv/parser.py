@@ -9,7 +9,10 @@ Grammar (implicit multiplication is not allowed):
     NUMBER := INTEGER | INTEGER '/' INTEGER | INTEGER '.' INTEGER
 
 Decimal literals convert exactly (0.25 becomes 1/4); identifiers must name
-symbols of the target universe.
+symbols of the target universe.  The products one parse forms, those of its
+powers included, share one budget of `poly.MAX_PRODUCT_TERM_PAIRS` term
+pairs: an expression past it raises `ResourceLimitError` before the product
+that would cross it is formed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, SymbolUniverse
+from .poly import MAX_PRODUCT_TERM_PAIRS, Polynomial, ResourceLimitError, SymbolUniverse
 
 
 class ParseError(ValueError):
@@ -62,6 +65,7 @@ class _Parser:
         self.universe = universe
         self.tokens = _tokenize(text)
         self.i = 0
+        self.pairs = MAX_PRODUCT_TERM_PAIRS  # term pairs the products may still form
 
     def peek(self):
         return self.tokens[self.i]
@@ -74,6 +78,26 @@ class _Parser:
     def error(self, message, tok=None):
         tok = tok if tok is not None else self.peek()
         raise ParseError(message, tok[2], self.text)
+
+    def product(self, p: Polynomial, q: Polynomial) -> Polynomial:
+        """p * q, charged against the parse's term-pair budget."""
+        self.pairs -= len(p._terms) * len(q._terms)
+        if self.pairs < 0:
+            raise ResourceLimitError(
+                f"expression over the budget of {MAX_PRODUCT_TERM_PAIRS} term pairs"
+            )
+        return p * q
+
+    def power(self, p: Polynomial, n: int) -> Polynomial:
+        """p ** n by the squarings of `Polynomial.__pow__`, each charged."""
+        result = Polynomial.constant(self.universe, 1)
+        while n:
+            if n & 1:
+                result = self.product(result, p)
+            n >>= 1
+            if n:
+                p = self.product(p, p)
+        return result
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -105,7 +129,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                p = p * self.factor()
+                p = self.product(p, self.factor())
             else:
                 return p
 
@@ -120,7 +144,7 @@ class _Parser:
             if kind != "number" or not value.isdigit():
                 self.error("exponent must be a non-negative integer", tok)
             self.advance()
-            p = p ** int(value)
+            p = self.power(p, int(value))
         return p
 
     def base(self) -> Polynomial:

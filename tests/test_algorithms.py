@@ -251,6 +251,37 @@ def test_triangular_bindings_nonlinear_graph(running):
     assert triangular_bindings([V * V + Q * Q], U) is None
 
 
+@pytest.mark.parametrize(
+    "mode, gens, searched",
+    [
+        ("generators", "xy", 0),
+        ("trusted", "xy", 0),
+        ("singleton", "xy", 0),
+        ("auto", "xy", 0),  # the singleton pattern decides it alone
+        ("auto", "x", 1),
+        ("auto", "circle", 1),
+        ("graph", "x", 1),
+    ],
+)
+def test_bindings_are_searched_only_for_the_mode_decision(running, monkeypatch, mode, gens, searched):
+    """`analyze` looks for triangular bindings only where `auto` or
+    `graph` reads them; `analysis.bindings` finds them on first read
+    otherwise, with the same value."""
+    U, _, (X, Y), _ = running
+    gens = {"xy": [X - 1, Y - 2], "x": [X - Y * Y], "circle": [X * X + Y * Y - 1]}[gens]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return triangular_bindings(*args)
+
+    monkeypatch.setattr(algorithms, "triangular_bindings", counting)
+    an = Precondition(gens, mode=mode).analyze(U)
+    assert len(calls) == searched
+    assert an.bindings == triangular_bindings(gens, U)
+    assert an.bindings is an.bindings and len(calls) == 1
+
+
 def test_sample_points_satisfy_generators(ghost):
     U, syms, (X, Y, X0, Y0), F = ghost
     pre_ = Precondition([X - X0, Y - Y0])
@@ -369,10 +400,11 @@ def test_post_rebuilds_ideal_after_refinement():
     ]
 
 
-@pytest.mark.parametrize("name, extensions", [("kepler", 2), ("running-pre", 1), ("running-post", 0)])
+@pytest.mark.parametrize("name, extensions", [("kepler", 1), ("running-pre", 1), ("running-post", 0)])
 def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
     """A stable J step is decided by membership, so `buchberger_extend` runs
-    once per growing step only: kepler's J grows at j = 1 and j = 3, and
+    once per growing step only: kepler's J grows at j = 1 but is never
+    completed at j = 3, where the lookahead sees V move at j = 4, and
     running-pre's chain grows once."""
     calls = []
     extend = groebner.buchberger_extend
@@ -387,13 +419,15 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
 
 
 def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
-    """Counts, not timings: one kepler `post` takes 11 template remainders
+    """Counts, not timings: one kepler `post` takes 10 template remainders
     (`GroebnerReducer.images`), 9 template Lie derivatives and 6 template
     compositions.  A growing J step completes the remainder its membership
     test made instead of reducing the template again, a rebuilt J takes
     the chain's own L^j instead of deriving it anew from the restricted
-    template, and T∘B is kept and restricted as V moves instead of
-    composed from the full template at each rebuild."""
+    template, T∘B is kept and restricted as V moves instead of composed
+    from the full template at each rebuild, and the lookahead at j = 3
+    hands its L^4 and constraints to the step that moves V, in place of
+    the J step's membership test."""
     calls = {"images": 0, "lie": 0, "compose": 0}
     images, lie, compose = groebner.GroebnerReducer.images, Template.lie, Template.compose
 
@@ -423,7 +457,7 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         max_degree=spec.max_degree,
     )
     assert res.iterations == 4
-    assert calls == {"images": 11, "lie": 9, "compose": 6}
+    assert calls == {"images": 10, "lie": 9, "compose": 6}
 
 
 def _post_of_entry(name, order):
@@ -483,8 +517,9 @@ def test_post_ideal_is_completed_over_all_its_lie_iterates(name, order, monkeypa
 def test_kepler_last_step_completes_j0_alone(monkeypatch):
     """Kepler's J stops at j = 5 over 145 instances of L^0..L^5, but J_0,
     the 29 instances of the final L^0, is already Lie-closed: Buchberger
-    runs over those 29 alone there, as at j = 3 it first runs over J_0's
-    32 before it falls back to all 96."""
+    runs over those 29 alone there.  At j = 3 it runs over J_0's 32 only:
+    the closure test misses and the lookahead finds L^4 moving V, so the
+    J of L^0..L^2, 96 instances, is counted but never completed."""
     built = load_entry("kepler").build()
     spec = built.spec
     analysis = built.precondition.analyze(built.universe)
@@ -504,7 +539,7 @@ def test_kepler_last_step_completes_j0_alone(monkeypatch):
         pair_budget=spec.pair_budget,
         max_degree=spec.max_degree,
     )
-    assert sizes == [71, 32, 96, 29]
+    assert sizes == [71, 32, 29]
     assert [t.get("j_generators") for t in res.trace] == [None, 71, None, 96, None, 145]
 
 

@@ -199,6 +199,23 @@ def test_cli_power_over_the_product_cap_exits_4(tmp_path, capsys):
     assert elapsed < 2.0
 
 
+def test_cli_expression_over_the_parse_budget_exits_4(tmp_path, capsys):
+    # each (x+y+z)^50 stays under the one-product cap, but eight of them
+    # expanded for seconds; their products share one budget per parse,
+    # which the second copy exhausts
+    data = yaml.safe_load(RATIONAL_LIE_YAML)
+    data["variables"] = ["x", "y", "z"]
+    data["field"] = {"x": " + ".join(["(x+y+z)^50"] * 8), "y": "0", "z": "0"}
+    spec = tmp_path / "many-powers.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec)])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "term pairs" in capsys.readouterr().err
+    assert elapsed < 4.0
+
+
 def _degenerate_mutations(data):
     """(label, spec) for each fixed degenerate edit of a spec: its
     postcondition or generator list set to 0, 1 or 0, 0; its precondition
