@@ -61,6 +61,7 @@ def triangular_bindings(generators, universe: SymbolUniverse):
     Returns a list of (symbol, defining polynomial) in pick order, or None.
     To evaluate a point, bind free symbols and walk the list in reverse.
     """
+    packing = universe.packing
     remaining = [g for g in generators if not g.is_zero()]
     bindings = []
     bound = set()
@@ -69,11 +70,11 @@ def triangular_bindings(generators, universe: SymbolUniverse):
         for idx, g in enumerate(remaining):
             for sym in sorted(g.symbols(), key=universe.index_of):
                 i = universe.index_of(sym)
-                lin = tuple(1 if j == i else 0 for j in range(len(universe)))
+                lin, field = packing.units[i], packing.fields[i]
                 coeff = g._terms.get(lin)
                 if coeff is None:
                     continue
-                if any(exps[i] and exps != lin for exps in g._terms):
+                if any(m & field and m != lin for m in g._terms):
                     continue
                 pick = (idx, sym, coeff, lin)
                 break
@@ -100,16 +101,12 @@ def triangular_bindings(generators, universe: SymbolUniverse):
 
 def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
     covered = set()
-    one = universe._one
+    units = universe.packing.units
     for g in generators:
-        terms = dict(g._terms)
-        terms.pop(one, None)
-        if len(terms) != 1:
+        monomials = [m for m in g._terms if m]  # all but the constant 0
+        if len(monomials) != 1 or monomials[0] not in units:
             return False
-        ((exps, _),) = terms.items()
-        if sum(exps) != 1:
-            return False
-        sym = universe.symbols[exps.index(1)]
+        sym = universe.symbols[units.index(monomials[0])]
         if sym in covered:
             return False
         covered.add(sym)

@@ -4,10 +4,10 @@ A template is a polynomial over the state variables whose coefficients are
 linear forms in a disjoint parameter tuple.  Its monomials live in the state
 universe only; parameters never enter monomials, which keeps templates
 linear by construction and lets the precondition basis reduce templates one
-state monomial at a time.  A template monomial, like a vector field's, is
-the universe's packed integer, the Groebner engine's own monomial, so a
-reduction hands its keys to the reducer as they are; exponent tuples appear
-only where a template meets a `Polynomial`.
+state monomial at a time.  A template monomial, like a vector field's or a
+polynomial's, is the universe's packed integer, the Groebner engine's own
+monomial, so instances, drifts and reductions pass their keys on as they
+are.
 
 A template is stored as its parameters' instances, one integer column
 {packed monomial: int} per parameter over one denominator: the chains use
@@ -51,7 +51,7 @@ class VectorField:
             if d.universe is not universe:
                 raise ValueError("drift from a different symbol universe")
         # D * f_i as integer terms on packed monomials, D the drifts' lcm denominator
-        scaled, den = cleared((d._terms for d in drifts), universe.packing.pack)
+        scaled, den = cleared(d._terms for d in drifts)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "denominator", den)
@@ -98,7 +98,7 @@ def lie_derivative(p: Polynomial, field: VectorField) -> Polynomial:
     """Syntactic Lie derivative <grad p, F>, taken on integers."""
     if p.universe is not field.universe:
         raise ValueError("polynomial and field use different universes")
-    (ints,), den = cleared([p._terms], p.universe.packing.pack)
+    (ints,), den = cleared([p._terms])
     terms = combine(ints, {m: field.lie_monomial(m) for m in ints})
     return Polynomial.from_packed(p.universe, terms.items(), den * field.denominator)
 
@@ -145,7 +145,7 @@ class Template:
         for p in polys:
             if p.universe is not universe:
                 raise ValueError("instance from a different universe")
-        columns, den = cleared((p._terms for p in polys), universe.packing.pack)
+        columns, den = cleared(p._terms for p in polys)
         return cls(universe, params, columns, den)
 
     # -- views ------------------------------------------------------------
@@ -235,23 +235,24 @@ def complete_template(
 ) -> Template:
     """One fresh parameter per monomial of total degree <= `degree`.
 
-    Each auxiliary monomial m, an exponent tuple, adds m and m*v for every
-    template variable v; `exclude` then drops specific monomials from the
-    ansatz.  Parameters are assigned in ascending (degree, order) sequence,
-    so the first parameter always multiplies the constant monomial.
+    Each auxiliary monomial m adds m and m*v for every template variable
+    v; `exclude` then drops specific monomials, all packed, from the ansatz.
+    Parameters are assigned in ascending (degree, order) sequence, so the
+    first parameter always multiplies the constant monomial.
     """
     variables = list(variables)
-    exps = set(monomials_up_to_degree(universe, variables, degree))
+    packing = universe.packing
+    monos = set(monomials_up_to_degree(universe, variables, degree))
+    units = [packing.units[universe.index_of(v)] for v in variables]
     for m in auxiliary:
-        exps.add(m)
-        for v in variables:
-            i = universe.index_of(v)
-            exps.add(m[:i] + (m[i] + 1,) + m[i + 1:])
-    exps -= set(exclude)
-    ordered = sorted(exps, key=lambda e: (sum(e), universe.key(e)))
+        monos.add(m)
+        monos.update(m + x for x in units)
+    monos -= set(exclude)
+    if any(m & packing.guards for m in monos):
+        raise exponent_overflow()
+    ordered = sorted(monos, key=lambda m: (packing.degree(m), m ^ packing.flip))
     params = fresh_parameters(len(ordered))
-    pack = universe.packing.pack
-    return Template(universe, params, [{pack(e): 1} for e in ordered])
+    return Template(universe, params, [{m: 1} for m in ordered])
 
 
 def linear_combination_template(polys) -> Template:

@@ -6,18 +6,19 @@ Internally the engine works on content-free integer term lists: reductions
 cross-multiply instead of dividing, which keeps coefficients in Z and
 controls bignum growth, and the exact rational normal form is recovered
 from the accumulated scale.  A `Polynomial` has its denominators cleared
-once, where it enters (`_packed`, through `poly.cleared`).
-An ideal generator may also be a `Template`, standing for its nonzero
-instances: the chains generate each J by templates, whose integer columns
-the engine reads as they are, through `_instances`.
+once, where it enters (`_packed`, through `poly.cleared`), and its result
+goes back over one denominator (`Polynomial.from_packed`).  An ideal
+generator may also be a `Template`, standing for its nonzero instances:
+the chains generate each J by templates, whose integer columns the engine
+reads as they are, through `_instances`.
 
-Every engine monomial is one packed integer of the universe's `Packing`,
-which orders as its exponent tuple does: a product is one addition, a
-divisibility test or an lcm a few masked integer operations.  Polynomials
-are packed on the way in (`_gpoly`) and unpacked on the way out
-(`Polynomial.from_packed`).  A monomial the engine makes is checked against its guard
-bits before it is used, so an exponent that outgrows its field raises
-`ResourceLimitError` instead of wrapping.
+A monomial is the packed integer of the universe's `Packing` here as in
+every `Polynomial` and template, so nothing is converted on the way in or
+out: a product is one addition, a divisibility test or an lcm a few
+masked integer operations, and `m ^ flip` is the order's sort key.  A
+monomial the engine makes is checked against its guard bits before it is
+used, so an exponent that outgrows its field raises `ResourceLimitError`
+instead of wrapping.
 
 Buchberger keeps its S-pairs in one heap, each entry holding the lcm of the
 pair's leads, computed once when the pair is formed (Gebauer-Moeller 1988).
@@ -70,7 +71,7 @@ class _GPoly:
 def _packed(p: Polynomial):
     """(terms, den): the terms of p on packed monomials, lead first, as
     integers over den, the lcm of p's denominators."""
-    (ints,), den = cleared([dict(p.sorted_terms())], p.universe.packing.pack)
+    (ints,), den = cleared([dict(p.sorted_terms())])
     return ints.items(), den
 
 
@@ -432,7 +433,7 @@ def _buchberger_core(seed, gens, packing, pair_budget, max_degree):
         rem = _primitive(rem)
         if rem:
             if max_degree is not None:
-                degree = max(sum(packing.unpack(e)) for e, _ in rem)
+                degree = max(packing.degree(e) for e, _ in rem)
                 if degree > max_degree:
                     raise ResourceLimitError(
                         f"intermediate degree {degree} exceeds cap {max_degree}"

@@ -55,8 +55,9 @@ def _power_terms(p: Polynomial, names, consts: dict):
     Other coefficients become names: `consts` maps each exact coefficient
     to its name and is shared by every expression of one compile.
     """
-    for exps, c in p.sorted_terms():
-        factors = [names[i] if e == 1 else f"{names[i]}**{e}" for i, e in enumerate(exps) if e]
+    unpack = p.universe.packing.unpack
+    for m, c in p.sorted_terms():
+        factors = [names[i] if e == 1 else f"{names[i]}**{e}" for i, e in enumerate(unpack(m)) if e]
         if abs(c) != 1:
             factors.insert(0, consts.setdefault(c, f"C{len(consts)}"))
         yield "-" if c == -1 else "+", "*".join(factors) or "1.0"

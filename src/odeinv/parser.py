@@ -12,7 +12,9 @@ Decimal literals convert exactly (0.25 becomes 1/4); identifiers must name
 symbols of the target universe.  The products one parse forms, those of its
 powers included, share one budget of `poly.MAX_PRODUCT_TERM_PAIRS` term
 pairs: an expression past it raises `ResourceLimitError` before the product
-that would cross it is formed.
+that would cross it is formed.  A literal, a product or a result with a
+coefficient over `poly.MAX_COEFFICIENT_BITS` bits, or an exponent of
+`poly.EXPONENT_CAP` or more, raises it too; digits are checked before `int()`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import MAX_PRODUCT_TERM_PAIRS, Polynomial, ResourceLimitError, SymbolUniverse
+from .poly import (EXPONENT_CAP, MAX_COEFFICIENT_BITS, MAX_PRODUCT_TERM_PAIRS, Polynomial,
+                   ResourceLimitError, SymbolUniverse, capped, exponent_overflow)
 
 
 class ParseError(ValueError):
@@ -31,6 +34,9 @@ class ParseError(ValueError):
         self.position = position
         self.text = text
 
+
+# the most digits of an integer in a number literal, those of 2^MAX_COEFFICIENT_BITS
+_DIGITS = len(str(1 << MAX_COEFFICIENT_BITS))
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -86,7 +92,7 @@ class _Parser:
             raise ResourceLimitError(
                 f"expression over the budget of {MAX_PRODUCT_TERM_PAIRS} term pairs"
             )
-        return p * q
+        return capped(p * q)
 
     def power(self, p: Polynomial, n: int) -> Polynomial:
         """p ** n by the squarings of `Polynomial.__pow__`, each charged."""
@@ -103,7 +109,7 @@ class _Parser:
         p = self.expr()
         if self.peek()[0] != "end":
             self.error(f"unexpected token {self.peek()[1]!r}")
-        return p
+        return capped(p)
 
     def expr(self) -> Polynomial:
         kind, value, _ = self.peek()
@@ -144,13 +150,18 @@ class _Parser:
             if kind != "number" or not value.isdigit():
                 self.error("exponent must be a non-negative integer", tok)
             self.advance()
-            p = self.power(p, int(value))
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(EXPONENT_CAP)) or int(digits) >= EXPONENT_CAP:
+                raise exponent_overflow()
+            p = self.power(p, int(digits))
         return p
 
     def base(self) -> Polynomial:
         kind, value, _ = tok = self.advance()
         if kind == "number":
-            return Polynomial.constant(self.universe, Fraction(value))
+            if max(map(len, value.replace(".", "").split("/"))) > _DIGITS:
+                raise ResourceLimitError(f"number literal over the cap of {MAX_COEFFICIENT_BITS} bits")
+            return capped(Polynomial.constant(self.universe, Fraction(value)))
         if kind == "ident":
             try:
                 sym = self.universe.by_name(value)

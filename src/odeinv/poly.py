@@ -1,15 +1,16 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials are immutable values: a symbol universe fixes the variables and
-the active monomial order once, and every arithmetic operation returns a new
+the monomial order once, and every arithmetic operation returns a new
 canonical polynomial with exact `fractions.Fraction` coefficients.  The Groebner
 engine, linear algebra and templates run on integers over one scale instead,
 entered through `cleared` and left through `Polynomial.from_packed`.
 
-A `Polynomial` monomial is an exponent tuple, one entry per universe symbol,
-and the universe's `key` orders it.  Inside the Groebner engine and the
-templates a monomial is one packed integer instead (Monagan & Pearce, CASC
-2007): the universe's `packing` converts between the two at their edges.
+A monomial is one packed integer of the universe's `Packing` everywhere,
+in a `Polynomial` as in the Groebner engine and the templates (Monagan &
+Pearce, CASC 2007), and the packing alone holds the order: `m ^ flip` is
+the sort key.  An exponent tuple is made, by `Packing.unpack`, only where
+a monomial is written as text or an exponent is used as a number.
 """
 
 from __future__ import annotations
@@ -29,10 +30,16 @@ EXPONENT_CAP = 1 << (FIELD_BITS - 1)
 # needs 106,590.  A larger product is refused before it is formed.  Not a setting.
 MAX_PRODUCT_TERM_PAIRS = 1 << 18
 
+# Most bits of a numerator or denominator a parse may form: at most 2,467
+# digits, below the 4,300 digits Python converts between int and str, so
+# every coefficient a spec can write can be printed.  Not a setting.
+MAX_COEFFICIENT_BITS = 1 << 13
+
 
 class ResourceLimitError(RuntimeError):
     """A configured pair budget or degree cap, the exponent cap of the
-    packed fields, or the term-pair cap of one product was exceeded.
+    packed fields, the term-pair cap of one product or the coefficient cap
+    of a parse was exceeded.
 
     Raised instead of returning a wrong or partial answer.
     """
@@ -61,14 +68,13 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def cleared(maps, key=None):
-    """(ints, den): maps {k: rational} as maps {key(k): int} over den, their
+def cleared(maps):
+    """(ints, den): maps {k: rational} as maps {k: int} over den, their
     least common denominator, zeros dropped; inverse to `Polynomial.from_packed`."""
     maps = list(maps)
     den = lcm(*(v.denominator for m in maps for v in m.values()))
     return [
-        {k if key is None else key(k): v.numerator * (den // v.denominator)
-         for k, v in m.items() if v}
+        {k: v.numerator * (den // v.denominator) for k, v in m.items() if v}
         for m in maps
     ], den
 
@@ -118,18 +124,12 @@ class Lex:
     name = "lex"
     graded = False
 
-    def key(self, exps):
-        return exps
-
 
 class GrevLex:
     """Graded reverse lexicographic order."""
 
     name = "grevlex"
     graded = True
-
-    def key(self, exps):
-        return (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 class Packing:
@@ -147,9 +147,7 @@ class Packing:
     guard bit is set is an overflow, never a value.
     """
 
-    __slots__ = (
-        "graded", "flip", "guards", "units", "fields", "_struct", "_top", "_packed", "_unpacked"
-    )
+    __slots__ = ("graded", "flip", "guards", "units", "fields", "_struct", "_top")
 
     def __init__(self, n: int, graded: bool):
         width = FIELD_BITS
@@ -169,35 +167,27 @@ class Packing:
         else:
             self.units = tuple(1 << s for s in shifts)
             self.flip = 0
-        # every monomial converted either way, once: the polynomials and
-        # templates of one universe share one tuple and one int per monomial
-        self._packed: dict = {}
-        self._unpacked: dict = {}
 
     def pack(self, exps) -> int:
         """The packed monomial of an exponent tuple."""
-        m = self._packed.get(exps)
-        if m is None:
-            values = (sum(exps), *reversed(exps)) if self.graded else exps
-            try:
-                m = int.from_bytes(self._struct.pack(*values), "big")
-            except struct.error:  # a field of 2^32 or more
-                raise exponent_overflow() from None
-            if m & self.guards:
-                raise exponent_overflow()
-            self._packed[exps] = m
-            self._unpacked[m] = exps
+        values = (sum(exps), *reversed(exps)) if self.graded else exps
+        try:
+            m = int.from_bytes(self._struct.pack(*values), "big")
+        except struct.error:  # a field of 2^32 or more
+            raise exponent_overflow() from None
+        if m & self.guards:
+            raise exponent_overflow()
         return m
 
     def unpack(self, m: int) -> tuple:
         """The exponent tuple of a packed monomial."""
-        exps = self._unpacked.get(m)
-        if exps is None:
-            values = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
-            exps = values[:0:-1] if self.graded else values
-            self._unpacked[m] = exps
-            self._packed[exps] = m
-        return exps
+        values = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
+        return values[:0:-1] if self.graded else values
+
+    def degree(self, m: int) -> int:
+        """The total degree of a packed monomial: the degree field under
+        grevlex, the sum of the exponents under lex."""
+        return m >> self._top if self.graded else sum(self.unpack(m))
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm of two packed monomials: the fieldwise maximum, with the
@@ -216,15 +206,14 @@ class Packing:
 
 
 class SymbolUniverse:
-    """An immutable, ordered collection of symbols plus the active order.
+    """An immutable, ordered collection of symbols plus the monomial order.
 
-    Symbols are listed in decreasing precedence.  `key` is the order's own
-    `key`: the flat, totally ordered sort key of an exponent tuple.
-    `packing` lays out the universe's packed monomials; an order without a
-    layout (`graded` unset) serves only the tuple code.
+    Symbols are listed in decreasing precedence.  `packing` lays out the
+    universe's monomials under the order, which it alone holds; an order
+    without a layout (`graded` unset) is refused.
     """
 
-    __slots__ = ("symbols", "order", "key", "packing", "_index", "_one")
+    __slots__ = ("symbols", "order", "packing", "_index")
 
     def __init__(self, symbols, order=None):
         symbols = tuple(symbols)
@@ -232,14 +221,13 @@ class SymbolUniverse:
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique within a universe")
         order = order if order is not None else Lex()
+        graded = getattr(order, "graded", None)
+        if graded is None:
+            raise ValueError(f"order {order!r} has no packed layout")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "key", order.key)
-        graded = getattr(order, "graded", None)
-        packing = None if graded is None else Packing(len(symbols), graded)
-        object.__setattr__(self, "packing", packing)
+        object.__setattr__(self, "packing", Packing(len(symbols), graded))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-        object.__setattr__(self, "_one", (0,) * len(symbols))
 
     def __setattr__(self, *_):
         raise AttributeError("SymbolUniverse is immutable")
@@ -263,23 +251,17 @@ class SymbolUniverse:
         raise KeyError(f"no symbol named {name!r} in this universe")
 
 
-def format_monomial(universe: SymbolUniverse, exps) -> str:
-    parts = []
-    for sym, e in zip(universe.symbols, exps):
-        if e == 1:
-            parts.append(sym.name)
-        elif e > 1:
-            parts.append(f"{sym.name}^{e}")
-    return "*".join(parts)
-
-
 def format_terms(universe: SymbolUniverse, terms) -> str:
-    """Canonical rendering of (exps, Fraction) pairs sorted descending."""
+    """Canonical rendering of (packed monomial, Fraction) pairs sorted
+    descending."""
     if not terms:
         return "0"
+    unpack = universe.packing.unpack
     chunks = []
-    for i, (exps, coeff) in enumerate(terms):
-        mono = format_monomial(universe, exps)
+    for i, (m, coeff) in enumerate(terms):
+        mono = "*".join(
+            s.name if e == 1 else f"{s.name}^{e}" for s, e in zip(universe.symbols, unpack(m)) if e
+        )
         mag = abs(coeff)
         if mono and mag == 1:
             body = mono
@@ -295,7 +277,8 @@ def format_terms(universe: SymbolUniverse, terms) -> str:
 
 
 class Polynomial:
-    """A canonical multivariate polynomial over Q.
+    """A canonical multivariate polynomial over Q, its terms a map
+    {packed monomial: Fraction}.
 
     Two polynomials are equal iff they share a universe and their term maps
     are equal.  Terms with coefficient zero are never stored: the
@@ -322,33 +305,30 @@ class Polynomial:
 
     @classmethod
     def constant(cls, universe: SymbolUniverse, value) -> "Polynomial":
-        return cls(universe, {universe._one: as_fraction(value)})
+        return cls(universe, {0: as_fraction(value)})
 
     @classmethod
     def variable(cls, universe: SymbolUniverse, symbol: Symbol) -> "Polynomial":
-        exps = [0] * len(universe)
-        exps[universe.index_of(symbol)] = 1
-        return cls(universe, {tuple(exps): Fraction(1)})
+        return cls(universe, {universe.packing.units[universe.index_of(symbol)]: Fraction(1)})
 
     @classmethod
     def from_packed(cls, universe: SymbolUniverse, terms, den: int = 1) -> "Polynomial":
         """The polynomial of integer terms (packed monomial, int) over a
         positive `den`: where the integer engine and templates hand back
         rationals, the inverse of `cleared`."""
-        unpack = universe.packing.unpack
         if den == 1:  # Fraction(c) of an int takes no gcd
-            return cls(universe, {unpack(m): Fraction(c) for m, c in terms})
-        return cls(universe, {unpack(m): Fraction(c, den) for m, c in terms})
+            return cls(universe, {m: Fraction(c) for m, c in terms})
+        return cls(universe, {m: Fraction(c, den) for m, c in terms})
 
     # -- views ---------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms as (exps, coeff) pairs, leading term first."""
+        """Terms as (packed monomial, coeff) pairs, leading term first."""
         cached = self._sorted
         if cached is None:
-            key = self.universe.key
+            flip = self.universe.packing.flip
             cached = tuple(
-                sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
+                sorted(self._terms.items(), key=lambda t: t[0] ^ flip, reverse=True)
             )
             object.__setattr__(self, "_sorted", cached)
         return cached
@@ -360,16 +340,12 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(self.universe.packing.degree, self._terms))
 
     def symbols(self):
         """Symbols occurring with nonzero exponent."""
-        seen = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    seen.add(i)
-        return {self.universe.symbols[i] for i in seen}
+        fields = zip(self.universe.symbols, self.universe.packing.fields)
+        return {s for s, field in fields if any(m & field for m in self._terms)}
 
     # -- ring operations ------------------------------------------------
 
@@ -415,9 +391,12 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
                 acc = terms.get(e)
                 terms[e] = c1 * c2 if acc is None else acc + c1 * c2
+        guards = self.universe.packing.guards
+        if any(e & guards for e in terms):
+            raise exponent_overflow()
         return Polynomial(self.universe, terms)
 
     __rmul__ = __mul__
@@ -451,10 +430,11 @@ class Polynomial:
         values = [None] * len(self.universe)
         for sym, v in point.items():
             values[self.universe.index_of(sym)] = as_fraction(v)
+        unpack = self.universe.packing.unpack
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for m, coeff in self._terms.items():
             term = coeff
-            for i, e in enumerate(exps):
+            for i, e in enumerate(unpack(m)):
                 if e:
                     if values[i] is None:
                         raise ValueError(
@@ -469,18 +449,14 @@ class Polynomial:
         """Replace one symbol by a polynomial, exactly."""
         replacement = self._check(replacement)
         i = self.universe.index_of(symbol)
+        packing = self.universe.packing
         out = Polynomial.zero(self.universe)
         powers = {0: Polynomial.constant(self.universe, 1)}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            rest = list(exps)
-            rest[i] = 0
-            base = Polynomial(self.universe, {tuple(rest): coeff})
-            if e:
-                if e not in powers:
-                    powers[e] = replacement**e
-                base = base * powers[e]
-            out = out + base
+        for m, coeff in self._terms.items():
+            e = packing.unpack(m)[i]
+            if e not in powers:
+                powers[e] = replacement**e
+            out = out + Polynomial(self.universe, {m - e * packing.units[i]: coeff}) * powers[e]
         return out
 
     def __str__(self):
@@ -490,23 +466,31 @@ class Polynomial:
         return f"<{self}>"
 
 
-def monomials_up_to_degree(universe: SymbolUniverse, variables, k: int):
-    """All monomials of total degree <= k over the given symbols, as
-    exponent tuples.
+def capped(p: Polynomial) -> Polynomial:
+    """p, unless the numerator or the denominator of a coefficient has more
+    than MAX_COEFFICIENT_BITS bits: then ResourceLimitError."""
+    for c in p._terms.values():
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+            raise ResourceLimitError(f"coefficient over the cap of {MAX_COEFFICIENT_BITS} bits")
+    return p
 
-    Returned in descending active order; the count is C(len(vars)+k, k).
+
+def monomials_up_to_degree(universe: SymbolUniverse, variables, k: int):
+    """All monomials of total degree <= k over the given symbols, packed,
+    each the sum of its variables' `units`.
+
+    Returned in descending order; the count is C(len(vars)+k, k).
     """
     if k < 0:
         raise ValueError("degree bound must be non-negative")
     variables = list(variables)
-    idxs = [universe.index_of(v) for v in variables]
-    monos = []
-    for total in range(k + 1):
-        for combo in itertools.combinations_with_replacement(idxs, total):
-            exps = [0] * len(universe)
-            for i in combo:
-                exps[i] += 1
-            monos.append(tuple(exps))
+    packing = universe.packing
+    units = [packing.units[universe.index_of(v)] for v in variables]
+    monos = [
+        sum(combo)
+        for total in range(k + 1)
+        for combo in itertools.combinations_with_replacement(units, total)
+    ]
     assert len(monos) == comb(len(variables) + k, k)
-    monos.sort(key=universe.key, reverse=True)
+    monos.sort(key=packing.flip.__xor__, reverse=True)
     return monos

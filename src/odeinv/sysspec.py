@@ -254,7 +254,7 @@ class SystemSpec:
 
 
 def _parse_monomial(text, universe, what):
-    """The exponent tuple of a monomial's text."""
+    """The packed monomial of a monomial's text."""
     p = _parse(text, universe, what)
     terms = p.sorted_terms()
     if len(terms) != 1 or terms[0][1] != 1:
@@ -275,9 +275,10 @@ def _split_template(p, params, universe) -> Template:
     its rational coefficients are cleared by one lcm."""
     n = len(params)
     (ints,), den = cleared([p._terms])
-    pack = universe.packing.pack
+    unpack, pack = p.universe.packing.unpack, universe.packing.pack
     columns: list = [{} for _ in params]
-    for exps, c in ints.items():
+    for m, c in ints.items():
+        exps = unpack(m)
         degree = sum(exps[:n])
         _require(
             degree == 1,

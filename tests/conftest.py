@@ -29,7 +29,7 @@ def ghost():
 
 
 def coefficient_rows(polys, universe):
-    monos = sorted({e for p in polys for e in p._terms}, key=universe.key)
+    monos = sorted({e for p in polys for e in p._terms}, key=universe.packing.flip.__xor__)
     return [
         [p._terms.get(e, Fraction(0)) for e in monos] for p in polys
     ], monos

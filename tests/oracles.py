@@ -26,6 +26,12 @@ evaluators, an RK4 trajectory and a residual check that walk the terms on
 every call instead of the compiled straight-line code of `numcheck`.
 The bundled corpus is listed and loaded here too, with its pinned
 reports: only the tests read those.
+
+The oracles hold a monomial as an exponent tuple and order it by their own
+keys (`ORDER_KEYS`, `BlockOrder`), never by the package's packed integers:
+a package polynomial crosses into them through `exponent_dict` and back
+through `from_exponents`, a template through `exponent_terms` and
+`forms_template`, the only places that call `unpack` and `pack`.
 """
 
 from __future__ import annotations
@@ -52,6 +58,36 @@ from odeinv.groebner import buchberger_extend
 from odeinv.linalg import nullspace
 from odeinv.numcheck import ESCAPE_BOUND, STEP_RTOL
 from odeinv.poly import as_fraction
+
+
+def lex_key(exps):
+    return exps
+
+
+def grevlex_key(exps):
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+# the sort key of an exponent tuple under each order the package names
+ORDER_KEYS = {"lex": lex_key, "grevlex": grevlex_key}
+
+
+def order_key(universe):
+    """The oracle's sort key of exponent tuples under the universe's order."""
+    return ORDER_KEYS[universe.order.name]
+
+
+def exponent_dict(p: Polynomial) -> dict:
+    """The terms of `p` as {exponent tuple: Fraction}, lead first in the
+    package's order, as the float code sums them."""
+    unpack = p.universe.packing.unpack
+    return {unpack(m): c for m, c in p.sorted_terms()}
+
+
+def from_exponents(universe, terms: dict) -> Polynomial:
+    """The polynomial of terms {exponent tuple: rational} over `universe`."""
+    pack = universe.packing.pack
+    return Polynomial(universe, {pack(e): c for e, c in terms.items()})
 
 
 class LinearForm:
@@ -241,13 +277,14 @@ def zero_constraints(template: Template):
     terms = exponent_terms(template)
     return [
         LinearForm({template.params[k]: v for k, v in terms[exps].items()})
-        for exps in sorted(terms, key=template.universe.key, reverse=True)
+        for exps in sorted(terms, key=order_key(template.universe), reverse=True)
     ]
 
 
 class BlockOrder:
-    """Elimination order on Q[params, states]: lex on the first `nparams`
-    exponents, the parameter block, then `state_order` on the rest.
+    """Elimination order on exponent tuples of Q[params, states]: lex on the
+    first `nparams` exponents, the parameter block, then the package order
+    `state_order` on the rest.
 
     Every monomial containing a parameter exceeds every parameter-free
     monomial, so division by parameter-free divisors keeps a
@@ -256,16 +293,16 @@ class BlockOrder:
 
     def __init__(self, nparams: int, state_order):
         self.nparams = nparams
-        self.state_order = state_order
-        self.name = f"elim({state_order.name})"
+        self.state_key = ORDER_KEYS[state_order.name]
 
     def key(self, exps):
         n = self.nparams
-        return exps[:n] + self.state_order.key(exps[n:])
+        return exps[:n] + self.state_key(exps[n:])
 
 
 def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
-    """Embed a template into a universe listing the parameters before the states."""
+    """Embed a template into a universe listing the parameters before the
+    states, under any package order."""
     np = len(template.params)
     for k, p in enumerate(template.params):
         if joint.symbols[k] is not p:
@@ -276,7 +313,7 @@ def joint_polynomial(template: Template, joint: SymbolUniverse) -> Polynomial:
             unit = [0] * np
             unit[k] = 1
             terms[tuple(unit) + exps] = Fraction(c, template.denominator)
-    return Polynomial(joint, terms)
+    return from_exponents(joint, terms)
 
 
 def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Template:
@@ -285,7 +322,7 @@ def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Templ
     params = p.universe.symbols[:nparams]
     den = lcm(*(c.denominator for c in p._terms.values()))
     terms: dict = {}
-    for exps, c in p._terms.items():
+    for exps, c in exponent_dict(p).items():
         ppart, spart = exps[:nparams], exps[nparams:]
         if sum(ppart) != 1:
             raise ValueError(
@@ -299,7 +336,9 @@ def split_joint_polynomial(p: Polynomial, nparams: int, state_universe) -> Templ
 def template_remainder_via_division(
     template: Template, basis, state_order=None
 ) -> Template:
-    """Divide in Q[params, states] under a block elimination order.
+    """Divide in Q[params, states] under a block elimination order, on
+    exponent tuples; the joint universe, under lex, only holds the dividend
+    and the remainder.
 
     Raises ValueError when the remainder is not parameter-linear, which
     indicates the order does not dominate the states by the parameters.
@@ -309,21 +348,20 @@ def template_remainder_via_division(
     order = BlockOrder(
         np, state_order if state_order is not None else state_universe.order
     )
-    joint = SymbolUniverse(tuple(template.params) + state_universe.symbols, order)
+    joint = SymbolUniverse(tuple(template.params) + state_universe.symbols)
     pad = (0,) * np
-    lifted = [
-        Polynomial(joint, {pad + exps: c for exps, c in g._terms.items()})
-        for g in basis
-    ]
-    rem = divide(joint_polynomial(template, joint), lifted).remainder
-    return split_joint_polynomial(rem, np, state_universe)
+    lifted = [{pad + exps: c for exps, c in exponent_dict(g).items()} for g in basis]
+    rem, _ = _divide(exponent_dict(joint_polynomial(template, joint)), lifted, order.key)
+    return split_joint_polynomial(from_exponents(joint, rem), np, state_universe)
 
 
 def leading(p: Polynomial):
-    """(exps, coeff) of the leading term; raises on the zero polynomial."""
+    """(exps, coeff) of the leading term under the oracle's order key;
+    raises on the zero polynomial."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    return p.sorted_terms()[0]
+    key = order_key(p.universe)
+    return max(exponent_dict(p).items(), key=lambda t: key(t[0]))
 
 
 class DivisionResult:
@@ -351,9 +389,20 @@ def divide(p: Polynomial, divisors) -> DivisionResult:
             raise ValueError("divisor from a different symbol universe")
         if d.is_zero():
             raise ValueError("zero polynomial among divisors")
-    key = universe.key
-    leads = [leading(d) for d in divisors]
-    work = dict(p._terms)
+    remainder, quotients = _divide(
+        exponent_dict(p), [exponent_dict(d) for d in divisors], order_key(universe)
+    )
+    return DivisionResult(
+        from_exponents(universe, remainder),
+        [from_exponents(universe, q) for q in quotients],
+    )
+
+
+def _divide(terms: dict, divisors, key):
+    """(remainder, quotients) of dividing {exps: rational} terms by divisor
+    term dicts, under the sort key `key` of exponent tuples."""
+    leads = [max(d.items(), key=lambda t: key(t[0])) for d in divisors]
+    work = dict(terms)
     quotients = [dict() for _ in divisors]
     remainder: dict = {}
     while work:
@@ -368,7 +417,9 @@ def divide(p: Polynomial, divisors) -> DivisionResult:
                 coeff = c / lc
                 q = quotients[i]
                 q[shift] = q.get(shift, Fraction(0)) + coeff
-                for de, dc in divisors[i].sorted_terms()[1:]:
+                for de, dc in divisors[i].items():
+                    if de == le:
+                        continue
                     ne = tuple(x + y for x, y in zip(de, shift))
                     acc = work.get(ne, Fraction(0)) - coeff * dc
                     if acc:
@@ -378,10 +429,7 @@ def divide(p: Polynomial, divisors) -> DivisionResult:
                 break
         else:
             remainder[e] = c
-    return DivisionResult(
-        Polynomial(universe, remainder),
-        [Polynomial(universe, q) for q in quotients],
-    )
+    return remainder, quotients
 
 
 def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
@@ -422,8 +470,8 @@ class _GPoly:
         return [(self.lead_exps, self.lead_coeff)] + list(self.tail)
 
 
-def _gpoly(p: Polynomial) -> _GPoly:
-    return _GPoly(_primitive(p.sorted_terms()))
+def _gpoly(p: Polynomial, key) -> _GPoly:
+    return _GPoly(_primitive(sorted(exponent_dict(p).items(), key=lambda t: key(t[0]), reverse=True)))
 
 
 def _neg(key):
@@ -489,10 +537,11 @@ def _nf_int(terms, divisors, key):
 def monomial_normal_form(basis, universe: SymbolUniverse):
     """NF(x^exps) as {exps: Fraction}, each monomial divided from scratch
     by one reduction of the tuple engine, with no memo between monomials."""
-    divisors = [_gpoly(d) for d in basis if not d.is_zero()]
+    key = order_key(universe)
+    divisors = [_gpoly(d, key) for d in basis if not d.is_zero()]
 
     def nf(exps) -> dict:
-        rem, scale = _nf_int([(exps, 1)], divisors, universe.key)
+        rem, scale = _nf_int([(exps, 1)], divisors, key)
         return {e: Fraction(c, scale) for e, c in rem}
 
     return nf
@@ -538,7 +587,7 @@ def lie_monomial(field, exps) -> dict:
         if e:
             base = list(exps)
             base[i] = e - 1
-            for de, dc in field.drifts[i]._terms.items():
+            for de, dc in exponent_dict(field.drifts[i]).items():
                 ne = tuple(a + b for a, b in zip(base, de))
                 total[ne] = total.get(ne, Fraction(0)) + e * dc
     return total
@@ -579,7 +628,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
 
     def cofactor(exps, c):
-        return Polynomial(f.universe, {tuple(a - b for a, b in zip(lcm, exps)): 1 / c})
+        return from_exponents(f.universe, {tuple(a - b for a, b in zip(lcm, exps)): 1 / c})
 
     return cofactor(ef, cf) * f - cofactor(eg, cg) * g
 
@@ -685,7 +734,7 @@ def float_evaluator(p: Polynomial):
     call."""
     terms = [
         ([(i, e) for i, e in enumerate(exps) if e], float(c))
-        for exps, c in p.sorted_terms()
+        for exps, c in exponent_dict(p).items()
     ]
 
     def evaluate(state):
@@ -704,7 +753,7 @@ def abs_float_evaluator(p: Polynomial):
     """Float evaluator of the sum of absolute term magnitudes of `p`."""
     terms = [
         ([(i, e) for i, e in enumerate(exps) if e], abs(float(c)))
-        for exps, c in p.sorted_terms()
+        for exps, c in exponent_dict(p).items()
     ]
 
     def evaluate(state):

@@ -28,7 +28,16 @@ from odeinv import (
     normal_form,
 )
 from odeinv.groebner import GroebnerReducer, buchberger_extend
-from oracles import divide, instantiate, is_groebner_basis, leading, lie_iterate
+from oracles import (
+    divide,
+    exponent_dict,
+    from_exponents,
+    instantiate,
+    is_groebner_basis,
+    leading,
+    lie_iterate,
+    order_key,
+)
 
 
 def rand_poly(rng, universe, max_terms=4, max_degree=2, coeff_bound=4):
@@ -41,7 +50,7 @@ def rand_poly(rng, universe, max_terms=4, max_degree=2, coeff_bound=4):
         c = Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, 3))
         if c:
             terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + c
-    return Polynomial(universe, {e: c for e, c in terms.items() if c})
+    return from_exponents(universe, {e: c for e, c in terms.items() if c})
 
 
 def small_universe(rng, max_vars=3, order=None):
@@ -70,20 +79,20 @@ def run_division_contract(n: int, seed: int = 1001):
         for q, d in zip(res.quotients, divisors):
             recon = recon + q * d
         assert recon == p, "division reassembly failed"
-        rem_terms = res.remainder.sorted_terms()
-        for exps, _ in rem_terms:
+        for exps in exponent_dict(res.remainder):
             for d in divisors:
                 lead = leading(d)[0]
                 assert not all(a <= b for a, b in zip(lead, exps)), (
                     "remainder monomial divisible by a divisor's leading term"
                 )
         if not p.is_zero():
-            bound = U.key(leading(p)[0])
+            key = order_key(U)
+            bound = key(leading(p)[0])
             for q, d in zip(res.quotients, divisors):
                 if q.is_zero():
                     continue
                 prod = q * d
-                assert U.key(leading(prod)[0]) <= bound, (
+                assert key(leading(prod)[0]) <= bound, (
                     "quotient*divisor exceeds the dividend's multidegree"
                 )
 
@@ -199,7 +208,7 @@ def _oracle_member(p, gens, max_total_degree):
             columns.append(Polynomial(universe, {m: Fraction(1)}) * g)
     monos = sorted(
         {e for q in columns for e in q._terms} | set(p._terms),
-        key=universe.key,
+        key=universe.packing.flip.__xor__,
     )
     index = {e: i for i, e in enumerate(monos)}
     rows = [[Fraction(0)] * len(columns) for _ in monos]

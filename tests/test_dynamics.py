@@ -21,7 +21,6 @@ from odeinv.linalg import nullspace
 from odeinv.poly import monomials_up_to_degree
 from oracles import (
     dense_basis,
-    BlockOrder,
     exponent_terms,
     instantiate,
     joint_polynomial,
@@ -161,7 +160,7 @@ def test_projective_template_ops_equal_the_fraction_oracle():
     for _ in range(30):
         U, F = rand_field(rng, max_vars=2)
         fields_with_d += F.denominator > 1
-        monomials = monomials_up_to_degree(U, U.symbols, 2)
+        monomials = [U.packing.unpack(m) for m in monomials_up_to_degree(U, U.symbols, 2)]
         n = rng.randint(1, 5)
         t = rational_template(U, fresh_parameters(n), {
             e: {k: rng.choice(values) for k in rng.sample(range(n), rng.randint(1, n))}
@@ -238,7 +237,7 @@ def test_joint_division_linearity_guard(running):
     # as a remainder can be without parameter dominance
     U, (x, y), (X, Y), _ = running
     pi = complete_template(U, [x, y], 1)
-    joint = SymbolUniverse(tuple(pi.params) + U.symbols, BlockOrder(len(pi.params), U.order))
+    joint = SymbolUniverse(tuple(pi.params) + U.symbols)
     p = joint_polynomial(pi, joint)
     assert split_joint_polynomial(p, len(pi.params), U) == pi
     with pytest.raises(ValueError, match="parameter degree 2"):

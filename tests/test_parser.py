@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from odeinv import ParseError, Polynomial, parse_polynomial
+from odeinv import ParseError, ResourceLimitError, parse_polynomial
+from odeinv.poly import MAX_COEFFICIENT_BITS
 from props import rand_poly, small_universe
 
 
@@ -62,3 +63,20 @@ def test_print_parse_round_trip():
         U = small_universe(rng)
         p = rand_poly(rng, U, max_terms=6, max_degree=4, coeff_bound=9)
         assert parse_polynomial(str(p), U) == p
+
+
+def test_every_coefficient_a_parse_admits_prints_and_parses_back(running):
+    # the longest literal, the largest power and the longest exponent the
+    # caps admit each print, and the text parses back; one digit or one
+    # squaring more is refused
+    U, _, (X, _), _ = running
+    top = str((1 << MAX_COEFFICIENT_BITS) - 1)
+    admitted = (f"{top}*x", f"{top}/{top[:-1]}1*x", f"0.{top[1:]}", "(1/3)^4096*x", "x^2147483647")
+    for text in admitted:
+        p = parse_polynomial(text, U)
+        assert parse_polynomial(str(p), U) == p
+    refused = (f"{top}9*x", f"1/{1 << MAX_COEFFICIENT_BITS}", "(1/3)^8192*x", "2^8192", "x^2147483648")
+    for text in refused:
+        with pytest.raises(ResourceLimitError):
+            parse_polynomial(text, U)
+    assert parse_polynomial("10^400*x", U) == 10**400 * X

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -316,6 +317,33 @@ def test_cli_exponent_over_the_packed_cap_exits_4(tmp_path, capsys, section, key
     assert code == 4
     assert "exponent cap" in capsys.readouterr().err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "drift, message",
+    [
+        ("2^3000000*x", "coefficient over the cap"),
+        ("(1/3)^30000000*x", "coefficient over the cap"),
+        ("1" * 5000 + "*x", "number literal over the cap"),
+        ("x^" + "1" * 5000, "exponent cap"),
+    ],
+    ids=["power-of-two", "power-of-a-third", "long-literal", "long-exponent"],
+)
+def test_cli_oversized_coefficient_or_exponent_exits_4(tmp_path, capsys, drift, message):
+    # a coefficient past Python's int-to-str digit limit could not be
+    # printed (exit 5), and a literal or an exponent past it could not be
+    # converted: the parse refuses each, before `int()` or at the product
+    # that crosses the coefficient cap
+    data = yaml.safe_load(Path(_corpus_path("running-post")).read_text(encoding="utf-8"))
+    data["field"]["x"] = drift
+    spec = tmp_path / "oversized.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec), "--no-numeric"])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert message in capsys.readouterr().err
+    assert elapsed < 2.0
 
 
 def test_resource_cap_exit_code():
@@ -643,16 +671,48 @@ def test_every_private_module_name_is_read_in_the_package():
     assert sorted(defined - used) == []
 
 
+# The functions of the package that may turn a packed monomial into an
+# exponent tuple or back: where a monomial is read or written as text, or an
+# exponent is used as a number.
+TUPLE_EDGES = {
+    "poly.py": {
+        "Packing.pack", "Packing.unpack",  # the two conversions themselves
+        "Packing.degree",  # lex degree: Polynomial.degree, complete_template, Buchberger's cap
+        "format_terms", "Polynomial.evaluate", "Polynomial.substitute_symbol",
+    },
+    "dynamics.py": {"VectorField.lie_monomial"},  # the multiplier e of x^e
+    "numcheck.py": {"_power_terms"},  # the generated float source
+    "sysspec.py": {"_split_template"},  # the joint universe into the state one
+}
+
+
+def _enclosing_functions(tree):
+    """(node, qualified name of the innermost enclosing def or class) for
+    every node of a module."""
+    stack = [(tree, "")]
+    while stack:
+        node, name = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            yield child, inner
+            stack.append((child, inner))
+
+
 def test_engine_and_templates_do_no_tuple_exponent_arithmetic():
-    # a monomial of the Groebner engine and of the templates is a packed
-    # integer; `tuple(map(...))`, the idiom of exponent-tuple products,
-    # quotients and lcms, must not creep back into either module
+    # a monomial is a packed integer everywhere in the package:
+    # `tuple(map(...))`, the idiom of exponent-tuple products, quotients
+    # and lcms, must not creep back into the engine or the templates, and
+    # `pack` and `unpack` are read only at the named edges
     package = Path(odeinv.__file__).resolve().parent
     found = []
-    for name in ("groebner.py", "dynamics.py"):
-        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+    for path in sorted(package.glob("*.py")):
+        name = path.name
+        for node, owner in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
             if (
-                isinstance(node, ast.Call)
+                name in ("groebner.py", "dynamics.py")
+                and isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "tuple"
                 and node.args
@@ -660,8 +720,41 @@ def test_engine_and_templates_do_no_tuple_exponent_arithmetic():
                 and isinstance(node.args[0].func, ast.Name)
                 and node.args[0].func.id == "map"
             ):
-                found.append(f"{name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno} tuple(map(...))")
+            converts = (
+                isinstance(node, ast.Attribute) and node.attr in ("pack", "unpack")
+                or isinstance(node, ast.Name) and node.id in ("pack", "unpack")
+            )
+            if converts and owner not in TUPLE_EDGES.get(name, ()):
+                found.append(f"{name}:{node.lineno} {owner}")
     assert found == []
+
+
+def test_paper_to_code_map_names_live_code_and_tests():
+    # every row of README's paper-to-code map names a function the package
+    # defines and a test function the suite holds
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Paper-to-code map", 1)[1].split("\n## ", 1)[0]
+    # the header and the rule name no code
+    rows = [line.split("|")[2:4] for line in section.splitlines() if line.startswith("|") and "`" in line]
+    tests = {
+        node.name
+        for path in (root / "tests").glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    missing = []
+    for function, test in rows:
+        module, *attrs = function.strip(" `").split(".")
+        target = importlib.import_module(f"odeinv.{module}")
+        for attr in attrs:
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(function)
+        if test.strip(" `") not in tests:
+            missing.append(test)
+    assert len(rows) >= 10 and missing == []
 
 
 def test_engine_templates_and_linalg_take_no_rationals_apart():
