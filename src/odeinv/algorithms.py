@@ -113,41 +113,23 @@ def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
     return covered == set(universe.symbols)
 
 
-_UNREAD = object()  # bindings not computed yet
-
-
 class PreconditionAnalysis:
-    """Resolved radical mode, the precondition's `Ideal`, and sampling
-    structure."""
+    """The precondition's nonzero generators, the radical mode `analyze`
+    resolved, whether that mode is exact, and the generated `Ideal`.
+    Sampling reads the generators (`sample_points`), not this analysis."""
 
-    __slots__ = (
-        "generators",
-        "requested_mode",
-        "effective_mode",
-        "exact",
-        "ideal",
-        "_bindings",
-    )
+    __slots__ = ("generators", "effective_mode", "exact", "ideal")
 
-    def __init__(self, generators, requested_mode, effective_mode, exact, ideal, bindings=_UNREAD):
+    def __init__(self, generators, effective_mode, exact, ideal):
         self.generators = tuple(generators)
-        self.requested_mode = requested_mode
         self.effective_mode = effective_mode
         self.exact = exact
         self.ideal = ideal
-        self._bindings = bindings
 
     @property
     def basis(self):
         """The reduced Groebner basis of the precondition ideal."""
         return self.ideal.reduced_groebner_basis()
-
-    @property
-    def bindings(self):
-        """`triangular_bindings` of the generators, found on first read."""
-        if self._bindings is _UNREAD:
-            self._bindings = triangular_bindings(self.generators, self.ideal.universe)
-        return self._bindings
 
 
 class Precondition:
@@ -179,8 +161,8 @@ class Precondition:
                 "singleton mode requires generators x_i - c_i covering every "
                 "state variable"
             )
-        # the bindings, found only where the mode decision reads them
-        bindings = _UNREAD
+        # the bindings, searched only where the mode decision reads them
+        bindings = None
         if mode == MODE_GRAPH or (mode == MODE_AUTO and not singleton):
             bindings = triangular_bindings(gens, universe)
         if mode == MODE_GRAPH and bindings is None:
@@ -202,45 +184,37 @@ class Precondition:
         basis = ideal.reduced_groebner_basis()
         if not exact and basis and basis[0].degree() == 0:
             exact = True  # unit ideal: empty variety, Id(∅) is everything
-        return PreconditionAnalysis(gens, self.mode, mode, exact, ideal, bindings)
+        return PreconditionAnalysis(gens, mode, exact, ideal)
 
 
-def sample_points(analysis: PreconditionAnalysis, universe: SymbolUniverse, count: int):
-    """Rational points on the precondition variety, via the graph structure.
+_SAMPLE_POOL = tuple(map(Fraction, ("1", "2", "1/2", "-1", "3/2", "-1/2", "3", "1/3", "-2", "5/2")))
+
+
+def sample_points(generators, universe: SymbolUniverse, count: int):
+    """Rational points on Var(generators), via their `triangular_bindings`.
 
     Free variables draw from a fixed small-rational pool, point s taking
     pool[s + k] for its k-th free variable (cyclically), so at most
     len(pool) points are made, and one when no variable is free; bound
-    variables are computed exactly.
-    Returns fewer than `count` points (possibly none) when the pattern is
-    unavailable or the variety is empty.
+    variables are computed exactly.  Returns no point when the generators
+    have no triangular bindings.  No emptiness test is needed: there are
+    none when a generator is or becomes a nonzero constant, and bindings
+    that exist leave a point for every choice of the free variables.
     """
-    if analysis.bindings is None:
+    bindings = triangular_bindings(generators, universe)
+    if bindings is None:
         return []
-    if any(p.degree() == 0 for p in analysis.basis):
-        return []  # empty variety
-    bound = {sym for sym, _ in analysis.bindings}
+    bound = {sym for sym, _ in bindings}
     free = [s for s in universe.symbols if s not in bound]
-    pool = [
-        Fraction(1),
-        Fraction(2),
-        Fraction(1, 2),
-        Fraction(-1),
-        Fraction(3, 2),
-        Fraction(-1, 2),
-        Fraction(3),
-        Fraction(1, 3),
-        Fraction(-2),
-        Fraction(5, 2),
-    ]
+    n = len(_SAMPLE_POOL)
     points = []
-    for s_idx in range(min(count, len(pool) if free else 1)):
+    for s_idx in range(min(count, n if free else 1)):
         point = {}
         for k, sym in enumerate(free):
-            point[sym] = pool[(s_idx + k) % len(pool)]
-        for sym, h in reversed(analysis.bindings):
+            point[sym] = _SAMPLE_POOL[(s_idx + k) % n]
+        for sym, h in reversed(bindings):
             point[sym] = h.evaluate(point) if not h.is_zero() else Fraction(0)
-        if all(g.evaluate(point) == 0 for g in analysis.generators):
+        if all(g.evaluate(point) == 0 for g in generators):
             points.append(point)
     return points
 
@@ -521,7 +495,7 @@ def check_safety(
 def _find_witness(res: PostResult, Q, field: VectorField):
     """Best effort: a precondition point where some derivative of some
     postcondition polynomial is nonzero."""
-    points = sample_points(res.analysis, field.universe, 5)
+    points = sample_points(res.analysis.generators, field.universe, 5)
     horizon = res.iterations + 2
     for point in points:
         for q in Q:

@@ -1,9 +1,11 @@
 """Fixed-step RK4 falsification harness for reported invariants.
 
 This is a desk-scale cross-check, not a validated integrator: it samples
-rational points on the precondition variety, integrates the field in double
-precision, and flags any reported invariant whose residual leaves a small
-relative band along the trajectory.
+rational points on the variety of the generators it is given, integrates
+the field in double precision, and flags any reported invariant whose
+residual leaves a small relative band along the trajectory.  Its settings
+(samples, horizon, step, tolerance, start points) are read from one
+`sysspec.NumericSpec` and have no defaults here.
 
 The float code is generated, term by term: each field's checked RK4
 step, compiled once per field, and one residual observer per
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algorithms import PreconditionAnalysis, sample_points
+from .algorithms import sample_points
 from .dynamics import VectorField
 from .groebner import ResourceLimitError
-from .poly import Polynomial
-from .sysspec import MAX_RK4_STEPS, SpecError
+from .poly import Polynomial, printed
+from .sysspec import MAX_RK4_STEPS, NumericSpec, SpecError
 
 
 ESCAPE_BOUND = 1e60
@@ -254,14 +256,7 @@ def compile_observer(polys, n: int):
     return _compile("observe", lines, consts)
 
 
-def check_invariants(
-    polys,
-    field: VectorField,
-    points,
-    horizon=Fraction(1),
-    step=Fraction(1, 256),
-    tolerance: float = 1e-6,
-):
+def check_invariants(polys, field: VectorField, points, horizon, step, tolerance: float):
     """Integrate once from each point and check each polynomial stays near
     zero along that trajectory.
 
@@ -289,7 +284,7 @@ def check_invariants(
     horizon_f, step_f = float(horizon), float(step)
     records = []
     for point in points:
-        where = {s.name: str(point[s]) for s in symbols}
+        where = {s.name: printed(point[s]) for s in symbols}
         states = trajectory(field, [point[s] for s in symbols], horizon_f, step_f)
         for text, (residual, scale, fail_time) in zip(texts, observe(states, tolerance)):
             records.append(
@@ -305,28 +300,22 @@ def check_invariants(
     return records
 
 
-def verify_from_analysis(
-    polys,
-    field: VectorField,
-    analysis: PreconditionAnalysis,
-    samples: int = 3,
-    horizon=Fraction(1),
-    step=Fraction(1, 256),
-    tolerance: float = 1e-6,
-    points=None,
-):
-    """Sample the precondition (or take user points) and run the check.
+def verify_from_analysis(polys, field: VectorField, generators, numeric: NumericSpec):
+    """Sample Var(generators), or take `numeric.points`, and run the check
+    with `numeric`'s samples, horizon, step and tolerance.
 
-    Returns (records, note); when every polynomial is zero, no sample
-    point is available, or a coefficient or start value is outside the
-    double range, the check is skipped with an explanatory note rather
-    than failing.  User-supplied points must bind every variable and
-    satisfy the precondition exactly; a point that does not raises
-    SpecError, also when nothing is left to check.  For a `pre` or
-    `invariant` query the precondition is the computed ideal, so the
-    spec's own build-time check cannot catch this.
+    `generators` are the precondition's for `post` and `check`, and the
+    computed reduced basis for `pre` and `invariant`.  Returns (records,
+    note); when every polynomial is zero, no sample point is available, or
+    a coefficient or start value is outside the double range, the check is
+    skipped with an explanatory note rather than failing.  User-supplied
+    points must bind every variable and satisfy the generators exactly; a
+    point that does not raises SpecError, also when nothing is left to
+    check.  For a `pre` or `invariant` query the generators are the
+    computed ideal's, so the spec's own build-time check cannot catch this.
     """
     universe = field.universe
+    points = numeric.points
     if points is not None:
         names = {s.name for s in universe.symbols}
         resolved = []
@@ -338,7 +327,7 @@ def verify_from_analysis(
             if extra:
                 raise SpecError(f"sample point binds unknown names {sorted(extra)}")
             point = {universe.by_name(n): Fraction(v) for n, v in raw.items()}
-            for g in analysis.generators:
+            for g in generators:
                 if g.evaluate(point) != 0:
                     raise SpecError(
                         f"sample point violates the precondition generator {g}"
@@ -350,13 +339,13 @@ def verify_from_analysis(
     if not _fit_doubles(c for p in (*field.drifts, *polys) for c in p._terms.values()):
         return [], "a coefficient of the field or of a checked polynomial does not fit a double"
     if points is None:
-        points = sample_points(analysis, universe, samples)
+        points = sample_points(generators, universe, numeric.samples)
     if not points:
         return [], "no rational sample point available for this precondition"
     if not _fit_doubles(v for point in points for v in point.values()):
         return [], "a start point does not fit a double"
     return (
-        check_invariants(polys, field, points, horizon, step, tolerance),
+        check_invariants(polys, field, points, numeric.horizon, numeric.step, numeric.tolerance),
         None,
     )
 

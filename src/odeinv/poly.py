@@ -39,7 +39,7 @@ MAX_COEFFICIENT_BITS = 1 << 13
 class ResourceLimitError(RuntimeError):
     """A configured pair budget or degree cap, the exponent cap of the
     packed fields, the term-pair cap of one product or the coefficient cap
-    of a parse was exceeded.
+    of a parse was exceeded, or a number was too long to print.
 
     Raised instead of returning a wrong or partial answer.
     """
@@ -50,6 +50,18 @@ def exponent_overflow() -> ResourceLimitError:
         "exponent cap exceeded: a monomial exponent, or a grevlex total "
         f"degree, reached 2^{FIELD_BITS - 1}"
     )
+
+
+def printed(value) -> str:
+    """`str(value)` of an exact number, or ResourceLimitError when a
+    numerator or denominator has more digits than Python converts to text:
+    a chain or a sampled point can reach one from numbers a parse admits.
+    `format_terms`, a `check` witness and the numeric check's start points
+    print through this."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ResourceLimitError(f"a number too long to print: {exc}") from None
 
 
 def as_fraction(value) -> Fraction:
@@ -266,9 +278,9 @@ def format_terms(universe: SymbolUniverse, terms) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = f"{mag}*{mono}"
+            body = f"{printed(mag)}*{mono}"
         else:
-            body = str(mag)
+            body = printed(mag)
         if i == 0:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:

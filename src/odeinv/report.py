@@ -24,6 +24,7 @@ from .algorithms import (
 )
 from .groebner import Ideal
 from .numcheck import verify_from_analysis
+from .poly import printed
 from .sysspec import BuiltSystem, _number
 
 
@@ -58,7 +59,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         "query": spec.query_kind,
         "spec": built.canonical_echo(),
         "precondition_analysis": {
-            "requested_mode": analysis.requested_mode,
+            "requested_mode": precondition.mode,
             "effective_mode": analysis.effective_mode,
             "exact": analysis.exact,
             "reduced_groebner_basis": [str(g) for g in analysis.basis],
@@ -68,7 +69,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     t0 = time.perf_counter()
     exit_code = 0
     numeric_polys = []
-    numeric_basis = None  # pre and invariant sample their own ideal's variety
+    sampled = analysis.generators  # pre and invariant sample their computed basis
     if spec.query_kind == "post":
         res = post(analysis, built.template, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
@@ -111,19 +112,17 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
                 "reduced_groebner_basis": [str(g) for g in gb],
             },
         }
-        numeric_basis = gb
+        sampled = gb
     elif spec.query_kind == "check":
         res = check_safety(analysis, built.postcondition, built.field, **caps)
         witness = None
         if res.witness is not None:
             point = res.witness["point"]
             witness = {
-                "point": {
-                    s.name: str(point[s]) for s in built.universe.symbols
-                },
+                "point": {s.name: printed(point[s]) for s in built.universe.symbols},
                 "polynomial": str(res.witness["polynomial"]),
                 "derivative_order": res.witness["derivative_order"],
-                "value": str(res.witness["value"]),
+                "value": printed(res.witness["value"]),
             }
         report["result"] = {
             "verdict": res.verdict,
@@ -145,24 +144,13 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         }
         exit_code = 0 if ok else 1
         numeric_polys = list(gb)
-        numeric_basis = gb
+        sampled = gb
     timings["query"] = time.perf_counter() - t0
 
     run_numeric = spec.numeric.enabled if numeric is None else numeric
     if run_numeric:
         t0 = time.perf_counter()
-        if numeric_basis is not None:
-            analysis = Precondition(list(numeric_basis)).analyze(built.universe, **gb_caps)
-        records, note = verify_from_analysis(
-            numeric_polys,
-            built.field,
-            analysis,
-            samples=spec.numeric.samples,
-            horizon=spec.numeric.horizon,
-            step=spec.numeric.step,
-            tolerance=spec.numeric.tolerance,
-            points=spec.numeric.points,
-        )
+        records, note = verify_from_analysis(numeric_polys, built.field, sampled, spec.numeric)
         # a check skipped with a note neither passed nor failed
         ok = None if note else all(r["passed"] for r in records)
         report["numeric_check"] = {

@@ -31,7 +31,7 @@ from odeinv.algorithms import sample_points, triangular_bindings
 from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
 from odeinv.report import run
-from odeinv.sysspec import SystemSpec
+from odeinv.sysspec import NumericSpec, SystemSpec
 from conftest import same_span
 from oracles import contains, ideal_equal, leading, lie_iterate, load_entry, pre_by_polynomials
 from props import rand_field, rand_poly
@@ -228,6 +228,13 @@ def test_mode_detection(running):
     assert forced.effective_mode == "generators" and not forced.exact
     trusted = Precondition([X * X + Y * Y], mode="trusted").analyze(U)
     assert trusted.exact
+    # x also sits in the nonlinear term x*y, so x - x*y solves no variable
+    an = Precondition([X - X * Y]).analyze(U)
+    assert an.effective_mode == "generators" and not an.exact
+    # x bound twice: no singleton and no graph, but <x - 1, x - 2> is the
+    # unit ideal, the vanishing ideal of the empty variety
+    an = Precondition([X - 1, X - 2]).analyze(U)
+    assert an.effective_mode == "generators" and an.exact
     with pytest.raises(ModeError):
         Precondition([X - Y], mode="singleton").analyze(U)
     with pytest.raises(ModeError):
@@ -265,8 +272,7 @@ def test_triangular_bindings_nonlinear_graph(running):
 )
 def test_bindings_are_searched_only_for_the_mode_decision(running, monkeypatch, mode, gens, searched):
     """`analyze` looks for triangular bindings only where `auto` or
-    `graph` reads them; `analysis.bindings` finds them on first read
-    otherwise, with the same value."""
+    `graph` reads them."""
     U, _, (X, Y), _ = running
     gens = {"xy": [X - 1, Y - 2], "x": [X - Y * Y], "circle": [X * X + Y * Y - 1]}[gens]
     calls = []
@@ -278,29 +284,25 @@ def test_bindings_are_searched_only_for_the_mode_decision(running, monkeypatch, 
     monkeypatch.setattr(algorithms, "triangular_bindings", counting)
     an = Precondition(gens, mode=mode).analyze(U)
     assert len(calls) == searched
-    assert an.bindings == triangular_bindings(gens, U)
-    assert an.bindings is an.bindings and len(calls) == 1
+    assert not hasattr(an, "bindings")
 
 
 def test_sample_points_satisfy_generators(ghost):
     U, syms, (X, Y, X0, Y0), F = ghost
-    pre_ = Precondition([X - X0, Y - Y0])
-    an = pre_.analyze(U)
-    pts = sample_points(an, U, 4)
+    pts = sample_points([X - X0, Y - Y0], U, 4)
     assert len(pts) == 4
     for p in pts:
         assert (X - X0).evaluate(p) == 0
         assert (Y - Y0).evaluate(p) == 0
     # no points for an empty variety
-    bad = Precondition([Polynomial.constant(U, 1), X - X0]).analyze(U)
-    assert sample_points(bad, U, 3) == []
+    assert sample_points([Polynomial.constant(U, 1), X - X0], U, 3) == []
+    assert sample_points([X - X0, (X - X0) * Y + 1], U, 3) == []
 
 
 def test_sample_points_are_distinct():
     # the pool holds 10 values, so 25 asked give the 10 distinct points
     built = load_entry("running-post").build()
-    an = built.precondition.analyze(built.universe)
-    pts = sample_points(an, built.universe, 25)
+    pts = sample_points(built.precondition.generators, built.universe, 25)
     assert len(pts) == 10
     assert len({tuple(sorted((s.name, v) for s, v in p.items())) for p in pts}) == 10
 
@@ -308,11 +310,10 @@ def test_sample_points_are_distinct():
 def test_sample_points_bind_every_variable_once(running):
     # no variable is free, so the precondition has exactly one point
     U, (x, y), (X, Y), F = running
-    an = Precondition([X - 1, Y - 2]).analyze(U)
-    assert sample_points(an, U, 5) == [{x: Fraction(1), y: Fraction(2)}]
-    records, _ = verify_from_analysis(
-        [X * Y - 2], F, an, samples=5, horizon=Fraction(1, 16), step=Fraction(1, 64)
-    )
+    gens = [X - 1, Y - 2]
+    assert sample_points(gens, U, 5) == [{x: Fraction(1), y: Fraction(2)}]
+    numeric = NumericSpec(samples=5, horizon=Fraction(1, 16), step=Fraction(1, 64))
+    records, _ = verify_from_analysis([X * Y - 2], F, gens, numeric)
     assert len(records) == 1
 
 

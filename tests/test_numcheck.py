@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -8,7 +9,6 @@ import pytest
 
 from odeinv import (
     Polynomial,
-    Precondition,
     ResourceLimitError,
     Symbol,
     SymbolUniverse,
@@ -21,8 +21,11 @@ from odeinv.numcheck import (
     trajectory,
     verify_from_analysis,
 )
-from odeinv.sysspec import SystemSpec
+from odeinv.sysspec import NumericSpec, SystemSpec
 from oracles import entry_names, load_entry, oracle_check_invariants, oracle_trajectory
+
+DEFAULTS = NumericSpec()
+SETTINGS = (DEFAULTS.horizon, DEFAULTS.step, DEFAULTS.tolerance)
 
 
 def _same(a: float, b: float) -> bool:
@@ -174,7 +177,9 @@ def test_spec_names_never_reach_the_compiled_source():
     residual = X["abs"] * X["abs"] + X["state"] * X["state"] - 1
     starts = [[Fraction(v) for v in ("1", "0", "1/2", "-1/3", "2", "0", "1/4", "-1", "3/2")]]
     _assert_matches_oracle(field, starts, [residual, *field.drifts])
-    records = check_invariants([residual], field, [dict(zip(field.universe.symbols, starts[0]))])
+    records = check_invariants(
+        [residual], field, [dict(zip(field.universe.symbols, starts[0]))], *SETTINGS
+    )
     assert records[0]["passed"] and records[0]["max_residual"] < 1e-9
 
 
@@ -189,7 +194,7 @@ def test_residual_check_keeps_no_trajectory():
     assert len(list(trajectory(F, [1, 0], float(horizon), float(step)))) == 16385
     tracemalloc.start()
     try:
-        records = check_invariants([X * X + Y * Y - 1], F, [point], horizon, step)
+        records = check_invariants([X * X + Y * Y - 1], F, [point], horizon, step, 1e-6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,7 +208,7 @@ def test_ghost_invariant_within_band(ghost):
     point = {syms[0]: Fraction(2), syms[1]: Fraction(1),
              syms[2]: Fraction(2), syms[3]: Fraction(1)}
     records = check_invariants(
-        [invariant], F, [point], horizon=Fraction(1), step=Fraction(1, 256)
+        [invariant], F, [point], horizon=Fraction(1), step=Fraction(1, 256), tolerance=1e-6
     )
     assert len(records) == 1
     assert records[0]["passed"]
@@ -213,7 +218,7 @@ def test_ghost_invariant_within_band(ghost):
 def test_zero_polynomial_trivially_passes(ghost):
     U, syms, _, F = ghost
     point = {s: Fraction(1) for s in syms}
-    records = check_invariants([Polynomial.zero(U)], F, [point])
+    records = check_invariants([Polynomial.zero(U)], F, [point], *SETTINGS)
     assert records == []
 
 
@@ -221,7 +226,7 @@ def test_one_integration_per_start_point(running, monkeypatch):
     U, (x, y), (X, Y), F = running
     polys = [X * X - X * Y, X - 2 * Y, X - Y]
     points = [{x: Fraction(1), y: Fraction(1)}, {x: Fraction(1, 2), y: Fraction(1, 2)}]
-    alone = [r for p in polys for r in check_invariants([p], F, points)]
+    alone = [r for p in polys for r in check_invariants([p], F, points, *SETTINGS)]
     calls = []
 
     def counted(*args):
@@ -229,7 +234,7 @@ def test_one_integration_per_start_point(running, monkeypatch):
         return trajectory(*args)
 
     monkeypatch.setattr(numcheck, "trajectory", counted)
-    records = check_invariants(polys, F, points)
+    records = check_invariants(polys, F, points, *SETTINGS)
     assert len(calls) == len(points)
     assert [r["point"]["x"] for r in records] == ["1"] * 3 + ["1/2"] * 3
 
@@ -255,7 +260,7 @@ def test_one_compile_per_field_and_one_per_check(running, monkeypatch):
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(numcheck, "_compile", counted)
-    check_invariants(polys, F, points)
+    check_invariants(polys, F, points, *SETTINGS)
     # one RK4 step for the field, one observer for both nonzero polynomials
     assert sorted(compiled) == ["advance", "observe"]
 
@@ -264,17 +269,17 @@ def test_check_invariants_refuses_more_than_the_step_cap(running):
     U, (x, y), (X, Y), F = running
     point = {x: Fraction(1), y: Fraction(1)}
     with pytest.raises(ResourceLimitError, match="RK4 steps"):
-        check_invariants([X - Y], F, [point], horizon=Fraction(10**8), step=Fraction(1, 256))
+        check_invariants([X - Y], F, [point], Fraction(10**8), Fraction(1, 256), 1e-6)
     horizon = Fraction(MAX_RK4_STEPS + 1, 256)
     with pytest.raises(ResourceLimitError):
-        check_invariants([X - Y], F, [point], horizon=float(horizon), step=1.0 / 256)
+        check_invariants([X - Y], F, [point], float(horizon), 1.0 / 256, 1e-6)
 
 
 def test_corrupted_invariant_fails(running):
     U, (x, y), (X, Y), F = running
     corrupted = X - 2 * Y
     point = {x: Fraction(1), y: Fraction(1)}
-    records = check_invariants([corrupted], F, [point])
+    records = check_invariants([corrupted], F, [point], *SETTINGS)
     assert len(records) == 1
     assert not records[0]["passed"]
     assert records[0]["fail_time"] is not None
@@ -291,7 +296,7 @@ def test_nan_residual_fails():
     F = VectorField(U, [Polynomial.zero(U)] * 3)
     p = 10**300 * X * Y - 10**300 * X * Z
     point = {x: Fraction(10**10), y: Fraction(2), z: Fraction(1)}
-    got = check_invariants([p], F, [point])
+    got = check_invariants([p], F, [point], *SETTINGS)
     want, _ = oracle_check_invariants([p], F, [point], 1.0, 1.0 / 256, 1e-6)
     for (record,) in (got, want):
         assert record["scale"] == math.inf
@@ -311,7 +316,7 @@ def test_records_do_not_depend_on_term_insertion_order():
     b = 10**16 * X - 10**16 * Z + Y
     assert a == b and list(a._terms) != list(b._terms)
     point = {x: Fraction(1), y: Fraction(1), z: Fraction(1)}
-    got = [check_invariants([p], F, [point], tolerance=1e-30) for p in (a, b)]
+    got = [check_invariants([p], F, [point], Fraction(1), Fraction(1, 256), 1e-30) for p in (a, b)]
     assert got[0] == got[1]
 
 
@@ -319,7 +324,7 @@ def test_true_invariant_from_line_passes(running):
     # x^2 - x*y vanishes along trajectories from the diagonal
     U, (x, y), (X, Y), F = running
     records = check_invariants(
-        [X * X - X * Y], F, [{x: Fraction(1), y: Fraction(1)}]
+        [X * X - X * Y], F, [{x: Fraction(1), y: Fraction(1)}], *SETTINGS
     )
     assert records[0]["passed"]
 
@@ -336,54 +341,63 @@ def test_trajectory_truncates_before_blowup(running):
 def test_verify_from_analysis_without_sample_points(running):
     U, _, (X, Y), F = running
     # x^2 + y^2 admits no triangular solution pattern
-    analysis = Precondition([X * X + Y * Y]).analyze(U)
-    records, note = verify_from_analysis([X - Y], F, analysis)
+    records, note = verify_from_analysis([X - Y], F, [X * X + Y * Y], DEFAULTS)
     assert records == []
     assert note is not None
 
 
 def test_verify_without_a_nonzero_polynomial_skips_the_check(ghost):
     U, syms, (X, Y, X0, Y0), F = ghost
-    analysis = Precondition([X - X0, Y - Y0]).analyze(U)
+    gens = [X - X0, Y - Y0]
     zero = Polynomial.zero(U)
-    assert verify_from_analysis([zero], F, analysis) == ([], "no nonzero polynomial to check")
-    assert verify_from_analysis([], F, analysis) == ([], "no nonzero polynomial to check")
+    assert verify_from_analysis([zero], F, gens, DEFAULTS) == ([], "no nonzero polynomial to check")
+    assert verify_from_analysis([], F, gens, DEFAULTS) == ([], "no nonzero polynomial to check")
     # a user point is still checked against the precondition first
     with pytest.raises(ValueError, match="violates the precondition"):
         verify_from_analysis(
-            [zero], F, analysis, points=[{"x": "2", "y": "1", "x0": "3", "y0": "1"}]
+            [zero], F, gens, NumericSpec(points=[{"x": "2", "y": "1", "x0": "3", "y0": "1"}])
         )
 
 
 def test_verify_skips_values_outside_doubles(running):
     U, _, (X, Y), F = running
     # the sampled start x = 10^400 has no double
-    analysis = Precondition([X - 10**400, Y]).analyze(U)
-    assert verify_from_analysis([X * Y], F, analysis) == ([], "a start point does not fit a double")
+    skipped = ([], "a start point does not fit a double")
+    assert verify_from_analysis([X * Y], F, [X - 10**400, Y], DEFAULTS) == skipped
     # nor has a coefficient of the checked polynomial
-    analysis = Precondition([X - Y]).analyze(U)
-    records, note = verify_from_analysis([X - 10**400 * Y], F, analysis)
+    records, note = verify_from_analysis([X - 10**400 * Y], F, [X - Y], DEFAULTS)
     assert records == [] and "coefficient" in note
 
 
 def test_verify_with_user_supplied_points(ghost):
     U, syms, (X, Y, X0, Y0), F = ghost
     invariant = X * X - Y * Y - X0 * X0 + Y0 * Y0
-    analysis = Precondition([X - X0, Y - Y0]).analyze(U)
+    gens = [X - X0, Y - Y0]
     records, note = verify_from_analysis(
-        [invariant],
-        F,
-        analysis,
-        points=[{"x": "2", "y": "1", "x0": "2", "y0": "1"}],
+        [invariant], F, gens, NumericSpec(points=[{"x": "2", "y": "1", "x0": "2", "y0": "1"}])
     )
     assert note is None
     assert len(records) == 1 and records[0]["passed"]
     with pytest.raises(ValueError):
         verify_from_analysis(
-            [invariant], F, analysis,
-            points=[{"x": "2", "y": "1", "x0": "3", "y0": "1"}],
+            [invariant], F, gens, NumericSpec(points=[{"x": "2", "y": "1", "x0": "3", "y0": "1"}])
         )
     with pytest.raises(ValueError):
         verify_from_analysis(
-            [invariant], F, analysis, points=[{"x": "2"}],
+            [invariant], F, gens, NumericSpec(points=[{"x": "2"}])
         )
+
+
+def test_numeric_settings_have_no_default_in_numcheck():
+    # `NumericSpec` holds the harness's settings and their defaults; a
+    # public numcheck parameter named after one of its slots takes the
+    # value from there, so a default of its own would be a second copy
+    slots = set(NumericSpec.__slots__)
+    defaulted = [
+        f"{name}({param.name})"
+        for name, fn in inspect.getmembers(numcheck, inspect.isfunction)
+        if fn.__module__ == numcheck.__name__ and not name.startswith("_")
+        for param in inspect.signature(fn).parameters.values()
+        if param.name in slots and param.default is not inspect.Parameter.empty
+    ]
+    assert not defaulted, defaulted

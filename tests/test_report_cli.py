@@ -346,6 +346,53 @@ def test_cli_oversized_coefficient_or_exponent_exits_4(tmp_path, capsys, drift, 
     assert elapsed < 2.0
 
 
+_DERIVED_FIELD = {"x": "2^8191*y", "y": "2^8191*z", "z": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (
+            ["pre", "--no-numeric"],
+            {"variables": ["x", "y", "z"], "field": _DERIVED_FIELD,
+             "query": {"kind": "pre", "postcondition": ["x"]}},
+        ),
+        (
+            ["check", "--no-numeric"],
+            {"variables": ["x", "y", "z"], "field": _DERIVED_FIELD,
+             "precondition": {"generators": ["x", "y", "z - 1"]},
+             "query": {"kind": "check", "postcondition": ["x"]}},
+        ),
+        (["lie", "--steps", "2"], None),
+        (
+            # one sample, z = 1/2, so the start w = 2^-20000 fits a double
+            ["check"],
+            {"variables": ["x", "y", "z", "w"], "field": dict.fromkeys("xyzw", "0"),
+             "precondition": {"generators": ["w - z^20000"]},
+             "query": {"kind": "check", "postcondition": ["w - z^20000"]},
+             "numeric_check": {"enabled": True, "samples": 1}},
+        ),
+    ],
+    ids=["pre-closure", "check-witness", "lie-steps", "sampled-start"],
+)
+def test_cli_oversized_derived_coefficient_exits_4(tmp_path, capsys, argv, data):
+    # every number a spec writes is under the parse cap, but a chain
+    # derives a coefficient near 2^16382, and sampling a start value of
+    # 2^-20000, past Python's int-to-str digit limit: printing either
+    # exited 5 (the derivative closure, the witness value, L^2, the point)
+    if data is None:
+        data = yaml.safe_load(Path(_corpus_path("running-post")).read_text(encoding="utf-8"))
+        data["field"]["x"] = "2^8191*x"
+    spec = tmp_path / "derived.yaml"
+    spec.write_text(yaml.safe_dump({"name": "derived", **data}), encoding="utf-8")
+    started = time.perf_counter()
+    code = main([argv[0], str(spec), *argv[1:]])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "too long to print" in capsys.readouterr().err
+    assert elapsed < 2.0
+
+
 def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4
