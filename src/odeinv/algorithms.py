@@ -254,8 +254,9 @@ def post(
     rebuilt, when V has moved, from L^0..L^{j-1}(T∘B) and the chain's own
     L^j.  The caller's template is read only for V_0 and the result.
 
-    A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`): when
-    L(g) lies in J_0 for every instance g, the Leibniz rule
+    A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`), by
+    `Template.lies_in`, which stops at the first instance that escapes:
+    when L(g) lies in J_0 for every instance g, the Leibniz rule
     L(sum h_i g_i) = sum L(h_i) g_i + h_i L(g_i) keeps J_0 Lie-closed, so
     J_j = J_0 holds L^{j+1} and the step is stable without completing
     L^0..L^j.  `_verify_post` still certifies J by `check_invariant_ideal`,
@@ -354,7 +355,8 @@ def _iterates_ideal(base: Template, top: Template, j: int, field: VectorField, c
 
     `base` is the T∘B that `post` keeps and `top` its L^j, so only
     L^1..L^{j-1} are derived here.  For j >= 1, J_0 = <base> is completed
-    first and L(base) tested against it by one template remainder; when it
+    first and L(base) tested against it by `Template.lies_in`, column by
+    column, up to the first column whose remainder is nonzero; when it
     lies in J_0, J_0 is Lie-closed (see `post`) and J_j, its generators
     kept, takes J_0's basis and reducer.  Otherwise J_j is completed from
     scratch over L^0..L^j.
@@ -366,7 +368,7 @@ def _iterates_ideal(base: Template, top: Template, j: int, field: VectorField, c
     if j:
         generators.append(top)
         j0 = Ideal(base.universe, [base], **caps)
-        if generators[1].reduce_by(j0.reducer()).is_zero():
+        if generators[1].lies_in(j0.reducer()):
             return j0._known(generators, j0.reduced_groebner_basis(), j0.reducer()), True
     return Ideal(base.universe, generators, **caps), False
 
@@ -390,9 +392,9 @@ def _grow(ideal: Ideal, t: Template) -> Ideal:
 def _verify_post(res: PostResult, field: VectorField):
     """Post-run soundness assertions: instances lie in J and J is Lie-closed.
 
-    Every instance lies in J iff the result template's remainder modulo J
-    is zero, since normal forms are linear."""
-    if not res.result.reduce_by(res.ideal.reducer()).is_zero():
+    Every instance lies in J iff each column of the result template has a
+    zero remainder modulo J (`Template.lies_in`)."""
+    if not res.result.lies_in(res.ideal.reducer()):
         raise AssertionError("result-template instance escapes the invariant ideal")
     if not check_invariant_ideal(res.ideal, field):
         raise AssertionError("computed ideal is not Lie-closed")

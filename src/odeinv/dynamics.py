@@ -35,9 +35,15 @@ from .poly import (
 
 
 class VectorField:
-    """Drifts f_1..f_N aligned with the state variables of one universe."""
+    """Drifts f_1..f_N aligned with the state variables of one universe.
 
-    __slots__ = ("universe", "drifts", "denominator", "_scaled", "_lie_cache",
+    Lie images are read off one deriver per variable whose drift is
+    nonzero, built once: (exponent field, shift, the integer drift terms
+    shifted by -x_i), so the image of m takes e_i = (m & field) >> shift
+    and adds m to each shifted term, with no exponent tuple made.
+    """
+
+    __slots__ = ("universe", "drifts", "denominator", "_derivers", "_lie_cache",
                  "_advance")
 
     def __init__(self, universe: SymbolUniverse, drifts):
@@ -52,10 +58,16 @@ class VectorField:
                 raise ValueError("drift from a different symbol universe")
         # D * f_i as integer terms on packed monomials, D the drifts' lcm denominator
         scaled, den = cleared(d._terms for d in drifts)
+        packing = universe.packing
+        derivers = tuple(
+            (field, (field & -field).bit_length() - 1, [(de - x, dc) for de, dc in drift.items()])
+            for field, x, drift in zip(packing.fields, packing.units, scaled)
+            if drift
+        )
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "_scaled", tuple(list(d.items()) for d in scaled))
+        object.__setattr__(self, "_derivers", derivers)
         object.__setattr__(self, "_lie_cache", {})
         # the float step numcheck.compile_rk4 builds on first use
         object.__setattr__(self, "_advance", None)
@@ -65,7 +77,8 @@ class VectorField:
 
     def lie_monomial(self, m) -> dict:
         """Integer term map of D * L(m), D = `denominator`, for a packed
-        monomial m, on packed monomials (cached).
+        monomial m, on packed monomials (cached): the sum over the
+        derivers of e_i * m * (D * f_i) / x_i.
 
         Cancelled terms stay as zeros; `combine`, which every consumer
         reads it through, drops them.
@@ -73,15 +86,14 @@ class VectorField:
         cached = self._lie_cache.get(m)
         if cached is not None:
             return cached
-        packing = self.universe.packing
-        guards = packing.guards
+        guards = self.universe.packing.guards
         total: dict = {}
-        for e, x, drift in zip(packing.unpack(m), packing.units, self._scaled):
+        for field, shift, terms in self._derivers:
+            e = (m & field) >> shift
             if not e:
                 continue
-            base = m - x
-            for de, dc in drift:
-                ne = base + de
+            for dt, dc in terms:
+                ne = m + dt
                 if ne & guards:
                     raise exponent_overflow()
                 acc = total.get(ne)
@@ -205,6 +217,17 @@ class Template:
         images, scale = reducer.images(sorted(monomials, key=flip.__xor__))
         columns = [combine(col, images) for col in self.columns]
         return Template(self.universe, self.params, columns, self.denominator * scale)
+
+    def lies_in(self, reducer: GroebnerReducer) -> bool:
+        """Whether every instance lies in the reducer's ideal, column by
+        column, each column's monomials asked in ascending order: False at
+        the first column whose remainder is nonzero, the rest unasked."""
+        flip = self.universe.packing.flip
+        for col in self.columns:
+            images, _ = reducer.images(sorted(col, key=flip.__xor__))
+            if combine(col, images):
+                return False
+        return True
 
     def __eq__(self, other):
         return (

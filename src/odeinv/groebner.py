@@ -201,12 +201,12 @@ class GroebnerReducer:
     below rely on.  The basis is converted to engine form once.
 
     A monomial m that no leading monomial divides is its own normal form.
-    It is zero when the first divisor whose lead divides it is a single
-    term, or when its quotient m / x_i below is cached as zero; these cases
-    are settled at once.  Otherwise NF(m) = NF(x_i * NF(m / x_i)) for a
-    variable x_i of m, the multiplication step of FGLM (Faugere, Gianni,
-    Lazard, Mora 1993), so a normal form is built from smaller ones already
-    in the cache.  When m / x_i is standard, one division step by the first
+    It is zero when any single-term lead divides it, which the divisor
+    search tries first, or when its quotient m / x_i below is cached as
+    zero; these cases are settled at once.  Otherwise
+    NF(m) = NF(x_i * NF(m / x_i)) for a variable x_i of m, the
+    multiplication step of FGLM (Faugere, Gianni, Lazard, Mora 1993), so a
+    normal form is built from smaller ones already in the cache.  When m / x_i is standard, one division step by the first
     divisor whose lead divides m takes its place.  Every monomial this
     reaches is smaller than m.
 
@@ -224,11 +224,14 @@ class GroebnerReducer:
     is checked for a set guard bit when it is settled.
     """
 
-    __slots__ = ("basis", "_divisors", "_cache", "_guards", "_strip", "_leads_with")
+    __slots__ = ("basis", "_divisors", "_search", "_cache", "_guards", "_strip", "_leads_with")
 
     def __init__(self, basis):
         self.basis = tuple(d for d in basis if not d.is_zero())
+        # Buchberger's seed, in basis order; the search takes the single-term
+        # divisors first, each settling what it divides as zero
         self._divisors = [_gpoly(d) for d in self.basis]
+        self._search = sorted(self._divisors, key=lambda d: bool(d.tail))
         self._cache: dict = {}
         # an empty basis divides nothing and needs no layout
         packing = self.basis[0].universe.packing if self.basis else None
@@ -237,7 +240,7 @@ class GroebnerReducer:
         self._strip = tuple(zip(packing.fields[::-1], packing.units[::-1])) if packing else ()
         # x_i -> the divisors whose lead x_i divides
         self._leads_with = {
-            x: [d for d in self._divisors if d.lead_exps & field] for field, x in self._strip
+            x: [d for d in self._search if d.lead_exps & field] for field, x in self._strip
         }
 
     def monomial_terms(self, m):
@@ -270,7 +273,7 @@ class GroebnerReducer:
         cache = self._cache
         if m & self._guards:
             raise exponent_overflow()
-        d = _divisor_of(self._divisors, m, self._guards)
+        d = _divisor_of(self._search, m, self._guards)
         if d is None:
             nf = cache[m] = ({m: 1}, 1)
             return nf

@@ -420,21 +420,44 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
 
 
 def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
-    """Counts, not timings: one kepler `post` takes 10 template remainders
-    (`GroebnerReducer.images`), 9 template Lie derivatives and 6 template
+    """Counts, not timings: one kepler `post` takes 7 template remainders
+    (`GroebnerReducer.images` outside the membership tests), 3 membership
+    tests (`Template.lies_in`), 9 template Lie derivatives and 6 template
     compositions.  A growing J step completes the remainder its membership
     test made instead of reducing the template again, a rebuilt J takes
     the chain's own L^j instead of deriving it anew from the restricted
     template, T∘B is kept and restricted as V moves instead of composed
     from the full template at each rebuild, and the lookahead at j = 3
     hands its L^4 and constraints to the step that moves V, in place of
-    the J step's membership test."""
-    calls = {"images": 0, "lie": 0, "compose": 0}
-    images, lie, compose = groebner.GroebnerReducer.images, Template.lie, Template.compose
+    the J step's membership test.  The J_0 closure test at j = 3 misses
+    and stops at its first escaping column, so it asks J_0's reducer for
+    fewer monomials than L(T∘B) has."""
+    calls = {"images": 0, "lies_in": 0, "lie": 0, "compose": 0}
+    tests = []  # (monomials of the template, monomials asked, verdict)
+    asked = None
+    images, lies_in = groebner.GroebnerReducer.images, Template.lies_in
+    lie, compose = Template.lie, Template.compose
+    monomial_terms = groebner.GroebnerReducer.monomial_terms
 
     def counting_images(self, monomials):
-        calls["images"] += 1
+        calls["images"] += asked is None
         return images(self, monomials)
+
+    def counting_lies_in(self, reducer):
+        nonlocal asked
+        calls["lies_in"] += 1
+        asked = set()
+        try:
+            verdict = lies_in(self, reducer)
+        finally:
+            tests.append(({m for col in self.columns for m in col}, asked, verdict))
+            asked = None
+        return verdict
+
+    def recording_monomial_terms(self, m):
+        if asked is not None:
+            asked.add(m)
+        return monomial_terms(self, m)
 
     def counting_lie(self, field):
         calls["lie"] += 1
@@ -445,6 +468,8 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         return compose(self, *args)
 
     monkeypatch.setattr(groebner.GroebnerReducer, "images", counting_images)
+    monkeypatch.setattr(groebner.GroebnerReducer, "monomial_terms", recording_monomial_terms)
+    monkeypatch.setattr(Template, "lies_in", counting_lies_in)
     monkeypatch.setattr(Template, "lie", counting_lie)
     monkeypatch.setattr(Template, "compose", counting_compose)
     built = load_entry("kepler").build()
@@ -458,7 +483,13 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         max_degree=spec.max_degree,
     )
     assert res.iterations == 4
-    assert calls == {"images": 10, "lie": 9, "compose": 6}
+    assert calls == {"images": 7, "lies_in": 3, "lie": 9, "compose": 6}
+    # the closure tests at j = 3 (a miss) and j = 5, then `_verify_post`'s
+    assert [verdict for _, _, verdict in tests] == [False, True, True]
+    monomials, miss_asked, _ = tests[0]
+    assert len(monomials) == 94
+    assert miss_asked < monomials
+    assert all(asked == monomials for monomials, asked, _ in tests[1:])
 
 
 def _post_of_entry(name, order):
@@ -478,6 +509,26 @@ def _post_of_entry(name, order):
         **caps,
     )
     return built, caps, res
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize(
+    "name", ["kepler", "ghost-post", "collision-avoidance", "airplane-vertical", "running-post"]
+)
+def test_lies_in_agrees_with_a_zero_remainder_on_the_post_corpus(name, order):
+    """`Template.lies_in` stops at the first escaping column, yet decides
+    as the whole remainder does: on each corpus `post` entry, for the
+    template, the answer and their Lie derivatives, modulo the
+    precondition and modulo J."""
+    built, _, res = _post_of_entry(name, order)
+    verdicts = set()
+    for t in (built.template, res.result):
+        for u in (t, t.lie(built.field)):
+            for ideal in (res.analysis.ideal, res.ideal):
+                verdict = u.lies_in(ideal.reducer())
+                assert verdict == u.reduce_by(ideal.reducer()).is_zero()
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])

@@ -18,13 +18,14 @@ from odeinv import (
 )
 from odeinv.dynamics import GroebnerReducer, Template, fresh_parameters
 from odeinv.linalg import nullspace
-from odeinv.poly import monomials_up_to_degree
+from odeinv.poly import GrevLex, Lex, monomials_up_to_degree
 from oracles import (
     dense_basis,
     exponent_terms,
     instantiate,
     joint_polynomial,
     lie_iterate,
+    lie_monomial,
     lie_rate_estimate,
     rational_template,
     solve_homogeneous,
@@ -332,6 +333,68 @@ def test_rk4_rate_matches_lie_derivative(running):
         exact = lie_derivative(p, F).evaluate({x: point[0], y: point[1]})
         estimate = lie_rate_estimate(F, p, point)
         assert abs(estimate - float(exact)) <= 1e-6 * (1.0 + abs(float(exact)))
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=["lex", "grevlex"])
+def test_lie_monomial_derivers_match_the_tuple_engine(order):
+    # the per-variable derivers against the oracle's exponent-tuple Lie
+    # derivative, on random monomials: zero drifts (no deriver), constant
+    # drifts, drifts in the variable itself, and random drifts
+    rng = random.Random(2828)
+    syms = [Symbol(n) for n in ("w", "x", "y", "z")]
+    U = SymbolUniverse(syms, order)
+    W, X, Y, Z = (Polynomial.variable(U, s) for s in syms)
+    zero = Polynomial.zero(U)
+    fields = [
+        [zero, Polynomial.constant(U, Fraction(3, 2)), zero, -Z],
+        [Fraction(1, 3) * W, X * X - 2 * Y, Polynomial.constant(U, -5), zero],
+        [zero, zero, zero, zero],
+    ]
+    fields += [[rand_poly(rng, U, max_terms=3, max_degree=3) for _ in syms] for _ in range(8)]
+    for drifts in fields:
+        F = VectorField(U, drifts)
+        assert len(F._derivers) == sum(1 for d in drifts if not d.is_zero())
+        for _ in range(25):
+            exps = tuple(rng.randint(0, 4) for _ in syms)
+            got = {
+                U.packing.unpack(m): Fraction(c, F.denominator)
+                for m, c in F.lie_monomial(U.packing.pack(exps)).items()
+                if c
+            }
+            assert got == {e: c for e, c in lie_monomial(F, exps).items() if c}
+
+
+class _Asking(GroebnerReducer):
+    """A reducer that records the monomials asked of it."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.asked = []
+
+    def monomial_terms(self, m):
+        self.asked.append(m)
+        return super().monomial_terms(m)
+
+
+def test_lies_in_stops_at_the_first_escaping_column(running):
+    U, _, (X, Y), _ = running
+    zero = Polynomial.zero(U)
+    a = fresh_parameters(3)
+    inside = [X - Y, X * X - Y * Y, X * Y - Y * Y]
+    # only the last column escapes: every column is checked
+    reducer = _Asking([X - Y])
+    assert not Template.from_instances(U, a, inside[:2] + [X + Y]).lies_in(reducer)
+    assert Template.from_instances(U, a, inside).lies_in(_Asking([X - Y]))
+    # a zero template, with and without parameters
+    assert Template.from_instances(U, a, [zero] * 3).lies_in(reducer)
+    assert Template(U, (), []).lies_in(reducer)
+    # the first column escapes: its monomials, ascending, are all that is asked
+    reducer = _Asking([X - Y])
+    assert not Template.from_instances(U, a, [X + Y] + inside[1:]).lies_in(reducer)
+    pack = U.packing.pack
+    assert reducer.asked == [pack((0, 1)), pack((1, 0))]
 
 
 def test_vector_field_validation(running):

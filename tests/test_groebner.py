@@ -111,10 +111,19 @@ def test_an_overflowing_monomial_raises_in_every_engine_path(order):
     X, Y = (Polynomial.variable(U, s) for s in (x, y))
     top = EXPONENT_CAP - 1
     pack = U.packing.pack
-    # the Lie derivative of x^top along x' = x^2 is top * x^(top + 1)
-    field = VectorField(U, [X * X, Polynomial.zero(U)])
+    # the Lie derivative of x^top along x' = x^2 is top * x^(top + 1);
+    # along x' = x it stays in the field, and along x' = x*y only the
+    # grevlex degree field overflows
+    zero = Polynomial.zero(U)
+    field = VectorField(U, [X * X, zero])
     with pytest.raises(ResourceLimitError, match="exponent cap"):
         field.lie_monomial(pack((top, 0)))
+    assert VectorField(U, [X, zero]).lie_monomial(pack((top, 0))) == {pack((top, 0)): top}
+    if order.graded:
+        with pytest.raises(ResourceLimitError, match="exponent cap"):
+            VectorField(U, [X * Y, zero]).lie_monomial(pack((top, 0)))
+    else:
+        assert VectorField(U, [X * Y, zero]).lie_monomial(pack((top, 0))) == {pack((top, 1)): top}
     # the auxiliary monomial x^top of a complete template adds x^(top + 1)
     with pytest.raises(ResourceLimitError, match="exponent cap"):
         complete_template(U, [x, y], 1, auxiliary=[pack((top, 0))])
@@ -530,6 +539,37 @@ def test_reducer_follows_a_deep_quotient_chain_without_recursion():
     reducer = GroebnerReducer([X - 2 * Y])
     pack = U.packing.pack
     assert reducer.monomial_terms(pack((3000, 0))) == ({pack((0, 3000)): 2**3000}, 1)
+
+
+@pytest.mark.parametrize("order", [Lex(), GrevLex()], ids=["lex", "grevlex"])
+def test_single_term_leads_settle_what_they_divide_at_once(order):
+    # modulo <y, x - z^2> the binomial comes first in the reduced basis,
+    # yet a monomial that y divides is settled as zero by the search,
+    # which tries single-term leads first: no intermediate memo entry
+    syms = [Symbol(n) for n in ("x", "y", "z")]
+    U = SymbolUniverse(syms, order)
+    X, Y, Z = (Polynomial.variable(U, s) for s in syms)
+    basis = buchberger([Y, X - Z**2])
+    assert [len(g._terms) for g in basis] == [2, 1]
+    rng = random.Random(77)
+    pack, flip = U.packing.pack, U.packing.flip
+    reducer = GroebnerReducer(basis)
+    divisible = sorted(
+        {pack((rng.randint(0, 4), rng.randint(1, 3), rng.randint(0, 4))) for _ in range(40)},
+        key=flip.__xor__,
+    )
+    images, _ = reducer.images(divisible)
+    assert set(reducer._cache) == set(divisible)
+    assert all(nums == {} for nums in images.values())
+    # every image is the remainder of textbook division
+    monomials = sorted(
+        {pack(tuple(rng.randint(0, 4) for _ in syms)) for _ in range(60)},
+        key=flip.__xor__,
+    )
+    images, scale = reducer.images(monomials)
+    for m in monomials:
+        got = Polynomial.from_packed(U, images[m].items(), scale)
+        assert got == divide(Polynomial.from_packed(U, [(m, 1)], 1), basis).remainder
 
 
 def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):

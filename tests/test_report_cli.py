@@ -727,7 +727,6 @@ TUPLE_EDGES = {
         "Packing.degree",  # lex degree: Polynomial.degree, complete_template, Buchberger's cap
         "format_terms", "Polynomial.evaluate", "Polynomial.substitute_symbol",
     },
-    "dynamics.py": {"VectorField.lie_monomial"},  # the multiplier e of x^e
     "numcheck.py": {"_power_terms"},  # the generated float source
     "sysspec.py": {"_split_template"},  # the joint universe into the state one
 }
