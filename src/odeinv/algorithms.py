@@ -114,22 +114,16 @@ def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
 
 
 class PreconditionAnalysis:
-    """The precondition's nonzero generators, the radical mode `analyze`
-    resolved, whether that mode is exact, and the generated `Ideal`.
-    Sampling reads the generators (`sample_points`), not this analysis."""
+    """The radical mode `analyze` resolved, whether that mode is exact, and
+    the precondition's `Ideal`, which holds its nonzero generators and
+    reduced basis.  Sampling reads the generators (`sample_points`)."""
 
-    __slots__ = ("generators", "effective_mode", "exact", "ideal")
+    __slots__ = ("effective_mode", "exact", "ideal")
 
-    def __init__(self, generators, effective_mode, exact, ideal):
-        self.generators = tuple(generators)
+    def __init__(self, effective_mode, exact, ideal):
         self.effective_mode = effective_mode
         self.exact = exact
         self.ideal = ideal
-
-    @property
-    def basis(self):
-        """The reduced Groebner basis of the precondition ideal."""
-        return self.ideal.reduced_groebner_basis()
 
 
 class Precondition:
@@ -150,10 +144,8 @@ class Precondition:
         self.mode = mode
 
     def analyze(self, universe: SymbolUniverse, **caps) -> PreconditionAnalysis:
-        gens = [g for g in self.generators if not g.is_zero()]
-        for g in gens:
-            if g.universe is not universe:
-                raise ValueError("precondition generator over a different universe")
+        ideal = Ideal(universe, self.generators, **caps)
+        gens = ideal.generators
         singleton = _is_singleton_pattern(gens, universe)
         mode = self.mode
         if mode == MODE_SINGLETON and not singleton:
@@ -179,12 +171,9 @@ class Precondition:
                 mode = MODE_GENERATORS
         # <0> = Id(R^N) and a unit ideal matches the empty variety, so
         # these two degenerate shapes are exact even in the sound mode.
-        exact = mode != MODE_GENERATORS or not gens
-        ideal = Ideal(universe, gens, **caps)
         basis = ideal.reduced_groebner_basis()
-        if not exact and basis and basis[0].degree() == 0:
-            exact = True  # unit ideal: empty variety, Id(∅) is everything
-        return PreconditionAnalysis(gens, mode, exact, ideal)
+        exact = mode != MODE_GENERATORS or not basis or basis[0].degree() == 0
+        return PreconditionAnalysis(mode, exact, ideal)
 
 
 _SAMPLE_POOL = tuple(map(Fraction, ("1", "2", "1/2", "-1", "3/2", "-1/2", "3", "1/3", "-2", "5/2")))
@@ -248,11 +237,12 @@ def post(
     In an exact mode both directions of the characterization hold; in the
     sound generator mode only the inclusions are guaranteed.
 
-    Two templates are kept: T∘B, the template restricted to V = span(B),
-    and L^j(T∘B).  Lie derivation commutes with restriction, so a
-    refinement of V restricts both by the same coordinates, and J_j is
-    rebuilt, when V has moved, from L^0..L^{j-1}(T∘B) and the chain's own
-    L^j.  The caller's template is read only for V_0 and the result.
+    V is held by its basis B alone, and the chain keeps L^j(T∘B), T∘B the
+    template restricted to V = span(B).  Lie derivation commutes with
+    restriction, so a refinement of V restricts L^{j+1} by its
+    coordinates.  When V has moved, J_j is rebuilt from L^0..L^{j-1}(T∘B)
+    and the chain's own L^j, T∘B composed from the caller's template
+    there and nowhere else; at j = 0 it is the chain's own L^0.
 
     A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`), by
     `Template.lies_in`, which stops at the first instance that escapes:
@@ -288,10 +278,10 @@ def post(
     basis_rows = nullspace(rows, n)
     trace = [{"j": 0, "dim": len(basis_rows), "constraints": len(rows)}]
 
-    # Invariant: base = T∘B and current = L^j(T∘B) for the current basis
-    # B = basis_rows, sparse integer rows that the final Subspace.from_rows
-    # brings to echelon form.
-    base = current = template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
+    # Invariant: current = L^j(T∘B) for the current basis B = basis_rows,
+    # sparse integer rows that the final Subspace.from_rows brings to
+    # echelon form.
+    current = template.compose(basis_rows, fresh_parameters(len(basis_rows), "y"))
 
     def derive(t):
         """t's Lie derivative and its constraints modulo the precondition."""
@@ -314,9 +304,7 @@ def post(
             coords = nullspace(rows, d)
             assert len(coords) < d, "nonzero constraints must shrink the space"
             basis_rows = [combine(y, basis_rows) for y in coords]
-            ys = fresh_parameters(len(coords), "y")
-            base = base.compose(coords, ys)
-            current = nxt.compose(coords, ys)
+            current = nxt.compose(coords, fresh_parameters(len(coords), "y"))
             ideal = None
             entry.update({"dim": len(basis_rows), "v_stable": False})
             trace.append(entry)
@@ -326,7 +314,7 @@ def post(
         entry.update({"dim": len(basis_rows), "v_stable": True})
         closed = False
         if ideal is None:
-            ideal, closed = _iterates_ideal(base, current, j, field, caps)
+            ideal, closed = _iterates_ideal(template, basis_rows, current, j, field, caps)
             if j and not closed:
                 ahead = derive(nxt)
         if ahead and ahead[1]:
@@ -350,18 +338,20 @@ def post(
     return result
 
 
-def _iterates_ideal(base: Template, top: Template, j: int, field: VectorField, caps):
-    """J_j = <L^0..L^j(base)>, and whether it is known to be Lie-closed.
+def _iterates_ideal(template: Template, rows, top: Template, j: int, field: VectorField, caps):
+    """J_j = <L^0..L^j(T∘B)>, and whether it is known to be Lie-closed.
 
-    `base` is the T∘B that `post` keeps and `top` its L^j, so only
-    L^1..L^{j-1} are derived here.  For j >= 1, J_0 = <base> is completed
-    first and L(base) tested against it by `Template.lies_in`, column by
-    column, up to the first column whose remainder is nonzero; when it
-    lies in J_0, J_0 is Lie-closed (see `post`) and J_j, its generators
-    kept, takes J_0's basis and reducer.  Otherwise J_j is completed from
-    scratch over L^0..L^j.
-    At j = 0 the test would be the caller's own J step, so it is left to it.
+    T∘B, `template` restricted to the span of `rows`, is composed here,
+    the one place `post` reads it; at j = 0 it is `top`, the chain's own
+    L^j.  Only L^1..L^{j-1} are derived here.  For j >= 1, J_0 = <T∘B> is
+    completed first and L(T∘B) tested against it by `Template.lies_in`,
+    column by column, up to the first column whose remainder is nonzero;
+    when it lies in J_0, J_0 is Lie-closed (see `post`) and J_j, its
+    generators kept, takes J_0's basis and reducer.  Otherwise J_j is
+    completed from scratch over L^0..L^j.  At j = 0 the test would be the
+    caller's own J step, so it is left to it.
     """
+    base = template.compose(rows, fresh_parameters(len(rows), "y")) if j else top
     generators = [base]
     for _ in range(j - 1):
         generators.append(generators[-1].lie(field))
@@ -433,11 +423,7 @@ def pre(
     P = list(postcondition)
     if not P:
         raise ValueError("postcondition must contain at least one polynomial")
-    universe = field.universe
-    for p in P:
-        if p.universe is not universe:
-            raise ValueError("postcondition polynomial over a different universe")
-    ideal = Ideal(universe, P, pair_budget=pair_budget, max_degree=max_degree)
+    ideal = Ideal(field.universe, P, pair_budget=pair_budget, max_degree=max_degree)
     current = linear_combination_template(P)
     for m in range(max_iterations):
         current = current.lie(field)
@@ -497,7 +483,7 @@ def check_safety(
 def _find_witness(res: PostResult, Q, field: VectorField):
     """Best effort: a precondition point where some derivative of some
     postcondition polynomial is nonzero."""
-    points = sample_points(res.analysis.generators, field.universe, 5)
+    points = sample_points(res.analysis.ideal.generators, field.universe, 5)
     horizon = res.iterations + 2
     for point in points:
         for q in Q:

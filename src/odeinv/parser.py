@@ -14,7 +14,8 @@ powers included, share one budget of `poly.MAX_PRODUCT_TERM_PAIRS` term
 pairs: an expression past it raises `ResourceLimitError` before the product
 that would cross it is formed.  A literal, a product or a result with a
 coefficient over `poly.MAX_COEFFICIENT_BITS` bits, or an exponent of
-`poly.EXPONENT_CAP` or more, raises it too; digits are checked before `int()`.
+`poly.EXPONENT_CAP` or more, raises it too; digits are checked before `int()`;
+and so do parentheses nested over `MAX_NESTING` deep, before the stack runs out.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class ParseError(ValueError):
 
 # the most digits of an integer in a number literal, those of 2^MAX_COEFFICIENT_BITS
 _DIGITS = len(str(1 << MAX_COEFFICIENT_BITS))
+
+# each level of parentheses costs the parse four Python frames
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -72,6 +76,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.pairs = MAX_PRODUCT_TERM_PAIRS  # term pairs the products may still form
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,10 +174,14 @@ class _Parser:
                 self.error(f"unknown identifier {value!r}", tok)
             return Polynomial.variable(self.universe, sym)
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ResourceLimitError(f"parentheses over the nesting cap of {MAX_NESTING}")
             p = self.expr()
             kind, value, _ = tok = self.advance()
             if not (kind == "op" and value == ")"):
                 self.error("expected ')'", tok)
+            self.depth -= 1
             return p
         self.error("expected a number, identifier, or '('", tok)
 

@@ -62,14 +62,14 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
             "requested_mode": precondition.mode,
             "effective_mode": analysis.effective_mode,
             "exact": analysis.exact,
-            "reduced_groebner_basis": [str(g) for g in analysis.basis],
+            "reduced_groebner_basis": [str(g) for g in analysis.ideal.reduced_groebner_basis()],
         },
     }
 
     t0 = time.perf_counter()
     exit_code = 0
     numeric_polys = []
-    sampled = analysis.generators  # pre and invariant sample their computed basis
+    sampled = analysis.ideal.generators  # pre and invariant sample their computed basis
     if spec.query_kind == "post":
         res = post(analysis, built.template, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()

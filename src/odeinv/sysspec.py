@@ -242,6 +242,8 @@ class SystemSpec:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise SpecError(f"{source}: not valid YAML/JSON: {exc}") from exc
+        except RecursionError:
+            raise SpecError(f"{source}: nested too deeply to read") from None
         return cls(data, source)
 
     @classmethod
@@ -364,6 +366,7 @@ class BuiltSystem:
             _require(isinstance(var_names, list) and var_names, "template variables must be a list")
             unknown_vars = [v for v in var_names if v not in self.spec.variables]
             _require(not unknown_vars, f"template over undeclared variables {unknown_vars}")
+            _require(len(set(var_names)) == len(var_names), "duplicate template variables")
             tvars = [self.universe.by_name(str(v)) for v in var_names]
             auxiliary = [
                 _parse_monomial(text, self.universe, "auxiliary monomial")

@@ -43,6 +43,8 @@ from importlib import resources
 from math import gcd, lcm
 from operator import add, le, neg, sub
 
+import yaml
+
 from odeinv import (
     Ideal,
     Polynomial,
@@ -677,6 +679,17 @@ def load_entry(name: str) -> SystemSpec:
     """The bundled corpus entry `name`, parsed."""
     path = resources.files("odeinv") / "corpus" / f"{name}.yaml"
     return SystemSpec.from_text(path.read_text(encoding="utf-8"), source=f"corpus:{name}")
+
+
+def stress_entry(name: str, degree: int) -> SystemSpec:
+    """The corpus entry `name` with its complete template raised to
+    `degree` and the numeric check off, as the benchmark's stress tier
+    builds it."""
+    path = resources.files("odeinv") / "corpus" / f"{name}.yaml"
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    data["query"]["template"]["degree"] = degree
+    data["numeric_check"]["enabled"] = False
+    return SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False))
 
 
 def entry_names(tier: str | None = None) -> list[str]:

@@ -8,11 +8,9 @@ deselect them, but they are fast enough to run by default.
 import hashlib
 import json
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
-import yaml
 
 from odeinv import (
     FAILS,
@@ -31,9 +29,16 @@ from odeinv import (
     pre,
 )
 from odeinv.report import run
-from odeinv.sysspec import SystemSpec
 from conftest import in_span, same_span
-from oracles import contains, entry_names, ideal_equal, leading, lie_iterate, load_entry
+from oracles import (
+    contains,
+    entry_names,
+    ideal_equal,
+    leading,
+    lie_iterate,
+    load_entry,
+    stress_entry,
+)
 from props import (
     run_buchberger_closure,
     run_division_contract,
@@ -217,11 +222,7 @@ def test_stress_tier_collision_avoidance_degree_3():
     # the benchmark's stress-deg3 query; its report must keep the digest
     # recorded in bench/references.json
     started = time.perf_counter()
-    spec_file = resources.files("odeinv") / "corpus" / "collision-avoidance.yaml"
-    data = yaml.safe_load(spec_file.read_text(encoding="utf-8"))
-    data["query"]["template"]["degree"] = 3
-    data["numeric_check"]["enabled"] = False
-    report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
+    report = run(stress_entry("collision-avoidance", 3).build())
     assert report.exit_code == 0
     assert _digest(report) == _bench_digest("stress-deg3")
     _report("stress tier: collision-avoidance at template degree 3", started, 60.0)
@@ -233,11 +234,7 @@ def test_stress_tier_airplane_vertical_degree_3():
     # its chain ends on a Lie-closed J_0, so the answer's J takes J_0's
     # basis, and this pins that basis in the report
     started = time.perf_counter()
-    spec_file = resources.files("odeinv") / "corpus" / "airplane-vertical.yaml"
-    data = yaml.safe_load(spec_file.read_text(encoding="utf-8"))
-    data["query"]["template"]["degree"] = 3
-    data["numeric_check"]["enabled"] = False
-    report = run(SystemSpec.from_text(yaml.safe_dump(data, sort_keys=False)).build())
+    report = run(stress_entry("airplane-vertical", 3).build())
     assert report.exit_code == 0
     assert _digest(report) == (
         "6afbb393b0cb8cfa1540cb711e3aceb50728c5bb74594b3db5b6b0fcc12cb2fd"

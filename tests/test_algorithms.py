@@ -33,7 +33,15 @@ from odeinv.numcheck import verify_from_analysis
 from odeinv.report import run
 from odeinv.sysspec import NumericSpec, SystemSpec
 from conftest import same_span
-from oracles import contains, ideal_equal, leading, lie_iterate, load_entry, pre_by_polynomials
+from oracles import (
+    contains,
+    ideal_equal,
+    leading,
+    lie_iterate,
+    load_entry,
+    pre_by_polynomials,
+    stress_entry,
+)
 from props import rand_field, rand_poly
 
 
@@ -426,8 +434,8 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
     compositions.  A growing J step completes the remainder its membership
     test made instead of reducing the template again, a rebuilt J takes
     the chain's own L^j instead of deriving it anew from the restricted
-    template, T∘B is kept and restricted as V moves instead of composed
-    from the full template at each rebuild, and the lookahead at j = 3
+    template, T∘B is composed from the full template only where J is
+    rebuilt, one compose per rebuild, and the lookahead at j = 3
     hands its L^4 and constraints to the step that moves V, in place of
     the J step's membership test.  The J_0 closure test at j = 3 misses
     and stops at its first escaping column, so it asks J_0's reducer for
@@ -490,6 +498,34 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
     assert len(monomials) == 94
     assert miss_asked < monomials
     assert all(asked == monomials for monomials, asked, _ in tests[1:])
+
+
+@pytest.mark.parametrize(
+    "spec, compositions",
+    [
+        pytest.param(lambda: load_entry("ghost-post"), 5, id="ghost-post"),
+        pytest.param(lambda: stress_entry("collision-avoidance", 3), 7, id="collision-avoidance-3"),
+    ],
+)
+def test_post_composes_the_restricted_template_only_where_j_is_rebuilt(
+    monkeypatch, spec, compositions
+):
+    """Counts, not timings: one `Template.compose` for V_0, one per V
+    move, which restricts only the chain's L^{j+1}, one per J rebuild
+    after a move, which composes T∘B from the caller's template, and one
+    for the result template.  Ghost-post moves V twice and collision-
+    avoidance at degree 3 four times; each rebuilds J once after a move."""
+    calls = 0
+    compose = Template.compose
+
+    def counting_compose(self, *args):
+        nonlocal calls
+        calls += 1
+        return compose(self, *args)
+
+    monkeypatch.setattr(Template, "compose", counting_compose)
+    assert run(spec().build(), numeric=False).exit_code == 0
+    assert calls == compositions
 
 
 def _post_of_entry(name, order):

@@ -2,8 +2,8 @@
 
 `bench/tracing.py` patches odeinv functions and methods by name; a rename
 or a call path that no longer passes through a traced function would make
-a per-layer metric read 0.  This runs traced kepler and quick-mix queries in
-process.
+a per-layer metric read 0.  This runs traced kepler, quick-mix and
+stress-deg3 queries in process.
 """
 
 import importlib.util
@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from odeinv import report
-from oracles import entry_names, load_entry
+from oracles import entry_names, load_entry, stress_entry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -23,17 +23,18 @@ def _load_tracing():
     return module
 
 
-def _unwired(workload, names, **run_options):
+def _unwired(workload, names, load=load_entry, **run_options):
     """Layers mapped to `workload` that a traced run of the corpus entries
-    `names` leaves without a call, apart from algorithms.chain_trace, which
-    run.py counts from the reports, not from a span."""
+    `names`, each parsed by `load`, leaves without a call, apart from
+    algorithms.chain_trace, which run.py counts from the reports, not from
+    a span."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     patches = tracing.Patches(tracer)
     patches.on()
     try:
         for name in names:
-            report.run(load_entry(name).build(), **run_options)
+            report.run(load(name).build(), **run_options)
     finally:
         patches.off()
     _, calls = tracing.layer_metrics(tracer, 1, Counter(), 1.0)
@@ -51,3 +52,12 @@ def test_traced_quick_mix_run_reaches_every_mapped_layer():
     quick = entry_names("quick")
     assert len(quick) == 7
     assert _unwired("quick-mix", quick) == []
+
+
+def test_traced_stress_deg3_run_reaches_every_mapped_layer():
+    # collision-avoidance at template degree 3, numeric check off, as
+    # bench/workloads.py builds it
+    def load(name):
+        return stress_entry(name, 3)
+
+    assert _unwired("stress-deg3", ["collision-avoidance"], load) == []

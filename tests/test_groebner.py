@@ -449,7 +449,7 @@ def test_reducer_monomial_terms_match_normal_form():
 
 def test_reducer_matches_normal_form_on_kepler_precondition():
     built = load_entry("kepler").build()
-    basis = built.precondition.analyze(built.universe).basis
+    basis = built.precondition.analyze(built.universe).ideal.reduced_groebner_basis()
     template_vars = [built.universe.by_name(n) for n in ("GM", "a", "ecc", "r", "u", "dA")]
     _assert_reducer_matches_normal_form(basis, built.universe, template_vars)
 
@@ -483,7 +483,7 @@ def _kepler_and_airplane_bases():
     ):
         built = load_entry(name).build()
         U = built.universe
-        basis = built.precondition.analyze(U).basis
+        basis = built.precondition.analyze(U).ideal.reduced_groebner_basis()
         out.append((basis, U, [U.by_name(n) for n in names], degree))
     return out
 

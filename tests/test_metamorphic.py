@@ -7,10 +7,18 @@
 - *Duality.*  `check` holds iff every reduced-basis element of pre(φ) lies
   in the precondition ideal of the mode in use: V stays full iff every Lie
   iterate of every postcondition polynomial lies in that ideal.
+- *Containment.*  Every reduced-basis element of `post`'s J lies in the
+  precondition ideal of the mode in use: J is generated by Lie iterates of
+  the template restricted to V, each of which V keeps inside that ideal.
+- *Monomial order.*  Lex and grevlex give `post` equal iterations and
+  chain dimensions, and their J bases generate one ideal: the lex basis,
+  re-parsed over the grevlex universe, has the grevlex basis as its
+  reduced basis.
 
-Each runs on the quick corpus entries and on at most 30 small random
-systems (2-3 variables, degree <= 2), drawn by Hypothesis with
-`derandomize=True`, so tier-1 stays deterministic.
+Each runs on corpus entries (the quick ones, or every `post` entry for the
+last two) and on at most 30 small random systems (2-3 variables, degree
+<= 2), drawn by Hypothesis with `derandomize=True`, so tier-1 stays
+deterministic.
 """
 
 import copy
@@ -22,8 +30,16 @@ import yaml
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from odeinv import HOLDS, Ideal, ModeError, Precondition, ResourceLimitError, SystemSpec
-from odeinv.algorithms import _MODES, check_safety, pre
+from odeinv import (
+    HOLDS,
+    Ideal,
+    ModeError,
+    Precondition,
+    ResourceLimitError,
+    SystemSpec,
+    parse_polynomial,
+)
+from odeinv.algorithms import _MODES, check_safety, post, pre
 from odeinv.report import run
 from oracles import entry_names
 
@@ -40,8 +56,8 @@ RANDOM = settings(
 )
 
 
-def _corpus(kinds):
-    return [n for n in entry_names("quick") if _data(n)["query"]["kind"] in kinds]
+def _corpus(kinds, tier="quick"):
+    return [n for n in entry_names(tier) if _data(n)["query"]["kind"] in kinds]
 
 
 def _data(name) -> dict:
@@ -83,21 +99,63 @@ def _answers(data, generators):
     return result
 
 
+def _caps(spec):
+    return {
+        "max_iterations": spec.max_iterations,
+        "pair_budget": spec.pair_budget,
+        "max_degree": spec.max_degree,
+    }
+
+
+def _analyses(built, caps):
+    """(mode, precondition analysis) for every mode that admits the
+    precondition."""
+    for mode in _MODES:
+        try:
+            yield mode, Precondition(built.precondition.generators, mode).analyze(
+                built.universe, pair_budget=caps["pair_budget"], max_degree=caps["max_degree"]
+            )
+        except ModeError:
+            continue
+
+
 def _assert_duality(built, caps):
     """For every mode that admits the precondition: `check` holds iff
     pre(φ) lies in the mode's precondition ideal."""
     phi = [q for q in built.postcondition if not q.is_zero()]
     weakest = pre(phi, built.field, **caps).ideal.reduced_groebner_basis()
-    for mode in _MODES:
-        try:
-            analysis = Precondition(built.precondition.generators, mode).analyze(
-                built.universe, pair_budget=caps["pair_budget"], max_degree=caps["max_degree"]
-            )
-        except ModeError:
-            continue
+    for mode, analysis in _analyses(built, caps):
         holds = check_safety(analysis, phi, built.field, **caps).verdict == HOLDS
         inside = all(analysis.ideal.member(g) for g in weakest)
         assert holds == inside, (mode, [str(g) for g in weakest])
+
+
+def _assert_containment(built, caps):
+    """For every mode that admits the precondition: each reduced-basis
+    element of `post`'s J lies in the mode's precondition ideal."""
+    for mode, analysis in _analyses(built, caps):
+        basis = post(analysis, built.template, built.field, **caps).ideal.reduced_groebner_basis()
+        assert all(analysis.ideal.member(g) for g in basis), (mode, [str(g) for g in basis])
+
+
+def _post_under(data, order):
+    """The universe of `data` under `order`, and its `post` result block."""
+    built = SystemSpec({**data, "order": order}).build()
+    return built.universe, run(built, numeric=False).data["result"]
+
+
+def _assert_order_relation(data):
+    """Lex and grevlex give equal iterations and chain dimensions, and the
+    lex J basis, re-parsed over the grevlex universe, reduces to the
+    grevlex J basis."""
+    _, lex = _post_under(data, "lex")
+    universe, grevlex = _post_under(data, "grevlex")
+    assert lex["iterations"] == grevlex["iterations"]
+    dims = [[step["dim"] for step in r["chain_trace"]] for r in (lex, grevlex)]
+    assert dims[0] == dims[1]
+    reparsed = [parse_polynomial(g, universe) for g in lex["ideal"]["reduced_groebner_basis"]]
+    basis = Ideal(universe, reparsed).reduced_groebner_basis()
+    assert [str(g) for g in basis] == grevlex["ideal"]["reduced_groebner_basis"]
 
 
 @pytest.mark.parametrize("name", _corpus({"post", "check"}))
@@ -114,12 +172,18 @@ def test_precondition_basis_keeps_every_answer_on_the_corpus(name):
 @pytest.mark.parametrize("name", _corpus({"check"}))
 def test_check_holds_iff_pre_lies_in_the_precondition_ideal_on_the_corpus(name):
     built = SystemSpec(_data(name)).build()
-    spec = built.spec
-    _assert_duality(built, {
-        "max_iterations": spec.max_iterations,
-        "pair_budget": spec.pair_budget,
-        "max_degree": spec.max_degree,
-    })
+    _assert_duality(built, _caps(built.spec))
+
+
+@pytest.mark.parametrize("name", _corpus({"post"}, tier=None))
+def test_post_ideal_lies_in_the_precondition_ideal_on_the_corpus(name):
+    built = SystemSpec(_data(name)).build()
+    _assert_containment(built, _caps(built.spec))
+
+
+@pytest.mark.parametrize("name", _corpus({"post"}, tier=None))
+def test_lex_and_grevlex_agree_on_post_on_the_corpus(name):
+    _assert_order_relation(_data(name))
 
 
 @st.composite
@@ -213,5 +277,24 @@ def test_check_holds_iff_pre_lies_in_the_precondition_ideal_on_random_systems(da
     built = _built_or_reject(data)
     try:
         _assert_duality(built, CAPS)
+    except ResourceLimitError:
+        reject()
+
+
+@RANDOM
+@given(systems("post"))
+def test_post_ideal_lies_in_the_precondition_ideal_on_random_systems(data):
+    built = _built_or_reject(data)
+    try:
+        _assert_containment(built, CAPS)
+    except ResourceLimitError:
+        reject()
+
+
+@RANDOM
+@given(systems("post"))
+def test_lex_and_grevlex_agree_on_post_on_random_systems(data):
+    try:
+        _assert_order_relation(data)
     except ResourceLimitError:
         reject()

@@ -13,6 +13,7 @@ import yaml
 import odeinv
 from odeinv import SpecError, SystemSpec
 from odeinv.cli import main
+from odeinv.parser import MAX_NESTING
 from odeinv.report import lie_chain, run
 from oracles import entry_names, expected_report, load_entry
 
@@ -319,6 +320,29 @@ def test_cli_exponent_over_the_packed_cap_exits_4(tmp_path, capsys, section, key
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (MAX_NESTING + 1, 4), (300, 4)])
+def test_cli_parentheses_nested_past_the_cap_exit_4(tmp_path, capsys, depth, code):
+    # 300 nested parentheses ran the recursive-descent parse out of stack
+    # (exit 5); the cap refuses them, and a drift at the cap still parses
+    data = yaml.safe_load(RATIONAL_LIE_YAML)
+    data["field"]["x"] = "(" * depth + "1/2*y" + ")" * depth
+    spec = tmp_path / "nested.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["post", str(spec)]) == code
+    assert ("over the nesting cap" in capsys.readouterr().err) == (code == 4)
+
+
+def test_cli_spec_nested_too_deeply_for_yaml_is_input_error(tmp_path, capsys):
+    # a name of 1,000 nested lists ran the YAML reader out of stack (exit 5)
+    spec = tmp_path / "nested.yaml"
+    spec.write_text(
+        RATIONAL_LIE_YAML.replace("name: rational-lie", "name: " + "[" * 1000 + "]" * 1000),
+        encoding="utf-8",
+    )
+    assert main(["post", str(spec)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "drift, message",
     [
@@ -451,6 +475,8 @@ def test_run_rejects_malformed_cap_override():
         ("numeric_check", "enabled", "no"),
         # a bool is not an integer degree, though isinstance(True, int) holds
         pytest.param("query.template", "degree", True, id="query.template-degree-true"),
+        # one variable twice would count its monomials twice against the cap
+        pytest.param("query.template", "variables", ["x", "x"], id="template-variables-twice"),
     ],
 )
 def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
