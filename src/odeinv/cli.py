@@ -11,7 +11,6 @@ import sys
 
 from .algorithms import _MODES, ModeError
 from .groebner import ResourceLimitError
-from .parser import ParseError
 from .report import lie_chain, run
 from .sysspec import SpecError, SystemSpec
 
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
                 )
                 return EXIT_BAD_INPUT
             report = run(built, numeric=args.numeric, **_overrides(args))
-    except (SpecError, ParseError, ModeError, OSError) as exc:
+    except (SpecError, ModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ResourceLimitError as exc:

@@ -201,14 +201,16 @@ class GroebnerReducer:
     below rely on.  The basis is converted to engine form once.
 
     A monomial m that no leading monomial divides is its own normal form.
-    It is zero when any single-term lead divides it, which the divisor
-    search tries first, or when its quotient m / x_i below is cached as
-    zero; these cases are settled at once.  Otherwise
+    It is zero when a single-term lead divides it, which the divisor search
+    tries first; only these two cases are settled at once.  Otherwise the
+    lead that divides m has a tail, so m is not 1 (a lead dividing 1 is a
+    constant, and nothing is smaller than 1), and
     NF(m) = NF(x_i * NF(m / x_i)) for a variable x_i of m, the
     multiplication step of FGLM (Faugere, Gianni, Lazard, Mora 1993), so a
-    normal form is built from smaller ones already in the cache.  When m / x_i is standard, one division step by the first
-    divisor whose lead divides m takes its place.  Every monomial this
-    reaches is smaller than m.
+    normal form is built from smaller ones already in the cache; one whose
+    quotient's normal form is zero comes out zero.  When m / x_i is
+    standard, one division step by the first divisor whose lead divides m
+    takes its place.  Every monomial this reaches is smaller than m.
 
     Each such normal form is built in one pass by a coroutine that yields
     the smaller monomials it needs and is sent their normal forms; one loop
@@ -268,8 +270,9 @@ class GroebnerReducer:
         return nf
 
     def _settle(self, m, stack):
-        """NF(m), not cached yet, cached now if m is standard or zero; else
-        None, with the coroutine that builds it pushed on `stack`."""
+        """NF(m), not cached yet, cached now if m is standard or a
+        single-term lead divides it; else None, with the coroutine that
+        builds it pushed on `stack`."""
         cache = self._cache
         if m & self._guards:
             raise exponent_overflow()
@@ -278,26 +281,23 @@ class GroebnerReducer:
             nf = cache[m] = ({m: 1}, 1)
             return nf
         if d.tail:
-            split = self._quotient(m)
-            if split is None or cache.get(split[1]) is not _ZERO:
-                stack.append(self._nf(m, d, split))
-                return None
+            stack.append(self._nf(m, d))
+            return None
         cache[m] = _ZERO
         return _ZERO
 
-    def _nf(self, m, d, split):
-        """Coroutine of NF(m), where d's lead divides m.  It yields each
-        smaller monomial it is built from that is neither cached nor a
-        standard x_i * t, is sent its normal form, and caches and returns
-        NF(m)."""
+    def _nf(self, m, d):
+        """Coroutine of NF(m), where the lead of d, which has a tail,
+        divides m.  It yields each smaller monomial it is built from that
+        is neither cached nor a standard x_i * t, is sent its normal form,
+        and caches and returns NF(m)."""
         cache = self._cache
-        if split is not None:
-            x, q = split
-            nq = cache.get(q)
-            if nq is None:
-                nq = yield q
-        if split is None or q in nq[0]:
-            # m / x_i is standard (or m is 1): m = shift * lead(d), so
+        x, q = self._quotient(m)
+        nq = cache.get(q)
+        if nq is None:
+            nq = yield q
+        if q in nq[0]:
+            # m / x_i is standard: m = shift * lead(d), so
             # NF(m) = -(1/lc) sum c_t NF(shift * t) over the tail of d
             shift = m - d.lead_exps
             base = d.lead_coeff
@@ -356,9 +356,9 @@ class GroebnerReducer:
         }, scale
 
     def _quotient(self, m):
-        """(x_i, m / x_i) for the variable to strip from m, or None when m
-        is 1.  An x_i whose quotient is cached already wins, scanning from
-        the last variable; else the last variable of m."""
+        """(x_i, m / x_i) for the variable to strip from m, which is not 1.
+        An x_i whose quotient is cached already wins, scanning from the
+        last variable; else the last variable of m."""
         cache = self._cache
         last = None
         for field, x in self._strip:

@@ -42,9 +42,11 @@ _DIGITS = len(str(1 << MAX_COEFFICIENT_BITS))
 # each level of parentheses costs the parse four Python frames
 MAX_NESTING = 100
 
+# a symbol's name, as the grammar reads it; declared names must match it whole
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<ident>{IDENTIFIER.pattern})|(?P<op>[-+*^()]))"
 )
 
 

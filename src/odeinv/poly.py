@@ -297,14 +297,13 @@ class Polynomial:
     constructor drops them, so operations may leave cancelled terms behind.
     """
 
-    __slots__ = ("universe", "_terms", "_sorted")
+    __slots__ = ("universe", "_terms")
 
     def __init__(self, universe: SymbolUniverse, terms: dict):
         object.__setattr__(self, "universe", universe)
         object.__setattr__(
             self, "_terms", {e: c for e, c in terms.items() if c != 0}
         )
-        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -335,15 +334,12 @@ class Polynomial:
     # -- views ---------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms as (packed monomial, coeff) pairs, leading term first."""
-        cached = self._sorted
-        if cached is None:
-            flip = self.universe.packing.flip
-            cached = tuple(
-                sorted(self._terms.items(), key=lambda t: t[0] ^ flip, reverse=True)
-            )
-            object.__setattr__(self, "_sorted", cached)
-        return cached
+        """Terms as (packed monomial, coeff) pairs, leading term first,
+        sorted afresh on each call: the callers are the edges (printing,
+        the engine's entry, the numeric check), each reading a polynomial
+        about once."""
+        flip = self.universe.packing.flip
+        return sorted(self._terms.items(), key=lambda t: t[0] ^ flip, reverse=True)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -101,7 +101,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         numeric_polys = [p for p in instances if not p.is_zero()]
         numeric_polys += [g for g in gb if g not in numeric_polys]
     elif spec.query_kind == "pre":
-        res = pre(built.postcondition, built.field, **caps)
+        res = pre(built.polynomials, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
         numeric_polys = res.ideal.instances()
         report["result"] = {
@@ -114,7 +114,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         }
         sampled = gb
     elif spec.query_kind == "check":
-        res = check_safety(analysis, built.postcondition, built.field, **caps)
+        res = check_safety(analysis, built.polynomials, built.field, **caps)
         witness = None
         if res.witness is not None:
             point = res.witness["point"]
@@ -135,7 +135,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         if res.verdict == HOLDS:
             numeric_polys = list(res.postcondition)
     else:  # invariant
-        ideal = Ideal(built.universe, built.ideal_generators, **gb_caps)
+        ideal = Ideal(built.universe, built.polynomials, **gb_caps)
         ok = check_invariant_ideal(ideal, built.field)
         gb = ideal.reduced_groebner_basis()
         report["result"] = {
@@ -264,8 +264,7 @@ def lie_chain(built: BuiltSystem, steps: int):
             chain.append(str(t))
         chains.append({"subject": "template", "chain": chain})
     else:
-        polys = built.postcondition or built.ideal_generators or []
-        for p in polys:
+        for p in built.polynomials:
             q = p
             chain = [str(q)]
             for _ in range(steps):

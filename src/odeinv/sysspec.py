@@ -16,10 +16,12 @@ import yaml
 from .algorithms import DEFAULT_MAX_ITERATIONS, MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
 from .groebner import DEFAULT_PAIR_BUDGET, ResourceLimitError
-from .parser import ParseError, parse_polynomial
+from .parser import IDENTIFIER, ParseError, parse_polynomial
 from .poly import GrevLex, Lex, Symbol, SymbolUniverse, cleared
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
+# the key under which each query but `post` lists its polynomials
+POLYNOMIAL_KEYS = {"pre": "postcondition", "check": "postcondition", "invariant": "generators"}
 TIERS = ("quick", "extended", "data-only")
 
 
@@ -35,6 +37,16 @@ def _require(cond, message):
 def _known_keys(mapping, known, what):
     unknown = set(mapping) - known
     _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _names(value, what):
+    """A declared name list: non-empty, of distinct strings that the parser
+    reads whole as one identifier, so that printing and parsing agree."""
+    _require(isinstance(value, list) and value, f"{what} must be a non-empty list")
+    bad = [v for v in value if not (isinstance(v, str) and IDENTIFIER.fullmatch(v))]
+    _require(not bad, f"{what} must be identifiers, not {bad}")
+    _require(len(set(value)) == len(value), f"duplicate {what}")
+    return value
 
 
 def _list(mapping, key, what):
@@ -171,27 +183,20 @@ class NumericSpec:
 class SystemSpec:
     """Parsed but not yet model-checked specification document."""
 
-    def __init__(self, data: dict, source: str = "<spec>"):
+    def __init__(self, data: dict):
         _require(isinstance(data, dict), "specification must be a mapping")
-        self.source = source
         known = {
             "name", "description", "tier", "variables", "order", "field",
             "precondition", "query", "options", "numeric_check",
         }
         _known_keys(data, known, "top-level")
-        self.name = str(data.get("name", "unnamed"))
-        self.description = str(data.get("description", ""))
+        for key in ("name", "description"):
+            _require(isinstance(data.get(key, ""), str), f"{key} must be a string")
+        self.name = data.get("name", "unnamed")
         self.tier = data.get("tier", "quick")
         _require(self.tier in TIERS, f"tier must be one of {TIERS}")
 
-        variables = data.get("variables")
-        _require(
-            isinstance(variables, list) and variables,
-            "variables must be a non-empty list",
-        )
-        names = [str(v) for v in variables]
-        _require(len(set(names)) == len(names), "duplicate variable names")
-        self.variables = names
+        names = self.variables = _names(data.get("variables"), "variables")
 
         order = data.get("order", "lex")
         _require(order in ("lex", "grevlex"), "order must be lex or grevlex")
@@ -244,7 +249,7 @@ class SystemSpec:
             raise SpecError(f"{source}: not valid YAML/JSON: {exc}") from exc
         except RecursionError:
             raise SpecError(f"{source}: nested too deeply to read") from None
-        return cls(data, source)
+        return cls(data)
 
     @classmethod
     def load(cls, path) -> "SystemSpec":
@@ -293,7 +298,13 @@ def _split_template(p, params, universe) -> Template:
 
 
 class BuiltSystem:
-    """Specification resolved into engine objects."""
+    """Specification resolved into engine objects.
+
+    A `post` query holds its `template`; every other query holds the one
+    polynomial list it reads, `polynomials`, parsed from the query's key in
+    `POLYNOMIAL_KEYS`: the postcondition of `pre` and `check`, the ideal
+    generators of `invariant`.  The other of the two is None.
+    """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
@@ -317,39 +328,26 @@ class BuiltSystem:
             values = {s: point[s.name] for s in symbols}
             for g in gens:
                 _require(g.evaluate(values) == 0, f"numeric_check point violates {g} = 0")
-        self.template = None
-        self.postcondition = None
-        self.ideal_generators = None
+        self.template = self.polynomials = None
         kind = spec.query_kind
         q = spec.query
         if kind == "post":
             _require("template" in q, "post query needs a template")
             _known_keys(q, {"kind", "template"}, "post query")
             self.template = self._build_template(q["template"])
-        elif kind in ("pre", "check"):
-            _known_keys(q, {"kind", "postcondition"}, f"{kind} query")
-            polys = q.get("postcondition")
+        else:
+            key = POLYNOMIAL_KEYS[kind]
+            _known_keys(q, {"kind", key}, f"{kind} query")
+            texts = q.get(key)
             _require(
-                isinstance(polys, list) and polys,
-                f"{kind} query needs a non-empty postcondition list",
+                isinstance(texts, list) and texts,
+                f"{kind} query needs a non-empty {key} list",
             )
-            self.postcondition = [
-                _parse(p, self.universe, "postcondition polynomial") for p in polys
-            ]
+            self.polynomials = [_parse(p, self.universe, f"{key} polynomial") for p in texts]
             _require(
-                kind == "pre" or not all(p.is_zero() for p in self.postcondition),
+                kind != "check" or not all(p.is_zero() for p in self.polynomials),
                 "check query needs a nonzero postcondition polynomial",
             )
-        elif kind == "invariant":
-            _known_keys(q, {"kind", "generators"}, "invariant query")
-            gens_q = q.get("generators")
-            _require(
-                isinstance(gens_q, list) and gens_q,
-                "invariant query needs a non-empty generator list",
-            )
-            self.ideal_generators = [
-                _parse(p, self.universe, "ideal generator") for p in gens_q
-            ]
 
     def _build_template(self, tspec) -> Template:
         _require(isinstance(tspec, dict), "template must be a mapping")
@@ -362,12 +360,10 @@ class BuiltSystem:
                 isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
                 "template degree must be a non-negative integer",
             )
-            var_names = tspec.get("variables", self.spec.variables)
-            _require(isinstance(var_names, list) and var_names, "template variables must be a list")
+            var_names = _names(tspec.get("variables", self.spec.variables), "template variables")
             unknown_vars = [v for v in var_names if v not in self.spec.variables]
             _require(not unknown_vars, f"template over undeclared variables {unknown_vars}")
-            _require(len(set(var_names)) == len(var_names), "duplicate template variables")
-            tvars = [self.universe.by_name(str(v)) for v in var_names]
+            tvars = [self.universe.by_name(v) for v in var_names]
             auxiliary = [
                 _parse_monomial(text, self.universe, "auxiliary monomial")
                 for text in _list(tspec, "auxiliary_monomials", "auxiliary monomials")
@@ -388,13 +384,7 @@ class BuiltSystem:
             )
         if kind == "explicit":
             _known_keys(tspec, {"kind", "parameters", "expression"}, "template")
-            pnames = tspec.get("parameters")
-            _require(
-                isinstance(pnames, list) and pnames,
-                "explicit template needs a parameter name list",
-            )
-            pnames = [str(p) for p in pnames]
-            _require(len(set(pnames)) == len(pnames), "duplicate parameter names")
+            pnames = _names(tspec.get("parameters"), "template parameters")
             clash = [p for p in pnames if p in self.spec.variables]
             _require(not clash, f"parameters clash with variables: {clash}")
             params = tuple(Symbol(p, Symbol.PARAM) for p in pnames)
@@ -424,8 +414,6 @@ class BuiltSystem:
         }
         if self.template is not None:
             echo["query"]["template_parameters"] = len(self.template.params)
-        if self.postcondition is not None:
-            echo["query"]["postcondition"] = [str(p) for p in self.postcondition]
-        if self.ideal_generators is not None:
-            echo["query"]["generators"] = [str(p) for p in self.ideal_generators]
+        else:
+            echo["query"][POLYNOMIAL_KEYS[spec.query_kind]] = [str(p) for p in self.polynomials]
         return echo

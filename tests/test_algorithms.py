@@ -327,7 +327,7 @@ def test_sample_points_bind_every_variable_once(running):
 
 def test_pre_stable_step_adds_no_generator():
     built = load_entry("running-pre").build()
-    res = pre(built.postcondition, built.field)
+    res = pre(built.polynomials, built.field)
     pinned = json.loads(
         (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
     )["result"]
@@ -356,7 +356,7 @@ def test_pre_matches_the_per_polynomial_chain():
     # one template remainder per step decides what one Ideal.member per
     # Lie derivative decides: same iterations, generators and reduced basis
     built = load_entry("running-pre").build()
-    cases = [(built.postcondition, built.field, {})]
+    cases = [(built.polynomials, built.field, {})]
     rng = random.Random(7007)
     for _ in range(40):
         U, F = rand_field(rng)
@@ -657,7 +657,7 @@ def test_chains_never_turn_a_template_into_a_polynomial(monkeypatch):
         "dA^2 + 1/4*GM*a*ecc^2 - 1/4*GM*a",
     ]
     running = load_entry("running-pre").build()
-    res = pre(running.postcondition, running.field)
+    res = pre(running.polynomials, running.field)
     pinned = json.loads(
         (resources.files("odeinv") / "corpus" / "expected" / "running-pre.json").read_text()
     )["result"]

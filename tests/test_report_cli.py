@@ -302,8 +302,13 @@ def test_cli_lie_on_a_rational_field(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("field", "x", "x^2147483648"), ("precondition", "generators", ["x^2147483648 - y"])],
-    ids=["field", "precondition"],
+    [
+        ("field", "x", "x^2147483648"),
+        ("precondition", "generators", ["x^2147483648 - y"]),
+        # each factor parses, and their product is the first to reach 2^31
+        ("field", "x", "x^2147483647*x"),
+    ],
+    ids=["field", "precondition", "field-product"],
 )
 def test_cli_exponent_over_the_packed_cap_exits_4(tmp_path, capsys, section, key, value):
     # a packed monomial holds exponents below 2^31: an exponent of 2^31 in
@@ -421,6 +426,26 @@ def test_resource_cap_exit_code():
     assert (
         main(["post", _corpus_path("running-post"), "--max-iterations", "0"]) == 4
     )
+    assert main(["pre", _corpus_path("running-pre"), "--max-iterations", "0"]) == 4
+
+
+def test_cli_failed_numeric_check_exits_1(tmp_path, capsys):
+    # the circle is an exact invariant of the rotation, but no double
+    # residual meets a tolerance of 1e-300: the numeric check alone fails
+    # a query that otherwise exits 0
+    data = {
+        "name": "circle",
+        "variables": ["x", "y"],
+        "field": {"x": "-y", "y": "x"},
+        "query": {"kind": "invariant", "generators": ["x^2 + y^2 - 1"]},
+        "numeric_check": {"points": [{"x": 1, "y": 0}], "tolerance": 1.0e-300},
+    }
+    spec = tmp_path / "circle.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["invariant", str(spec)]) == 1
+    out = capsys.readouterr().out
+    assert "invariant ideal: True" in out
+    assert "numeric cross-check: FAILED" in out
 
 
 @pytest.mark.parametrize(
@@ -477,6 +502,10 @@ def test_run_rejects_malformed_cap_override():
         pytest.param("query.template", "degree", True, id="query.template-degree-true"),
         # one variable twice would count its monomials twice against the cap
         pytest.param("query.template", "variables", ["x", "x"], id="template-variables-twice"),
+        pytest.param("query.template", "kind", "bogus", id="template-kind-bogus"),
+        pytest.param("query.template", "exclude", ["x + y"], id="exclude-not-a-monomial"),
+        pytest.param("field", "x", "x^1.5", id="drift-fractional-exponent"),
+        pytest.param("field", "x", "x^y", id="drift-symbolic-exponent"),
     ],
 )
 def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
@@ -489,6 +518,28 @@ def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump(data))
     assert main(["post", str(spec)]) == 3
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"name": [1, 2]},
+        {"description": {"a": 1}},
+        # names that the grammar reads as a number, or as two identifiers
+        {"variables": ["x", "2"], "field": {"x": "1", "2": "x"}, "precondition": None},
+        {"variables": ["x y"], "field": {"x y": "1"}, "precondition": None},
+    ],
+    ids=["name-list", "description-mapping", "variable-number", "variable-with-space"],
+)
+def test_cli_malformed_name_is_input_error(tmp_path, capsys, edit):
+    # each exited 0: a name or description of another YAML type was kept
+    # as its str(), and a variable the parser cannot read back was printed
+    # in the report's expressions
+    data = yaml.safe_load(Path(_corpus_path("running-post")).read_text(encoding="utf-8"))
+    spec = tmp_path / "names.yaml"
+    spec.write_text(yaml.safe_dump({**data, **edit}), encoding="utf-8")
+    assert main(["post", str(spec)]) == 3
+    assert "must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -800,6 +851,44 @@ def test_engine_and_templates_do_no_tuple_exponent_arithmetic():
             if converts and owner not in TUPLE_EDGES.get(name, ()):
                 found.append(f"{name}:{node.lineno} {owner}")
     assert found == []
+
+
+def test_every_attribute_a_package_class_sets_is_read():
+    # no state outlives its last reader: every attribute that a package
+    # class sets, by `self.X = ...` or `object.__setattr__(self, "X", ...)`,
+    # is loaded as `.X`, or named by a literal `getattr(..., "X")`, in the
+    # package, in bench/ or in the tests.  A read is matched by name alone,
+    # so an attribute that shares its name with one read elsewhere passes
+    package = Path(odeinv.__file__).resolve().parent
+    root = package.parents[1]
+    written, read = {}, set()
+    for path in [*package.glob("*.py"), *(root / "bench").glob("*.py"), *(root / "tests").glob("*.py")]:
+        for node, owner in _enclosing_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            name = None
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    name = node.attr
+            elif (
+                isinstance(node, ast.Call)
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "getattr":
+                    read.add(node.args[1].value)
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "__setattr__"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "object"
+                ):
+                    name = node.args[1].value
+            if name is not None and path.parent == package:
+                written[f"{owner.split('.')[0]}.{name}"] = name
+    assert {"SystemSpec.variables", "Polynomial._terms"} <= set(written)
+    assert sorted(q for q, name in written.items() if name not in read) == []
 
 
 def test_paper_to_code_map_names_live_code_and_tests():
