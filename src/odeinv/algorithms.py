@@ -11,8 +11,11 @@ Lie-closed J_j inside the precondition ideal I would put L^{j+2} in I, so
 that J_j cannot be stable.  `_verify_post` certifies every answer by the
 independent `check_invariant_ideal`.  `pre` iterates Lie derivatives of the
 linear combination template over the postcondition generators until the
-generated ideal stops growing.  Both ideal chains step through `_grow`.  Safety
-checking and invariant-ideal checking are thin layers over these.
+generated ideal stops growing.  Both ideal chains step through `_grow`.
+Every membership test in J is `Ideal.member`, a division from scratch;
+only the precondition ideal's reducer, asked again at every step of V,
+keeps a memo of normal forms.  Safety checking and invariant-ideal
+checking are thin layers over these.
 """
 
 from __future__ import annotations
@@ -245,7 +248,7 @@ def post(
     there and nowhere else; at j = 0 it is the chain's own L^0.
 
     A rebuilt J_j is first tried as J_0 = <T∘B> (`_iterates_ideal`), by
-    `Template.lies_in`, which stops at the first instance that escapes:
+    `Ideal.member`, which stops at the first instance that escapes:
     when L(g) lies in J_0 for every instance g, the Leibniz rule
     L(sum h_i g_i) = sum L(h_i) g_i + h_i L(g_i) keeps J_0 Lie-closed, so
     J_j = J_0 holds L^{j+1} and the step is stable without completing
@@ -264,13 +267,13 @@ def post(
     step is one membership test and no lookahead is made.
     """
     universe = field.universe
-    if template.universe is not universe:
-        raise ValueError("template and field use different universes")
     caps = {"pair_budget": pair_budget, "max_degree": max_degree}
     if isinstance(precondition, PreconditionAnalysis):
         analysis = precondition
     else:
         analysis = precondition.analyze(universe, **caps)
+    if template.universe is not universe or analysis.ideal.universe is not universe:
+        raise ValueError("template, precondition and field use different universes")
     reducer = analysis.ideal.reducer()
     n = len(template.params)
 
@@ -327,7 +330,7 @@ def post(
         if stable:
             break
         ideal = grown
-        del grown  # else J and its reducer memo outlive a refinement of V
+        del grown  # else J and its basis outlive a refinement of V
         current = nxt
         j += 1
 
@@ -344,10 +347,10 @@ def _iterates_ideal(template: Template, rows, top: Template, j: int, field: Vect
     T∘B, `template` restricted to the span of `rows`, is composed here,
     the one place `post` reads it; at j = 0 it is `top`, the chain's own
     L^j.  Only L^1..L^{j-1} are derived here.  For j >= 1, J_0 = <T∘B> is
-    completed first and L(T∘B) tested against it by `Template.lies_in`,
+    completed first and L(T∘B) tested against it by `Ideal.member`,
     column by column, up to the first column whose remainder is nonzero;
     when it lies in J_0, J_0 is Lie-closed (see `post`) and J_j, its
-    generators kept, takes J_0's basis and reducer.  Otherwise J_j is
+    generators kept, takes J_0's basis.  Otherwise J_j is
     completed from scratch over L^0..L^j.  At j = 0 the test would be the
     caller's own J step, so it is left to it.
     """
@@ -358,33 +361,28 @@ def _iterates_ideal(template: Template, rows, top: Template, j: int, field: Vect
     if j:
         generators.append(top)
         j0 = Ideal(base.universe, [base], **caps)
-        if generators[1].lies_in(j0.reducer()):
-            return j0._known(generators, j0.reduced_groebner_basis(), j0.reducer()), True
+        if j0.member(generators[1]):
+            return j0._known(generators, j0.reduced_groebner_basis()), True
     return Ideal(base.universe, generators, **caps), False
 
 
 def _grow(ideal: Ideal, t: Template) -> Ideal:
     """The J step of both chains: `ideal` itself when every instance of `t`
-    lies in it, else `ideal` with `t` appended to its generators.  Normal
-    forms are linear, so one template remainder modulo the ideal's reducer
-    decides membership.  On a miss Buchberger completes that remainder,
-    which with the basis generates the same ideal: `t` is reduced once."""
-    reducer = ideal.reducer()
-    r = t.reduce_by(reducer)
-    if r.is_zero():
+    lies in it (`Ideal.member`, which stops at the first that escapes),
+    else `ideal` with `t` appended to its generators.  On a miss `t` itself
+    goes to Buchberger, whose entry divides each instance by the basis."""
+    if ideal.member(t):
         return ideal
     gb = groebner.buchberger_extend(
-        reducer, [r], pair_budget=ideal.pair_budget, max_degree=ideal.max_degree
+        ideal.reducer(), [t], pair_budget=ideal.pair_budget, max_degree=ideal.max_degree
     )
     return ideal._known(ideal.generators + (t,), gb)
 
 
 def _verify_post(res: PostResult, field: VectorField):
-    """Post-run soundness assertions: instances lie in J and J is Lie-closed.
-
-    Every instance lies in J iff each column of the result template has a
-    zero remainder modulo J (`Template.lies_in`)."""
-    if not res.result.lies_in(res.ideal.reducer()):
+    """Post-run soundness assertions: instances lie in J (`Ideal.member`
+    on the result template) and J is Lie-closed."""
+    if not res.ideal.member(res.result):
         raise AssertionError("result-template instance escapes the invariant ideal")
     if not check_invariant_ideal(res.ideal, field):
         raise AssertionError("computed ideal is not Lie-closed")
@@ -506,12 +504,11 @@ def check_invariant_ideal(ideal: Ideal, field: VectorField) -> bool:
 
     Checking the reduced basis suffices: the derivative of h*g expands to
     h*L(g) + L(h)*g, both sides staying in the ideal when L(g) does.
-    Membership is `Ideal.member`, a normal form divided from scratch, not
-    the reducer memo the chains step by: as the self-check of `post`, it
-    stays independent of the answers it checks.
+    Membership is the public `groebner.normal_form`, divided from scratch
+    over the basis polynomials, not `Ideal.member`, which the chains step
+    by: as the self-check of `post`, it stays independent of the answers
+    it checks.
     """
-    return all(
-        ideal.member(lie_derivative(g, field))
-        for g in ideal.reduced_groebner_basis()
-    )
+    gb = ideal.reduced_groebner_basis()
+    return all(groebner.normal_form(lie_derivative(g, field), gb).is_zero() for g in gb)
 

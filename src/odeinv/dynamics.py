@@ -218,17 +218,6 @@ class Template:
         columns = [combine(col, images) for col in self.columns]
         return Template(self.universe, self.params, columns, self.denominator * scale)
 
-    def lies_in(self, reducer: GroebnerReducer) -> bool:
-        """Whether every instance lies in the reducer's ideal, column by
-        column, each column's monomials asked in ascending order: False at
-        the first column whose remainder is nonzero, the rest unasked."""
-        flip = self.universe.packing.flip
-        for col in self.columns:
-            images, _ = reducer.images(sorted(col, key=flip.__xor__))
-            if combine(col, images):
-                return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, Template)

@@ -179,6 +179,9 @@ def _spoly_int(f: _GPoly, g: _GPoly, lcm):
 
 def normal_form(p: Polynomial, divisors) -> Polynomial:
     """Exact remainder of p under division by the divisor list."""
+    for d in divisors:
+        if d.universe is not p.universe:
+            raise ValueError("divisor from a different symbol universe")
     if p.is_zero():
         return p
     terms, den = _packed(p)
@@ -193,7 +196,13 @@ _ZERO = ({}, 1)
 
 class GroebnerReducer:
     """Cached normal forms of packed state monomials against a Groebner
-    basis.
+    basis, and the one holder of an `Ideal`'s basis in engine form.
+
+    The memo pays where its entries are read again: `post` asks the
+    precondition ideal's reducer for the normal forms of the template
+    monomials at every step of V.  A chain's J is asked only whether an
+    iterate lies in it before it grows or V moves, which `Ideal.member`
+    decides by division, so a J's reducer keeps no memo.
 
     `basis` must be a Groebner basis, reduced or not: only then is the
     normal form unique and linear in the dividend, which the monomial-by-
@@ -521,9 +530,9 @@ def buchberger_extend(
 
     The `GroebnerReducer` seed may be over any Groebner basis, reduced or
     not; its basis enters in engine form as it is, and pairs within it are
-    skipped, they already reduce to zero.  A new generator may be reduced
-    modulo the seed already, as the chains' remainders are: Buchberger
-    then finds no divisor of the seed in it.
+    skipped, they already reduce to zero.  Each instance of a new
+    generator is divided by the basis as it enters, so the chains hand in
+    the Lie iterate that `Ideal.member` found outside the ideal as it is.
     """
     return _complete(reducer, new_gens, pair_budget, max_degree)
 
@@ -536,14 +545,14 @@ class Ideal:
     """A polynomial ideal given by generators, with a cached reduced GB.
 
     A generator is a `Polynomial` or a `Template`, which stands for its
-    nonzero instances.  The reduced basis and the one `GroebnerReducer`
-    over it are computed once on demand; generators and universe are
-    immutable so both caches are single-assignment.  A chain grows an ideal
-    by `_known`, handing it the basis `buchberger_extend` completes from
-    this ideal's reducer.
+    nonzero instances.  The one `GroebnerReducer` over the reduced basis
+    holds that basis; it is computed once on demand, and generators and
+    universe are immutable, so the cache is single-assignment.  A chain
+    grows an ideal by `_known`, handing it the basis `buchberger_extend`
+    completes from this ideal's reducer.
     """
 
-    __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_gb", "_reducer")
+    __slots__ = ("universe", "generators", "pair_budget", "max_degree", "_reducer")
 
     def __init__(
         self,
@@ -561,22 +570,19 @@ class Ideal:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "pair_budget", pair_budget)
         object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_reducer", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
 
-    def _known(self, generators, gb, reducer=None) -> "Ideal":
+    def _known(self, generators, gb) -> "Ideal":
         """The ideal of `generators`, under this ideal's universe and caps,
-        whose reduced basis `gb`, and optionally the reducer over it, the
-        caller already holds: the one way to make an `Ideal` without
-        running Buchberger over its generators."""
+        whose reduced basis `gb` the caller already holds: the one way to
+        make an `Ideal` without running Buchberger over its generators."""
         ideal = Ideal(
             self.universe, generators, pair_budget=self.pair_budget, max_degree=self.max_degree
         )
-        object.__setattr__(ideal, "_gb", tuple(gb))
-        object.__setattr__(ideal, "_reducer", reducer)
+        object.__setattr__(ideal, "_reducer", GroebnerReducer(gb))
         return ideal
 
     @property
@@ -593,31 +599,28 @@ class Ideal:
         ]
 
     def reduced_groebner_basis(self):
-        gb = self._gb
-        if gb is None:
-            gb = tuple(
-                buchberger(
-                    self.generators,
-                    pair_budget=self.pair_budget,
-                    max_degree=self.max_degree,
-                )
-            )
-            object.__setattr__(self, "_gb", gb)
-        return gb
+        return self.reducer().basis
 
     def reducer(self) -> GroebnerReducer:
-        """The one reducer over the reduced basis: every normal form taken
-        modulo this ideal shares its memo."""
+        """The one reducer over the reduced basis, which holds it: the
+        normal forms a chain reads again share its memo."""
         reducer = self._reducer
         if reducer is None:
-            reducer = GroebnerReducer(self.reduced_groebner_basis())
+            gb = buchberger(self.generators, pair_budget=self.pair_budget, max_degree=self.max_degree)
+            reducer = GroebnerReducer(gb)
             object.__setattr__(self, "_reducer", reducer)
         return reducer
 
-    def member(self, p: Polynomial) -> bool:
-        if p.is_zero():
-            return True
-        return normal_form(p, self.reduced_groebner_basis()).is_zero()
+    def member(self, g) -> bool:
+        """Whether the generator g, a `Polynomial` or a `Template`, lies in
+        the ideal: each instance divided from scratch by the basis in
+        engine form, False at the first nonzero remainder.  The reducer's
+        memo is not asked: a chain asks its J one or two such questions
+        before J grows or V moves, too few for a memo to pay."""
+        if g.universe is not self.universe:
+            raise ValueError("generator from a different symbol universe")
+        divisors, packing = self.reducer()._divisors, self.universe.packing
+        return not any(_nf_int(terms, divisors, packing)[0] for terms, _ in _instances(g))
 
     def __repr__(self):
         return f"Ideal({self.generator_count} generators)"

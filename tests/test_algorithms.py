@@ -30,6 +30,7 @@ from odeinv import algorithms, groebner
 from odeinv.algorithms import sample_points, triangular_bindings
 from odeinv.dynamics import Template
 from odeinv.numcheck import verify_from_analysis
+from odeinv.poly import Lex
 from odeinv.report import run
 from odeinv.sysspec import NumericSpec, SystemSpec
 from conftest import same_span
@@ -195,6 +196,21 @@ def test_check_safety_inconclusive_in_sound_mode(running):
         Precondition([X - Y], mode="generators"), [X], F
     )
     assert res.verdict == INCONCLUSIVE
+
+
+def test_post_and_check_refuse_an_analysis_over_another_universe():
+    # x' = 0, y' = 1 over (x, y): x = 0 stays x = 0, but the same
+    # precondition analyzed over (y, x) packs x as the field's y
+    x, y = Symbol("x"), Symbol("y")
+    U, other = SymbolUniverse([x, y], Lex()), SymbolUniverse([y, x], Lex())
+    F = VectorField(U, [Polynomial.zero(U), Polynomial.constant(U, 1)])
+    X = Polynomial.variable(U, x)
+    assert check_safety(Precondition([X]).analyze(U), [X], F).verdict == HOLDS
+    crossed = Precondition([Polynomial.variable(other, x)]).analyze(other)
+    with pytest.raises(ValueError):
+        check_safety(crossed, [X], F)
+    with pytest.raises(ValueError):
+        post(crossed, complete_template(U, [x, y], 1), F)
 
 
 def test_check_invariant_ideal(running):
@@ -428,44 +444,49 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
 
 
 def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
-    """Counts, not timings: one kepler `post` takes 7 template remainders
-    (`GroebnerReducer.images` outside the membership tests), 3 membership
-    tests (`Template.lies_in`), 9 template Lie derivatives and 6 template
-    compositions.  A growing J step completes the remainder its membership
-    test made instead of reducing the template again, a rebuilt J takes
-    the chain's own L^j instead of deriving it anew from the restricted
-    template, T∘B is composed from the full template only where J is
-    rebuilt, one compose per rebuild, and the lookahead at j = 3
-    hands its L^4 and constraints to the step that moves V, in place of
-    the J step's membership test.  The J_0 closure test at j = 3 misses
-    and stops at its first escaping column, so it asks J_0's reducer for
-    fewer monomials than L(T∘B) has."""
-    calls = {"images": 0, "lies_in": 0, "lie": 0, "compose": 0}
-    tests = []  # (monomials of the template, monomials asked, verdict)
-    asked = None
-    images, lies_in = groebner.GroebnerReducer.images, Template.lies_in
+    """Counts, not timings: one kepler `post` takes 6 template remainders
+    (`GroebnerReducer.images`), all modulo the precondition, 4 template
+    membership tests (`Ideal.member`), 9 template Lie derivatives and 6
+    template compositions.  A growing J step hands its iterate to
+    Buchberger instead of reducing it first, a rebuilt J takes the chain's
+    own L^j instead of deriving it anew from the restricted template, T∘B
+    is composed from the full template only where J is rebuilt, one
+    compose per rebuild, and the lookahead at j = 3 hands its L^4 and
+    constraints to the step that moves V, in place of the J step's
+    membership test.  The J_0 closure test at j = 3 misses and stops at
+    its first escaping column, so it divides fewer columns than L(T∘B)
+    has."""
+    calls = {"images": 0, "member": 0, "lie": 0, "compose": 0}
+    tests = []  # (monomials of the template, its nonzero columns, columns divided, verdict)
+    divided = None
+    images, member = groebner.GroebnerReducer.images, groebner.Ideal.member
     lie, compose = Template.lie, Template.compose
-    monomial_terms = groebner.GroebnerReducer.monomial_terms
+    nf_int = groebner._nf_int
 
     def counting_images(self, monomials):
-        calls["images"] += asked is None
+        calls["images"] += 1
         return images(self, monomials)
 
-    def counting_lies_in(self, reducer):
-        nonlocal asked
-        calls["lies_in"] += 1
-        asked = set()
+    def counting_member(self, g):
+        nonlocal divided
+        if not isinstance(g, Template):
+            return member(self, g)
+        calls["member"] += 1
+        self.reduced_groebner_basis()  # Buchberger's divisions are not counted
+        divided = 0
         try:
-            verdict = lies_in(self, reducer)
+            verdict = member(self, g)
         finally:
-            tests.append(({m for col in self.columns for m in col}, asked, verdict))
-            asked = None
+            monomials = {m for col in g.columns for m in col}
+            tests.append((monomials, sum(1 for col in g.columns if col), divided, verdict))
+            divided = None
         return verdict
 
-    def recording_monomial_terms(self, m):
-        if asked is not None:
-            asked.add(m)
-        return monomial_terms(self, m)
+    def counting_nf_int(*args):
+        nonlocal divided
+        if divided is not None:
+            divided += 1
+        return nf_int(*args)
 
     def counting_lie(self, field):
         calls["lie"] += 1
@@ -476,8 +497,8 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         return compose(self, *args)
 
     monkeypatch.setattr(groebner.GroebnerReducer, "images", counting_images)
-    monkeypatch.setattr(groebner.GroebnerReducer, "monomial_terms", recording_monomial_terms)
-    monkeypatch.setattr(Template, "lies_in", counting_lies_in)
+    monkeypatch.setattr(groebner.Ideal, "member", counting_member)
+    monkeypatch.setattr(groebner, "_nf_int", counting_nf_int)
     monkeypatch.setattr(Template, "lie", counting_lie)
     monkeypatch.setattr(Template, "compose", counting_compose)
     built = load_entry("kepler").build()
@@ -491,13 +512,14 @@ def test_kepler_post_reduces_and_derives_each_template_once(monkeypatch):
         max_degree=spec.max_degree,
     )
     assert res.iterations == 4
-    assert calls == {"images": 7, "lies_in": 3, "lie": 9, "compose": 6}
-    # the closure tests at j = 3 (a miss) and j = 5, then `_verify_post`'s
-    assert [verdict for _, _, verdict in tests] == [False, True, True]
-    monomials, miss_asked, _ = tests[0]
+    assert calls == {"images": 6, "member": 4, "lie": 9, "compose": 6}
+    # the J step at j = 1, the closure tests at j = 3 (a miss) and j = 5,
+    # then `_verify_post`'s
+    assert [verdict for *_, verdict in tests] == [False, False, True, True]
+    monomials, columns, miss_divided, _ = tests[1]
     assert len(monomials) == 94
-    assert miss_asked < monomials
-    assert all(asked == monomials for monomials, asked, _ in tests[1:])
+    assert miss_divided < columns
+    assert all(divided == columns for _, columns, divided, _ in tests[2:])
 
 
 @pytest.mark.parametrize(
@@ -552,16 +574,16 @@ def _post_of_entry(name, order):
     "name", ["kepler", "ghost-post", "collision-avoidance", "airplane-vertical", "running-post"]
 )
 def test_lies_in_agrees_with_a_zero_remainder_on_the_post_corpus(name, order):
-    """`Template.lies_in` stops at the first escaping column, yet decides
-    as the whole remainder does: on each corpus `post` entry, for the
-    template, the answer and their Lie derivatives, modulo the
+    """`Ideal.member` on a template stops at the first escaping column,
+    yet decides as the whole remainder does: on each corpus `post` entry,
+    for the template, the answer and their Lie derivatives, modulo the
     precondition and modulo J."""
     built, _, res = _post_of_entry(name, order)
     verdicts = set()
     for t in (built.template, res.result):
         for u in (t, t.lie(built.field)):
             for ideal in (res.analysis.ideal, res.ideal):
-                verdict = u.lies_in(ideal.reducer())
+                verdict = ideal.member(u)
                 assert verdict == u.reduce_by(ideal.reducer()).is_zero()
                 verdicts.add(verdict)
     assert verdicts == {True, False}

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from odeinv import (
+    Ideal,
     Polynomial,
     Subspace,
     Symbol,
@@ -16,6 +17,7 @@ from odeinv import (
     linear_combination_template,
     result_template,
 )
+from odeinv import groebner
 from odeinv.dynamics import GroebnerReducer, Template, fresh_parameters
 from odeinv.linalg import nullspace
 from odeinv.poly import GrevLex, Lex, monomials_up_to_degree
@@ -364,37 +366,35 @@ def test_lie_monomial_derivers_match_the_tuple_engine(order):
             assert got == {e: c for e, c in lie_monomial(F, exps).items() if c}
 
 
-class _Asking(GroebnerReducer):
-    """A reducer that records the monomials asked of it."""
-
-    __slots__ = ("asked",)
-
-    def __init__(self, basis):
-        super().__init__(basis)
-        self.asked = []
-
-    def monomial_terms(self, m):
-        self.asked.append(m)
-        return super().monomial_terms(m)
-
-
-def test_lies_in_stops_at_the_first_escaping_column(running):
+def test_lies_in_stops_at_the_first_escaping_column(running, monkeypatch):
+    # `Ideal.member` on a template divides column by column, each from
+    # scratch by `_nf_int`, and stops at the first column that escapes
     U, _, (X, Y), _ = running
     zero = Polynomial.zero(U)
     a = fresh_parameters(3)
     inside = [X - Y, X * X - Y * Y, X * Y - Y * Y]
+    ideal = Ideal(U, [X - Y])
+    ideal.reduced_groebner_basis()  # Buchberger's own divisions done first
+    divided = []
+    nf_int = groebner._nf_int
+
+    def counting(terms, *args):
+        divided.append(dict(terms))
+        return nf_int(terms, *args)
+
+    monkeypatch.setattr(groebner, "_nf_int", counting)
     # only the last column escapes: every column is checked
-    reducer = _Asking([X - Y])
-    assert not Template.from_instances(U, a, inside[:2] + [X + Y]).lies_in(reducer)
-    assert Template.from_instances(U, a, inside).lies_in(_Asking([X - Y]))
+    assert not ideal.member(Template.from_instances(U, a, inside[:2] + [X + Y]))
+    assert len(divided) == 3
+    assert ideal.member(Template.from_instances(U, a, inside))
     # a zero template, with and without parameters
-    assert Template.from_instances(U, a, [zero] * 3).lies_in(reducer)
-    assert Template(U, (), []).lies_in(reducer)
-    # the first column escapes: its monomials, ascending, are all that is asked
-    reducer = _Asking([X - Y])
-    assert not Template.from_instances(U, a, [X + Y] + inside[1:]).lies_in(reducer)
+    assert ideal.member(Template.from_instances(U, a, [zero] * 3))
+    assert ideal.member(Template(U, (), []))
+    # the first column escapes: it is all that is divided
+    divided.clear()
+    assert not ideal.member(Template.from_instances(U, a, [X + Y] + inside[1:]))
     pack = U.packing.pack
-    assert reducer.asked == [pack((0, 1)), pack((1, 0))]
+    assert divided == [{pack((0, 1)): 1, pack((1, 0)): 1}]
 
 
 def test_vector_field_validation(running):
