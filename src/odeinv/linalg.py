@@ -1,13 +1,14 @@
 """Exact linear algebra over Q for parameter-valuation subspaces.
 
-Rows are sparse, {column: value}.  Elimination runs once per call on
-content-free integer rows (cross-multiplication, no intermediate
-fractions), and answers in such rows: `nullspace` returns the kernel's,
-and a `Subspace` stores its integer echelon rows, one per pivot, which
-are canonical, so two subspaces are equal iff their rows are.  Rationals
-enter only as given rows, through `poly.cleared`, and are made only by
-callers that print or instantiate a row.  `combine` is the one sparse
-product of the templates and the chains.
+Rows are sparse, {column: value}.  Gauss-Jordan elimination makes one
+pass per call over content-free integer rows (cross-multiplication, no
+intermediate fractions), each pivot row kept positive at its pivot and zero
+in every other pivot column, and answers in such rows: `nullspace` returns
+the kernel's, and a `Subspace` stores its integer echelon rows, one per
+pivot, which are canonical, so two subspaces are equal iff their rows are.
+Rationals enter only as given rows, through `poly.cleared`, and are made
+only by callers that print or instantiate a row.  `combine` is the one
+sparse product of the templates and the chains.
 """
 
 from __future__ import annotations
@@ -51,35 +52,30 @@ def _echelon(rows, width: int):
 
     Returns (pivots, pivot_rows): pivot columns ascending, and one
     content-free integer row {column: int} per pivot, with a positive pivot
-    entry and no entry in any other pivot column.  Zero and dependent rows
-    eliminate to nothing.
+    entry and no entry in any other pivot column, kept so from adoption on:
+    a new row is cleared only at the pivot columns it holds, which brings in
+    no other, and then its pivot is cleared from the pivot rows holding it.
+    Zero and dependent rows eliminate to nothing.
     """
-    echelon = {}  # pivot column -> row, in order of adoption
+    echelon = {}  # pivot column -> row
     # cleared over one lcm: a row made content-free does not depend on it
     for row in cleared(rows)[0]:
         row = _primitive(row)
         if row and not (min(row) >= 0 and max(row) < width):
             raise ValueError("row has a column outside the width")
-        # an adopted row has no entry in the pivot columns adopted before
-        # it, so one pass in adoption order clears every pivot column
-        for col, prow in echelon.items():
-            if col in row:
-                row = _eliminate(row, col, prow)
+        for col in [c for c in row if c in echelon]:
+            row = _eliminate(row, col, echelon[col])
         if not row:
             continue
         row = _primitive(row)
         col = min(row)
         if row[col] < 0:
             row = {k: -x for k, x in row.items()}
+        for p, prow in echelon.items():
+            if col in prow:
+                echelon[p] = _primitive(_eliminate(prow, col, row))
         echelon[col] = row
     pivots = sorted(echelon)
-    # back-substitute above pivots
-    for i in range(len(pivots) - 1, -1, -1):
-        col = pivots[i]
-        prow = echelon[col]
-        for above in pivots[:i]:
-            if col in echelon[above]:
-                echelon[above] = _primitive(_eliminate(echelon[above], col, prow))
     return pivots, [echelon[col] for col in pivots]
 
 

@@ -8,14 +8,15 @@ Grammar (implicit multiplication is not allowed):
     base   := NUMBER | IDENT | '(' expr ')'
     NUMBER := INTEGER | INTEGER '/' INTEGER | INTEGER '.' INTEGER
 
-Decimal literals convert exactly (0.25 becomes 1/4); identifiers must name
-symbols of the target universe.  The products one parse forms, those of its
-powers included, share one budget of `poly.MAX_PRODUCT_TERM_PAIRS` term
-pairs: an expression past it raises `ResourceLimitError` before the product
-that would cross it is formed.  A literal, a product or a result with a
-coefficient over `poly.MAX_COEFFICIENT_BITS` bits, or an exponent of
-`poly.EXPONENT_CAP` or more, raises it too; digits are checked before `int()`;
-and so do parentheses nested over `MAX_NESTING` deep, before the stack runs out.
+Decimal literals convert exactly (0.25 becomes 1/4), a zero denominator is a
+`ParseError`, and identifiers must name symbols of the target universe.  The
+products one parse forms, those of its powers included, share one budget of
+`poly.MAX_PRODUCT_TERM_PAIRS` term pairs: an expression past it raises
+`ResourceLimitError` before the product that would cross it is formed.  A
+literal, a product or a result with a coefficient over
+`poly.MAX_COEFFICIENT_BITS` bits, or an exponent of `poly.EXPONENT_CAP` or
+more, raises it too; digits are checked before `int()`; and so do parentheses
+nested over `MAX_NESTING` deep, before the stack runs out.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ class _Parser:
         if kind == "number":
             if max(map(len, value.replace(".", "").split("/"))) > _DIGITS:
                 raise ResourceLimitError(f"number literal over the cap of {MAX_COEFFICIENT_BITS} bits")
+            if "/" in value and not value.partition("/")[2].strip("0"):
+                self.error("zero denominator", tok)
             return capped(Polynomial.constant(self.universe, Fraction(value)))
         if kind == "ident":
             try:

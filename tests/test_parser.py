@@ -42,6 +42,10 @@ def test_syntax_errors_carry_position(running):
         parse_polynomial("(x", U)
     with pytest.raises(ParseError):
         parse_polynomial("x @ y", U)
+    for text, position in (("3/0", 0), ("0/0", 0), ("x + 1/00", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, U)
+        assert err.value.position == position
 
 
 def test_unknown_identifier(running):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odeinv
 from odeinv import SpecError, SystemSpec
@@ -506,6 +508,7 @@ def test_run_rejects_malformed_cap_override():
         pytest.param("query.template", "exclude", ["x + y"], id="exclude-not-a-monomial"),
         pytest.param("field", "x", "x^1.5", id="drift-fractional-exponent"),
         pytest.param("field", "x", "x^y", id="drift-symbolic-exponent"),
+        pytest.param("field", "x", "y + 3/0", id="drift-zero-denominator"),
     ],
 )
 def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
@@ -518,6 +521,47 @@ def test_cli_malformed_spec_is_input_error(tmp_path, section, key, value):
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump(data))
     assert main(["post", str(spec)]) == 3
+
+
+def _expressions(names):
+    """Expressions over `names` from a small grammar: literals a/b with b in
+    0..3 (so zero denominators too), 0.5 and a 21-digit integer, joined by
+    + - * and raised to powers 0..3."""
+    literals = st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 3))
+    leaves = st.sampled_from(names) | literals | st.sampled_from(["0.5", "1" * 21])
+    return st.recursive(
+        leaves,
+        lambda e: st.builds("{} {} {}".format, e, st.sampled_from("+-*"), e)
+        | st.builds("({})^{}".format, e, st.integers(0, 3)),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(entry_names("quick")), st.data())
+def test_cli_mutated_quick_spec_never_exits_internal(tmp_path_factory, name, data):
+    # a quick spec with 1-3 of a drift, the precondition generators, the
+    # query polynomials and the template degree replaced: a bad input exits
+    # 3 or 4, and no input exits 5, the exit code of an internal error
+    spec = yaml.safe_load(Path(_corpus_path(name)).read_text(encoding="utf-8"))
+    query = spec["query"]
+    exprs = _expressions(spec["variables"])
+    polys = st.lists(exprs, min_size=1, max_size=2)
+    targets = ["drift", "precondition"] + [k for k in ("postcondition", "generators") if k in query]
+    if query["kind"] == "post":
+        targets.append("degree")
+    for target in data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3, unique=True)):
+        if target == "drift":
+            spec["field"][data.draw(st.sampled_from(spec["variables"]))] = data.draw(exprs)
+        elif target == "degree":
+            query["template"]["degree"] = data.draw(st.integers(0, 2))
+        elif target == "precondition":
+            spec.setdefault("precondition", {})["generators"] = data.draw(polys)
+        else:
+            query[target] = data.draw(polys)
+    path = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    path.write_text(yaml.safe_dump(spec), encoding="utf-8")
+    assert main([query["kind"], str(path), "--no-numeric"]) != 5
 
 
 @pytest.mark.parametrize(
