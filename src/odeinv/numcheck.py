@@ -22,8 +22,12 @@ makes exact identities:
 - each step's `0.5 * h` and `h / 6.0` are computed once: the same doubles;
 - a term is computed once for the value and the magnitude: `abs(t)` is
   the loop's |c| * |x|**e ..., since CPython's pow takes |x|**e first;
-- the observer's sums drop the `0.0` seed: it changes only the sign of a
-  zero, which `abs` drops, and no `abs(t)` is -0.0;
+- every sum drops the `0.0` seed, which changes only the sign of a zero:
+  the observer's `abs` drops it, and no `abs(t)` is -0.0; the step adds a
+  drift k only as `x + c*k`, which is x for a zero k unless x is -0.0;
+- no state is -0.0: a start is the float of a rational (see `trajectory`)
+  and `x + y` is -0.0 only when both are, so a zero drift carries its
+  variable under its start name, as `x + c*0.0 == x`;
 - the observer's `if w > g: g = w` is `g = max(g, w)`: max keeps its
   first argument unless the second is greater, so both keep g for a NaN
   w and for -0.0 against 0.0.
@@ -65,12 +69,6 @@ def _power_terms(p: Polynomial, names, consts: dict):
         yield "-" if c == -1 else "+", "*".join(factors) or "1.0"
 
 
-def _sum(terms) -> str:
-    """`0.0 op t ...`, equal to `total = 0.0; total += v` per term float
-    for float.  The seed stays: it turns a sum of -0.0 into 0.0."""
-    return "0.0" + "".join(f" {op} {t}" for op, t in terms)
-
-
 def _compile(name: str, lines, consts: dict, **bound):
     """Define the function `name` from its source lines.  Every name the
     source uses is internal; the namespace binds the coefficients, as
@@ -81,37 +79,34 @@ def _compile(name: str, lines, consts: dict, **bound):
     return namespace[name]
 
 
-def _rk4_lines(drifts, xs, sizes, tag: str, consts: dict, k0=None):
+def _rk4_lines(sources: dict, xs, sizes, tag: str, k0=None):
     """Source lines of one classical RK4 step from the state names `xs`,
     the names of the new state, and the names of the drifts at `xs`, which
-    `k0` supplies when earlier lines computed them.  `sizes` names the
-    step, its half and its sixth; the arithmetic is `x + half * k` and
-    `x + sixth * (a + 2.0 * b + 2.0 * c + d)`, with each stage's drifts
-    inlined."""
+    `k0` supplies when earlier lines computed them.  `sources` maps each
+    nonzero drift's position to its source over slots `{0}, {1}, ...`;
+    `sizes` names the step, its half and its sixth.  The arithmetic is
+    `x + half * k` and `x + sixth * (a + 2.0 * b + 2.0 * c + d)`, with each
+    stage's drifts inlined; a zero drift's variable keeps its name and gets
+    no line."""
     step, half, sixth = sizes
-    n = len(xs)
     lines, ks, point = [], [], xs
     for j, shift in enumerate((half, half, step, None)):
         if j == 0 and k0 is not None:
             k = k0
         else:
-            # a zero drift stays the literal 0.0, which compile() folds
-            k = ["0.0" if d.is_zero() else f"{tag}k{j}_{i}" for i, d in enumerate(drifts)]
-            lines += [
-                f"{k[i]} = {_sum(_power_terms(d, point, consts))}"
-                for i, d in enumerate(drifts)
-                if not d.is_zero()
-            ]
+            k = {i: f"{tag}k{j}_{i}" for i in sources}
+            lines += [f"{k[i]} = {src.format(*point)}" for i, src in sources.items()]
         ks.append(k)
         if shift is not None:
-            point = [f"{tag}y{j}_{i}" for i in range(n)]
-            lines += [f"{point[i]} = {xs[i]} + {shift} * {k[i]}" for i in range(n)]
-    out = [f"{tag}_{i}" for i in range(n)]
+            point = [f"{tag}y{j}_{i}" if i in sources else x for i, x in enumerate(xs)]
+            lines += [f"{point[i]} = {xs[i]} + {shift} * {k[i]}" for i in sources]
+    out = [f"{tag}_{i}" if i in sources else x for i, x in enumerate(xs)]
+    a, b, c, d = ks
     lines += [
-        f"{out[i]} = {xs[i]} + {sixth} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
-        for i, (a, b, c, d) in enumerate(zip(*ks))
+        f"{out[i]} = {xs[i]} + {sixth} * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]} + {d[i]})"
+        for i in sources
     ]
-    return lines, out, ks[0]
+    return lines, out, a
 
 
 def compile_rk4(field: VectorField):
@@ -123,47 +118,49 @@ def compile_rk4(field: VectorField):
     STEP_RTOL * (1 + max |fine|) or either is NaN, or when the new state
     leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  `0.5 * h`, `h / 6.0`,
     `0.5 * half` and `half / 6.0` are computed once per call: the doubles
-    `x + 0.5 * h * k` and `x + (h / 6.0) * (...)` use at every stage.  The
+    `x + 0.5 * h * k` and `x + (h / 6.0) * (...)` use at every stage.  A
+    zero drift's variable enters the max and no other test: it equals
+    itself in both steps and passed the escape test at the start.  The
     function is cached on the field, so every start point of a query
     shares one compile.
     """
     if field._advance is not None:
         return field._advance
     consts: dict = {}
-    xs = [f"s{i}" for i in range(len(field.drifts))]
+    slots = [f"{{{i}}}" for i in range(len(field.drifts))]
+    sources = {
+        i: " ".join(f"{op} {t}" for op, t in _power_terms(d, slots, consts)).removeprefix("+ ")
+        for i, d in enumerate(field.drifts)
+        if not d.is_zero()
+    }
+    xs = [f"s{i}" for i in range(len(slots))]
     # the full step and the first half step share the drifts at the start
-    full, full_out, k0 = _rk4_lines(field.drifts, xs, ("h", "h2", "h6"), "F", consts)
+    full, full_out, k0 = _rk4_lines(sources, xs, ("h", "h2", "h6"), "F")
     halves = ("half", "q2", "q6")
-    mid, mid_out, _ = _rk4_lines(field.drifts, xs, halves, "M", consts, k0)
-    fine, fine_out, _ = _rk4_lines(field.drifts, mid_out, halves, "N", consts)
+    mid, mid_out, _ = _rk4_lines(sources, xs, halves, "M", k0)
+    fine, fine_out, _ = _rk4_lines(sources, mid_out, halves, "N")
     magnitudes = ", ".join(f"abs({f})" for f in fine_out)
     if len(fine_out) > 1:
         magnitudes = f"max({magnitudes})"
     # a NaN in the fine state fails the doubling test, so the escape test
     # needs only the bound
+    pairs = [(full_out[i], fine_out[i]) for i in sources]
+    stops = [f"{a} != {a} or {b} != {b} or abs({a} - {b}) > tol" for a, b in pairs]
+    stops += [f"abs({b}) > ESCAPE_BOUND" for _, b in pairs]
     lines = [
         "def advance(state, h, half):",
         f"    {', '.join(xs)}, = state",
-        "    h2 = 0.5 * h",
-        "    h6 = h / 6.0",
-        "    q2 = 0.5 * half",
-        "    q6 = half / 6.0",
         "    try:",
+        "        h2, h6 = 0.5 * h, h / 6.0",
+        "        q2, q6 = 0.5 * half, half / 6.0",
         *(f"        {line}" for line in full + mid + fine),
         "    except OverflowError:",
         "        return None",
         f"    tol = STEP_RTOL * (1.0 + {magnitudes})",
-        "    if "
-        + " or ".join(
-            f"{a} != {a} or {b} != {b} or abs({a} - {b}) > tol"
-            for a, b in zip(full_out, fine_out)
-        )
-        + ":",
-        "        return None",
-        "    if " + " or ".join(f"abs({b}) > ESCAPE_BOUND" for b in fine_out) + ":",
-        "        return None",
-        f"    return [{', '.join(fine_out)}]",
     ]
+    if stops:
+        lines += [f"    if {' or '.join(stops)}:", "        return None"]
+    lines.append(f"    return [{', '.join(fine_out)}]")
     advance = _compile(
         "advance", lines, consts, STEP_RTOL=STEP_RTOL, ESCAPE_BOUND=ESCAPE_BOUND
     )
@@ -179,6 +176,11 @@ def trajectory(field: VectorField, start, horizon: float, step: float):
     leaves the representable range (finite-time blow-up is common for
     polynomial fields).  Residual checks are meaningful only on the
     portion actually yielded.
+
+    The start values are rationals, as `check_invariants` passes them, so
+    no float -0.0; a negative one of magnitude at most 2**-1075 rounds to
+    -0.0, and from it the states may differ from the oracle's only in the
+    sign of a zero, which no test of the step or the observer reads.
     """
     advance = compile_rk4(field)
     state = [float(v) for v in start]
@@ -265,10 +267,7 @@ def check_invariants(polys, field: VectorField, points, horizon, step, tolerance
     tolerance against the polynomial's own scale along the trajectory.
     One observer, compiled per call, checks every nonzero polynomial
     against each state as `trajectory` yields it and keeps only running
-    values.  Its `if w > s: s = w` equals `s = max(s, w)`: max keeps its
-    first argument unless the second is greater, so both keep s for a NaN
-    w and for -0.0 against 0.0.  An overflow stops only the polynomial it
-    happened in.  More than MAX_RK4_STEPS steps raise ResourceLimitError
+    values.  An overflow stops only the polynomial it happened in.  More than MAX_RK4_STEPS steps raise ResourceLimitError
     up front.
     """
     if horizon / step > MAX_RK4_STEPS:

@@ -6,6 +6,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odeinv import (
     Polynomial,
@@ -133,7 +135,50 @@ def test_compiled_trajectory_matches_the_oracle():
     assert late_fails > 0
 
 
-def test_compiled_step_computes_no_ieee_identity(running, monkeypatch):
+# -1 meets the `- t` first term, -1/3 and 5/7 a bound coefficient
+SIGNED_COEFFICIENTS = tuple(map(Fraction, ("1", "-1", "-1/3", "5/7")))
+# 10^-170 squares below the least double; 10^150 is past the escape bound
+SIGNED_STARTS = tuple(
+    Fraction(v) for v in ("0", "1e-170", "-1e-170", "1", "-1", "1/3", "-5/2", "1e150")
+)
+
+
+@st.composite
+def _signed_zero_cases(draw):
+    """A field of 1-4 variables, some drifts zero, and one start."""
+    n = draw(st.integers(1, 4))
+    syms = [Symbol(f"v{i}") for i in range(n)]
+    U = SymbolUniverse(syms)
+    X = [Polynomial.variable(U, s) for s in syms]
+    drifts = []
+    for _ in range(n):
+        d = Polynomial.zero(U)
+        for _ in range(draw(st.integers(0, 3))):
+            term = Polynomial.constant(U, draw(st.sampled_from(SIGNED_COEFFICIENTS)))
+            for x in X:
+                term = term * x ** draw(st.integers(0, 2))
+            d = d + term
+        drifts.append(d)
+    start = draw(st.lists(st.sampled_from(SIGNED_STARTS), min_size=n, max_size=n))
+    return VectorField(U, drifts), start
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_signed_zero_cases())
+def test_trajectory_never_holds_negative_zero(case):
+    # the step drops each drift sum's 0.0 seed and carries a zero drift's
+    # variable, which is exact only while no state is -0.0
+    field, start = case
+    got = list(trajectory(field, start, 1.0, 1.0 / 16))
+    want = list(oracle_trajectory(field, start, 1.0, 1.0 / 16))
+    assert len(got) == len(want)
+    for (t, state), (t0, state0) in zip(got, want):
+        assert _same(t, t0)
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0 for v in state), (t, state)
+        assert all(map(_same, state, state0)), (t, state, state0)
+
+
+def test_compiled_step_computes_no_ieee_identity(running, ghost, monkeypatch):
     U, _, (X, Y), _ = running
     # a fresh field, so its RK4 step is compiled here
     F = VectorField(U, [Y * Y, X * Y])
@@ -154,6 +199,14 @@ def test_compiled_step_computes_no_ieee_identity(running, monkeypatch):
     assert source.count("**") == 11
     # 0.5 * h and 0.5 * half, once each
     assert source.count("0.5 *") == 2
+    # each drift sum starts at its first term, with no 0.0 seed
+    assert not re.search(r"= 0\.0 \+", source)
+    # a zero drift's variable is carried: it is read only to scale the
+    # step tolerance and to be returned
+    numcheck.compile_rk4(ghost[3])
+    lines = sources[1].splitlines()
+    carried = [line.split()[0] for line in lines if re.search(r"\bs[23]\b", line)]
+    assert carried == ["s0,", "tol", "return"]
 
 
 def test_spec_names_never_reach_the_compiled_source():
