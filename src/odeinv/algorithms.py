@@ -117,16 +117,19 @@ def _is_singleton_pattern(generators, universe: SymbolUniverse) -> bool:
 
 
 class PreconditionAnalysis:
-    """The radical mode `analyze` resolved, whether that mode is exact, and
-    the precondition's `Ideal`, which holds its nonzero generators and
-    reduced basis.  Sampling reads the generators (`sample_points`)."""
+    """The radical mode `analyze` resolved, whether that mode is exact, the
+    precondition's `Ideal`, which holds its nonzero generators and reduced
+    basis, and the generators' `triangular_bindings` when they made the
+    mode graph, else None.  Sampling reads the generators and the bindings
+    (`sample_points`)."""
 
-    __slots__ = ("effective_mode", "exact", "ideal")
+    __slots__ = ("effective_mode", "exact", "ideal", "bindings")
 
-    def __init__(self, effective_mode, exact, ideal):
+    def __init__(self, effective_mode, exact, ideal, bindings):
         self.effective_mode = effective_mode
         self.exact = exact
         self.ideal = ideal
+        self.bindings = bindings
 
 
 class Precondition:
@@ -176,14 +179,15 @@ class Precondition:
         # these two degenerate shapes are exact even in the sound mode.
         basis = ideal.reduced_groebner_basis()
         exact = mode != MODE_GENERATORS or not basis or basis[0].degree() == 0
-        return PreconditionAnalysis(mode, exact, ideal)
+        return PreconditionAnalysis(mode, exact, ideal, bindings)
 
 
 _SAMPLE_POOL = tuple(map(Fraction, ("1", "2", "1/2", "-1", "3/2", "-1/2", "3", "1/3", "-2", "5/2")))
 
 
-def sample_points(generators, universe: SymbolUniverse, count: int):
-    """Rational points on Var(generators), via their `triangular_bindings`.
+def sample_points(generators, universe: SymbolUniverse, count: int, bindings=None):
+    """Rational points on Var(generators), via their `triangular_bindings`:
+    `bindings` when the caller has them, else searched here.
 
     Free variables draw from a fixed small-rational pool, point s taking
     pool[s + k] for its k-th free variable (cyclically), so at most
@@ -193,7 +197,8 @@ def sample_points(generators, universe: SymbolUniverse, count: int):
     none when a generator is or becomes a nonzero constant, and bindings
     that exist leave a point for every choice of the free variables.
     """
-    bindings = triangular_bindings(generators, universe)
+    if bindings is None:
+        bindings = triangular_bindings(generators, universe)
     if bindings is None:
         return []
     bound = {sym for sym, _ in bindings}
@@ -481,7 +486,8 @@ def check_safety(
 def _find_witness(res: PostResult, Q, field: VectorField):
     """Best effort: a precondition point where some derivative of some
     postcondition polynomial is nonzero."""
-    points = sample_points(res.analysis.ideal.generators, field.universe, 5)
+    analysis = res.analysis
+    points = sample_points(analysis.ideal.generators, field.universe, 5, analysis.bindings)
     horizon = res.iterations + 2
     for point in points:
         for q in Q:

@@ -69,7 +69,7 @@ class VectorField:
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "_derivers", derivers)
         object.__setattr__(self, "_lie_cache", {})
-        # the float step numcheck.compile_rk4 builds on first use
+        # the float walk numcheck.compile_rk4 builds on first use
         object.__setattr__(self, "_advance", None)
 
     def __setattr__(self, *_):

@@ -7,8 +7,9 @@ residual leaves a small relative band along the trajectory.  Its settings
 (samples, horizon, step, tolerance, start points) are read from one
 `sysspec.NumericSpec` and have no defaults here.
 
-The float code is generated, term by term: each field's checked RK4
-step, compiled once per field, and one residual observer per
+The float code is generated, term by term: each field's RK4 walk,
+compiled once per field, which takes every checked step of a trajectory
+with the state in locals, and one residual observer per
 `check_invariants` call, which checks every polynomial against each state
 as the trajectory yields it.  The source names state variables
 `s0, s1, ...` and coefficients `C0, C1, ...` and binds the values in its
@@ -19,7 +20,8 @@ makes exact identities:
 - `x**1` is `x`: pow returns x unchanged and cannot overflow;
 - a coefficient 1 is not multiplied in: `1.0 * a == a`;
 - a coefficient -1 is a `-` in the sum: rounding is sign-symmetric;
-- each step's `0.5 * h` and `h / 6.0` are computed once: the same doubles;
+- each walk's `0.5 * h`, `h / 6.0`, `0.5 * half` and `half / 6.0` are
+  computed once: the same doubles at every stage of every step;
 - a term is computed once for the value and the magnitude: `abs(t)` is
   the loop's |c| * |x|**e ..., since CPython's pow takes |x|**e first;
 - every sum drops the `0.0` seed, which changes only the sign of a zero:
@@ -28,6 +30,19 @@ makes exact identities:
 - no state is -0.0: a start is the float of a rational (see `trajectory`)
   and `x + y` is -0.0 only when both are, so a zero drift carries its
   variable under its start name, as `x + c*0.0 == x`;
+- a step's stop tests are chained comparisons: `not -tol <= F - N <= tol`
+  for `F != F or N != N or abs(F - N) > tol`, and
+  `not -ESCAPE_BOUND <= N <= ESCAPE_BOUND` for `abs(N) > ESCAPE_BOUND`.
+  Together they stop in the same cases.  Every comparison with a NaN is
+  false, so both forms stop on a NaN F or N.  For d and b not NaN,
+  `abs(d) > b` is `not -b <= d <= b`, as `abs` and `-` are exact.  So the
+  clauses differ only on a NaN that neither F nor N is: F - N for
+  F = N = +-inf, which both forms stop by N's escape test, and tol, which
+  is NaN only when some N is;
+- the zero-drift variables' largest magnitude is computed once per walk:
+  they never change, and `max` of values that are not NaN does not depend
+  on their grouping or order, while a NaN among the others stops the step
+  whatever tol is;
 - the observer's `if w > g: g = w` is `g = max(g, w)`: max keeps its
   first argument unless the second is greater, so both keep g for a NaN
   w and for -0.0 against 0.0.
@@ -69,25 +84,25 @@ def _power_terms(p: Polynomial, names, consts: dict):
         yield "-" if c == -1 else "+", "*".join(factors) or "1.0"
 
 
-def _compile(name: str, lines, consts: dict, **bound):
+def _compile(name: str, lines, consts: dict):
     """Define the function `name` from its source lines.  Every name the
     source uses is internal; the namespace binds the coefficients, as
-    floats, and `bound`."""
+    floats."""
     namespace = {const: float(c) for c, const in consts.items()}
-    namespace.update(bound)
     exec(compile("\n".join(lines), f"<odeinv.numcheck {name}>", "exec"), namespace)
     return namespace[name]
 
 
-def _rk4_lines(sources: dict, xs, sizes, tag: str, k0=None):
-    """Source lines of one classical RK4 step from the state names `xs`,
-    the names of the new state, and the names of the drifts at `xs`, which
-    `k0` supplies when earlier lines computed them.  `sources` maps each
+def _rk4_lines(sources: dict, xs, out, sizes, tag: str, k0=None):
+    """Source lines of one classical RK4 step from the state names `xs` to
+    the names `out`, and the names of the drifts at `xs`, which `k0`
+    supplies when earlier lines computed them.  `sources` maps each
     nonzero drift's position to its source over slots `{0}, {1}, ...`;
     `sizes` names the step, its half and its sixth.  The arithmetic is
     `x + half * k` and `x + sixth * (a + 2.0 * b + 2.0 * c + d)`, with each
     stage's drifts inlined; a zero drift's variable keeps its name and gets
-    no line."""
+    no line.  Each output line reads only its own position's names, so
+    `out` may reuse the names `xs`."""
     step, half, sixth = sizes
     lines, ks, point = [], [], xs
     for j, shift in enumerate((half, half, step, None)):
@@ -100,29 +115,32 @@ def _rk4_lines(sources: dict, xs, sizes, tag: str, k0=None):
         if shift is not None:
             point = [f"{tag}y{j}_{i}" if i in sources else x for i, x in enumerate(xs)]
             lines += [f"{point[i]} = {xs[i]} + {shift} * {k[i]}" for i in sources]
-    out = [f"{tag}_{i}" if i in sources else x for i, x in enumerate(xs)]
     a, b, c, d = ks
     lines += [
         f"{out[i]} = {xs[i]} + {sixth} * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]} + {d[i]})"
         for i in sources
     ]
-    return lines, out, a
+    return lines, a
+
+
+def _largest(terms) -> str:
+    """Source of the largest of the expressions `terms`."""
+    return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0]
 
 
 def compile_rk4(field: VectorField):
-    """The field's checked step `advance(state, h, half)`, compiled once.
+    """The field's walk `walk(state, h, half, n)`, compiled once and
+    cached on the field, so every start point of a query shares it.
 
-    `advance` takes one RK4 step of size `h` and two of size `half` from
-    `state`.  It returns the two-half-step state, or None when a power
-    overflows, when the two results differ by more than
-    STEP_RTOL * (1 + max |fine|) or either is NaN, or when the new state
-    leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  `0.5 * h`, `h / 6.0`,
-    `0.5 * half` and `half / 6.0` are computed once per call: the doubles
-    `x + 0.5 * h * k` and `x + (h / 6.0) * (...)` use at every stage.  A
-    zero drift's variable enters the max and no other test: it equals
-    itself in both steps and passed the escape test at the start.  The
-    function is cached on the field, so every start point of a query
-    shares one compile.
+    `walk` takes up to `n` steps from `state`, which it keeps in the locals
+    `s0, s1, ...`.  Each is one RK4 step of size `h` checked against two of
+    size `half`; the walk yields `(t, state)` after each, with the
+    two-half-step state, and returns when a power overflows, when the two
+    results differ by more than STEP_RTOL * (1 + max |fine|) or either is
+    NaN, or when the new state leaves [-ESCAPE_BOUND, ESCAPE_BOUND].  The
+    step sizes and the zero-drift variables' largest magnitude are computed
+    once per walk (see the module docstring); a zero-drift variable passed
+    the escape test at the start, so it enters the max and no other test.
     """
     if field._advance is not None:
         return field._advance
@@ -134,38 +152,45 @@ def compile_rk4(field: VectorField):
         if not d.is_zero()
     }
     xs = [f"s{i}" for i in range(len(slots))]
-    # the full step and the first half step share the drifts at the start
-    full, full_out, k0 = _rk4_lines(sources, xs, ("h", "h2", "h6"), "F")
+    full = [f"F_{i}" if i in sources else x for i, x in enumerate(xs)]
+    mid = [f"M_{i}" if i in sources else x for i, x in enumerate(xs)]
     halves = ("half", "q2", "q6")
-    mid, mid_out, _ = _rk4_lines(sources, xs, halves, "M", k0)
-    fine, fine_out, _ = _rk4_lines(sources, mid_out, halves, "N")
-    magnitudes = ", ".join(f"abs({f})" for f in fine_out)
-    if len(fine_out) > 1:
-        magnitudes = f"max({magnitudes})"
-    # a NaN in the fine state fails the doubling test, so the escape test
-    # needs only the bound
-    pairs = [(full_out[i], fine_out[i]) for i in sources]
-    stops = [f"{a} != {a} or {b} != {b} or abs({a} - {b}) > tol" for a, b in pairs]
-    stops += [f"abs({b}) > ESCAPE_BOUND" for _, b in pairs]
+    # the full step and the first half step share the drifts at the start;
+    # the fine state takes the names of the state it replaces
+    step, k0 = _rk4_lines(sources, xs, full, ("h", "h2", "h6"), "F")
+    step += _rk4_lines(sources, xs, mid, halves, "M", k0)[0]
+    step += _rk4_lines(sources, mid, xs, halves, "N")[0]
+    moving = [xs[i] for i in sources]
+    carried = [x for x in xs if x not in moving]
     lines = [
-        "def advance(state, h, half):",
+        "def walk(state, h, half, n):",
         f"    {', '.join(xs)}, = state",
-        "    try:",
-        "        h2, h6 = 0.5 * h, h / 6.0",
-        "        q2, q6 = 0.5 * half, half / 6.0",
-        *(f"        {line}" for line in full + mid + fine),
-        "    except OverflowError:",
-        "        return None",
-        f"    tol = STEP_RTOL * (1.0 + {magnitudes})",
+        "    h2, h6 = 0.5 * h, h / 6.0",
+        "    q2, q6 = 0.5 * half, half / 6.0",
     ]
-    if stops:
-        lines += [f"    if {' or '.join(stops)}:", "        return None"]
-    lines.append(f"    return [{', '.join(fine_out)}]")
-    advance = _compile(
-        "advance", lines, consts, STEP_RTOL=STEP_RTOL, ESCAPE_BOUND=ESCAPE_BOUND
-    )
-    object.__setattr__(field, "_advance", advance)
-    return advance
+    magnitudes = [f"abs({x})" for x in moving]
+    if carried:
+        lines.append(f"    carried = {_largest([f'abs({x})' for x in carried])}")
+        magnitudes.append("carried")
+    lines += ["    t = 0.0", "    for _ in range(n):"]
+    if step:
+        # chained comparisons stop where the abs and NaN tests did: see the
+        # module docstring
+        stops = [f"not -tol <= {full[i]} - {xs[i]} <= tol" for i in sources]
+        stops += [f"not {-ESCAPE_BOUND!r} <= {x} <= {ESCAPE_BOUND!r}" for x in moving]
+        lines += [
+            "        try:",
+            *(f"            {line}" for line in step),
+            "        except OverflowError:",
+            "            return",
+            f"        tol = {STEP_RTOL!r} * (1.0 + {_largest(magnitudes)})",
+            f"        if {' or '.join(stops)}:",
+            "            return",
+        ]
+    lines += ["        t += h", f"        yield t, [{', '.join(xs)}]"]
+    walk = _compile("walk", lines, consts)
+    object.__setattr__(field, "_advance", walk)
+    return walk
 
 
 def trajectory(field: VectorField, start, horizon: float, step: float):
@@ -175,26 +200,20 @@ def trajectory(field: VectorField, start, horizon: float, step: float):
     fixed step can no longer certify the residual band, or when the state
     leaves the representable range (finite-time blow-up is common for
     polynomial fields).  Residual checks are meaningful only on the
-    portion actually yielded.
+    portion actually yielded.  After the start state and its escape test,
+    the field's compiled `walk` yields every step.
 
     The start values are rationals, as `check_invariants` passes them, so
     no float -0.0; a negative one of magnitude at most 2**-1075 rounds to
     -0.0, and from it the states may differ from the oracle's only in the
     sign of a zero, which no test of the step or the observer reads.
     """
-    advance = compile_rk4(field)
+    walk = compile_rk4(field)
     state = [float(v) for v in start]
-    t = 0.0
-    yield t, state
+    yield 0.0, state
     if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
         return
-    half = step / 2.0
-    for _ in range(max(1, round(horizon / step))):
-        state = advance(state, step, half)
-        if state is None:
-            return
-        t += step
-        yield t, state
+    yield from walk(state, step, step / 2.0, max(1, round(horizon / step)))
 
 
 def compile_observer(polys, n: int):
@@ -299,19 +318,23 @@ def check_invariants(polys, field: VectorField, points, horizon, step, tolerance
     return records
 
 
-def verify_from_analysis(polys, field: VectorField, generators, numeric: NumericSpec):
+def verify_from_analysis(
+    polys, field: VectorField, generators, numeric: NumericSpec, bindings=None
+):
     """Sample Var(generators), or take `numeric.points`, and run the check
     with `numeric`'s samples, horizon, step and tolerance.
 
     `generators` are the precondition's for `post` and `check`, and the
-    computed reduced basis for `pre` and `invariant`.  Returns (records,
-    note); when every polynomial is zero, no sample point is available, or
-    a coefficient or start value is outside the double range, the check is
-    skipped with an explanatory note rather than failing.  User-supplied
-    points must bind every variable and satisfy the generators exactly; a
-    point that does not raises SpecError, also when nothing is left to
-    check.  For a `pre` or `invariant` query the generators are the
-    computed ideal's, so the spec's own build-time check cannot catch this.
+    computed reduced basis for `pre` and `invariant`; `bindings` are their
+    `triangular_bindings` when the caller has them, else sampling searches
+    them.  Returns (records, note); when every polynomial is zero, no
+    sample point is available, or a coefficient or start value is outside
+    the double range, the check is skipped with an explanatory note rather
+    than failing.  User-supplied points must bind every variable and
+    satisfy the generators exactly; a point that does not raises SpecError,
+    also when nothing is left to check.  For a `pre` or `invariant` query
+    the generators are the computed ideal's, so the spec's own build-time
+    check cannot catch this.
     """
     universe = field.universe
     points = numeric.points
@@ -338,7 +361,7 @@ def verify_from_analysis(polys, field: VectorField, generators, numeric: Numeric
     if not _fit_doubles(c for p in (*field.drifts, *polys) for c in p._terms.values()):
         return [], "a coefficient of the field or of a checked polynomial does not fit a double"
     if points is None:
-        points = sample_points(generators, universe, numeric.samples)
+        points = sample_points(generators, universe, numeric.samples, bindings)
     if not points:
         return [], "no rational sample point available for this precondition"
     if not _fit_doubles(v for point in points for v in point.values()):

@@ -434,14 +434,18 @@ class Polynomial:
     # -- evaluation and substitution -------------------------------------
 
     def evaluate(self, point: dict) -> Fraction:
-        """Exact value at a full binding {Symbol: rational}."""
+        """Exact value at a full binding {Symbol: rational}.  The sum runs
+        on integers: each term's numerator and denominator are integer
+        products, the terms are added over one running denominator, their
+        least common multiple, and one `Fraction` is built at the end."""
         values = [None] * len(self.universe)
         for sym, v in point.items():
-            values[self.universe.index_of(sym)] = as_fraction(v)
+            v = as_fraction(v)
+            values[self.universe.index_of(sym)] = (v.numerator, v.denominator)
         unpack = self.universe.packing.unpack
-        total = Fraction(0)
+        num, den = 0, 1
         for m, coeff in self._terms.items():
-            term = coeff
+            n, d = coeff.numerator, coeff.denominator
             for i, e in enumerate(unpack(m)):
                 if e:
                     if values[i] is None:
@@ -449,9 +453,16 @@ class Polynomial:
                             f"unbound symbol {self.universe.symbols[i]!r} "
                             "in evaluation point"
                         )
-                    term *= values[i] ** e
-            total += term
-        return total
+                    a, b = values[i]
+                    n *= a**e
+                    d *= b**e
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+        return Fraction(num, den)
 
     def substitute_symbol(self, symbol: Symbol, replacement: "Polynomial") -> "Polynomial":
         """Replace one symbol by a polynomial, exactly."""

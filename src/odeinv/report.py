@@ -69,7 +69,8 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
     t0 = time.perf_counter()
     exit_code = 0
     numeric_polys = []
-    sampled = analysis.ideal.generators  # pre and invariant sample their computed basis
+    # pre and invariant sample their computed basis, and search its bindings
+    sampled, bindings = analysis.ideal.generators, analysis.bindings
     if spec.query_kind == "post":
         res = post(analysis, built.template, built.field, **caps)
         gb = res.ideal.reduced_groebner_basis()
@@ -112,7 +113,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
                 "reduced_groebner_basis": [str(g) for g in gb],
             },
         }
-        sampled = gb
+        sampled, bindings = gb, None
     elif spec.query_kind == "check":
         res = check_safety(analysis, built.polynomials, built.field, **caps)
         witness = None
@@ -144,13 +145,15 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         }
         exit_code = 0 if ok else 1
         numeric_polys = list(gb)
-        sampled = gb
+        sampled, bindings = gb, None
     timings["query"] = time.perf_counter() - t0
 
     run_numeric = spec.numeric.enabled if numeric is None else numeric
     if run_numeric:
         t0 = time.perf_counter()
-        records, note = verify_from_analysis(numeric_polys, built.field, sampled, spec.numeric)
+        records, note = verify_from_analysis(
+            numeric_polys, built.field, sampled, spec.numeric, bindings
+        )
         # a check skipped with a note neither passed nor failed
         ok = None if note else all(r["passed"] for r in records)
         report["numeric_check"] = {

@@ -12,8 +12,9 @@ monomial divided from scratch by an integer engine on exponent tuples
 instead of multiplied up from smaller normal forms on packed monomials,
 template Lie derivatives, remainders and
 reparametrizations on `Fraction` forms instead of integer columns over one
-denominator, a template's value at a valuation summed from its unit
-instances, which the package never needs, Buchberger's S-polynomial
+denominator, a polynomial's value at a point by `Fraction` arithmetic
+instead of integers over one running denominator, a template's value at
+a valuation summed from its unit instances, which the package never needs, Buchberger's S-polynomial
 criterion on plain `Polynomial` arithmetic instead of the integer engine,
 ideal equality by comparing reduced bases instead of membership of the new
 generators, the precondition chain one Lie derivative and one `Ideal.member` per
@@ -434,6 +435,19 @@ def _divide(terms: dict, divisors, key):
     return remainder, quotients
 
 
+def oracle_evaluate(p: Polynomial, point: dict) -> Fraction:
+    """`Polynomial.evaluate` as a `Fraction` loop over the exponent tuples:
+    each term a product of `Fraction` powers, the sum a `Fraction`."""
+    values = [as_fraction(point[s]) for s in p.universe.symbols]
+    total = Fraction(0)
+    for exps, c in exponent_dict(p).items():
+        term = c
+        for v, e in zip(values, exps):
+            term *= v**e
+        total += term
+    return total
+
+
 def lie_iterate(p: Polynomial, field, j: int) -> Polynomial:
     """j-fold Lie derivative; j = 0 is the identity."""
     if j < 0:
@@ -806,7 +820,9 @@ def rk4_step(rhs, state, h: float):
 
 def oracle_trajectory(field, start, horizon: float, step: float):
     """`numcheck.trajectory` as a loop over interpreted RK4 steps: the same
-    step doubling, overflow and escape stops, checked in the same order."""
+    step doubling, overflow and escape stops, checked in the same order.
+    The generator returns why the walk ended: "horizon", "escape",
+    "overflow", "nan" (in either step's state) or "step_error"."""
     rhs = field_evaluator(field)
     state = [float(v) for v in start]
     t = 0.0
@@ -815,23 +831,23 @@ def oracle_trajectory(field, start, horizon: float, step: float):
     half = step / 2.0
     for _ in range(n):
         if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
-            return
+            return "escape"
         try:
             full = rk4_step(rhs, state, step)
             fine = rk4_step(rhs, rk4_step(rhs, state, half), half)
         except OverflowError:
-            return
+            return "overflow"
+        if any(v != v for v in full + fine):
+            return "nan"
         scale = 1.0 + max(abs(v) for v in fine)
-        if any(
-            a != a or b != b or abs(a - b) > STEP_RTOL * scale
-            for a, b in zip(full, fine)
-        ):
-            return
+        if any(abs(a - b) > STEP_RTOL * scale for a, b in zip(full, fine)):
+            return "step_error"
         state = fine
         t += step
         if any(v != v or abs(v) > ESCAPE_BOUND for v in state):
-            return
+            return "escape"
         yield t, state
+    return "horizon"
 
 
 def oracle_check_invariants(polys, field, points, horizon, step, tolerance):

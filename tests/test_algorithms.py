@@ -296,7 +296,8 @@ def test_triangular_bindings_nonlinear_graph(running):
 )
 def test_bindings_are_searched_only_for_the_mode_decision(running, monkeypatch, mode, gens, searched):
     """`analyze` looks for triangular bindings only where `auto` or
-    `graph` reads them."""
+    `graph` reads them, and keeps them only where they made the mode
+    graph, for sampling to reuse."""
     U, _, (X, Y), _ = running
     gens = {"xy": [X - 1, Y - 2], "x": [X - Y * Y], "circle": [X * X + Y * Y - 1]}[gens]
     calls = []
@@ -308,7 +309,10 @@ def test_bindings_are_searched_only_for_the_mode_decision(running, monkeypatch, 
     monkeypatch.setattr(algorithms, "triangular_bindings", counting)
     an = Precondition(gens, mode=mode).analyze(U)
     assert len(calls) == searched
-    assert not hasattr(an, "bindings")
+    if an.effective_mode == "graph":
+        assert an.bindings == triangular_bindings(gens, U) is not None
+    else:
+        assert an.bindings is None
 
 
 def test_sample_points_satisfy_generators(ghost):
@@ -339,6 +343,32 @@ def test_sample_points_bind_every_variable_once(running):
     numeric = NumericSpec(samples=5, horizon=Fraction(1, 16), step=Fraction(1, 64))
     records, _ = verify_from_analysis([X * Y - 2], F, gens, numeric)
     assert len(records) == 1
+
+
+@pytest.mark.parametrize(
+    "name, searched",
+    [
+        ("kepler", 0),  # generators mode, numeric check off
+        ("ghost-post", 1),
+        ("running-check", 1),
+        ("running-check-corrupted", 1),  # the witness samples too
+        ("running-invariant", 2),  # the empty precondition, then the basis
+    ],
+)
+def test_post_and_check_sample_from_the_bindings_analyze_found(monkeypatch, name, searched):
+    """A post or check query samples its precondition from the bindings
+    that made its mode graph; pre and invariant search their computed
+    basis's bindings, and nothing searches bindings no one reads."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return triangular_bindings(*args)
+
+    monkeypatch.setattr(algorithms, "triangular_bindings", counting)
+    report = run(load_entry(name).build())
+    assert len(calls) == searched
+    assert report.data.get("numeric_check", {}).get("passed") is not False
 
 
 def test_pre_stable_step_adds_no_generator():

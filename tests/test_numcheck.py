@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,15 +43,17 @@ def _assert_matches_oracle(
 ):
     """Trajectories equal the oracle's state for state, and the records of
     `check_invariants` equal the interpreted residual check's: residuals
-    and scales float for float, fail times and verdicts equal.  Returns
-    the oracle's overflow count and the number of records that failed
-    after t = 0."""
+    and scales float for float, fail times and verdicts equal.  Returns a
+    Counter of the oracle's stop reasons, of its residual overflows
+    ("overflows") and of the records that failed after t = 0
+    ("late_fails")."""
     points = [dict(zip(field.universe.symbols, start)) for start in starts]
-    overflows = late_fails = 0
+    counts = Counter()
     for step in steps:
         for start in starts:
             got = list(trajectory(field, start, 1.0, step))
-            want = list(oracle_trajectory(field, start, 1.0, step))
+            want, reason = _walked(oracle_trajectory(field, start, 1.0, step))
+            counts[reason] += 1
             assert len(got) == len(want), (start, step)
             for (t, state), (t0, state0) in zip(got, want):
                 assert _same(t, t0)
@@ -59,7 +62,7 @@ def _assert_matches_oracle(
         for tolerance in tolerances:
             got = check_invariants(polys, field, points, 1.0, step, tolerance)
             want, n = oracle_check_invariants(polys, field, points, 1.0, step, tolerance)
-            overflows += n
+            counts["overflows"] += n
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 where = (a["polynomial"], a["point"], step, tolerance)
@@ -68,8 +71,18 @@ def _assert_matches_oracle(
                 assert _same(a["scale"], b["scale"]), where
                 assert a["fail_time"] == b["fail_time"], where
                 assert a["passed"] == b["passed"], where
-                late_fails += bool(b["fail_time"])
-    return overflows, late_fails
+                counts["late_fails"] += bool(b["fail_time"])
+    return counts
+
+
+def _walked(states):
+    """The items of the generator `states` and the value it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(states))
+        except StopIteration as stop:
+            return items, stop.value
 
 
 def _corpus_fields():
@@ -90,7 +103,9 @@ START_POOL = tuple(
 def _synthetic_fields():
     """Fields whose sums meet every shortcut of the generated source: +-1
     coefficients first and last, -1 terms that are zero at a zero start,
-    constants +-1, exponent 1 beside exponents >= 2, rational coefficients."""
+    constants +-1, exponent 1 beside exponents >= 2, rational coefficients,
+    and a zero drift beside a sum whose two terms reach inf within a step,
+    where inf - inf makes a stage's drift NaN."""
     x, y, z = Symbol("x"), Symbol("y"), Symbol("z")
     U = SymbolUniverse([x, y, z])
     X, Y, Z = (Polynomial.variable(U, s) for s in (x, y, z))
@@ -103,6 +118,7 @@ def _synthetic_fields():
             X - Z - Fraction(5, 7) * Y * Z**3,
         ]),
         VectorField(V, [Fraction(1, 3) * P**2 - Q, -P + Fraction(5, 2)]),
+        VectorField(U, [10**100 * Y * Z - 10**100 * X * Z, X - Y, Polynomial.zero(U)]),
     ]
 
 
@@ -114,7 +130,7 @@ def _synthetic_polys(field):
 
 def test_compiled_trajectory_matches_the_oracle():
     rng = random.Random(9)
-    overflows = late_fails = 0
+    counts = Counter()
     for field in _corpus_fields() + _synthetic_fields():
         n = len(field.drifts)
         starts = [[rng.choice(START_POOL) for _ in range(n)] for _ in range(4)]
@@ -126,13 +142,15 @@ def test_compiled_trajectory_matches_the_oracle():
         # x^200 overflows once |x| > 35 and not below
         x = Polynomial.variable(field.universe, field.universe.symbols[0])
         polys.append(x**200 * Fraction(1, 3))
-        counts = _assert_matches_oracle(field, starts, polys)
-        overflows += counts[0]
-        late_fails += counts[1]
-    # the checks met an overflow, and a residual that left its band after
-    # the start, and agreed with the oracle on both
-    assert overflows > 0
-    assert late_fails > 0
+        counts += _assert_matches_oracle(field, starts, polys)
+    # the walks ended for every reason: a step-doubling failure, an escape,
+    # an OverflowError in a drift power, a NaN and the full horizon; the
+    # checks met an overflow, and a residual that left its band after the
+    # start; and every one agreed with the oracle
+    for reason in ("step_error", "escape", "overflow", "nan", "horizon"):
+        assert counts[reason] > 0, reason
+    assert counts["overflows"] > 0
+    assert counts["late_fails"] > 0
 
 
 # -1 meets the `- t` first term, -1/3 and 5/7 a bound coefficient
@@ -180,7 +198,7 @@ def test_trajectory_never_holds_negative_zero(case):
 
 def test_compiled_step_computes_no_ieee_identity(running, ghost, monkeypatch):
     U, _, (X, Y), _ = running
-    # a fresh field, so its RK4 step is compiled here
+    # a fresh field, so its RK4 walk is compiled here
     F = VectorField(U, [Y * Y, X * Y])
     sources = []
 
@@ -197,16 +215,21 @@ def test_compiled_step_computes_no_ieee_identity(running, ghost, monkeypatch):
     # y^2 once per drift evaluation: 4 + 3 + 4, the first half step
     # sharing the full step's drifts at the start
     assert source.count("**") == 11
-    # 0.5 * h and 0.5 * half, once each
-    assert source.count("0.5 *") == 2
+    # 0.5 * h and 0.5 * half, once each per walk, before its loop
+    head, loop = source.split("for _ in range(n):")
+    assert head.count("0.5 *") == 2 and "0.5 *" not in loop
     # each drift sum starts at its first term, with no 0.0 seed
     assert not re.search(r"= 0\.0 \+", source)
-    # a zero drift's variable is carried: it is read only to scale the
-    # step tolerance and to be returned
+    # a zero drift's variable is carried: it is read only by the unpack and
+    # the once-per-walk magnitude before the loop, and by the yield
     numcheck.compile_rk4(ghost[3])
-    lines = sources[1].splitlines()
-    carried = [line.split()[0] for line in lines if re.search(r"\bs[23]\b", line)]
-    assert carried == ["s0,", "tol", "return"]
+    head, loop = sources[1].split("for _ in range(n):")
+
+    def readers(text):
+        return [line.split()[0] for line in text.splitlines() if re.search(r"\bs[23]\b", line)]
+
+    assert readers(head) == ["s0,", "carried"]
+    assert readers(loop) == ["yield"]
 
 
 def test_spec_names_never_reach_the_compiled_source():
@@ -314,8 +337,8 @@ def test_one_compile_per_field_and_one_per_check(running, monkeypatch):
 
     monkeypatch.setattr(numcheck, "_compile", counted)
     check_invariants(polys, F, points, *SETTINGS)
-    # one RK4 step for the field, one observer for both nonzero polynomials
-    assert sorted(compiled) == ["advance", "observe"]
+    # one RK4 walk for the field, one observer for both nonzero polynomials
+    assert sorted(compiled) == ["observe", "walk"]
 
 
 def test_check_invariants_refuses_more_than_the_step_cap(running):

@@ -13,7 +13,7 @@ from odeinv import (
     monomials_up_to_degree,
 )
 from odeinv.poly import MAX_PRODUCT_TERM_PAIRS, ResourceLimitError, cleared
-from oracles import ORDER_KEYS, BlockOrder, from_exponents
+from oracles import ORDER_KEYS, BlockOrder, from_exponents, oracle_evaluate
 from props import rand_poly, small_universe
 
 
@@ -56,6 +56,36 @@ def test_evaluate_examples(running):
     assert Polynomial.constant(U, 1).evaluate({x: 5, y: -7}) == 1
     with pytest.raises(ValueError):
         (X * Y).evaluate({x: 1})
+
+
+def test_evaluate_matches_the_fraction_oracle():
+    # seeded random polynomials, the zero and constant ones among them, at
+    # points holding zeros, negative values and non-integers
+    rng = random.Random(23)
+    values = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 7)]
+    for _ in range(300):
+        U = small_universe(rng)
+        polys = [rand_poly(rng, U, max_terms=6, max_degree=4) for _ in range(3)]
+        polys += [Polynomial.zero(U), Polynomial.constant(U, rng.choice(values) or 1)]
+        point = {s: rng.choice(values) for s in U.symbols}
+        for p in polys:
+            got = p.evaluate(point)
+            assert type(got) is Fraction
+            assert got == oracle_evaluate(p, point), (str(p), point)
+    # an int or an exact string binds a value too
+    U = SymbolUniverse([Symbol("x"), Symbol("y")])
+    X, Y = (Polynomial.variable(U, s) for s in U.symbols)
+    assert (Fraction(1, 3) * X * X - Y).evaluate({U.symbols[0]: -2, U.symbols[1]: "1/6"}) == Fraction(7, 6)
+
+
+def test_evaluate_names_an_unbound_symbol():
+    U = SymbolUniverse([Symbol("x"), Symbol("y")])
+    X, Y = (Polynomial.variable(U, s) for s in U.symbols)
+    with pytest.raises(ValueError) as info:
+        (X - Y * Y).evaluate({U.symbols[0]: Fraction(1, 2)})
+    assert str(info.value) == "unbound symbol y in evaluation point"
+    # a symbol the polynomial does not read may stay unbound
+    assert (X * 4).evaluate({U.symbols[0]: Fraction(1, 2)}) == 2
 
 
 def test_monomials_up_to_degree_counts(running):

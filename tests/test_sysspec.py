@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
 
+import odeinv
 from odeinv import ResourceLimitError, SpecError, SystemSpec, sysspec
 from odeinv.numcheck import MAX_RK4_STEPS
 from odeinv.report import run
@@ -263,3 +268,33 @@ def test_template_parameter_count_is_capped_before_enumerating(monkeypatch):
         SystemSpec.from_text(
             RUNNING_YAML + "    auxiliary_monomials: [\"x^3\"]\n"
         ).build()
+
+
+def test_reading_a_spec_imports_neither_the_harness_nor_the_report():
+    # importing odeinv and building every bundled spec, as a set-up does,
+    # leaves numcheck and report unimported; MAX_RK4_STEPS lives in sysspec
+    # for this
+    corpus = resources.files("odeinv") / "corpus"
+    texts = [p.read_text(encoding="utf-8") for p in corpus.iterdir() if p.name.endswith(".yaml")]
+    script = (
+        "import json, sys\n"
+        "from odeinv import SystemSpec\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    SystemSpec.from_text(text).build()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(Path(odeinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(texts),
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert texts and "odeinv.sysspec" in loaded
+    assert "odeinv.numcheck" not in loaded
+    assert "odeinv.report" not in loaded
