@@ -12,6 +12,9 @@ from fractions import Fraction
 from math import comb, isfinite
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .algorithms import DEFAULT_MAX_ITERATIONS, MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
@@ -36,7 +39,34 @@ def _require(cond, message):
 
 def _known_keys(mapping, known, what):
     unknown = set(mapping) - known
-    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+    # YAML keys may be of any scalar type: 1 and "a" do not compare
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown, key=str)}")
+
+
+try:
+    from yaml.cyaml import CParser
+except ImportError:  # PyYAML built without libyaml
+    _SpecLoader = yaml.SafeLoader
+else:
+    class _SpecLoader(Composer, CParser, SafeConstructor, Resolver):
+        """`yaml.SafeLoader` with libyaml's scanner and parser under
+        PyYAML's own composer.
+
+        libyaml reads the text several times faster than PyYAML's Python
+        scanner.  `yaml.CSafeLoader` would compose in C as well, and its
+        composer recurses on the C stack: about 100,000 nested levels kill
+        the interpreter.  The Python composer recurses on the Python stack
+        and raises RecursionError near 1,000 levels, which `from_text`
+        reports.  The two scanners differ on a few malformed texts (libyaml
+        takes a tab inside a plain scalar, for one); either way a text
+        loads as data or fails as YAML.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
 
 
 def _names(value, what):
@@ -242,18 +272,27 @@ class SystemSpec:
         self.numeric = NumericSpec.from_dict(data.get("numeric_check"))
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<spec>") -> "SystemSpec":
+    def from_text(cls, text: str | bytes, source: str = "<spec>") -> "SystemSpec":
+        """The spec of a YAML or JSON text, read by `_SpecLoader`.  Bytes
+        are decoded by the loader: UTF-8, or UTF-16 after a byte order mark.
+        Every failure to read the text is a SpecError."""
         try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise SpecError(f"{source}: not valid YAML/JSON: {exc}") from exc
+            data = yaml.load(text, _SpecLoader)
         except RecursionError:
             raise SpecError(f"{source}: nested too deeply to read") from None
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+            # besides YAMLError, PyYAML's constructors raise ValueError
+            # (`2001-02-30`), LookupError (`!!bool x`) and AttributeError
+            # (`!!timestamp x`), and CParser UnicodeEncodeError on a str
+            # with a lone surrogate
+            raise SpecError(f"{source}: not valid YAML/JSON: {exc}") from exc
         return cls(data)
 
     @classmethod
     def load(cls, path) -> "SystemSpec":
-        with open(path, "r", encoding="utf-8") as fh:
+        """The spec of a file, whose bytes the loader decodes: a file that
+        is not valid UTF-8 is a SpecError, as any unreadable text is."""
+        with open(path, "rb") as fh:
             return cls.from_text(fh.read(), source=str(path))
 
     def build(self) -> "BuiltSystem":

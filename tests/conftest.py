@@ -1,10 +1,20 @@
 from fractions import Fraction
 
 import pytest
+import yaml
 
-from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, VectorField
+from odeinv import Polynomial, Subspace, Symbol, SymbolUniverse, VectorField, sysspec
 from odeinv.poly import Lex
 from oracles import contains, sparse
+
+
+@pytest.fixture(params=["spec", "safe"])
+def spec_loader(request, monkeypatch):
+    """Each loader `sysspec` reads specs with: its own, and `yaml.SafeLoader`,
+    the one it falls back to where PyYAML was built without libyaml."""
+    if request.param == "safe":
+        monkeypatch.setattr(sysspec, "_SpecLoader", yaml.SafeLoader)
+    return sysspec._SpecLoader
 
 
 @pytest.fixture

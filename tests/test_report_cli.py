@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odeinv
-from odeinv import SpecError, SystemSpec
+from odeinv import SpecError, SystemSpec, sysspec
 from odeinv.cli import main
 from odeinv.parser import MAX_NESTING
 from odeinv.report import lie_chain, run
@@ -339,6 +339,15 @@ def test_cli_parentheses_nested_past_the_cap_exit_4(tmp_path, capsys, depth, cod
     assert ("over the nesting cap" in capsys.readouterr().err) == (code == 4)
 
 
+# a name nested 1,000 flow levels deep, 100,000 flow levels deep, and a
+# compact block sequence 100,000 levels deep
+_DEEP_NAMES = [
+    "name: " + "[" * 1000 + "]" * 1000,
+    "name: " + "[" * 100_000 + "]" * 100_000,
+    "name:\n  " + "- " * 100_000 + "x",
+]
+
+
 def test_cli_spec_nested_too_deeply_for_yaml_is_input_error(tmp_path, capsys):
     # a name of 1,000 nested lists ran the YAML reader out of stack (exit 5)
     spec = tmp_path / "nested.yaml"
@@ -348,6 +357,59 @@ def test_cli_spec_nested_too_deeply_for_yaml_is_input_error(tmp_path, capsys):
     )
     assert main(["post", str(spec)]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+    # 100,000 levels, flow and block, where a composer recursing in C dies
+    # of a segmentation fault; a child process, so that a crash fails the
+    # test and leaves pytest running
+    src = str(Path(odeinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for name in _DEEP_NAMES[1:]:
+        spec.write_text(RATIONAL_LIE_YAML.replace("name: rational-lie", name), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "odeinv", "post", str(spec)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "nested too deeply" in done.stderr
+
+
+def test_cli_spec_nested_too_deeply_without_libyaml_is_input_error(tmp_path, capsys, monkeypatch):
+    # the same names through `yaml.SafeLoader`, the loader where PyYAML has
+    # no libyaml; pure Python, so it runs in this process
+    monkeypatch.setattr(sysspec, "_SpecLoader", yaml.SafeLoader)
+    spec = tmp_path / "nested.yaml"
+    for name in _DEEP_NAMES:
+        spec.write_text(RATIONAL_LIE_YAML.replace("name: rational-lie", name), encoding="utf-8")
+        assert main(["post", str(spec)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"name: x\xff\xfe\n", RATIONAL_LIE_YAML.encode("utf-8")[:-3] + b"\xc3(\n"],
+    ids=["name", "last-line"],
+)
+def test_cli_spec_that_is_not_utf8_is_input_error(tmp_path, capsys, spec_loader, text):
+    # the spec was decoded before YAML saw it, and the UnicodeDecodeError
+    # exited 5; the loader decodes the bytes and fails as YAML
+    spec = tmp_path / "bad.yaml"
+    spec.write_bytes(text)
+    assert main(["post", str(spec)]) == 3
+    assert "not valid YAML/JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["top-level", "option"])
+def test_cli_unknown_keys_of_two_types_are_input_error(tmp_path, capsys, section):
+    # sorting the unknown keys 1 and "bogus" raised TypeError (exit 5)
+    data = yaml.safe_load(RATIONAL_LIE_YAML)
+    target = data if section == "top-level" else data.setdefault("options", {})
+    target.update({1: "a", "bogus": 2})
+    spec = tmp_path / "keys.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["post", str(spec)]) == 3
+    assert f"unknown {section} keys: [1, 'bogus']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,13 +8,16 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from yaml.composer import Composer
 
 import odeinv
 from odeinv import ResourceLimitError, SpecError, SystemSpec, sysspec
 from odeinv.numcheck import MAX_RK4_STEPS
 from odeinv.report import run
 from odeinv.sysspec import NumericSpec
-from oracles import contains, exponent_terms, instantiate
+from oracles import contains, entry_names, exponent_terms, instantiate
 
 
 RUNNING_YAML = """
@@ -298,3 +302,96 @@ def test_reading_a_spec_imports_neither_the_harness_nor_the_report():
     assert texts and "odeinv.sysspec" in loaded
     assert "odeinv.numcheck" not in loaded
     assert "odeinv.report" not in loaded
+
+
+def _texts_of_this_module():
+    """Every YAML or JSON spec text written in this module."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "variables" in node.value
+        and isinstance(yaml.load(node.value, yaml.SafeLoader), dict)
+    ]
+
+
+def test_the_spec_loader_reads_as_the_safe_loader_does():
+    # libyaml scans and parses where PyYAML has it, and PyYAML's Python
+    # composer composes: a composer recursing in C kills the interpreter on
+    # deep nesting.  Every bundled spec, and every spec text here as YAML
+    # and as JSON, loads to the data `yaml.SafeLoader` gives, as str and as
+    # bytes
+    loader = sysspec._SpecLoader
+    assert (loader is yaml.SafeLoader) == (not yaml.__with_libyaml__)
+    assert loader.compose_node is Composer.compose_node
+    corpus = resources.files("odeinv") / "corpus"
+    texts = [p.read_text(encoding="utf-8") for p in corpus.iterdir() if p.name.endswith(".yaml")]
+    assert len(texts) == 10
+    mine = _texts_of_this_module()
+    assert RUNNING_YAML in mine and any(text.startswith("{") for text in mine)
+    texts += mine
+    texts += [json.dumps(yaml.load(text, yaml.SafeLoader)) for text in texts]
+    for text in texts:
+        expected = yaml.load(text, yaml.SafeLoader)
+        assert isinstance(expected, dict)
+        assert yaml.load(text, loader) == expected
+        assert yaml.load(text.encode("utf-8"), loader) == expected
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "\ud800",  # a lone surrogate: CParser cannot encode the str
+        "2001-02-30",  # constructors: ValueError
+        "9" * 5000,  # ValueError, over the integer digit limit
+        "!!bool x",  # KeyError
+        "!!int",  # IndexError
+        "!!timestamp x",  # AttributeError
+    ],
+    ids=["surrogate", "bad-date", "long-integer", "bool-tag", "empty-int-tag", "timestamp-tag"],
+)
+def test_a_text_the_loader_cannot_read_is_a_spec_error(spec_loader, name):
+    with pytest.raises(SpecError, match="not valid YAML/JSON"):
+        SystemSpec.from_text(RUNNING_YAML.replace("name: demo", f"name: {name}"))
+
+
+def test_a_utf16_spec_with_a_byte_order_mark_loads(tmp_path, spec_loader):
+    path = tmp_path / "spec.yaml"
+    path.write_text(RUNNING_YAML, encoding="utf-16")
+    spec = SystemSpec.load(path)
+    assert (spec.name, spec.field) == ("demo", {"x": "y^2", "y": "x*y"})
+
+
+# characters that YAML reads as structure or refuses, and letters
+_EDIT_CHARS = "\t\x00\ufeff&*?[]{}:-\"'" + "axyz"
+
+
+_QUICK_TEXTS = [
+    (resources.files("odeinv") / "corpus" / f"{name}.yaml").read_text(encoding="utf-8")
+    for name in entry_names("quick")
+]
+
+
+@st.composite
+def _mutated_quick_texts(draw):
+    """A quick corpus text with 1-4 characters inserted, deleted or
+    replaced."""
+    text = draw(st.sampled_from(_QUICK_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if kind == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:at] + char + text[at + (kind != "insert"):]
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_mutated_quick_texts())
+def test_mutated_spec_text_raises_only_spec_errors(text):
+    # raw text, where test_cli_mutated_quick_spec_never_exits_internal
+    # mutates data dumped by yaml.safe_dump: reading it either gives a spec
+    # or fails as malformed or as too large
+    try:
+        SystemSpec.from_text(text)
+    except (SpecError, ResourceLimitError):
+        pass
