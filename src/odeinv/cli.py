@@ -1,7 +1,8 @@
-"""Command-line interface.
+"""Command-line interface.  Every flag but `--report` and `lie --steps`
+is a spec setting, whose text `SystemSpec.override` checks as the file's.
 
 Exit codes: 0 success (verdict holds), 1 fails, 2 inconclusive, 3 bad
-input, 4 resource cap exceeded, 5 internal error.
+input (a usage error too), 4 resource cap exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ EXIT_BAD_INPUT = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
+# the dests that are not spec settings
+_NOT_SETTINGS = ("command", "spec", "report", "steps")
+
 
 def _add_common(sub):
     sub.add_argument("spec", help="system specification file (YAML or JSON)")
     sub.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    sub.add_argument("--mode", choices=_MODES, help="override the radical mode")
-    sub.add_argument("--max-iterations", type=int, help="chain iteration cap")
-    sub.add_argument("--pair-budget", type=int, help="Buchberger pair budget")
-    sub.add_argument("--max-degree", type=int, help="Buchberger degree cap")
+    sub.add_argument("--mode", help=f"override the radical mode: {', '.join(_MODES)}")
+    sub.add_argument("--max-iterations", help="chain iteration cap")
+    sub.add_argument("--pair-budget", help="Buchberger pair budget")
+    sub.add_argument("--max-degree", help="Buchberger degree cap")
     numeric = sub.add_mutually_exclusive_group()
     numeric.add_argument(
         "--numeric", dest="numeric", action="store_true", default=None,
@@ -56,36 +60,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     lie = sub.add_parser("lie", help="print the iterated Lie derivative chain")
     lie.add_argument("spec")
-    lie.add_argument("--steps", type=int, default=2, help="derivative order to reach")
+    lie.add_argument("--steps", default=2, help="derivative order to reach")
 
-    vn = sub.add_parser(
-        "verify-numeric", help="re-run the query and the RK4 trajectory check"
-    )
+    vn = sub.add_parser("verify-numeric", help="re-run the query and the RK4 trajectory check")
     _add_common(vn)
-    vn.add_argument("--samples", type=int, help="number of sample points")
+    vn.add_argument("--samples", help="number of sample points")
     vn.add_argument("--horizon", help="integration horizon (exact literal)")
     vn.add_argument("--step", help="integration step (exact literal)")
-    vn.add_argument("--tolerance", type=float, help="relative tolerance")
+    vn.add_argument("--tolerance", help="relative tolerance")
     return ap
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.mode is not None:
-        out["mode"] = args.mode
-    if args.max_iterations is not None:
-        out["max_iterations"] = args.max_iterations
-    if args.pair_budget is not None:
-        out["pair_budget"] = args.pair_budget
-    if args.max_degree is not None:
-        out["max_degree"] = args.max_degree
-    return out
-
-
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_BAD_INPUT if exc.code else 0
+    settings = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
+    if args.command == "verify-numeric":
+        settings["numeric"] = True
     try:
         spec = SystemSpec.load(args.spec)
+        spec.override(**settings)
         built = spec.build()
         if args.command == "lie":
             for entry in lie_chain(built, args.steps):
@@ -93,19 +89,15 @@ def main(argv=None) -> int:
                 for j, line in enumerate(entry["chain"]):
                     print(f"  L^{j}: {line}")
             return 0
-        if args.command == "verify-numeric":
-            given = {k: getattr(args, k) for k in ("samples", "horizon", "step", "tolerance")}
-            spec.numeric.override(**{k: v for k, v in given.items() if v is not None})
-            report = run(built, numeric=True, **_overrides(args))
-        else:
-            if args.command != spec.query_kind:
-                print(
-                    f"error: spec declares a {spec.query_kind!r} query; "
-                    f"run `odeinv {spec.query_kind}` (or verify-numeric/lie)",
-                    file=sys.stderr,
-                )
-                return EXIT_BAD_INPUT
-            report = run(built, numeric=args.numeric, **_overrides(args))
+        if args.command not in (spec.query_kind, "verify-numeric"):
+            raise SpecError(
+                f"spec declares a {spec.query_kind!r} query; "
+                f"run `odeinv {spec.query_kind}` (or verify-numeric/lie)"
+            )
+        report = run(built)
+        sys.stdout.write(report.human_text())
+        if args.report:
+            report.write(args.report)
     except (SpecError, ModeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -115,9 +107,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(report.human_text())
-    if args.report:
-        report.write(args.report)
     return report.exit_code
 
 

@@ -16,7 +16,6 @@ from . import __version__
 from .algorithms import (
     FAILS,
     HOLDS,
-    Precondition,
     check_invariant_ideal,
     check_safety,
     post,
@@ -25,32 +24,23 @@ from .algorithms import (
 from .groebner import Ideal
 from .numcheck import verify_from_analysis
 from .poly import printed
-from .sysspec import BuiltSystem, _number
+from .sysspec import _CAPS, BuiltSystem, _number
 
 
-def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "RunReport":
+def run(built: BuiltSystem) -> "RunReport":
     """Execute the spec's query and assemble the report.
 
-    `numeric` forces the trajectory cross-check on or off; other keyword
-    overrides replace the spec's options (max_iterations, pair_budget,
-    max_degree, precondition mode).  The three caps are validated like the
-    spec's own options, so a malformed one raises SpecError.
+    Every setting of the run is the spec's own: its caps, precondition mode
+    and numeric check.  `SystemSpec.override` changes them before `build`.
     """
     spec = built.spec
     t_start = time.perf_counter()
-    caps = {
-        name: _number(name, overrides[name]) if name in overrides else getattr(spec, name)
-        for name in ("max_iterations", "pair_budget", "max_degree")
-    }
-    mode = overrides.get("mode")
-    precondition = built.precondition
-    if mode is not None and mode != precondition.mode:
-        precondition = Precondition(precondition.generators, mode)
-    gb_caps = {"pair_budget": caps["pair_budget"], "max_degree": caps["max_degree"]}
+    caps = {name: getattr(spec, name) for name in _CAPS}
+    gb_caps = {"pair_budget": spec.pair_budget, "max_degree": spec.max_degree}
 
     timings = {}
     t0 = time.perf_counter()
-    analysis = precondition.analyze(built.universe, **gb_caps)
+    analysis = built.precondition.analyze(built.universe, **gb_caps)
     timings["precondition_analysis"] = time.perf_counter() - t0
 
     report = {
@@ -59,7 +49,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         "query": spec.query_kind,
         "spec": built.canonical_echo(),
         "precondition_analysis": {
-            "requested_mode": precondition.mode,
+            "requested_mode": built.precondition.mode,
             "effective_mode": analysis.effective_mode,
             "exact": analysis.exact,
             "reduced_groebner_basis": [str(g) for g in analysis.ideal.reduced_groebner_basis()],
@@ -148,8 +138,7 @@ def run(built: BuiltSystem, *, numeric: bool | None = None, **overrides) -> "Run
         sampled, bindings = gb, None
     timings["query"] = time.perf_counter() - t0
 
-    run_numeric = spec.numeric.enabled if numeric is None else numeric
-    if run_numeric:
+    if spec.numeric.enabled:
         t0 = time.perf_counter()
         records, note = verify_from_analysis(
             numeric_polys, built.field, sampled, spec.numeric, bindings
@@ -178,10 +167,20 @@ class RunReport:
         self.exit_code = exit_code
 
     def comparable(self) -> dict:
-        return strip_timings(self.data)
+        return {k: v for k, v in self.data.items() if k != "timings"}
 
     def write(self, path):
-        write_json_atomic(path, self.data)
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(self.data, fh, indent=2, sort_keys=False)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     def human_text(self) -> str:
         d = self.data
@@ -231,47 +230,21 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def strip_timings(data: dict) -> dict:
-    out = dict(data)
-    out.pop("timings", None)
-    return out
-
-
-def write_json_atomic(path, data: dict):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def lie_chain(built: BuiltSystem, steps: int):
     """Debug view: iterated Lie derivatives of the query's polynomials, or
     of the template when the query carries one."""
     from .dynamics import lie_derivative
 
-    steps = _number("steps", steps)
-
-    chains = []
+    steps, field = _number("steps", steps), built.field
     if built.template is not None:
-        t = built.template
-        chain = [str(t)]
-        for _ in range(steps):
-            t = t.lie(built.field)
-            chain.append(str(t))
-        chains.append({"subject": "template", "chain": chain})
+        subjects = [("template", built.template, lambda t: t.lie(field))]
     else:
-        for p in built.polynomials:
-            q = p
-            chain = [str(q)]
-            for _ in range(steps):
-                q = lie_derivative(q, built.field)
-                chain.append(str(q))
-            chains.append({"subject": str(p), "chain": chain})
+        subjects = [(str(p), p, lambda q: lie_derivative(q, field)) for p in built.polynomials]
+    chains = []
+    for subject, x, lie in subjects:
+        chain = [str(x)]
+        for _ in range(steps):
+            x = lie(x)
+            chain.append(str(x))
+        chains.append({"subject": subject, "chain": chain})
     return chains

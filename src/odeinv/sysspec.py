@@ -8,6 +8,7 @@ data are expression strings in the grammar of `parser`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, isfinite
 
@@ -19,7 +20,7 @@ from yaml.resolver import Resolver
 from .algorithms import DEFAULT_MAX_ITERATIONS, MODE_AUTO, Precondition, _MODES
 from .dynamics import Template, VectorField, complete_template
 from .groebner import DEFAULT_PAIR_BUDGET, ResourceLimitError
-from .parser import IDENTIFIER, ParseError, parse_polynomial
+from .parser import _DIGITS, IDENTIFIER, ParseError, parse_polynomial
 from .poly import GrevLex, Lex, Symbol, SymbolUniverse, cleared
 
 QUERY_KINDS = ("post", "pre", "check", "invariant")
@@ -88,9 +89,22 @@ def _list(mapping, key, what):
     return value
 
 
+# The exponent of a decimal literal, as Fraction reads one
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _as_fraction_option(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, str, float)):
         raise SpecError(f"{name} must be a number or exact string")
+    # Fraction multiplies a decimal exponent out in full, for hours over
+    # `1e999999999`: an exponent past _DIGITS is refused first.  Barring
+    # thousands of padding digits, the value is far outside the double range
+    m = _EXPONENT.search(value) if isinstance(value, str) else None
+    exp = m[1].replace("_", "").lstrip("0") if m else ""
+    _require(
+        len(exp) <= len(str(_DIGITS)) and int(exp or 0) <= _DIGITS,
+        f"{name} {value} is outside the double range",
+    )
     try:
         x = Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -186,18 +200,18 @@ class NumericSpec:
                 {str(k): _as_fraction_option(v, f"point value for {k}") for k, v in p.items()}
                 for p in points
             ]
-        enabled = d.get("enabled", True)
-        _require(isinstance(enabled, bool), "numeric_check enabled must be true or false")
-        spec = cls(enabled=enabled, points=points)
-        spec.override(**{k: v for k, v in d.items() if k in _NUMBERS})
+        spec = cls(points=points)
+        spec.override(**{"enabled": True, **{k: v for k, v in d.items() if k != "points"}})
         return spec
 
     def override(self, **settings):
-        """Replace samples, horizon, step or tolerance, validated.  The
-        horizon must be a whole number of steps, and at most MAX_RK4_STEPS
-        of them (else ResourceLimitError)."""
+        """Replace enabled, samples, horizon, step or tolerance, validated.
+        The horizon must be a whole number of steps, and at most
+        MAX_RK4_STEPS of them (else ResourceLimitError)."""
         for name, value in settings.items():
-            setattr(self, name, _number(name, value))
+            if name == "enabled":
+                _require(isinstance(value, bool), "numeric_check enabled must be true or false")
+            setattr(self, name, value if name == "enabled" else _number(name, value))
         steps = self.horizon / self.step
         _require(
             steps.denominator == 1,
@@ -208,6 +222,12 @@ class NumericSpec:
                 f"horizon {self.horizon} takes {steps} RK4 steps of {self.step}, "
                 f"over the cap of {MAX_RK4_STEPS}"
             )
+
+
+# The chain and Buchberger caps a spec's `options` may set, with defaults.
+_CAPS = {
+    "max_iterations": DEFAULT_MAX_ITERATIONS, "pair_budget": DEFAULT_PAIR_BUDGET, "max_degree": None
+}
 
 
 class SystemSpec:
@@ -246,11 +266,7 @@ class SystemSpec:
         self.precondition_generators = [
             str(g) for g in _list(pre, "generators", "precondition generators")
         ]
-        self.precondition_mode = str(pre.get("mode", MODE_AUTO))
-        _require(
-            self.precondition_mode in _MODES,
-            f"precondition mode must be one of {_MODES}",
-        )
+        self.override(mode=pre.get("mode", MODE_AUTO))
 
         query = data.get("query")
         _require(isinstance(query, dict), "query must be a mapping")
@@ -261,15 +277,30 @@ class SystemSpec:
 
         options = data.get("options") or {}
         _require(isinstance(options, dict), "options must be a mapping")
-        _known_keys(options, {"max_iterations", "pair_budget", "max_degree"}, "option")
-        self.max_iterations = _number(
-            "max_iterations", options.get("max_iterations", DEFAULT_MAX_ITERATIONS)
-        )
-        self.pair_budget = _number("pair_budget", options.get("pair_budget", DEFAULT_PAIR_BUDGET))
-        md = options.get("max_degree")
-        self.max_degree = None if md is None else _number("max_degree", md)
+        _known_keys(options, set(_CAPS), "option")
+        self.override(**{**_CAPS, **options})
 
         self.numeric = NumericSpec.from_dict(data.get("numeric_check"))
+
+    def override(self, **settings):
+        """Replace settings, each checked as in the file: `mode`, the
+        precondition's; `numeric`, the check on or off; the caps (None for
+        no max_degree); samples, horizon, step and tolerance.  The names are
+        the CLI flags' dests."""
+        numeric = {}
+        for name, value in settings.items():
+            if name == "mode":
+                _require(value in _MODES, f"precondition mode must be one of {_MODES}")
+                self.precondition_mode = value
+            elif name in _CAPS:
+                none = name == "max_degree" and value is None
+                setattr(self, name, None if none else _number(name, value))
+            elif name in ("numeric", "samples", "horizon", "step", "tolerance"):
+                numeric["enabled" if name == "numeric" else name] = value
+            else:
+                raise TypeError(f"override() got an unexpected keyword argument {name!r}")
+        if numeric:
+            self.numeric.override(**numeric)
 
     @classmethod
     def from_text(cls, text: str | bytes, source: str = "<spec>") -> "SystemSpec":

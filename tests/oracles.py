@@ -689,10 +689,13 @@ def pre_by_polynomials(postcondition, field, *, max_iterations: int = 64, **caps
     raise ResourceLimitError(f"precondition chain exceeded {max_iterations} iterations")
 
 
-def load_entry(name: str) -> SystemSpec:
-    """The bundled corpus entry `name`, parsed."""
+def load_entry(name: str, **settings) -> SystemSpec:
+    """The bundled corpus entry `name`, parsed, with `settings` made by
+    `SystemSpec.override` as the CLI's flags are."""
     path = resources.files("odeinv") / "corpus" / f"{name}.yaml"
-    return SystemSpec.from_text(path.read_text(encoding="utf-8"), source=f"corpus:{name}")
+    spec = SystemSpec.from_text(path.read_text(encoding="utf-8"), source=f"corpus:{name}")
+    spec.override(**settings)
+    return spec
 
 
 def stress_entry(name: str, degree: int) -> SystemSpec:

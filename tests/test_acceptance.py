@@ -211,7 +211,7 @@ def test_kepler_report_keeps_the_benchmark_digest():
     # the benchmark's kepler query, numeric check off; its report must keep
     # the digest recorded in bench/references.json
     started = time.perf_counter()
-    report = run(load_entry("kepler").build(), numeric=False)
+    report = run(load_entry("kepler", numeric=False).build())
     assert report.exit_code == 0
     assert _digest(report) == _bench_digest("kepler")
     _report("kepler: generators mode at template degree 4", started, 10.0)
@@ -261,7 +261,7 @@ def test_criterion_8_numeric_harness_on_corpus():
         spec = load_entry(name)
         if spec.tier == "data-only" or not spec.numeric.enabled:
             continue
-        report = run(spec.build(), numeric=True)
+        report = run(spec.build())
         nc = report.data.get("numeric_check")
         assert nc is not None and nc["passed"], f"numeric harness failed for {name}"
         checked += nc["checked"]

@@ -469,7 +469,7 @@ def test_chains_extend_only_when_the_ideal_grows(name, extensions, monkeypatch):
         return extend(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger_extend", counting)
-    run(load_entry(name).build(), numeric=False)
+    run(load_entry(name, numeric=False).build())
     assert len(calls) == extensions
 
 
@@ -576,7 +576,9 @@ def test_post_composes_the_restricted_template_only_where_j_is_rebuilt(
         return compose(self, *args)
 
     monkeypatch.setattr(Template, "compose", counting_compose)
-    assert run(spec().build(), numeric=False).exit_code == 0
+    spec = spec()
+    spec.override(numeric=False)
+    assert run(spec.build()).exit_code == 0
     assert calls == compositions
 
 

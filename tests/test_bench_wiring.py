@@ -23,18 +23,20 @@ def _load_tracing():
     return module
 
 
-def _unwired(workload, names, load=load_entry, **run_options):
+def _unwired(workload, names, load=load_entry, **settings):
     """Layers mapped to `workload` that a traced run of the corpus entries
-    `names`, each parsed by `load`, leaves without a call, apart from
-    algorithms.chain_trace, which run.py counts from the reports, not from
-    a span."""
+    `names`, each parsed by `load` with `settings` overridden, leaves
+    without a call, apart from algorithms.chain_trace, which run.py counts
+    from the reports, not from a span."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     patches = tracing.Patches(tracer)
     patches.on()
     try:
         for name in names:
-            report.run(load(name).build(), **run_options)
+            spec = load(name)
+            spec.override(**settings)
+            report.run(spec.build())
     finally:
         patches.off()
     _, calls = tracing.layer_metrics(tracer, 1, Counter(), 1.0)

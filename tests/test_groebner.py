@@ -614,7 +614,7 @@ def test_reducer_memo_stays_near_the_requested_monomials(monkeypatch):
             return super().monomial_terms(exps)
 
     monkeypatch.setattr(groebner, "GroebnerReducer", Recording)
-    run(load_entry("kepler").build(), numeric=False)
+    run(load_entry("kepler", numeric=False).build())
     asked = {r: m for r, m in requested.items() if m}
     assert len(asked) == 1
     assert max(map(len, asked.values())) > 2000

@@ -94,7 +94,8 @@ def _answers(data, generators):
     data = copy.deepcopy(data)
     data["precondition"] = {"generators": [str(g) for g in generators], "mode": "generators"}
     spec = SystemSpec(data)
-    result = run(spec.build(), numeric=False).data["result"]
+    spec.override(numeric=False)
+    result = run(spec.build()).data["result"]
     if spec.query_kind == "check":
         return result["verdict"], result["iterations"], result["space_dimension"]
     return result
@@ -141,8 +142,10 @@ def _assert_containment(built, caps):
 
 def _post_under(data, order):
     """The universe of `data` under `order`, and its `post` result block."""
-    built = SystemSpec({**data, "order": order}).build()
-    return built.universe, run(built, numeric=False).data["result"]
+    spec = SystemSpec({**data, "order": order})
+    spec.override(numeric=False)
+    built = spec.build()
+    return built.universe, run(built).data["result"]
 
 
 def _assert_order_relation(data):

@@ -1,5 +1,8 @@
+import argparse
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import odeinv
 from odeinv import SpecError, SystemSpec, sysspec
-from odeinv.cli import main
+from odeinv.cli import build_arg_parser, main
 from odeinv.parser import MAX_NESTING
 from odeinv.report import lie_chain, run
 from oracles import entry_names, expected_report, load_entry
@@ -528,9 +531,122 @@ def test_cli_negative_cap_is_input_error(capsys, command, name, flag, value):
     assert f"must be >= 0, not {value}" in capsys.readouterr().err
 
 
-def test_run_rejects_malformed_cap_override():
+def test_override_rejects_malformed_cap():
     with pytest.raises(SpecError, match="pair_budget must be >= 0"):
-        run(load_entry("running-post").build(), pair_budget=-1)
+        load_entry("running-post").override(pair_budget=-1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["post", "running-post", "--max-iterations", "abc"],
+        ["post", "running-post", "--max-degree", "1.5"],
+        ["post", "running-post", "--pair-budget", "1e3"],
+        ["post", "running-post", "--mode", "bogus"],
+        ["verify-numeric", "ghost-post", "--samples", "x"],
+        ["verify-numeric", "ghost-post", "--tolerance", "abc"],
+        ["lie", "running-pre", "--steps", "abc"],
+    ],
+    ids=lambda argv: "-".join(argv[2:]),
+)
+def test_cli_malformed_flag_value_is_input_error(capsys, argv):
+    # a flag's text is checked as the same setting in the spec file is
+    assert main([argv[0], _corpus_path(argv[1]), *argv[2:]]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus", "running-post"],
+        ["post"],
+        ["post", "running-post", "--bogus"],
+        ["post", "running-post", "--numeric", "--no-numeric"],
+        ["lie", "running-pre", "--steps"],
+    ],
+    ids=lambda argv: "-".join(argv) or "empty",
+)
+def test_cli_usage_error_is_input_error(capsys, argv):
+    # main returns 3, as for any malformed input, and raises no SystemExit
+    argv = [_corpus_path(a) if a.startswith("running-") else a for a in argv]
+    assert main(argv) == 3
+    assert "usage: odeinv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["post", "--help"], ["lie", "-h"]])
+def test_cli_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: odeinv" in capsys.readouterr().out
+
+
+def test_cli_unwritable_report_path_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["post", _corpus_path("running-post"), "--no-numeric", "--report", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+# For each setting flag: its arguments, and the (section, key, value) edit
+# of the spec file that makes the same setting.
+FLAG_SETTINGS = {
+    "--mode": (["--mode", "generators"], ("precondition", "mode", "generators")),
+    "--max-iterations": (["--max-iterations", "1"], ("options", "max_iterations", 1)),
+    "--pair-budget": (["--pair-budget", "0"], ("options", "pair_budget", 0)),
+    "--max-degree": (["--max-degree", "1"], ("options", "max_degree", 1)),
+    "--numeric": (["--numeric"], ("numeric_check", "enabled", True)),
+    "--no-numeric": (["--no-numeric"], ("numeric_check", "enabled", False)),
+    "--samples": (["--samples", "2"], ("numeric_check", "samples", 2)),
+    "--horizon": (["--horizon", "1/2"], ("numeric_check", "horizon", "1/2")),
+    "--step": (["--step", "1/64"], ("numeric_check", "step", "1/64")),
+    "--tolerance": (["--tolerance", "1e-3"], ("numeric_check", "tolerance", 1e-3)),
+}
+# the flags that are not spec settings, by dest
+NOT_SETTINGS = {"help", "report", "steps"}
+# the corpus entry each subcommand runs here
+COMMAND_ENTRIES = {
+    "post": "running-post", "pre": "running-pre", "check": "running-check",
+    "invariant": "running-invariant", "verify-numeric": "ghost-post",
+}
+
+
+def _setting_flags():
+    """(subcommand, option string) for every setting flag of the CLI, each
+    flag once, under the first subcommand that has it."""
+    parser = build_arg_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest not in NOT_SETTINGS:
+                for flag in action.option_strings:
+                    seen.setdefault(flag, command)
+    return [(command, flag) for flag, command in seen.items()]
+
+
+def _cli_outcome(capsys, argv, report):
+    code = main([*argv, "--report", str(report)])
+    out, err = capsys.readouterr()
+    data = json.loads(report.read_text()) if report.exists() else None
+    if data is not None:
+        del data["timings"]
+    return code, out, err, data
+
+
+@pytest.mark.parametrize("command, flag", _setting_flags())
+def test_each_flag_is_the_spec_setting_it_names(tmp_path, capsys, command, flag):
+    # a flag without a spec setting has no entry in FLAG_SETTINGS and fails
+    flag_argv, (section, key, value) = FLAG_SETTINGS[flag]
+    name = COMMAND_ENTRIES[command]
+    with open(_corpus_path(name), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data.setdefault(section, {})[key] = value
+    edited = tmp_path / f"{name}.yaml"
+    edited.write_text(yaml.safe_dump(data), encoding="utf-8")
+    by_flag = _cli_outcome(capsys, [command, _corpus_path(name), *flag_argv], tmp_path / "flag.json")
+    by_spec = _cli_outcome(capsys, [command, str(edited)], tmp_path / "spec.json")
+    assert by_flag == by_spec
+
 
 
 @pytest.mark.parametrize(
@@ -681,15 +797,20 @@ def test_cli_bad_numeric_literal_is_input_error(flag, value):
     assert main(["verify-numeric", _corpus_path("ghost-post"), flag, value]) == 3
 
 
-def _planar_invariant(tmp_path, field=("y^2", "x*y"), **numeric):
+def _planar_data(field=("y^2", "x*y"), **numeric):
     """x' = y^2, y' = x*y with the invariant line x = y, numeric check on."""
-    spec = tmp_path / "spec.yaml"
-    spec.write_text(yaml.safe_dump({
+    return {
         "variables": ["x", "y"],
         "field": dict(zip("xy", field)),
         "query": {"kind": "invariant", "generators": ["x - y"]},
         "numeric_check": {"enabled": True, **numeric},
-    }))
+    }
+
+
+def _planar_invariant(tmp_path, field=("y^2", "x*y"), **numeric):
+    """The spec file of `_planar_data` in `tmp_path`."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(_planar_data(field, **numeric)))
     return spec
 
 
@@ -766,6 +887,74 @@ def test_cli_step_of_zero_double_is_input_error(tmp_path, capsys):
     assert main(["verify-numeric", str(spec), *flags]) == 3
     assert "is 0.0 as a double" in capsys.readouterr().err
 
+
+def test_cli_decimal_exponent_far_outside_doubles_is_refused_at_once(tmp_path):
+    # Fraction would multiply each exponent out in full, for hours; each
+    # literal is refused first.  A child process runs the three, so that a
+    # hang fails the test by its timeout
+    for name in ("horizon", "point", "flag"):
+        (tmp_path / name).mkdir()
+    spec = _planar_invariant(tmp_path / "horizon", horizon="1e999999999")
+    point = _planar_invariant(tmp_path / "point", points=[{"x": "1e-999999999", "y": 0}])
+    flag = _planar_invariant(tmp_path / "flag")
+    script = (
+        "import json, sys, time\n"
+        "from odeinv.cli import main\n"
+        "times = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    t0 = time.perf_counter()\n"
+        "    times.append([main(argv), time.perf_counter() - t0])\n"
+        "print(json.dumps(times))\n"
+    )
+    cases = [
+        ["invariant", str(spec)],
+        ["invariant", str(point)],
+        ["verify-numeric", str(flag), "--horizon", "1e999999999"],
+    ]
+    src = str(Path(odeinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(cases)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=20,
+    )
+    results = json.loads(child.stdout)
+    assert [code for code, _ in results] == [3, 3, 3]
+    assert all(seconds < 1.0 for _, seconds in results), results
+    assert child.stderr.count("is outside the double range") == 3
+
+
+# Numbers far outside the double range: a decimal exponent past the cap, or
+# hundreds to thousands of digits
+_OVERSIZED = st.builds(
+    "{}{}e{}{}".format,
+    st.sampled_from(["", "-", "0.", "1_0", "0.000"]),
+    st.text("0123456789", min_size=1, max_size=30),
+    st.sampled_from(["", "-", "+"]),
+    st.integers(2468, 10**12),
+) | st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(400, 4400))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(key=st.sampled_from(["horizon", "step", "tolerance", "point"]), text=_OVERSIZED, by_flag=st.booleans())
+def test_cli_oversized_numeric_settings_exit_3_at_once(tmp_path_factory, key, text, by_flag):
+    # in the spec or as a flag, each is refused before a large number is built
+    path = tmp_path_factory.getbasetemp() / "oversized.yaml"
+    if key == "point":
+        path.write_text(yaml.safe_dump(_planar_data(points=[{"x": text, "y": 0}])))
+        argv = ["invariant", str(path)]
+    elif by_flag:
+        path.write_text(yaml.safe_dump(_planar_data()))
+        argv = ["verify-numeric", str(path), f"--{key}={text}"]
+    else:
+        path.write_text(yaml.safe_dump(_planar_data(**{key: text})))
+        argv = ["invariant", str(path)]
+    err = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert time.perf_counter() - started < 1.0
+    assert err.getvalue().startswith("error: ")
 
 def test_cli_accepts_json_spec(tmp_path):
     spec = tmp_path / "spec.json"

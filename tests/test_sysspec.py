@@ -1,8 +1,10 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -253,6 +255,46 @@ def test_rk4_step_count_is_capped_on_load_and_in_override():
     with pytest.raises(SpecError, match="whole number"):
         NumericSpec().override(horizon=f"{2 * MAX_RK4_STEPS + 1}/2", step=1)
 
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1_0e5", 10**6),
+        ("2.5E-3", Fraction(1, 400)),
+        ("-0e2467", 0),
+        # inside the cap a double's underflow is not refused, as before
+        ("1e-400", Fraction(1, 10**400)),
+        ("10e-2467", Fraction(1, 10**2466)),
+    ],
+)
+def test_a_decimal_exponent_is_read_exactly(text, value):
+    assert NumericSpec.from_dict({"points": [{"x": text}]}).points == [{"x": value}]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4000000", "-1e-4000000", "1_0e4_000_000", "5E" + "9" * 5000, "1e2468", "1e-2468", "1e2467"],
+    ids=lambda text: text[:16],
+)
+def test_a_decimal_exponent_far_outside_doubles_is_refused(text):
+    # each literal is refused from its exponent, before Fraction multiplies
+    # the exponent out; test_cli_decimal_exponent_far_outside_doubles_is_
+    # refused_at_once times 1e999999999, which Fraction takes hours over
+    with pytest.raises(SpecError, match=f"^point value for x {re.escape(text)} is outside the double range$"):
+        NumericSpec.from_dict({"points": [{"x": text}]})
+    with pytest.raises(SpecError, match="is outside the double range"):
+        SystemSpec.from_text(RUNNING_YAML).override(horizon=text)
+
+
+def test_override_takes_only_the_cli_setting_names():
+    # its names are the CLI flags' dests; what the file alone sets is not one
+    spec = SystemSpec.from_text(RUNNING_YAML)
+    spec.override(mode="generators", numeric=True, max_degree=None, samples="2")
+    assert (spec.precondition_mode, spec.numeric.enabled, spec.numeric.samples) == ("generators", True, 2)
+    for name in ("enabled", "points", "steps", "precondition_mode"):
+        with pytest.raises(TypeError, match=name):
+            spec.override(**{name: 1})
 
 def test_template_parameter_count_is_capped_before_enumerating(monkeypatch):
     # degree 50 over collision-avoidance's 18 variables asks for
