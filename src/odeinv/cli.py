@@ -23,13 +23,15 @@ EXIT_INTERNAL = 5
 _NOT_SETTINGS = ("command", "spec", "report", "steps")
 
 
-def _add_common(sub):
+def _add_common(sub, numeric_flags=True):
     sub.add_argument("spec", help="system specification file (YAML or JSON)")
     sub.add_argument("--report", metavar="PATH", help="write the JSON report here")
     sub.add_argument("--mode", help=f"override the radical mode: {', '.join(_MODES)}")
     sub.add_argument("--max-iterations", help="chain iteration cap")
     sub.add_argument("--pair-budget", help="Buchberger pair budget")
     sub.add_argument("--max-degree", help="Buchberger degree cap")
+    if not numeric_flags:  # verify-numeric always runs the check: no on/off pair
+        return
     numeric = sub.add_mutually_exclusive_group()
     numeric.add_argument(
         "--numeric", dest="numeric", action="store_true", default=None,
@@ -63,7 +65,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     lie.add_argument("--steps", default=2, help="derivative order to reach")
 
     vn = sub.add_parser("verify-numeric", help="re-run the query and the RK4 trajectory check")
-    _add_common(vn)
+    _add_common(vn, numeric_flags=False)
     vn.add_argument("--samples", help="number of sample points")
     vn.add_argument("--horizon", help="integration horizon (exact literal)")
     vn.add_argument("--step", help="integration step (exact literal)")

@@ -192,8 +192,8 @@ class Template:
         """Lie derivative with linear expressions treated as constants."""
         if field.universe is not self.universe:
             raise ValueError("template and field use different universes")
-        monomials = {m for col in self.columns for m in col}
-        images = {m: field.lie_monomial(m) for m in monomials}
+        # the set takes the columns' stored hashes: each monomial is hashed once
+        images = {m: field.lie_monomial(m) for m in set().union(*self.columns)}
         columns = [combine(col, images) for col in self.columns]
         return Template(self.universe, self.params, columns, self.denominator * field.denominator)
 
@@ -213,8 +213,8 @@ class Template:
         """Remainder template modulo the reducer's Groebner basis: each
         column combined with its monomials' normal forms over one scale."""
         flip = self.universe.packing.flip
-        monomials = {m for col in self.columns for m in col}
-        images, scale = reducer.images(sorted(monomials, key=flip.__xor__))
+        monomials = sorted(set().union(*self.columns), key=flip.__xor__)
+        images, scale = reducer.images(monomials)
         columns = [combine(col, images) for col in self.columns]
         return Template(self.universe, self.params, columns, self.denominator * scale)
 

@@ -22,8 +22,9 @@ instead of wrapping.
 
 Buchberger keeps its S-pairs in one heap, each entry holding the lcm of the
 pair's leads, computed once when the pair is formed (Gebauer-Moeller 1988).
-Every reduction, in Buchberger, in the basis interreduction and in
-`GroebnerReducer`, finds its divisor through the one search `_divisor_of`.
+Every reduction finds its divisor through the one search `_divisor_of`, or
+in `GroebnerReducer` an inlined copy of it.  CPython does not cache an int's
+hash, so the kernels look each packed monomial up once where they can.
 """
 
 from __future__ import annotations
@@ -118,12 +119,11 @@ def _nf_int(terms, divisors, packing):
     scale = 1
     while heap:
         e = -heapq.heappop(heap) ^ flip
-        c = work.get(e)
+        c = work.pop(e, 0)
         if not c:
             continue
         if e & guards:
             raise exponent_overflow()
-        del work[e]
         red = _divisor_of(divisors, e, guards)
         if red is None:
             emitted.append((e, c, scale))
@@ -132,8 +132,7 @@ def _nf_int(terms, divisors, packing):
         mult_work = red.lead_coeff // g
         mult_div = c // g
         if mult_work != 1:
-            for k2 in work:
-                work[k2] *= mult_work
+            work = {k: v * mult_work for k, v in work.items()}
             scale *= mult_work
         shift = e - red.lead_exps
         for de, dc in red.tail:
@@ -219,7 +218,9 @@ class GroebnerReducer:
     normal form is built from smaller ones already in the cache; one whose
     quotient's normal form is zero comes out zero.  When m / x_i is
     standard, one division step by the first divisor whose lead divides m
-    takes its place.  Every monomial this reaches is smaller than m.
+    takes its place.  Every monomial this reaches is smaller than m.  `_nf`
+    strips the first x_i, from the last variable, whose quotient is cached,
+    else the last variable of m, looking each quotient up once.
 
     Each such normal form is built in one pass by a coroutine that yields
     the smaller monomials it needs and is sent their normal forms; one loop
@@ -227,7 +228,8 @@ class GroebnerReducer:
     do not recurse.  Every normal form computed on the way is cached but
     that of a standard x_i * t, t a monomial of NF(m / x_i): t is standard,
     so a search of the few leads that x_i divides shows x_i * t standard,
-    and leaving it out keeps the memo near the monomials asked of it.
+    and leaving it out of the sum's lookups keeps the memo near the
+    monomials asked of it.
 
     A normal form is integer numerators over a positive scale, in lowest
     terms; the recurrence takes the lcm of its parts' scales.  `basis`
@@ -235,7 +237,7 @@ class GroebnerReducer:
     is checked for a set guard bit when it is settled.
     """
 
-    __slots__ = ("basis", "_divisors", "_search", "_cache", "_guards", "_strip", "_leads_with")
+    __slots__ = ("basis", "_divisors", "_search", "_cache", "_guards", "_strip")
 
     def __init__(self, basis):
         self.basis = tuple(d for d in basis if not d.is_zero())
@@ -247,12 +249,11 @@ class GroebnerReducer:
         # an empty basis divides nothing and needs no layout
         packing = self.basis[0].universe.packing if self.basis else None
         self._guards = packing.guards if packing else 0
-        # (exponent field, x_i) of each variable, the last variable first
-        self._strip = tuple(zip(packing.fields[::-1], packing.units[::-1])) if packing else ()
-        # x_i -> the divisors whose lead x_i divides
-        self._leads_with = {
-            x: [d for d in self._search if d.lead_exps & field] for field, x in self._strip
-        }
+        # (exponent field, x_i, the leads x_i divides), the last variable first
+        self._strip = tuple(
+            (field, x, [d.lead_exps for d in self._search if d.lead_exps & field])
+            for field, x in zip(packing.fields[::-1], packing.units[::-1])
+        ) if packing else ()
 
     def monomial_terms(self, m):
         """NF(m) of a packed monomial m as ({packed monomial: int
@@ -282,17 +283,20 @@ class GroebnerReducer:
         """NF(m), not cached yet, cached now if m is standard or a
         single-term lead divides it; else None, with the coroutine that
         builds it pushed on `stack`."""
-        cache = self._cache
-        if m & self._guards:
+        guards = self._guards
+        if m & guards:
             raise exponent_overflow()
-        d = _divisor_of(self._search, m, self._guards)
-        if d is None:
-            nf = cache[m] = ({m: 1}, 1)
+        mg = m | guards
+        for d in self._search:
+            if (mg - d.lead_exps) & guards == guards:
+                break
+        else:
+            nf = self._cache[m] = ({m: 1}, 1)
             return nf
         if d.tail:
             stack.append(self._nf(m, d))
             return None
-        cache[m] = _ZERO
+        self._cache[m] = _ZERO
         return _ZERO
 
     def _nf(self, m, d):
@@ -301,9 +305,18 @@ class GroebnerReducer:
         is neither cached nor a standard x_i * t, is sent its normal form,
         and caches and returns NF(m)."""
         cache = self._cache
-        x, q = self._quotient(m)
-        nq = cache.get(q)
-        if nq is None:
+        guards = self._guards
+        first = None
+        for field, x, leads in self._strip:
+            if m & field:
+                q = m - x
+                nq = cache.get(q)
+                if nq is not None:
+                    break
+                if first is None:
+                    first = x, q, leads
+        else:  # m is not 1, so some x_i divides it
+            x, q, leads = first
             nq = yield q
         if q in nq[0]:
             # m / x_i is standard: m = shift * lead(d), so
@@ -315,20 +328,24 @@ class GroebnerReducer:
         else:
             nums, base = nq
             parts = [(t + x, c) for t, c in nums.items()]
-            # t is standard, so only a lead that x divides can divide t * x
-            leads = self._leads_with[x]
         # NF(m) = (1/base) sum c * NF(p) over the parts (p, c), accumulated
         # over the lcm of the parts' scales as they arrive
         acc: dict = {}
         scale = 1
-        guards = self._guards
         for p, c in parts:
             nf = cache.get(p)
             if nf is None:
-                if leads is not None and not p & guards and _divisor_of(leads, p, guards) is None:
-                    nf = ({p: 1}, 1)  # a standard x * t, left out of the memo
-                else:
-                    nf = yield p
+                # t is standard, so only a lead that x divides can divide
+                # p = t * x (`_divisor_of`, inlined)
+                if leads is not None and not p & guards:
+                    pg = p | guards
+                    for lead in leads:
+                        if (pg - lead) & guards == guards:
+                            break
+                    else:  # a standard x * t, its own normal form
+                        acc[p] = acc.get(p, 0) + c * scale
+                        continue
+                nf = yield p
             nums, s = nf
             if not nums:
                 continue
@@ -336,48 +353,32 @@ class GroebnerReducer:
                 grown = lcm(scale, s)
                 if grown != scale:
                     f = grown // scale
-                    for e in acc:
-                        acc[e] *= f
+                    acc = {e: v * f for e, v in acc.items()}
                     scale = grown
                 c *= scale // s
             for e, v in nums.items():
-                prev = acc.get(e)
-                acc[e] = c * v if prev is None else prev + c * v
-        # in lowest terms, the zeros of cancelled sums dropped
+                acc[e] = acc.get(e, 0) + c * v
+        # in lowest terms, the zeros of cancelled sums dropped in place
         scale *= base
-        g = gcd(scale, *acc.values())
-        nums = {e: v // g for e, v in acc.items() if v}
-        nf = cache[m] = (nums, scale // g) if nums else _ZERO
+        g = gcd(scale, *acc.values()) if scale != 1 else 1
+        for e in [e for e, v in acc.items() if not v]:
+            del acc[e]
+        if g != 1:
+            acc, scale = {e: v // g for e, v in acc.items()}, scale // g
+        nf = cache[m] = (acc, scale) if acc else _ZERO
         return nf
 
     def images(self, monomials):
-        """(images, scale): the normal forms of packed monomials over one
-        scale, NF(m) = images[m] / scale, to be read only.  Normal forms are
-        linear, so a combination of the images is the normal form of the
-        same combination of the monomials.  Asked in ascending order, each
-        normal form finds the smaller ones it is built from cached and keeps
-        few others."""
-        nfs = {m: self.monomial_terms(m) for m in monomials}
-        scale = lcm(*(s for _, s in nfs.values()))
-        return {
-            m: nums if s == scale else {e: v * (scale // s) for e, v in nums.items()}
-            for m, (nums, s) in nfs.items()
-        }, scale
-
-    def _quotient(self, m):
-        """(x_i, m / x_i) for the variable to strip from m, which is not 1.
-        An x_i whose quotient is cached already wins, scanning from the
-        last variable; else the last variable of m."""
-        cache = self._cache
-        last = None
-        for field, x in self._strip:
-            if m & field:
-                q = m - x
-                if q in cache:
-                    return x, q
-                if last is None:
-                    last = x, q
-        return last
+        """(images, scale): the normal forms of the packed monomials, a
+        sequence, over one scale, NF(m) = images[m] / scale, to be read
+        only.  Normal forms are linear, so a combination of the images is
+        the normal form of the same combination of the monomials.  Asked in
+        ascending order, each normal form finds the smaller ones it is
+        built from cached and keeps few others."""
+        nfs = [self.monomial_terms(m) for m in monomials]
+        scale = lcm(*(s for _, s in nfs))
+        nums = [n if s == scale else {e: v * (scale // s) for e, v in n.items()} for n, s in nfs]
+        return dict(zip(monomials, nums)), scale
 
 
 # ---------------------------------------------------------------------------

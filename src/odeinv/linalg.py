@@ -20,13 +20,14 @@ from .poly import cleared, content_free
 
 def combine(coeffs: dict, rows) -> dict:
     """The sparse row sum of c * rows[k] over the sparse coefficients
-    {k: c}, zero entries dropped."""
+    {k: c}, zero entries dropped in place."""
     acc: dict = {}
     for k, c in coeffs.items():
         for i, v in rows[k].items():
-            x = acc.get(i)
-            acc[i] = c * v if x is None else x + c * v
-    return {i: x for i, x in acc.items() if x}
+            acc[i] = acc.get(i, 0) + c * v
+    for i in [i for i, x in acc.items() if not x]:
+        del acc[i]
+    return acc
 
 
 def _primitive(row: dict) -> dict:

@@ -21,7 +21,7 @@ from .algorithms import (
     post,
     pre,
 )
-from .groebner import Ideal
+from .groebner import Ideal, ResourceLimitError
 from .numcheck import verify_from_analysis
 from .poly import printed
 from .sysspec import _CAPS, BuiltSystem, _number
@@ -232,10 +232,13 @@ class RunReport:
 
 def lie_chain(built: BuiltSystem, steps: int):
     """Debug view: iterated Lie derivatives of the query's polynomials, or
-    of the template when the query carries one."""
+    of the template when the query carries one.  More steps than the spec's
+    `max_iterations` are a blow-up, refused before any derivative."""
     from .dynamics import lie_derivative
 
     steps, field = _number("steps", steps), built.field
+    if steps > built.spec.max_iterations:
+        raise ResourceLimitError(f"{steps} steps exceed max_iterations {built.spec.max_iterations}")
     if built.template is not None:
         subjects = [("template", built.template, lambda t: t.lie(field))]
     else:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from odeinv import Subspace, Symbol
-from odeinv.linalg import nullspace
+from odeinv.linalg import combine, nullspace
 from oracles import (
     LinearForm,
     contains,
@@ -20,6 +20,39 @@ from oracles import (
 
 def _params(n):
     return [Symbol(f"a{i}", Symbol.PARAM) for i in range(1, n + 1)]
+
+
+def _combine_by_definition(coeffs, rows):
+    """Each column, in order of first appearance over the rows taken in
+    `coeffs` order, summed on its own; the zero sums left out."""
+    columns = dict.fromkeys(i for k in coeffs for i in rows[k])
+    sums = {i: sum(c * rows[k].get(i, 0) for k, c in coeffs.items()) for i in columns}
+    return [(i, x) for i, x in sums.items() if x]
+
+
+@pytest.mark.parametrize("bits", [8, 450], ids=["small-keys", "packed-450-bit-keys"])
+def test_combine_matches_the_definition_key_order_included(bits):
+    rng = random.Random(1000 + bits)
+    # few distinct columns, so rows share them and sums cancel
+    pool = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(12)]
+    cancelled = 0
+    for _ in range(300):
+        rows = [
+            {i: rng.randint(-3, 3) for i in rng.sample(pool, rng.randint(0, 6))}
+            for _ in range(rng.randint(1, 5))
+        ]
+        coeffs = {k: rng.choice([-2, -1, 1, 2]) for k in range(len(rows)) if rng.random() < 0.8}
+        if len(rows) >= 2 and rng.random() < 0.3:
+            # a row and its negation: everything they hold cancels
+            rows.append({i: -v for i, v in rows[0].items()})
+            coeffs[0] = coeffs[len(rows) - 1] = 1
+        expected = _combine_by_definition(coeffs, rows)
+        got = combine(coeffs, rows)
+        assert list(got.items()) == expected
+        assert all(got.values())
+        cancelled += len(set().union(*(rows[k] for k in coeffs))) > len(got)
+    assert cancelled > 50  # the sums that cancel to zero were exercised
+    assert combine({}, []) == {} and combine({0: 5}, [{}]) == {}
 
 
 def test_example_constraint_system():

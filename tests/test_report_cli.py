@@ -152,10 +152,31 @@ def test_cli_lie_subcommand(capsys):
     assert "x^2 - x*y" in out
 
 
+def test_cli_lie_steps_over_max_iterations_exits_4_at_once(capsys):
+    # 2000 derivatives of running-pre ran for minutes; the spec's
+    # max_iterations (64 by default) caps the step count before any is taken
+    started = time.perf_counter()
+    code = main(["lie", _corpus_path("running-pre"), "--steps", "2000"])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "exceed max_iterations 64" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert main(["lie", _corpus_path("running-pre"), "--steps", "64"]) == 0
+
+
 def test_cli_verify_numeric(capsys):
     assert main(["verify-numeric", _corpus_path("ghost-post"), "--samples", "2"]) == 0
     out = capsys.readouterr().out
     assert "numeric cross-check: passed" in out
+
+
+@pytest.mark.parametrize("flag", ["--no-numeric", "--numeric"])
+def test_cli_verify_numeric_refuses_the_numeric_switch(capsys, flag):
+    # verify-numeric always runs the check: --no-numeric was accepted and
+    # ignored, and the check still reported "passed"
+    assert main(["verify-numeric", _corpus_path("running-post"), flag]) == 3
+    out, err = capsys.readouterr()
+    assert "usage: odeinv" in err and "cross-check" not in out
 
 
 def test_cli_verify_numeric_huge_sample_count_finishes(capsys):
