@@ -286,8 +286,8 @@ def check_invariants(polys, field: VectorField, points, horizon, step, tolerance
     tolerance against the polynomial's own scale along the trajectory.
     One observer, compiled per call, checks every nonzero polynomial
     against each state as `trajectory` yields it and keeps only running
-    values.  An overflow stops only the polynomial it happened in.  More than MAX_RK4_STEPS steps raise ResourceLimitError
-    up front.
+    values.  An overflow stops only the polynomial it happened in.  More
+    than MAX_RK4_STEPS steps raise ResourceLimitError up front.
     """
     if horizon / step > MAX_RK4_STEPS:
         raise ResourceLimitError(

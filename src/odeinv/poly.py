@@ -20,10 +20,10 @@ import struct
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-# Every field of a packed monomial holds an exponent below 2^31 under one
-# guard bit.  A sum of two fields never carries into the next field, so an
-# exponent that outgrows its field shows as a set guard bit.
-FIELD_BITS = 32
+# Every field of a packed monomial holds an exponent below 2^15 = 32,768
+# under one guard bit.  A sum of two fields never carries into the next
+# field, so an exponent that outgrows its field shows as a set guard bit.
+FIELD_BITS = 16
 EXPONENT_CAP = 1 << (FIELD_BITS - 1)
 
 # Most term pairs one product may form, about a second's work; (x+y+z)^50
@@ -166,7 +166,7 @@ class Packing:
         count = n + graded
         exponents = EXPONENT_CAP - 1
         self.graded = graded
-        self._struct = struct.Struct(f">{count}I")
+        self._struct = struct.Struct(f">{count}H")  # FIELD_BITS-bit fields
         self._top = width * n  # the grevlex degree field
         self.guards = sum(EXPONENT_CAP << (width * f) for f in range(count))
         # x_i sits in field i from the bottom under grevlex, from the top
@@ -185,7 +185,7 @@ class Packing:
         values = (sum(exps), *reversed(exps)) if self.graded else exps
         try:
             m = int.from_bytes(self._struct.pack(*values), "big")
-        except struct.error:  # a field of 2^32 or more
+        except struct.error:  # a field of 2^FIELD_BITS or more
             raise exponent_overflow() from None
         if m & self.guards:
             raise exponent_overflow()
@@ -208,7 +208,7 @@ class Packing:
         ge = ((a | guards) - b) & guards  # the guard bits of the fields where a >= b
         m = b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
         if self.graded:
-            # 2^32 = 1 modulo 2^32 - 1, and the degree is below 2^32 - 1
+            # 2^FIELD_BITS = 1 modulo 2^FIELD_BITS - 1, and the degree is below 2 * EXPONENT_CAP - 1
             m &= (1 << self._top) - 1
             degree = m % ((1 << FIELD_BITS) - 1)
             if degree >= EXPONENT_CAP:

@@ -50,8 +50,8 @@ def test_packing_laws(order):
     # over 1-18 variables, with exponents up to the cap: the packed integer
     # round-trips, orders as the tuple key does, and its product, quotient,
     # lcm and divisibility test are the tuple operations; an exponent, or a
-    # grevlex degree, of 2^31 is refused, and an overflowing product shows
-    # its guard bit
+    # grevlex degree, of EXPONENT_CAP is refused, and an overflowing
+    # product shows its guard bit
     rng = random.Random(131)
     cap = EXPONENT_CAP
 
@@ -128,10 +128,12 @@ def test_an_overflowing_monomial_raises_in_every_engine_path(order):
     with pytest.raises(ResourceLimitError, match="exponent cap"):
         complete_template(U, [x, y], 1, auxiliary=[pack((top, 0))])
     if order.graded:
-        # the lcm of x^(2^30) and y^(2^30) has degree 2^31; a graded
-        # reduction never raises the degree
+        # the lcm of x^(cap/2) and y^(cap/2) has degree EXPONENT_CAP; a
+        # graded reduction never raises the degree
+        half = EXPONENT_CAP // 2
+        generators = [X**half - 1, Y**half - 1]
         with pytest.raises(ResourceLimitError, match="exponent cap"):
-            buchberger([X ** 2**30 - 1, Y ** 2**30 - 1])
+            buchberger(generators)
         return
     # x * y^top = y^(top + 1) modulo x - y, by division; x * y =
     # y^(top + 1) modulo x - y^top, by the memo's multiplication step

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from odeinv import ParseError, ResourceLimitError, parse_polynomial
-from odeinv.poly import MAX_COEFFICIENT_BITS
+from odeinv.poly import EXPONENT_CAP, MAX_COEFFICIENT_BITS
 from props import rand_poly, small_universe
 
 
@@ -75,11 +75,11 @@ def test_every_coefficient_a_parse_admits_prints_and_parses_back(running):
     # squaring more is refused
     U, _, (X, _), _ = running
     top = str((1 << MAX_COEFFICIENT_BITS) - 1)
-    admitted = (f"{top}*x", f"{top}/{top[:-1]}1*x", f"0.{top[1:]}", "(1/3)^4096*x", "x^2147483647")
+    admitted = (f"{top}*x", f"{top}/{top[:-1]}1*x", f"0.{top[1:]}", "(1/3)^4096*x", f"x^{EXPONENT_CAP - 1}")
     for text in admitted:
         p = parse_polynomial(text, U)
         assert parse_polynomial(str(p), U) == p
-    refused = (f"{top}9*x", f"1/{1 << MAX_COEFFICIENT_BITS}", "(1/3)^8192*x", "2^8192", "x^2147483648")
+    refused = (f"{top}9*x", f"1/{1 << MAX_COEFFICIENT_BITS}", "(1/3)^8192*x", "2^8192", f"x^{EXPONENT_CAP}")
     for text in refused:
         with pytest.raises(ResourceLimitError):
             parse_polynomial(text, U)

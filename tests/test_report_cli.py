@@ -19,6 +19,7 @@ import odeinv
 from odeinv import SpecError, SystemSpec, sysspec
 from odeinv.cli import build_arg_parser, main
 from odeinv.parser import MAX_NESTING
+from odeinv.poly import EXPONENT_CAP
 from odeinv.report import lie_chain, run
 from oracles import entry_names, expected_report, load_entry
 
@@ -329,16 +330,17 @@ def test_cli_lie_on_a_rational_field(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("field", "x", "x^2147483648"),
-        ("precondition", "generators", ["x^2147483648 - y"]),
-        # each factor parses, and their product is the first to reach 2^31
-        ("field", "x", "x^2147483647*x"),
+        ("field", "x", f"x^{EXPONENT_CAP}"),
+        ("precondition", "generators", [f"x^{EXPONENT_CAP} - y"]),
+        # each factor parses, and their product is the first to reach the cap
+        ("field", "x", f"x^{EXPONENT_CAP - 1}*x"),
     ],
     ids=["field", "precondition", "field-product"],
 )
 def test_cli_exponent_over_the_packed_cap_exits_4(tmp_path, capsys, section, key, value):
-    # a packed monomial holds exponents below 2^31: an exponent of 2^31 in
-    # the field or in the precondition is refused as a resource limit
+    # a packed monomial holds exponents below EXPONENT_CAP: an exponent of
+    # the cap in the field or in the precondition is refused as a resource
+    # limit
     data = yaml.safe_load(RATIONAL_LIE_YAML)
     data[section][key] = value
     spec = tmp_path / "huge-exponent.yaml"
@@ -439,12 +441,21 @@ def test_cli_unknown_keys_of_two_types_are_input_error(tmp_path, capsys, section
 @pytest.mark.parametrize(
     "drift, message",
     [
-        ("2^3000000*x", "coefficient over the cap"),
-        ("(1/3)^30000000*x", "coefficient over the cap"),
+        ("2^30000*x", "coefficient over the cap"),
+        ("(1/3)^30000*x", "coefficient over the cap"),
+        ("2^3000000*x", "exponent cap"),
+        ("(1/3)^30000000*x", "exponent cap"),
         ("1" * 5000 + "*x", "number literal over the cap"),
         ("x^" + "1" * 5000, "exponent cap"),
     ],
-    ids=["power-of-two", "power-of-a-third", "long-literal", "long-exponent"],
+    ids=[
+        "power-of-two",
+        "power-of-a-third",
+        "power-of-two-over-the-exponent-cap",
+        "power-of-a-third-over-the-exponent-cap",
+        "long-literal",
+        "long-exponent",
+    ],
 )
 def test_cli_oversized_coefficient_or_exponent_exits_4(tmp_path, capsys, drift, message):
     # a coefficient past Python's int-to-str digit limit could not be
