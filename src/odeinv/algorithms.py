@@ -67,7 +67,6 @@ def triangular_bindings(generators, universe: SymbolUniverse):
     packing = universe.packing
     remaining = [g for g in generators if not g.is_zero()]
     bindings = []
-    bound = set()
     while remaining:
         pick = None
         for idx, g in enumerate(remaining):
@@ -92,7 +91,6 @@ def triangular_bindings(generators, universe: SymbolUniverse):
             {e: -c / coeff for e, c in g._terms.items() if e != lin},
         )
         bindings.append((sym, h))
-        bound.add(sym)
         new_remaining = []
         for other in remaining:
             other = other.substitute_symbol(sym, h)

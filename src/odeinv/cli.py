@@ -23,15 +23,13 @@ EXIT_INTERNAL = 5
 _NOT_SETTINGS = ("command", "spec", "report", "steps")
 
 
-def _add_common(sub, numeric_flags=True):
+def _add_common(sub):
     sub.add_argument("spec", help="system specification file (YAML or JSON)")
     sub.add_argument("--report", metavar="PATH", help="write the JSON report here")
     sub.add_argument("--mode", help=f"override the radical mode: {', '.join(_MODES)}")
     sub.add_argument("--max-iterations", help="chain iteration cap")
     sub.add_argument("--pair-budget", help="Buchberger pair budget")
     sub.add_argument("--max-degree", help="Buchberger degree cap")
-    if not numeric_flags:  # verify-numeric always runs the check: no on/off pair
-        return
     numeric = sub.add_mutually_exclusive_group()
     numeric.add_argument(
         "--numeric", dest="numeric", action="store_true", default=None,
@@ -41,6 +39,10 @@ def _add_common(sub, numeric_flags=True):
         "--no-numeric", dest="numeric", action="store_false",
         help="force the RK4 cross-check off",
     )
+    sub.add_argument("--samples", help="number of sample points")
+    sub.add_argument("--horizon", help="integration horizon (exact literal)")
+    sub.add_argument("--step", help="integration step (exact literal)")
+    sub.add_argument("--tolerance", help="relative tolerance")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -63,13 +65,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     lie = sub.add_parser("lie", help="print the iterated Lie derivative chain")
     lie.add_argument("spec")
     lie.add_argument("--steps", default=2, help="derivative order to reach")
-
-    vn = sub.add_parser("verify-numeric", help="re-run the query and the RK4 trajectory check")
-    _add_common(vn, numeric_flags=False)
-    vn.add_argument("--samples", help="number of sample points")
-    vn.add_argument("--horizon", help="integration horizon (exact literal)")
-    vn.add_argument("--step", help="integration step (exact literal)")
-    vn.add_argument("--tolerance", help="relative tolerance")
     return ap
 
 
@@ -79,8 +74,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_BAD_INPUT if exc.code else 0
     settings = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
-    if args.command == "verify-numeric":
-        settings["numeric"] = True
     try:
         spec = SystemSpec.load(args.spec)
         spec.override(**settings)
@@ -91,10 +84,10 @@ def main(argv=None) -> int:
                 for j, line in enumerate(entry["chain"]):
                     print(f"  L^{j}: {line}")
             return 0
-        if args.command not in (spec.query_kind, "verify-numeric"):
+        if args.command != spec.query_kind:
             raise SpecError(
                 f"spec declares a {spec.query_kind!r} query; "
-                f"run `odeinv {spec.query_kind}` (or verify-numeric/lie)"
+                f"run `odeinv {spec.query_kind}` (or lie)"
             )
         report = run(built)
         sys.stdout.write(report.human_text())

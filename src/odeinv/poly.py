@@ -15,7 +15,6 @@ a monomial is written as text or an exponent is used as a number.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -498,18 +497,23 @@ def monomials_up_to_degree(universe: SymbolUniverse, variables, k: int):
     """All monomials of total degree <= k over the given symbols, packed,
     each the sum of its variables' `units`.
 
-    Returned in descending order; the count is C(len(vars)+k, k).
+    Returned in descending order; the count is C(len(vars)+k, k).  Each
+    degree is built from the one below, one addition per monomial.
     """
     if k < 0:
         raise ValueError("degree bound must be non-negative")
     variables = list(variables)
     packing = universe.packing
     units = [packing.units[universe.index_of(v)] for v in variables]
-    monos = [
-        sum(combo)
-        for total in range(k + 1)
-        for combo in itertools.combinations_with_replacement(units, total)
-    ]
+    # `level` holds the monomials of one degree grouped by their first
+    # variable, so level[starts[i]:] are those in the i-th and later only
+    monos, level, starts = [0], [0], [0] * len(units)
+    for _ in range(k):
+        below, below_starts, level, starts = level, starts, [], []
+        for u, start in zip(units, below_starts):
+            starts.append(len(level))
+            level += [u + m for m in below[start:]]
+        monos += level
     assert len(monos) == comb(len(variables) + k, k)
     monos.sort(key=packing.flip.__xor__, reverse=True)
     return monos

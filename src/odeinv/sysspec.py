@@ -192,9 +192,9 @@ class NumericSpec:
         points = d.get("points")
         if points is not None:
             _require(
-                isinstance(points, list)
+                isinstance(points, list) and points
                 and all(isinstance(p, dict) for p in points),
-                "numeric_check points must be a list of variable bindings",
+                "numeric_check points must be a non-empty list of variable bindings",
             )
             points = [
                 {str(k): _as_fraction_option(v, f"point value for {k}") for k, v in p.items()}

@@ -14,15 +14,24 @@
   chain dimensions, and their J bases generate one ideal: the lex basis,
   re-parsed over the grevlex universe, has the grevlex basis as its
   reduced basis.
+- *Renaming.*  Renaming every variable keeps each report, byte for byte,
+  once the names are mapped back.
+- *Reordering.*  Reversing `variables` keeps every answer: `iterations`,
+  the chain's dimensions, `space_dimension`, the verdict, `invariant` and
+  the ideal.
 
-Each runs on corpus entries (the quick ones, or every `post` entry for the
-last two) and on at most 30 small random systems (2-3 variables, degree
-<= 2; the monomial-order relation always takes 3 variables, nonzero drifts,
-2-3 precondition generators and a degree-2 template), drawn by Hypothesis with `derandomize=True`, so
-tier-1 stays deterministic.
+The first four run on corpus entries (the quick ones, or every `post`
+entry for the containment and order relations) and on at most 30 small
+random systems (2-3 variables, degree <= 2; the monomial-order relation
+always takes 3 variables, nonzero drifts, 2-3 precondition generators and
+a degree-2 template), drawn by Hypothesis with `derandomize=True`, so
+tier-1 stays deterministic.  Renaming and reordering run, numeric check
+off, on the quick entries, kepler and 15 small random systems.
 """
 
 import copy
+import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -42,7 +51,7 @@ from odeinv import (
 )
 from odeinv.algorithms import _MODES, check_safety, post, pre
 from odeinv.report import run
-from oracles import entry_names
+from oracles import entry_names, ideal_equal
 
 NAMES = ("x", "y", "z")
 # small enough that most random chains finish; a run over them is rejected
@@ -190,6 +199,83 @@ def test_lex_and_grevlex_agree_on_post_on_the_corpus(name):
     _assert_order_relation(_data(name))
 
 
+# an identifier that does not continue a name or a number
+_IDENTIFIER = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_][A-Za-z0-9_]*")
+# the spec keys whose values hold no variable name
+_PLAIN = {"name", "description", "tier", "order", "kind", "mode"}
+
+
+def _rename(value, names):
+    """`value` with each identifier in `names` replaced by its image, in
+    strings, lists and mappings, keys included, except under `_PLAIN`."""
+    if isinstance(value, str):
+        return _IDENTIFIER.sub(lambda m: names.get(m[0], m[0]), value)
+    if isinstance(value, list):
+        return [_rename(v, names) for v in value]
+    if isinstance(value, dict):
+        return {
+            _rename(k, names): v if k in _PLAIN else _rename(v, names) for k, v in value.items()
+        }
+    return value
+
+
+def _report(data):
+    """The universe of `data` and its report without timings, numeric
+    check off."""
+    spec = SystemSpec(data)
+    spec.override(numeric=False)
+    built = spec.build()
+    return built.universe, run(built).comparable()
+
+
+def _answers_free_of_order(result):
+    """What reordering the variables keeps of a result block, but its ideal."""
+    kept = {k: result[k] for k in ("iterations", "space_dimension", "verdict", "invariant")
+            if k in result}
+    kept["dims"] = [step["dim"] for step in result.get("chain_trace", ())]
+    return kept
+
+
+def _ideal(result, universe):
+    """The ideal of a `post`, `pre` or `invariant` result block's reduced
+    basis, parsed over `universe`."""
+    basis = result.get("ideal", result)["reduced_groebner_basis"]
+    return Ideal(universe, [parse_polynomial(g, universe) for g in basis])
+
+
+def _assert_renaming_relation(data):
+    """Renaming every variable keeps the report once the names are mapped
+    back."""
+    n = len(data["variables"])
+    # fresh names, in the reverse of the old names' order where they sort
+    forward = {v: f"v{n - i}" for i, v in enumerate(data["variables"])}
+    back = {new: old for old, new in forward.items()}
+    _, want = _report(data)
+    _, got = _report(_rename(data, forward))
+    assert "v1" in json.dumps(got)
+    assert _rename(json.dumps(got), back) == json.dumps(want)
+
+
+def _assert_reversing_relation(data):
+    """Reversing `variables` keeps every answer and the ideal."""
+    universe, want = _report(data)
+    _, got = _report({**data, "variables": data["variables"][::-1]})
+    want, got = want["result"], got["result"]
+    assert _answers_free_of_order(got) == _answers_free_of_order(want)
+    if "verdict" not in want:  # a check reports no ideal
+        assert ideal_equal(_ideal(want, universe), _ideal(got, universe))
+
+
+@pytest.mark.parametrize("name", [*entry_names("quick"), "kepler"])
+def test_renaming_the_variables_keeps_every_report(name):
+    _assert_renaming_relation(_data(name))
+
+
+@pytest.mark.parametrize("name", [*entry_names("quick"), "kepler"])
+def test_reversing_the_variables_keeps_every_answer(name):
+    _assert_reversing_relation(_data(name))
+
+
 @st.composite
 def polynomials(draw, names, max_terms=3, constant=True):
     """The text of a random polynomial of degree <= 2 over `names`; with
@@ -307,5 +393,16 @@ def test_post_ideal_lies_in_the_precondition_ideal_on_random_systems(data):
 def test_lex_and_grevlex_agree_on_post_on_random_systems(data):
     try:
         _assert_order_relation(data)
+    except ResourceLimitError:
+        reject()
+
+
+@settings(RANDOM, max_examples=15)
+@given(st.sampled_from(["post", "check"]).flatmap(systems))
+def test_renaming_and_reversing_the_variables_on_random_systems(data):
+    _built_or_reject(data)
+    try:
+        _assert_renaming_relation(data)
+        _assert_reversing_relation(data)
     except ResourceLimitError:
         reject()

@@ -166,16 +166,17 @@ def test_cli_lie_steps_over_max_iterations_exits_4_at_once(capsys):
 
 
 def test_cli_verify_numeric(capsys):
-    assert main(["verify-numeric", _corpus_path("ghost-post"), "--samples", "2"]) == 0
+    assert main(["post", _corpus_path("ghost-post"), "--numeric", "--samples", "2"]) == 0
     out = capsys.readouterr().out
     assert "numeric cross-check: passed" in out
 
 
-@pytest.mark.parametrize("flag", ["--no-numeric", "--numeric"])
-def test_cli_verify_numeric_refuses_the_numeric_switch(capsys, flag):
-    # verify-numeric always runs the check: --no-numeric was accepted and
-    # ignored, and the check still reported "passed"
-    assert main(["verify-numeric", _corpus_path("running-post"), flag]) == 3
+@pytest.mark.parametrize(
+    "flags", [[], ["--numeric"], ["--no-numeric"]], ids=lambda flags: flags[0] if flags else "bare"
+)
+def test_cli_verify_numeric_is_no_longer_a_command(capsys, flags):
+    # the RK4 check is a setting of each query: `odeinv post SPEC --numeric`
+    assert main(["verify-numeric", _corpus_path("running-post"), *flags]) == 3
     out, err = capsys.readouterr()
     assert "usage: odeinv" in err and "cross-check" not in out
 
@@ -183,14 +184,14 @@ def test_cli_verify_numeric_refuses_the_numeric_switch(capsys, flag):
 def test_cli_verify_numeric_huge_sample_count_finishes(capsys):
     # at most one point per pool value is drawn, however many are asked
     spec = _corpus_path("running-post")
-    assert main(["verify-numeric", spec, "--samples", "100000000000"]) == 0
+    assert main(["post", spec, "--numeric", "--samples", "100000000000"]) == 0
     assert "numeric cross-check: passed" in capsys.readouterr().out
 
 
 def test_cli_rk4_step_cap_exits_4_before_integrating(capsys):
     # 1e8 checked steps would run for minutes; the cap refuses them at once
     started = time.perf_counter()
-    code = main(["verify-numeric", _corpus_path("running-post"), "--step", "1/100000000"])
+    code = main(["post", _corpus_path("running-post"), "--numeric", "--step", "1/100000000"])
     elapsed = time.perf_counter() - started
     assert code == 4
     assert "RK4 steps" in capsys.readouterr().err
@@ -209,6 +210,23 @@ def test_cli_template_parameter_cap_exits_4_before_enumerating(tmp_path, capsys)
     elapsed = time.perf_counter() - started
     assert code == 4
     assert "over the cap of 65536" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_cli_one_variable_template_past_the_exponent_cap_exits_4_at_once(tmp_path, capsys):
+    # degree 65,535 in one variable is 65,536 parameters, within their cap;
+    # its monomials are enumerated one addition each, so the exponent cap
+    # refuses them at once
+    with open(_corpus_path("running-post"), encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data["query"]["template"] = {"kind": "complete", "degree": 65535, "variables": ["x"]}
+    spec = tmp_path / "one-variable.yaml"
+    spec.write_text(yaml.safe_dump(data), encoding="utf-8")
+    started = time.perf_counter()
+    code = main(["post", str(spec)])
+    elapsed = time.perf_counter() - started
+    assert code == 4
+    assert "exponent cap" in capsys.readouterr().err
     assert elapsed < 1.0
 
 
@@ -575,8 +593,8 @@ def test_override_rejects_malformed_cap():
         ["post", "running-post", "--max-degree", "1.5"],
         ["post", "running-post", "--pair-budget", "1e3"],
         ["post", "running-post", "--mode", "bogus"],
-        ["verify-numeric", "ghost-post", "--samples", "x"],
-        ["verify-numeric", "ghost-post", "--tolerance", "abc"],
+        ["post", "ghost-post", "--samples", "x"],
+        ["post", "ghost-post", "--tolerance", "abc"],
         ["lie", "running-pre", "--steps", "abc"],
     ],
     ids=lambda argv: "-".join(argv[2:]),
@@ -638,17 +656,21 @@ NOT_SETTINGS = {"help", "report", "steps"}
 # the corpus entry each subcommand runs here
 COMMAND_ENTRIES = {
     "post": "running-post", "pre": "running-pre", "check": "running-check",
-    "invariant": "running-invariant", "verify-numeric": "ghost-post",
+    "invariant": "running-invariant",
 }
+
+
+def _subcommands():
+    """The CLI's subparsers by subcommand."""
+    parser = build_arg_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _setting_flags():
     """(subcommand, option string) for every setting flag of the CLI, each
     flag once, under the first subcommand that has it."""
-    parser = build_arg_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     seen = {}
-    for command, sub in subparsers.choices.items():
+    for command, sub in _subcommands().items():
         for action in sub._actions:
             if action.dest not in NOT_SETTINGS:
                 for flag in action.option_strings:
@@ -663,6 +685,27 @@ def _cli_outcome(capsys, argv, report):
     if data is not None:
         del data["timings"]
     return code, out, err, data
+
+
+def test_cli_offers_one_command_per_query_and_lie():
+    commands = _subcommands()
+    assert list(commands) == ["post", "pre", "check", "invariant", "lie"]
+    # every query subcommand takes every flag
+    flags = [
+        sorted(f for a in commands[kind]._actions for f in a.option_strings)
+        for kind in ("post", "pre", "check", "invariant")
+    ]
+    assert all(f == flags[0] for f in flags) and "--tolerance" in flags[0]
+
+
+def test_cli_numeric_setting_flag_leaves_the_check_off(capsys):
+    # running-unconstrained has no numeric_check block: --numeric turns the
+    # check on, a numeric setting flag alone does not
+    spec = _corpus_path("running-unconstrained")
+    assert main(["post", spec, "--samples", "2", "--tolerance", "1e-3"]) == 0
+    assert "cross-check" not in capsys.readouterr().out
+    assert main(["post", spec, "--numeric", "--samples", "2", "--tolerance", "1e-3"]) == 0
+    assert "numeric cross-check:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag", _setting_flags())
@@ -705,6 +748,8 @@ def test_each_flag_is_the_spec_setting_it_names(tmp_path, capsys, command, flag)
         ("options", "max_degree", "x"),
         pytest.param("numeric_check", "points", [{"x": 1}], id="point-unbound"),
         pytest.param("numeric_check", "points", [{"x": 1, "y": 2}], id="point-off-pre"),
+        # no points is not "no rational sample point available"
+        pytest.param("numeric_check", "points", [], id="points-empty"),
         # a string where a list or a bool is wanted is not read character-wise
         ("precondition", "generators", "xy"),
         ("query.template", "exclude", "xy"),
@@ -808,7 +853,7 @@ def test_cli_point_off_computed_ideal_is_input_error(tmp_path, capsys, name, gen
     data["numeric_check"] = {"points": [{"x": 1, "y": 2}]}
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump(data))
-    assert main(["verify-numeric", str(spec)]) == 3
+    assert main([data["query"]["kind"], str(spec), "--numeric"]) == 3
     assert f"precondition generator {generator}" in capsys.readouterr().err
 
 
@@ -826,7 +871,7 @@ def test_cli_point_off_computed_ideal_is_input_error(tmp_path, capsys, name, gen
     ],
 )
 def test_cli_bad_numeric_literal_is_input_error(flag, value):
-    assert main(["verify-numeric", _corpus_path("ghost-post"), flag, value]) == 3
+    assert main(["post", _corpus_path("ghost-post"), "--numeric", flag, value]) == 3
 
 
 def _planar_data(field=("y^2", "x*y"), **numeric):
@@ -916,7 +961,7 @@ def test_cli_step_of_zero_double_is_input_error(tmp_path, capsys):
     assert "is 0.0 as a double" in capsys.readouterr().err
     spec = _planar_invariant(tmp_path)
     flags = ["--horizon", "1e-395", "--step", "1e-400"]
-    assert main(["verify-numeric", str(spec), *flags]) == 3
+    assert main(["invariant", str(spec), "--numeric", *flags]) == 3
     assert "is 0.0 as a double" in capsys.readouterr().err
 
 
@@ -941,7 +986,7 @@ def test_cli_decimal_exponent_far_outside_doubles_is_refused_at_once(tmp_path):
     cases = [
         ["invariant", str(spec)],
         ["invariant", str(point)],
-        ["verify-numeric", str(flag), "--horizon", "1e999999999"],
+        ["invariant", str(flag), "--numeric", "--horizon", "1e999999999"],
     ]
     src = str(Path(odeinv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -977,7 +1022,7 @@ def test_cli_oversized_numeric_settings_exit_3_at_once(tmp_path_factory, key, te
         argv = ["invariant", str(path)]
     elif by_flag:
         path.write_text(yaml.safe_dump(_planar_data()))
-        argv = ["verify-numeric", str(path), f"--{key}={text}"]
+        argv = ["invariant", str(path), "--numeric", f"--{key}={text}"]
     else:
         path.write_text(yaml.safe_dump(_planar_data(**{key: text})))
         argv = ["invariant", str(path)]
